@@ -14,7 +14,7 @@ from .specfun import SignedLogValue, bessel_j, hyp1f1, ln_gamma_signed
 from .tensors import (ComplexTensor, FactorMatrices, fold_last, hadamard,
                       khatri_rao, kron, kruskal, unfold_last)
 from .vbi import (EngineConfig, EngineResult, PosteriorState, init_posterior,
-                  inverse_mean_moments, precompute_gram, run, theorem1_moment,
-                  update_qX, update_qbeta, update_qmu, update_qv)
+                  inverse_mean_moments, precompute_gram, run, update_qX,
+                  update_qbeta, update_qmu, update_qv)
 
 __version__ = "0.1.0"

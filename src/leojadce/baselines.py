@@ -121,11 +121,12 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
     X = np.zeros((K, M), dtype=complex)   # row-per-device layout internally
     Z = Y.copy()
     y_norm = float(np.linalg.norm(Y))
+    A_H = A.conj().T
     diverged = False
     n_done = 0
     for it in range(1, cfg.max_iters + 1):
         n_done = it
-        pseudo = X + A.conj().T @ Z
+        pseudo = X + A_H @ Z
         tau = np.linalg.norm(Z) / math.sqrt(L * M)
         lam = tau * math.sqrt(2.0 * math.log(max(K / max(p_a * K, 1.0), math.e)))
         row_norms = np.linalg.norm(pseudo, axis=1)

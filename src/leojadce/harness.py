@@ -100,12 +100,10 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
         try:
             if algo == "vbi":
                 engine_cfg = vbi.EngineConfig(
-                    eps=cfg.eps, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol,
-                    threshold_ratio=cfg.threshold_ratio)
+                    eps=cfg.eps, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
                 result = vbi.run(preambles, Y, engine_cfg)
                 x_hat = result.M_X
-                det = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi)
-                alpha_hat = det.alpha_hat
+                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi).alpha_hat
                 iters = result.n_iters
                 if collect_traces:
                     trace_rows.extend((trial, it, res, mc) for it, res, mc in result.trace)
@@ -123,7 +121,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 Y_mat, A = baseline_inputs(Y, preambles)
                 ares = baselines.amp_mmv(Y_mat, A, sigma_n2, cfg.p_a)
                 x_hat = ares.X_hat
-                alpha_hat = (np.sum(np.abs(x_hat) ** 2, axis=0) > 0).astype(np.int8)
+                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi).alpha_hat
                 iters = ares.n_iters
             else:
                 raise ValueError(f"unknown algorithm {algo!r}")

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import ztrtri
 
 from .signals import PreambleSet
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed, signed_log_sum
@@ -37,15 +38,12 @@ class EngineConfig:
     eps: float = 1e-6           # Gamma hyperprior shape/rate
     max_iters: int = 35
     rel_tol: float = 1e-3       # on the relative Frobenius change of M_X
-    threshold_ratio: float = 0.3
 
     def __post_init__(self):
         if not (0.0 < self.eps <= 1e-2):
             raise ValueError("eps must lie in (0, 1e-2]")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
-        if not (0.0 < self.threshold_ratio < 1.0):
-            raise ValueError("threshold_ratio must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -55,12 +53,18 @@ class PosteriorState:
     """All variational statistics.
 
     The posterior over X is matrix Gaussian with mean M_X and one shared
-    K x K column covariance C_X. Gamma blocks are parameterized as
-    (rate a, shape b) with E = b / a; b_v and b_beta never change.
+    K x K column covariance C_X = (E[beta] G + diag(E[v]))^-1. C_X itself
+    is never stored: q(v) reads only its diagonal c_diag, and q(beta) only
+    the scalar Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta], which
+    follows from (E[beta] G + diag(E[v])) C_X = I. Both hold the E[beta]
+    and E[v] of the q(X) update that produced them. Gamma blocks are
+    parameterized as (rate a, shape b) with E = b / a; b_v and b_beta
+    never change.
     """
 
     M_X: np.ndarray          # M x K posterior mean
-    C_X: np.ndarray          # K x K Hermitian positive-definite
+    c_diag: np.ndarray       # K real, positive: diag(C_X)
+    tr_GC: float             # Tr(G C_X)
     a_v: np.ndarray          # K rates for q(v_k)
     b_v: float               # shape M + eps, fixed
     o_mu: np.ndarray         # K coefficients of mu^-2
@@ -101,8 +105,9 @@ def precompute_gram(p: PreambleSet) -> np.ndarray:
 
 
 def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> PosteriorState:
-    """Deterministic start: matched-filter mean, identity covariance, unit
-    v-means, zero prior-mean moments, noise precision from total energy."""
+    """Deterministic start: matched-filter mean, identity covariance
+    (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means, zero prior-mean
+    moments, noise precision from total energy."""
     L, K = p.L, p.K
     M = Y.dims[-1]
     kr = khatri_rao(list(p.factors))
@@ -113,7 +118,8 @@ def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> Poste
     a_beta = b_beta * energy / (L * M) if energy > 0 else b_beta
     return PosteriorState(
         M_X=m_x,
-        C_X=np.eye(K, dtype=complex),
+        c_diag=np.ones(K),
+        tr_GC=float(np.vdot(kr, kr).real),
         a_v=np.full(K, b_v),
         b_v=b_v,
         o_mu=np.full(K, float(M)),
@@ -126,30 +132,88 @@ def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> Poste
     )
 
 
-def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor,
-              Ty: np.ndarray | None = None) -> PosteriorState:
-    """Refresh (C_X, M_X).
+def woodbury_pays(L: int, K: int) -> bool:
+    """Whether q(X) is cheaper through the L x L system than the K x K one,
+    by flop count: about L^2 K + L^3 / 3 against K^3 / 2. At K=500 the
+    two paths measure equal near L = 290-320; this rule switches at 321."""
+    return L * L * K + L ** 3 / 3 < K ** 3 / 2
 
-    C_X = (E[beta] G + diag(E[v]))^-1 via a Hermitian factorization;
-    M_X = (E[beta] Y_(d+1) KR^* + 1_M (E[mu^-1] E[v])^T) C_X.
-    ``Ty`` may carry the precomputed constant Y_(d+1) KR^*.
-    """
-    if Ty is None:
-        Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
-    M = Ty.shape[0]
-    e_beta, e_v = s.E_beta, s.E_v
-    A_sys = e_beta * G + np.diag(e_v.astype(complex))
+
+def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
     try:
-        cho = cho_factor(A_sys, lower=True, check_finite=False)
+        return cholesky(A, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise EngineError(f"X-covariance system not positive-definite: {exc}") from exc
-    C_X = cho_solve(cho, np.eye(len(e_v), dtype=complex), check_finite=False)
-    C_X = 0.5 * (C_X + C_X.conj().T)  # strip factorization roundoff
-    rhs = e_beta * Ty + np.ones((M, 1)) * (s.E_mu_inv * e_v)[None, :]
-    M_X = rhs @ C_X
-    if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(C_X))):
+        raise EngineError(f"{what} not positive-definite: {exc}") from exc
+
+
+def _solve_direct(G: np.ndarray, e_beta: float, e_v: np.ndarray, rhs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(rhs C_X, diag C_X) from the Cholesky factor P = F F^H of the K x K
+    system; C_X = F^-H F^-1, so diag C_X holds the column energies of F^-1."""
+    F = _cholesky(e_beta * G + np.diag(e_v.astype(complex)), "X-covariance system")
+    M_X = cho_solve((F, True), rhs.conj().T, check_finite=False).conj().T
+    F_inv, info = ztrtri(F, lower=1)
+    if info != 0:
+        raise EngineError(f"singular X-covariance factor (ztrtri info={info})")
+    return M_X, np.sum(np.abs(F_inv) ** 2, axis=0)
+
+
+def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.ndarray,
+                    e_mu_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M_X, diag C_X) by the matrix-inversion lemma, with Phi = KR^* (so
+    G = Phi^H Phi), D = diag(E[v]) and S = Phi D^-1 Phi^H + E[beta]^-1 I_L:
+
+      C_X = D^-1 - D^-1 Phi^H S^-1 Phi D^-1.
+
+    With S = R R^H and W = R^-1 Phi, diag C_X = 1/d - |W|^2_col / d^2. The
+    mean uses Phi C_X = (E[beta] S)^-1 Phi D^-1, which gives, with
+    m = E[mu^-1] and Y_mat = Y_(d+1),
+
+      M_X = 1_M m^T + (Y_mat - 1_M m^T Phi^H) S^-1 Phi D^-1.
+
+    It equals rhs C_X, but subtracts no terms of size E[beta] that would
+    cancel when E[beta] G dominates D."""
+    phi = kr.conj()
+    inv_d = 1.0 / e_v
+    S = (phi * inv_d) @ kr.T + np.eye(phi.shape[0]) / e_beta
+    R = _cholesky(S, "preamble-space system")
+    W = solve_triangular(R, phi, lower=True, check_finite=False)
+    c_diag = inv_d - np.sum(np.abs(W) ** 2, axis=0) * inv_d ** 2
+    innov = Y_mat - (kr @ e_mu_inv)[None, :]
+    V = solve_triangular(R, innov.conj().T, lower=True, check_finite=False)
+    M_X = e_mu_inv[None, :] + (V.conj().T @ W) * inv_d
+    return M_X, c_diag
+
+
+def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor,
+              Ty: np.ndarray | None = None, kr: np.ndarray | None = None
+              ) -> PosteriorState:
+    """Refresh (M_X, c_diag, tr_GC) without forming C_X.
+
+    With C_X = (E[beta] G + diag(E[v]))^-1:
+    M_X = (E[beta] Y_(d+1) KR^* + 1_M (E[mu^-1] E[v])^T) C_X,
+    c_diag = diag(C_X), and tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta].
+    When :func:`woodbury_pays` for the preamble length L, the solve goes
+    through an L x L system; otherwise through a Cholesky factor of the
+    K x K system. ``Ty`` may carry the precomputed constant Y_(d+1) KR^*,
+    and ``kr`` the Khatri-Rao product KR.
+    """
+    e_beta, e_v = s.E_beta, s.E_v
+    if woodbury_pays(p.L, p.K):
+        if kr is None:
+            kr = khatri_rao(list(p.factors))
+        M_X, c_diag = _solve_woodbury(kr, e_beta, e_v, unfold_last(Y), s.E_mu_inv)
+    else:
+        if Ty is None:
+            Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
+        rhs = e_beta * Ty + np.ones((Ty.shape[0], 1)) * (s.E_mu_inv * e_v)[None, :]
+        M_X, c_diag = _solve_direct(G, e_beta, e_v, rhs)
+    if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
         raise EngineError("non-finite entries in q(X) update")
-    return dataclasses.replace(s, M_X=M_X, C_X=C_X)
+    if np.any(c_diag <= 0):
+        raise EngineError("non-positive diagonal of the X-covariance")
+    tr_GC = (len(e_v) - float(np.dot(e_v, c_diag))) / e_beta
+    return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC)
 
 
 def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
@@ -225,12 +289,12 @@ def update_qmu(s: PosteriorState) -> PosteriorState:
 
 def update_qv(s: PosteriorState) -> PosteriorState:
     """Refresh the column-precision rates:
-    a_v[k] = ||M_X(:,k)||^2 + M C_X(k,k) - 2 E[mu^-1] Re(sum_m M_X(m,k))
-             + M E[mu^-2] + eps."""
+    a_v[k] = ||M_X(:,k)||^2 + M c_diag[k] - 2 E[mu^-1] Re(sum_m M_X(m,k))
+             + M E[mu^-2] + eps, with c_diag = diag(C_X) from q(X)."""
     M = s.M_X.shape[0]
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     col_sum = np.real(np.sum(s.M_X, axis=0))
-    a_v = (col_energy + M * np.real(np.diag(s.C_X))
+    a_v = (col_energy + M * s.c_diag
            - 2.0 * s.E_mu_inv * col_sum + M * s.E_mu_inv2 + s.eps)
     if np.any(a_v <= 0) or not np.all(np.isfinite(a_v)):
         raise EngineError("non-positive or non-finite q(v) rate")
@@ -242,14 +306,15 @@ def expected_residual(s: PosteriorState, G: np.ndarray, p: PreambleSet,
                       y_energy: float | None = None) -> float:
     """Posterior-expected squared residual
     E||Y - kruskal(A, X)||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
-    with E[X^H X] = M_X^H M_X + M C_X."""
+    with E[X^H X] = M_X^H M_X + M C_X, so
+    Tr(G E[X^H X]) = Re sum((M_X G) o conj(M_X)) + M Tr(G C_X),
+    the last term being the stored tr_GC."""
     if Ty is None:
         Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
     if y_energy is None:
         y_energy = float(np.vdot(Y.array, Y.array).real)
     M = s.M_X.shape[0]
-    second_moment = s.M_X.conj().T @ s.M_X + M * s.C_X
-    fit = float(np.sum(G * second_moment.T).real)
+    fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real) + M * s.tr_GC
     cross = float(np.sum(Ty * s.M_X.conj()).real)
     return y_energy - 2.0 * cross + fit
 
@@ -285,7 +350,7 @@ def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev = s.M_X
-        s = update_qX(s, G, p, Y, Ty=Ty)
+        s = update_qX(s, G, p, Y, Ty=Ty, kr=kr)
         s = update_qmu(s)
         s = update_qv(s)
         s = update_qbeta(s, G, p, Y, Ty=Ty, y_energy=y_energy)
@@ -301,19 +366,3 @@ def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
             converged = True
             break
     return EngineResult(state=s, n_iters=s.iter, converged=converged, trace=trace)
-
-
-def theorem1_moment(M_S: np.ndarray, C_blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Second moment E[S^H S] of a matrix Gaussian: M_S^H M_S plus the sum
-    of the per-row diagonal covariance blocks."""
-    M_S = np.asarray(M_S, dtype=complex)
-    if len(C_blocks) != M_S.shape[0]:
-        raise ValueError(f"expected {M_S.shape[0]} diagonal blocks, got {len(C_blocks)}")
-    k = M_S.shape[1]
-    out = M_S.conj().T @ M_S
-    for c in C_blocks:
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (k, k):
-            raise ValueError(f"covariance block must be {k} x {k}, got {c.shape}")
-        out = out + c
-    return out
