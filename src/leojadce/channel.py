@@ -14,6 +14,7 @@ just activity * sqrt(power) * column.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ class LinkBudget:
     f_hz: float = 30e9                 # carrier frequency
     d0_m: float = 1000e3               # orbit altitude / slant distance
     bandwidth_hz: float = 25e6
-    noise_temperature_k: float = 290.0  # folded into g_over_t_db
     boltzmann: float = 1.38e-23        # J/K
     g_over_t_db: float = 34.0          # transmit gain to noise temperature, dB/K
     dish_diameter_m: float = 0.0       # 0 -> calibrate from three_db_angle_deg
@@ -40,8 +40,8 @@ class LinkBudget:
     rain_std_db: float = 1.63
 
     def __post_init__(self):
-        for name in ("f_hz", "d0_m", "bandwidth_hz", "noise_temperature_k",
-                     "boltzmann", "three_db_angle_deg"):
+        for name in ("f_hz", "d0_m", "bandwidth_hz", "boltzmann",
+                     "three_db_angle_deg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.rain_mean_db > 0:
@@ -170,13 +170,9 @@ def calibrate_dish_diameter(f_hz: float, three_db_angle_deg: float) -> float:
         math.pi * f_hz * math.sin(math.radians(three_db_angle_deg)))
 
 
-_HALF_POWER_PHI_CACHE: list[float] = []
-
-
+@functools.cache
 def _half_power_phi() -> float:
     """First phi with _gain_kernel(phi) = 2^-1/2, by bisection."""
-    if _HALF_POWER_PHI_CACHE:
-        return _HALF_POWER_PHI_CACHE[0]
     target = 1.0 / math.sqrt(2.0)
     lo, hi = 1e-6, 1.0
     while _gain_kernel(hi) > target:
@@ -187,8 +183,7 @@ def _half_power_phi() -> float:
             lo = mid
         else:
             hi = mid
-    _HALF_POWER_PHI_CACHE.append(0.5 * (lo + hi))
-    return _HALF_POWER_PHI_CACHE[0]
+    return 0.5 * (lo + hi)
 
 
 def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,

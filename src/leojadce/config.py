@@ -30,7 +30,6 @@ class ScenarioConfig:
     f_hz: float = 30e9
     d0_m: float = 1000e3
     bandwidth_hz: float = 25e6
-    noise_temperature_k: float = 290.0
     boltzmann: float = 1.38e-23
     g_over_t_db: float = 34.0
     dish_diameter_m: float = 0.0      # 0 -> calibrated from the 3 dB angle
@@ -87,7 +86,7 @@ class ScenarioConfig:
     def link_budget(self) -> LinkBudget:
         return LinkBudget(
             f_hz=self.f_hz, d0_m=self.d0_m, bandwidth_hz=self.bandwidth_hz,
-            noise_temperature_k=self.noise_temperature_k, boltzmann=self.boltzmann,
+            boltzmann=self.boltzmann,
             g_over_t_db=self.g_over_t_db, dish_diameter_m=self.dish_diameter_m,
             three_db_angle_deg=self.three_db_angle_deg,
             rain_mean_db=self.rain_mean_db, rain_std_db=self.rain_std_db,

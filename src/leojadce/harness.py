@@ -9,7 +9,8 @@ directions, per-device variances) is frozen per scenario from a separate
 stream; preambles, activity, rain, fading, and noise are redrawn per trial.
 
 Wall-clock timings are never written into trials.csv (its bytes must be
-identical across reruns); they go to a sidecar timings.csv.
+identical across reruns); they go to a sidecar timings.csv. Why a trial
+failed goes to a sidecar failures.csv, one row per failed trial.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
                   "nmse_active_mean", "iters_mean"]
 TIMINGS_HEADER = ["axis", "value", "algorithm", "trial", "wall_ms"]
 TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy"]
+FAILURES_HEADER = ["axis", "value", "algorithm", "trial", "error"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,7 @@ class TrialRecord:
     iters: int
     wall_ms: float
     failed: bool = False
+    error: str = ""          # "ExceptionType: message" of a failed trial
 
 
 def _stable_seed(*parts) -> int:
@@ -132,11 +135,12 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                    if have_active else math.nan)
             records.append(TrialRecord(axis, value, algo, trial, pe, nm, nma,
                                        iters, wall_ms))
-        except Exception:  # noqa: BLE001 - a failed trial must not kill the sweep
+        except Exception as exc:  # noqa: BLE001 - a failed trial must not kill the sweep
             wall_ms = (time.perf_counter() - t0) * 1000.0
             records.append(TrialRecord(axis, value, algo, trial,
                                        math.nan, math.nan, math.nan, 0,
-                                       wall_ms, failed=True))
+                                       wall_ms, failed=True,
+                                       error=f"{type(exc).__name__}: {exc}"))
     return records, trace_rows
 
 
@@ -264,6 +268,15 @@ def write_timings_csv(path: Path, records: list[TrialRecord]) -> None:
             w.writerow([r.axis, r.value, r.algorithm, r.trial, f"{r.wall_ms:.3f}"])
 
 
+def write_failures_csv(path: Path, records: list[TrialRecord]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(FAILURES_HEADER)
+        for r in records:
+            if r.failed:
+                w.writerow([r.axis, r.value, r.algorithm, r.trial, r.error])
+
+
 def write_summary_csv(path: Path, rows: list[SummaryRow]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -290,6 +303,7 @@ def write_outputs(out_dir: str | Path, sweep: SweepSpec,
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out / "trials.csv", records)
     write_timings_csv(out / "timings.csv", records)
+    write_failures_csv(out / "failures.csv", records)
     write_summary_csv(out / "summary.csv", aggregate(records))
     if traces:
         for value, rows in traces.items():

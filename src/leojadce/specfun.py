@@ -103,16 +103,20 @@ def ln_gamma_signed(x: float) -> SignedLogValue:
 
 
 def _hyp1f1_series(a: float, b: float, x: float) -> SignedLogValue:
-    """Direct Pochhammer series sum_v (a)_v/(b)_v x^v/v! in float."""
+    """Direct Pochhammer series sum_v (a)_v/(b)_v x^v/v! in float.
+
+    Finiteness is checked once, on exit: an overflowed term makes the
+    total inf, and inf <= inf ends the loop there."""
+    rtol = SERIES_RTOL
     term = 1.0
     total = 1.0
     for v in range(MAX_SERIES_TERMS):
         term *= (a + v) / (b + v) * x / (v + 1)
         total += term
-        if not (math.isfinite(term) and math.isfinite(total)):
-            raise ConvergenceError(
-                f"1F1 series overflowed double precision for a={a}, b={b}, x={x}")
-        if abs(term) <= SERIES_RTOL * abs(total):
+        if abs(term) <= rtol * abs(total):
+            if not math.isfinite(total):
+                raise ConvergenceError(
+                    f"1F1 series overflowed double precision for a={a}, b={b}, x={x}")
             return SignedLogValue.from_float(total)
     raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x}")
 

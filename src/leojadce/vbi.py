@@ -10,7 +10,10 @@ the other blocks fixed.
 The q(mu_k) block is not conjugate: its density in u = mu^-1 is
 proportional to u^(-1-eps) exp(-o u^2 + t u), whose inverse-moment ratios
 evaluate to Gamma/1F1 expressions spanning huge dynamic range. They are
-assembled in signed-log space (see :mod:`leojadce.specfun`).
+assembled in signed-log space (see :mod:`leojadce.specfun`): each 1F1
+value is a scalar signed-log call, and the products, sums and ratios run on
+arrays of (log|.|, sign) over all K devices, with every log and exp taken
+through libm so the results match the scalar arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import ztrtri
 
 from .signals import PreambleSet
-from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed, signed_log_sum
+from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
 from .tensors import ComplexTensor, hadamard, khatri_rao, unfold_last
 
 
@@ -216,6 +219,55 @@ def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor
     return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC)
 
 
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` (math.log or math.exp) over a 1-D array, through libm.
+
+    numpy's SIMD log and exp can differ from libm by one ulp, which would
+    move the engine's output bits away from the scalar SignedLogValue
+    arithmetic that defines them."""
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+def _signed_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|c|, sign c) per entry, with an exact zero as (-inf, 0)."""
+    mag = np.abs(c)
+    nz = mag > 0
+    log_abs = np.full(c.shape, -np.inf)
+    log_abs[nz] = _libm(math.log, mag[nz])
+    return log_abs, np.sign(c)
+
+
+def _hyp1f1_signed_log(a: float, b: float, x: list[float]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(log|Hy|, sign Hy) at every x, one scalar :func:`hyp1f1` call each."""
+    vals = [hyp1f1(a, b, xi) for xi in x]
+    return (np.fromiter((v.log_abs for v in vals), float, len(vals)),
+            np.fromiter((v.sign for v in vals), float, len(vals)))
+
+
+def _product(g: SignedLogValue, hy, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log of g * Hy * scale, with every factor in signed-log form;
+    a zero factor carries log -inf, so the product's log is -inf too."""
+    return (g.log_abs + hy[0]) + scale[0], g.sign * hy[1] * scale[1]
+
+
+def _sum2(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Two-term max-shifted signed-log sum, as :func:`signed_log_sum` does
+    it per entry (a two-term fsum is the rounded plain sum)."""
+    (lu, su), (lv, sv) = u, v
+    m = np.maximum(lu, lv)
+    m[m == -np.inf] = 0.0   # both terms zero: acc is 0 below
+    acc = su * _libm(math.exp, lu - m) + sv * _libm(math.exp, lv - m)
+    log_acc, sign = _signed_log(acc)
+    return m + log_acc, sign
+
+
+def _ratio_value(num, den) -> np.ndarray:
+    """num / den collapsed to floats; den must have no zero entry."""
+    (ln, sn), (ld, sd) = num, den
+    return np.where(sn == 0, 0.0, sn * sd * _libm(math.exp, ln - ld))
+
+
 def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means of mu^-1 and mu^-2 for densities with log-kernel
@@ -228,9 +280,16 @@ def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
                  / (o G(-e/2) Hy(-e/2,1/2,x) + sqrt(o) t G((1-e)/2) Hy((1-e)/2,3/2,x))
       E[mu^-2] = (sqrt(o) G(1-e/2) Hy(1-e/2,1/2,x) + t G((3-e)/2) Hy((3-e)/2,3/2,x))
                  / (o^3/2 G(-e/2) Hy(-e/2,1/2,x) + o t G((1-e)/2) Hy((1-e)/2,3/2,x))
+
+    The 1F1 values are scalar signed-log calls, six per device. Everything
+    else (the Gamma x 1F1 x scale products, the two-term sums, the ratios)
+    runs on arrays of (log|.|, sign) with every log and exp taken through
+    libm, so the results equal the per-device SignedLogValue arithmetic
+    bit for bit.
     """
-    o = np.asarray(o, dtype=float)
-    t = np.asarray(t, dtype=float)
+    shape = np.shape(o)
+    o = np.asarray(o, dtype=float).ravel()
+    t = np.asarray(t, dtype=float).ravel()
     if np.any(o <= 0):
         raise EngineError("mu^-2 coefficient must be strictly positive")
     g_m = ln_gamma_signed(-eps / 2.0)
@@ -238,39 +297,30 @@ def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
     g_b = ln_gamma_signed(1.0 - eps / 2.0)
     g_c = ln_gamma_signed((3.0 - eps) / 2.0)
 
-    e1 = np.empty_like(o)
-    e2 = np.empty_like(o)
-    for i, (oi, ti) in enumerate(zip(o.ravel(), t.ravel())):
-        x = ti * ti / (4.0 * oi)
-        hy_m_half = hyp1f1(-eps / 2.0, 0.5, x)
-        hy_a_half = hyp1f1((1.0 - eps) / 2.0, 0.5, x)
-        hy_a_three = hyp1f1((1.0 - eps) / 2.0, 1.5, x)
-        hy_b_half = hyp1f1(1.0 - eps / 2.0, 0.5, x)
-        hy_b_three = hyp1f1(1.0 - eps / 2.0, 1.5, x)
-        hy_c_three = hyp1f1((3.0 - eps) / 2.0, 1.5, x)
-        sq_o = math.sqrt(oi)
+    x = (t * t / (4.0 * o)).tolist()
+    hy_m_half = _hyp1f1_signed_log(-eps / 2.0, 0.5, x)
+    hy_a_half = _hyp1f1_signed_log((1.0 - eps) / 2.0, 0.5, x)
+    hy_a_three = _hyp1f1_signed_log((1.0 - eps) / 2.0, 1.5, x)
+    hy_b_half = _hyp1f1_signed_log(1.0 - eps / 2.0, 0.5, x)
+    hy_b_three = _hyp1f1_signed_log(1.0 - eps / 2.0, 1.5, x)
+    hy_c_three = _hyp1f1_signed_log((3.0 - eps) / 2.0, 1.5, x)
+    sq_o = np.sqrt(o)
+    by_t, by_sq_o, by_o = _signed_log(t), _signed_log(sq_o), _signed_log(o)
 
-        num1 = signed_log_sum([
-            (g_b * hy_b_three).scaled(ti),
-            (g_a * hy_a_half).scaled(sq_o),
-        ])
-        den1 = signed_log_sum([
-            (g_m * hy_m_half).scaled(oi),
-            (g_a * hy_a_three).scaled(sq_o * ti),
-        ])
-        num2 = signed_log_sum([
-            (g_b * hy_b_half).scaled(sq_o),
-            (g_c * hy_c_three).scaled(ti),
-        ])
-        den2 = signed_log_sum([
-            (g_m * hy_m_half).scaled(oi * sq_o),
-            (g_a * hy_a_three).scaled(oi * ti),
-        ])
-        if den1.sign == 0 or den2.sign == 0:
-            raise EngineError(f"vanishing moment denominator at o={oi}, t={ti}")
-        e1.flat[i] = (num1 / den1).value()
-        e2.flat[i] = (num2 / den2).value()
-    return e1, e2
+    num1 = _sum2(_product(g_b, hy_b_three, by_t),
+                 _product(g_a, hy_a_half, by_sq_o))
+    den1 = _sum2(_product(g_m, hy_m_half, by_o),
+                 _product(g_a, hy_a_three, _signed_log(sq_o * t)))
+    num2 = _sum2(_product(g_b, hy_b_half, by_sq_o),
+                 _product(g_c, hy_c_three, by_t))
+    den2 = _sum2(_product(g_m, hy_m_half, _signed_log(o * sq_o)),
+                 _product(g_a, hy_a_three, _signed_log(o * t)))
+    vanishing = (den1[1] == 0) | (den2[1] == 0)
+    if np.any(vanishing):
+        i = int(np.argmax(vanishing))
+        raise EngineError(f"vanishing moment denominator at o={o[i]}, t={t[i]}")
+    return (_ratio_value(num1, den1).reshape(shape),
+            _ratio_value(num2, den2).reshape(shape))
 
 
 def update_qmu(s: PosteriorState) -> PosteriorState:

@@ -1,7 +1,11 @@
-"""How the experiment harness feeds and scores the baselines."""
+"""How the experiment harness feeds and scores the algorithms, and its
+reproducibility contract."""
 
-from leojadce.config import ScenarioConfig
-from leojadce.harness import run_trial
+import csv
+
+from leojadce import vbi
+from leojadce.config import ScenarioConfig, make_sweep
+from leojadce.harness import TRIALS_HEADER, run_sweep, run_trial, write_outputs
 
 
 def test_baselines_scored_against_true_device_states():
@@ -17,3 +21,65 @@ def test_baselines_scored_against_true_device_states():
         assert not r.failed, r.algorithm
         assert r.nmse < 1e-3, (r.algorithm, r.nmse)
         assert r.pe < 0.05, (r.algorithm, r.pe)
+
+
+def test_noise_free_scene_recovered_by_every_algorithm():
+    # one scene, one X_true: all three algorithms are scored against it
+    cfg = ScenarioConfig(K=100, M=4, dims=(10, 10), snr_db=150.0, max_iters=200,
+                         rel_tol=1e-8, algos=("vbi", "somp", "amp"), trials=1)
+    records, _ = run_trial(cfg, "snr", "150", 0)
+    assert [r.algorithm for r in records] == ["vbi", "somp", "amp"]
+    for r in records:
+        assert not r.failed, (r.algorithm, r.error)
+        assert r.nmse < 1e-6, (r.algorithm, r.nmse)
+
+
+TINY = ScenarioConfig(K=40, M=4, dims=(4, 4), algos=("vbi", "somp", "amp"), trials=2)
+TINY_SWEEP = make_sweep("snr", [10, 30])
+
+
+def trials_csv(tmp_path, name, cfg=TINY, workers=1):
+    records, traces = run_sweep(cfg, TINY_SWEEP, workers=workers)
+    write_outputs(tmp_path / name, TINY_SWEEP, records, traces)
+    return (tmp_path / name / "trials.csv").read_bytes()
+
+
+def test_trials_csv_identical_across_reruns_and_worker_counts(tmp_path):
+    serial = trials_csv(tmp_path, "a")
+    assert trials_csv(tmp_path, "b") == serial
+    assert trials_csv(tmp_path, "c", workers=2) == serial
+
+
+def test_adding_trials_keeps_existing_rows(tmp_path):
+    two = trials_csv(tmp_path, "two").decode().splitlines()
+    three = trials_csv(tmp_path, "three", cfg=TINY.replace(trials=3)).decode().splitlines()
+    kept = [row for row in three[1:] if row.split(",")[3] != "2"]
+    assert three[0] == two[0]
+    assert kept == two[1:]
+    assert len(three) - 1 == 3 * len(TINY_SWEEP.values) * len(TINY.algos)
+
+
+def test_failed_trial_reason_goes_to_failures_csv(tmp_path, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise vbi.EngineError("negative expected residual F=-1.0")
+
+    monkeypatch.setattr(vbi, "run", failing_run)
+    cfg = TINY.replace(algos=("vbi", "somp"), trials=1)
+    sweep = make_sweep("snr", [10])
+    records, traces = run_sweep(cfg, sweep)
+    failed = [r for r in records if r.failed]
+    assert [r.algorithm for r in failed] == ["vbi"]
+    assert failed[0].error == "EngineError: negative expected residual F=-1.0"
+    assert [r.error for r in records if not r.failed] == [""]
+
+    write_outputs(tmp_path, sweep, records, traces)
+    with open(tmp_path / "failures.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["axis", "value", "algorithm", "trial", "error"],
+                    ["snr", "10", "vbi", "0",
+                     "EngineError: negative expected residual F=-1.0"]]
+    with open(tmp_path / "trials.csv", newline="", encoding="utf-8") as fh:
+        trials = list(csv.reader(fh))
+    assert trials[0] == TRIALS_HEADER
+    assert all(len(row) == len(TRIALS_HEADER) for row in trials)
+    assert ["snr", "10", "vbi", "0", "nan", "nan", "nan", "0"] in trials

@@ -1,7 +1,8 @@
-"""The variational engine against dense-inverse formulas, and on a
-noise-free scene."""
+"""The variational engine against dense-inverse formulas and a scalar
+q(mu) oracle, and on a noise-free scene."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from leojadce import vbi
 from leojadce.detection import nmse
 from leojadce.signals import gen_preambles, synthesize_received
+from leojadce.specfun import SignedLogValue, hyp1f1, ln_gamma_signed, signed_log_sum
 from leojadce.tensors import khatri_rao, unfold_last
 
 K, M = 40, 4
@@ -87,3 +89,106 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     # the posterior keeps no K x K array
     assert all(np.ndim(v) <= 1 or np.shape(v) == (M, K)
                for v in vars(result.state).values())
+
+
+def scalar_inverse_mean_moments(o, t, eps):
+    """Per-device SignedLogValue evaluation of the q(mu) moments, the
+    reference that the array form must match bit for bit."""
+    g_m = ln_gamma_signed(-eps / 2.0)
+    g_a = ln_gamma_signed((1.0 - eps) / 2.0)
+    g_b = ln_gamma_signed(1.0 - eps / 2.0)
+    g_c = ln_gamma_signed((3.0 - eps) / 2.0)
+    e1 = np.empty_like(o)
+    e2 = np.empty_like(o)
+    for i, (oi, ti) in enumerate(zip(o, t)):
+        x = ti * ti / (4.0 * oi)
+        hy_m_half = hyp1f1(-eps / 2.0, 0.5, x)
+        hy_a_half = hyp1f1((1.0 - eps) / 2.0, 0.5, x)
+        hy_a_three = hyp1f1((1.0 - eps) / 2.0, 1.5, x)
+        hy_b_half = hyp1f1(1.0 - eps / 2.0, 0.5, x)
+        hy_b_three = hyp1f1(1.0 - eps / 2.0, 1.5, x)
+        hy_c_three = hyp1f1((3.0 - eps) / 2.0, 1.5, x)
+        sq_o = math.sqrt(oi)
+        num1 = signed_log_sum([(g_b * hy_b_three).scaled(ti),
+                               (g_a * hy_a_half).scaled(sq_o)])
+        den1 = signed_log_sum([(g_m * hy_m_half).scaled(oi),
+                               (g_a * hy_a_three).scaled(sq_o * ti)])
+        num2 = signed_log_sum([(g_b * hy_b_half).scaled(sq_o),
+                               (g_c * hy_c_three).scaled(ti)])
+        den2 = signed_log_sum([(g_m * hy_m_half).scaled(oi * sq_o),
+                               (g_a * hy_a_three).scaled(oi * ti)])
+        e1[i] = (num1 / den1).value()
+        e2[i] = (num2 / den2).value()
+    return e1, e2
+
+
+def random_qmu_inputs(n, seed):
+    """(o, t) with o in 1e-6..1e8, x = t^2 / (4 o) in 1e-8..30 (the power
+    series of 1F1) and every tenth x in 30..100 (its Kummer branch), both
+    signs of t, and every seventh t exactly zero."""
+    rng = np.random.default_rng(seed)
+    o = 10.0 ** rng.uniform(-6, 8, n)
+    x = 10.0 ** rng.uniform(-8, math.log10(30.0), n)
+    x[::10] = rng.uniform(30.0, 100.0, len(x[::10]))
+    t = rng.choice([-1.0, 1.0], n) * np.sqrt(4.0 * o * x)
+    t[::7] = 0.0
+    return o, t
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_inverse_mean_moments_bit_exact_against_scalar_oracle(eps):
+    o, t = random_qmu_inputs(300, seed=int(eps * 1e6))
+    assert np.any(t * t / (4.0 * o) > 30.0) and np.any(t < 0) and np.any(t == 0)
+    e1, e2 = vbi.inverse_mean_moments(o, t, eps)
+    r1, r2 = scalar_inverse_mean_moments(o, t, eps)
+    np.testing.assert_array_equal(e1, r1)
+    np.testing.assert_array_equal(e2, r2)
+
+
+def test_array_signed_log_matches_scalar_encoding():
+    # numpy's SIMD log can differ from libm by an ulp, most often near 1
+    # (the max-shifted sums); the array form must round as math.log does
+    rng = np.random.default_rng(4)
+    c = np.concatenate([10.0 ** rng.uniform(-300, 300, 5000),
+                        1.0 + rng.uniform(-1e-3, 1e-3, 5000), [0.0, -0.0]])
+    c *= rng.choice([-1.0, 1.0], c.size)
+    log_abs, sign = vbi._signed_log(c)
+    ref = [SignedLogValue.from_float(ci) for ci in c.tolist()]
+    np.testing.assert_array_equal(log_abs, [r.log_abs for r in ref])
+    np.testing.assert_array_equal(sign, [r.sign for r in ref])
+
+
+def test_inverse_mean_moments_makes_six_scalar_1f1_calls_per_device(monkeypatch):
+    o, t = random_qmu_inputs(50, seed=3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return hyp1f1(*args, **kwargs)
+
+    monkeypatch.setattr(vbi, "hyp1f1", counting)
+    vbi.inverse_mean_moments(o, t, 1e-6)
+    assert len(calls) == 6 * len(o)
+    assert all(len(args) == 3 and type(args[2]) is float and not kwargs
+               for args, kwargs in calls)
+
+
+def test_inverse_mean_moments_rejects_nonpositive_o():
+    with pytest.raises(vbi.EngineError, match="strictly positive"):
+        vbi.inverse_mean_moments(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1e-6)
+
+
+def test_inverse_mean_moments_reports_vanishing_denominator(monkeypatch):
+    # Hy(-e/2, 1/2, x) and Hy((1-e)/2, 3/2, x) both zero at device 1 only,
+    # so both denominators vanish there
+    o, t = np.array([2.0, 3.0, 5.0]), np.array([0.5, 1.5, 2.5])
+    x_bad = 1.5 * 1.5 / (4.0 * 3.0)
+
+    def zero_at_device_1(a, b, x):
+        if x == x_bad and (a, b) in ((-0.5e-6, 0.5), ((1.0 - 1e-6) / 2.0, 1.5)):
+            return SignedLogValue(-math.inf, 0)
+        return hyp1f1(a, b, x)
+
+    monkeypatch.setattr(vbi, "hyp1f1", zero_at_device_1)
+    with pytest.raises(vbi.EngineError, match=r"vanishing moment denominator at o=3.0, t=1.5"):
+        vbi.inverse_mean_moments(o, t, 1e-6)
