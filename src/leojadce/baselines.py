@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,24 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
 
     ``Y`` (L x M) is read as ``A X^H`` plus noise; ``X_hat`` estimates the
     M x K matrix X, so it holds the conjugate transpose of the fitted
-    coefficient rows."""
+    coefficient rows.
+
+    The refit keeps a growing QR factor A_S = Q R of the chosen atoms. A new
+    atom a_k is orthogonalised twice against Q (classical Gram-Schmidt with
+    one reorthogonalisation pass). The residual then loses its component
+    along the new unit column q: the row q^H R_res, which equals q^H Y
+    because R_res is Y less its projection on the earlier columns, joins
+    the stored Q^H Y rows, and R_res -= q (q^H R_res). One triangular solve
+    R C = Q^H Y gives the coefficients at the end. Per atom this costs the
+    M x K correlation |A^H R_res|, taken as |A^T R_res^*| on a transposed
+    view of A (L K M multiply-adds; no L x K adjoint of A is formed), plus
+    O(L s + L M) for the column and the residual on a support of size s.
+
+    ``rank_deficient`` is set, and the search stops before the atom joins,
+    when the new column's orthogonal remainder is at most
+    ``max(L, s + 1) * eps * ||a_k||``: the relative cutoff that
+    ``np.linalg.lstsq`` applies to the singular values of an L x (s + 1)
+    support, applied here to the distance of a_k from the span of Q."""
     Y = np.asarray(Y, dtype=complex)
     A = np.asarray(A, dtype=complex)
     L, M = Y.shape
@@ -52,31 +70,42 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
         raise ValueError("max_support cannot exceed the dictionary size")
     y_norm = float(np.linalg.norm(Y))
     support: list[int] = []
-    coef = np.zeros((0, M), dtype=complex)
-    R = Y.copy()
-    norms = [float(np.linalg.norm(R))]
+    R_res = Y.copy()
+    norms = [float(np.linalg.norm(R_res))]
     rank_deficient = False
+    X_hat = np.zeros((M, K), dtype=complex)
     if y_norm == 0.0:
-        return SompResult(support=[], X_hat=np.zeros((M, K), dtype=complex),
-                          residual_norms=norms)
-    while len(support) < cfg.max_support:
+        return SompResult(support=[], X_hat=X_hat, residual_norms=norms)
+    cap = cfg.max_support
+    Q_H = np.zeros((cap, L), dtype=complex)     # row j holds q_j^H
+    R = np.zeros((cap, cap), dtype=complex)     # A_S = Q R, upper triangular
+    QhY = np.zeros((cap, M), dtype=complex)     # row j holds q_j^H Y
+    eps = np.finfo(float).eps
+    while len(support) < cap:
         if norms[-1] / y_norm <= cfg.residual_tol:
             break
-        score = np.sum(np.abs(A.conj().T @ R), axis=1)
+        score = np.sum(np.abs(A.T @ R_res.conj()), axis=1)   # |A^H R_res|
         score[support] = -1.0
         k_star = int(np.argmax(score))
-        trial_support = support + [k_star]
-        A_s = A[:, trial_support]
-        sol, _, rank, _ = np.linalg.lstsq(A_s, Y, rcond=None)
-        if rank < len(trial_support):
+        s = len(support)
+        w = A[:, k_star].copy()
+        for _ in range(2):
+            c = Q_H[:s] @ w                     # Q^H w
+            w -= (c.conj() @ Q_H[:s]).conj()    # w - Q c
+            R[:s, s] += c
+        r_ss = float(np.linalg.norm(w))
+        if r_ss <= max(L, s + 1) * eps * float(np.linalg.norm(A[:, k_star])):
             rank_deficient = True
             break
-        support = trial_support
-        coef = sol
-        R = Y - A_s @ coef
-        norms.append(float(np.linalg.norm(R)))
-    X_hat = np.zeros((M, K), dtype=complex)
+        R[s, s] = r_ss
+        Q_H[s] = w.conj() / r_ss
+        QhY[s] = Q_H[s] @ R_res
+        R_res -= np.outer(w / r_ss, QhY[s])
+        support.append(k_star)
+        norms.append(float(np.linalg.norm(R_res)))
     if support:
+        n = len(support)
+        coef = solve_triangular(R[:n, :n], QhY[:n], lower=False, check_finite=False)
         X_hat[:, support] = coef.conj().T
     return SompResult(support=support, X_hat=X_hat, residual_norms=norms,
                       rank_deficient=rank_deficient)
@@ -112,6 +141,13 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
 
     ``Y`` (L x M) is read as ``A X^H`` plus noise, like :func:`somp`; the
     returned ``X_hat`` estimates the M x K matrix X (zeros if it diverged).
+
+    An iteration does two L x K products: the adjoint A^H Z, taken as
+    (A^T Z^*)^* on a transposed view of A so no conjugate copy of A is held
+    (bit-equal to ``A.conj().T @ Z``), and A X_new. The product
+    A X that the stop test ||Y - A X|| <= tol ||Y|| reads is carried through
+    the same damping as X, so it matches A applied to the damped X up to
+    roundoff; the iterates X and Z do not depend on it.
     """
     Y = np.asarray(Y, dtype=complex)
     A = np.asarray(A, dtype=complex)
@@ -119,14 +155,14 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
     K = A.shape[1]
     delta = L / K
     X = np.zeros((K, M), dtype=complex)   # row-per-device layout internally
+    AX = np.zeros((L, M), dtype=complex)
     Z = Y.copy()
     y_norm = float(np.linalg.norm(Y))
-    A_H = A.conj().T
     diverged = False
     n_done = 0
     for it in range(1, cfg.max_iters + 1):
         n_done = it
-        pseudo = X + A_H @ Z
+        pseudo = X + (A.T @ Z.conj()).conj()
         tau = np.linalg.norm(Z) / math.sqrt(L * M)
         lam = tau * math.sqrt(2.0 * math.log(max(K / max(p_a * K, 1.0), math.e)))
         row_norms = np.linalg.norm(pseudo, axis=1)
@@ -134,13 +170,15 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
         X_new = pseudo * shrink[:, None]
         active_frac = float(np.mean(shrink > 0))
         onsager = Z * (active_frac / delta)
-        Z_new = Y - A @ X_new + onsager
+        AX_new = A @ X_new
+        Z_new = Y - AX_new + onsager
         X = cfg.damping * X_new + (1.0 - cfg.damping) * X
+        AX = cfg.damping * AX_new + (1.0 - cfg.damping) * AX
         Z = cfg.damping * Z_new + (1.0 - cfg.damping) * Z
         if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
             diverged = True
             break
-        if np.linalg.norm(Y - A @ X) <= cfg.tol * y_norm:
+        if np.linalg.norm(Y - AX) <= cfg.tol * y_norm:
             break
     return AmpResult(X_hat=X.conj().T if not diverged else np.zeros((M, K), dtype=complex),
                      n_iters=n_done, diverged=diverged)

@@ -162,6 +162,16 @@ def _gain_kernel(phi):
     return out if np.ndim(phi) else float(out[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _geometry_gain(theta_rad: bytes, lb: LinkBudget) -> np.ndarray:
+    """:func:`antenna_gain` at a frozen geometry's off-axis angles (float64
+    bytes), computed once per (geometry, link budget) rather than once per
+    trial. The array is read-only because every caller shares it."""
+    omega = np.asarray(antenna_gain(np.frombuffer(theta_rad), lb))
+    omega.flags.writeable = False
+    return omega
+
+
 def calibrate_dish_diameter(f_hz: float, three_db_angle_deg: float) -> float:
     """Dish diameter putting the half-power point (gain 1/sqrt(2)) of the
     aperture pattern at the given off-axis angle."""
@@ -197,7 +207,7 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     alpha = (rng.random(K) < p_a).astype(np.int8)
     r_db = sample_rain_db(lb.rain_mean_db, lb.rain_std_db, rng, size=K)
     g = np.array([large_scale_gain(lb, r) for r in r_db])
-    omega = np.asarray(antenna_gain(geom.theta_rad, lb))
+    omega = _geometry_gain(np.asarray(geom.theta_rad, dtype=float).tobytes(), lb)
 
     lam = geom.rician
     los = geom.hlos_dir * np.sqrt(geom.hlos_norm_sq)[None, :]

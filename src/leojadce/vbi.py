@@ -152,13 +152,19 @@ def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
 def _solve_direct(G: np.ndarray, e_beta: float, e_v: np.ndarray, rhs: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(rhs C_X, diag C_X) from the Cholesky factor P = F F^H of the K x K
-    system; C_X = F^-H F^-1, so diag C_X holds the column energies of F^-1."""
-    F = _cholesky(e_beta * G + np.diag(e_v.astype(complex)), "X-covariance system")
+    system; C_X = F^-H F^-1, so diag C_X holds the column energies of F^-1.
+
+    P is built in Fortran order, so the factorization and the triangular
+    inverse both run in its one buffer, with no K x K copy."""
+    P = np.multiply(e_beta, G, order="F")
+    P.flat[::len(e_v) + 1] += e_v
+    F = _cholesky(P, "X-covariance system")
     M_X = cho_solve((F, True), rhs.conj().T, check_finite=False).conj().T
-    F_inv, info = ztrtri(F, lower=1)
+    F_inv, info = ztrtri(F, lower=1, overwrite_c=1)
     if info != 0:
         raise EngineError(f"singular X-covariance factor (ztrtri info={info})")
-    return M_X, np.sum(np.abs(F_inv) ** 2, axis=0)
+    energy = np.abs(F_inv)
+    return M_X, np.sum(np.square(energy, out=energy), axis=0)
 
 
 def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.ndarray,
@@ -209,7 +215,7 @@ def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor
     else:
         if Ty is None:
             Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
-        rhs = e_beta * Ty + np.ones((Ty.shape[0], 1)) * (s.E_mu_inv * e_v)[None, :]
+        rhs = e_beta * Ty + (s.E_mu_inv * e_v)[None, :]
         M_X, c_diag = _solve_direct(G, e_beta, e_v, rhs)
     if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
         raise EngineError("non-finite entries in q(X) update")

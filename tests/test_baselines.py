@@ -1,10 +1,14 @@
-"""SOMP and AMP baselines on constructed instances."""
+"""SOMP and AMP baselines on constructed instances, and against the
+straightforward forms they replace (an lstsq refit per atom, three
+products per AMP iteration)."""
+
+import math
 
 import numpy as np
 import pytest
 
-from leojadce.baselines import (AmpConfig, SompConfig, amp_mmv,
-                                default_max_support, somp)
+from leojadce.baselines import (AmpConfig, AmpResult, SompConfig, SompResult,
+                                amp_mmv, default_max_support, somp)
 
 
 def crandn(rng, *shape):
@@ -116,3 +120,149 @@ def test_amp_iterates_bounded_on_random_instance():
     res = amp_mmv(Y, A, 0.1, 0.1, AmpConfig(max_iters=100))
     assert not res.diverged
     assert np.all(np.isfinite(res.X_hat))
+
+
+def lstsq_somp(Y, A, cfg):
+    """SOMP with an SVD least-squares refit of the whole support after each
+    atom: the reference for the QR-updating :func:`somp`."""
+    L, M = Y.shape
+    K = A.shape[1]
+    y_norm = float(np.linalg.norm(Y))
+    support, coef, R = [], np.zeros((0, M), dtype=complex), Y.copy()
+    norms = [float(np.linalg.norm(R))]
+    rank_deficient = False
+    if y_norm == 0.0:
+        return SompResult([], np.zeros((M, K), dtype=complex), norms)
+    while len(support) < cfg.max_support:
+        if norms[-1] / y_norm <= cfg.residual_tol:
+            break
+        score = np.sum(np.abs(A.conj().T @ R), axis=1)
+        score[support] = -1.0
+        trial_support = support + [int(np.argmax(score))]
+        A_s = A[:, trial_support]
+        sol, _, rank, _ = np.linalg.lstsq(A_s, Y, rcond=None)
+        if rank < len(trial_support):
+            rank_deficient = True
+            break
+        support, coef = trial_support, sol
+        R = Y - A_s @ coef
+        norms.append(float(np.linalg.norm(R)))
+    X_hat = np.zeros((M, K), dtype=complex)
+    if support:
+        X_hat[:, support] = coef.conj().T
+    return SompResult(support, X_hat, norms, rank_deficient)
+
+
+def three_product_amp(Y, A, sigma_n2, p_a, cfg=AmpConfig()):
+    """AMP with an explicit adjoint copy and a fresh A X product for the
+    stop test: the reference that :func:`amp_mmv` must match bit for bit."""
+    L, M = Y.shape
+    K = A.shape[1]
+    delta = L / K
+    X = np.zeros((K, M), dtype=complex)
+    Z = Y.copy()
+    y_norm = float(np.linalg.norm(Y))
+    A_H = A.conj().T
+    diverged, n_done = False, 0
+    for it in range(1, cfg.max_iters + 1):
+        n_done = it
+        pseudo = X + A_H @ Z
+        tau = np.linalg.norm(Z) / math.sqrt(L * M)
+        lam = tau * math.sqrt(2.0 * math.log(max(K / max(p_a * K, 1.0), math.e)))
+        row_norms = np.linalg.norm(pseudo, axis=1)
+        shrink = np.maximum(1.0 - lam / np.maximum(row_norms, 1e-300), 0.0)
+        X_new = pseudo * shrink[:, None]
+        onsager = Z * (float(np.mean(shrink > 0)) / delta)
+        Z_new = Y - A @ X_new + onsager
+        X = cfg.damping * X_new + (1.0 - cfg.damping) * X
+        Z = cfg.damping * Z_new + (1.0 - cfg.damping) * Z
+        if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
+            diverged = True
+            break
+        if np.linalg.norm(Y - A @ X) <= cfg.tol * y_norm:
+            break
+    X_hat = X.conj().T if not diverged else np.zeros((M, K), dtype=complex)
+    return AmpResult(X_hat, n_done, diverged)
+
+
+def sparse_scene(seed, L, K, M, n_active, noise):
+    rng = np.random.default_rng(seed)
+    A = unit_columns(rng, L, K)
+    X = np.zeros((M, K), dtype=complex)
+    X[:, rng.choice(K, n_active, replace=False)] = crandn(rng, M, n_active)
+    return A, Y_of(A, X, noise, rng)
+
+
+def Y_of(A, X, noise, rng):
+    return A @ X.conj().T + noise * crandn(rng, A.shape[0], X.shape[0])
+
+
+def assert_matches_lstsq_somp(Y, A, cfg):
+    got, ref = somp(Y, A, cfg), lstsq_somp(Y, A, cfg)
+    assert got.support == ref.support
+    assert got.rank_deficient == ref.rank_deficient
+    assert np.linalg.norm(got.X_hat - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
+    np.testing.assert_allclose(got.residual_norms, ref.residual_norms,
+                               rtol=1e-10, atol=1e-10 * np.linalg.norm(Y))
+    return got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_somp_matches_lstsq_refit_at_residual_tolerance(seed):
+    # L < K, M > 1, noisy: the discrepancy stop ends the search early
+    noise = 0.05
+    A, Y = sparse_scene(seed, 32, 80, 4, 6, noise)
+    tol = noise * math.sqrt(Y.size) / np.linalg.norm(Y)
+    got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=20, residual_tol=tol))
+    assert 1 <= len(got.support) < 20
+    assert got.residual_norms[-1] <= tol * np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_somp_matches_lstsq_refit_up_to_support_cap(seed):
+    A, Y = sparse_scene(10 + seed, 40, 100, 3, 8, 0.3)
+    got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=25, residual_tol=0.0))
+    assert len(got.support) == 25
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_somp_matches_lstsq_refit_on_near_collinear_atoms(seed):
+    # Atoms 2j and 2j+1 differ by about 1e-4 of their norm, and the cap
+    # makes SOMP take all of them, so the support matrix has a condition
+    # number near 1e4. With a single Gram-Schmidt pass X_hat moves from the
+    # lstsq refit by about 5e-9 relative; with two, by about 3e-12.
+    rng = np.random.default_rng(20 + seed)
+    L, K, M = 48, 12, 4
+    A = np.repeat(unit_columns(rng, L, K // 2), 2, axis=1) + 1e-4 * unit_columns(rng, L, K)
+    A /= np.linalg.norm(A, axis=0, keepdims=True)
+    Y = Y_of(A, crandn(rng, M, K), 1e-4, rng)
+    assert_matches_lstsq_somp(Y, A, SompConfig(max_support=K, residual_tol=0.0))
+
+
+def test_somp_matches_lstsq_refit_on_duplicated_atom():
+    # the duplicate is the last atom left, so both forms must reject it
+    rng = np.random.default_rng(30)
+    L, M = 12, 3
+    A = unit_columns(rng, L, 3)
+    A[:, 2] = A[:, 0]
+    Y = A[:, :2] @ crandn(rng, 2, M) + 1e-3 * crandn(rng, L, M)
+    got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=3, residual_tol=0.0))
+    assert got.rank_deficient
+    assert len(got.support) == 2
+
+
+@pytest.mark.parametrize("L, K, M, n_active, noise, max_iters, expect", [
+    (48, 100, 3, 5, 0.05, 50, "runs"),   # odd M: (Z^H A)^H rounds unlike A^H Z
+    (64, 80, 4, 4, 0.0, 500, "tolerance stop"),
+    (30, 150, 8, 15, 0.3, 50, "diverges"),
+])
+def test_amp_matches_three_product_form_bit_for_bit(L, K, M, n_active, noise,
+                                                    max_iters, expect):
+    A, Y = sparse_scene(40, L, K, M, n_active, noise)
+    cfg = AmpConfig(max_iters=max_iters)
+    p_a = n_active / K
+    got, ref = amp_mmv(Y, A, noise ** 2, p_a, cfg), three_product_amp(Y, A, noise ** 2, p_a, cfg)
+    np.testing.assert_array_equal(got.X_hat, ref.X_hat)
+    assert (got.n_iters, got.diverged) == (ref.n_iters, ref.diverged)
+    assert ref.diverged == (expect == "diverges")
+    assert (ref.n_iters < max_iters) == (expect != "runs")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from leojadce import channel
 from leojadce.channel import (ChannelRealization, DeviceGeometry, LinkBudget,
                               SPEED_OF_LIGHT, antenna_gain, _gain_kernel,
                               calibrate_dish_diameter, device_state_matrix,
@@ -134,6 +135,27 @@ def test_draw_channels_zero_activity():
     ch = draw_channels(lb, geom, 4, 0.0, rng)
     assert np.all(ch.alpha == 0)
     assert ch.H.shape == (4, 50)
+
+
+def test_draw_channels_computes_antenna_gain_once_per_geometry(monkeypatch):
+    calls = []
+
+    def counting_gain(theta, lb):
+        calls.append(lb)
+        return antenna_gain(theta, lb)
+
+    monkeypatch.setattr(channel, "antenna_gain", counting_gain)
+    rng = np.random.default_rng(6)
+    geom = sample_device_geometry(30, 2, rng, theta_max_deg=0.37)  # a fresh geometry
+    lb, lb_wide = default_budget(), default_budget(three_db_angle_deg=0.5)
+    first = draw_channels(lb, geom, 2, 0.5, rng)
+    second = draw_channels(lb, geom, 2, 0.5, rng)
+    wide = draw_channels(lb_wide, geom, 2, 0.5, rng)
+    assert calls == [lb, lb_wide]
+    np.testing.assert_array_equal(first.omega, antenna_gain(geom.theta_rad, lb))
+    np.testing.assert_array_equal(second.omega, first.omega)
+    np.testing.assert_array_equal(wide.omega, antenna_gain(geom.theta_rad, lb_wide))
+    assert not first.omega.flags.writeable
 
 
 def test_draw_channels_infinite_rician_limit():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import ztrtri
 
 from leojadce import vbi
 from leojadce.detection import nmse
@@ -65,6 +67,21 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     np.testing.assert_allclose(out.c_diag, np.diag(C).real, rtol=1e-10, atol=0)
     assert out.tr_GC == pytest.approx(np.trace(G @ C).real, rel=1e-10)
     assert vbi.expected_residual(out, G, p, Y) == pytest.approx(F, rel=1e-10)
+
+
+def test_direct_solve_equals_out_of_place_system_bit_for_bit():
+    # the system is built in place in Fortran order; the factors, and so
+    # M_X and c_diag, must equal those of e_beta G + diag(E[v]) exactly
+    p, _, Y = scene(DIRECT, 0.05)
+    rng = np.random.default_rng(2)
+    e_beta, e_v = 37.0, 10.0 ** rng.uniform(-2, 4, K)
+    G = vbi.precompute_gram(p)
+    rhs = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
+    F = cholesky(e_beta * G + np.diag(e_v.astype(complex)), lower=True)
+    F_inv, _ = ztrtri(F, lower=1)
+    M_X, c_diag = vbi._solve_direct(G, e_beta, e_v, rhs)
+    np.testing.assert_array_equal(M_X, cho_solve((F, True), rhs.conj().T).conj().T)
+    np.testing.assert_array_equal(c_diag, np.sum(np.abs(F_inv) ** 2, axis=0))
 
 
 @pytest.mark.parametrize("dims, e_beta", [(WOODBURY, 1e3), (DIRECT, 1e-3)])
