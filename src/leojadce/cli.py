@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config, parse_sweep
+from .config import ConfigError, apply_axis, load_config, parse_sweep
 from .harness import run_sweep, write_outputs
 
 
@@ -61,7 +61,6 @@ def main(argv=None) -> int:
             cfg = cfg.replace(**overrides)
         sweep = parse_sweep(args.sweep)
         # validate every axis value against the base config up front
-        from .config import apply_axis
         for value in sweep.values:
             apply_axis(cfg, sweep.axis, value)
     except ConfigError as exc:

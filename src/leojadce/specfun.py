@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import mpmath
-
 MAX_SERIES_TERMS = 10000
 SERIES_RTOL = 1e-16
 # direct Pochhammer series below, Kummer-transformed series above
@@ -123,7 +121,12 @@ def _hyp1f1_series(a: float, b: float, x: float) -> SignedLogValue:
 
 def _hyp1f1_kummer(a: float, b: float, x: float) -> SignedLogValue:
     """Hy(a,b,x) = e^x Hy(b-a,b,-x); the alternating series at -x cancels
-    catastrophically, so it is summed with extended-precision floats."""
+    catastrophically, so it is summed with extended-precision floats.
+
+    mpmath is imported here, its only use, so that runs which never reach
+    x > KUMMER_SWITCH_X do not load it."""
+    import mpmath
+
     # intermediate terms reach ~e^x before decaying: budget x/ln(10) digits
     dps = 30 + int(x / math.log(10.0)) + 10
     with mpmath.workdps(dps):

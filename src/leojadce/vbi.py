@@ -14,6 +14,12 @@ assembled in signed-log space (see :mod:`leojadce.specfun`): each 1F1
 value is a scalar signed-log call, and the products, sums and ratios run on
 arrays of (log|.|, sign) over all K devices, with every log and exp taken
 through libm so the results match the scalar arithmetic bit for bit.
+
+Memory: the engine holds only the arrays its updates read. On the L x L
+Woodbury path of q(X) (:func:`woodbury_pays`, L << K) no K x K array
+exists: the solve holds the L x K Khatri-Rao product KR and L x L / L x K
+arrays, and q(beta) takes its fit term from KR. The direct path holds the
+K x K Gram G and one K x K factor buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from scipy.linalg.lapack import ztrtri
 
 from .signals import PreambleSet
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
-from .tensors import ComplexTensor, hadamard, khatri_rao, unfold_last
+from .tensors import ComplexTensor, khatri_rao, unfold_last
 
 
 class EngineError(RuntimeError):
@@ -53,16 +59,20 @@ class EngineConfig:
 
 @dataclass
 class PosteriorState:
-    """All variational statistics.
+    """The variational statistics the updates read, and nothing else.
 
     The posterior over X is matrix Gaussian with mean M_X and one shared
     K x K column covariance C_X = (E[beta] G + diag(E[v]))^-1. C_X itself
     is never stored: q(v) reads only its diagonal c_diag, and q(beta) only
     the scalar Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta], which
     follows from (E[beta] G + diag(E[v])) C_X = I. Both hold the E[beta]
-    and E[v] of the q(X) update that produced them. Gamma blocks are
-    parameterized as (rate a, shape b) with E = b / a; b_v and b_beta
-    never change.
+    and E[v] of the q(X) update that produced them. q(mu) is kept as its
+    two moments; its coefficients o and t are recomputed from M_X and E[v]
+    on every update. Gamma blocks are parameterized as (rate a, shape b)
+    with E = b / a; b_v and b_beta never change. Every field is a scalar,
+    a length-K vector or the M x K mean: the K x K arrays of the q(X)
+    solve (G and its factor on the direct path) live only in :func:`run`
+    and :func:`update_qX`, and the Woodbury path forms none.
     """
 
     M_X: np.ndarray          # M x K posterior mean
@@ -70,8 +80,6 @@ class PosteriorState:
     tr_GC: float             # Tr(G C_X)
     a_v: np.ndarray          # K rates for q(v_k)
     b_v: float               # shape M + eps, fixed
-    o_mu: np.ndarray         # K coefficients of mu^-2
-    t_mu: np.ndarray         # K coefficients of mu^-1
     E_mu_inv: np.ndarray     # K posterior means of mu^-1
     E_mu_inv2: np.ndarray    # K posterior means of mu^-2
     a_beta: float            # rate for q(beta)
@@ -102,9 +110,25 @@ class EngineResult:
 
 
 def precompute_gram(p: PreambleSet) -> np.ndarray:
-    """K x K Gram hadamard_i (A_i^H A_i)^*; since the factors are known
-    constants this is the whole expectation entering the X-covariance."""
-    return hadamard([(a.conj().T @ a).conj() for a in p.factors])
+    """K x K Gram hadamard_i (A_i^H A_i)^* = KR^T KR^*; since the factors
+    are known constants this is the whole expectation entering the
+    X-covariance.
+
+    Each conjugated factor Gram is multiplied into the first in place, in
+    list order, so at most two K x K arrays are live."""
+    first, *rest = p.factors
+    G = first.conj().T @ first
+    np.conjugate(G, out=G)
+    for a in rest:
+        H = a.conj().T @ a
+        G *= np.conjugate(H, out=H)
+    return G
+
+
+def _y_kr_conj(Y: ComplexTensor, kr: np.ndarray) -> np.ndarray:
+    """Y_(d+1) KR^*, computed as (Y_(d+1)^* KR)^*, so the conjugate copy
+    is of the M x L unfolding, not of the L x K KR."""
+    return (unfold_last(Y).conj() @ kr).conj()
 
 
 def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> PosteriorState:
@@ -114,7 +138,7 @@ def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> Poste
     L, K = p.L, p.K
     M = Y.dims[-1]
     kr = khatri_rao(list(p.factors))
-    m_x = unfold_last(Y) @ kr.conj() / L
+    m_x = _y_kr_conj(Y, kr) / L
     b_v = M + cfg.eps
     b_beta = L * M + cfg.eps
     energy = float(np.vdot(Y.array, Y.array).real)
@@ -125,8 +149,6 @@ def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> Poste
         tr_GC=float(np.vdot(kr, kr).real),
         a_v=np.full(K, b_v),
         b_v=b_v,
-        o_mu=np.full(K, float(M)),
-        t_mu=np.full(K, -cfg.eps),
         E_mu_inv=np.zeros(K),
         E_mu_inv2=np.zeros(K),
         a_beta=a_beta,
@@ -149,13 +171,18 @@ def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
         raise EngineError(f"{what} not positive-definite: {exc}") from exc
 
 
+_ENERGY_BLOCK = 64
+
+
 def _solve_direct(G: np.ndarray, e_beta: float, e_v: np.ndarray, rhs: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(rhs C_X, diag C_X) from the Cholesky factor P = F F^H of the K x K
     system; C_X = F^-H F^-1, so diag C_X holds the column energies of F^-1.
 
     P is built in Fortran order, so the factorization and the triangular
-    inverse both run in its one buffer, with no K x K copy."""
+    inverse both run in its one buffer, with no K x K copy; the column
+    energies are taken in blocks of _ENERGY_BLOCK columns, so no K x K
+    real array is formed either."""
     P = np.multiply(e_beta, G, order="F")
     P.flat[::len(e_v) + 1] += e_v
     F = _cholesky(P, "X-covariance system")
@@ -163,8 +190,11 @@ def _solve_direct(G: np.ndarray, e_beta: float, e_v: np.ndarray, rhs: np.ndarray
     F_inv, info = ztrtri(F, lower=1, overwrite_c=1)
     if info != 0:
         raise EngineError(f"singular X-covariance factor (ztrtri info={info})")
-    energy = np.abs(F_inv)
-    return M_X, np.sum(np.square(energy, out=energy), axis=0)
+    c_diag = np.empty(len(e_v))
+    for j in range(0, len(e_v), _ENERGY_BLOCK):
+        energy = np.abs(F_inv[:, j:j + _ENERGY_BLOCK])
+        c_diag[j:j + _ENERGY_BLOCK] = np.sum(np.square(energy, out=energy), axis=0)
+    return M_X, c_diag
 
 
 def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.ndarray,
@@ -194,7 +224,7 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
     return M_X, c_diag
 
 
-def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor,
+def update_qX(s: PosteriorState, G: np.ndarray | None, p: PreambleSet, Y: ComplexTensor,
               Ty: np.ndarray | None = None, kr: np.ndarray | None = None
               ) -> PosteriorState:
     """Refresh (M_X, c_diag, tr_GC) without forming C_X.
@@ -204,8 +234,9 @@ def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor
     c_diag = diag(C_X), and tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta].
     When :func:`woodbury_pays` for the preamble length L, the solve goes
     through an L x L system; otherwise through a Cholesky factor of the
-    K x K system. ``Ty`` may carry the precomputed constant Y_(d+1) KR^*,
-    and ``kr`` the Khatri-Rao product KR.
+    K x K system. Only the direct path reads the Gram ``G`` (formed here
+    when None); the Woodbury path reads ``kr``. ``Ty`` may carry the
+    precomputed constant Y_(d+1) KR^*, and ``kr`` the Khatri-Rao product KR.
     """
     e_beta, e_v = s.E_beta, s.E_v
     if woodbury_pays(p.L, p.K):
@@ -214,7 +245,9 @@ def update_qX(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor
         M_X, c_diag = _solve_woodbury(kr, e_beta, e_v, unfold_last(Y), s.E_mu_inv)
     else:
         if Ty is None:
-            Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
+            Ty = _y_kr_conj(Y, khatri_rao(list(p.factors)))
+        if G is None:
+            G = precompute_gram(p)
         rhs = e_beta * Ty + (s.E_mu_inv * e_v)[None, :]
         M_X, c_diag = _solve_direct(G, e_beta, e_v, rhs)
     if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
@@ -337,10 +370,8 @@ def update_qmu(s: PosteriorState) -> PosteriorState:
     M = s.M_X.shape[0]
     e_v = s.E_v
     col_sum = np.real(np.sum(s.M_X, axis=0))
-    o_mu = M * e_v
-    t_mu = 2.0 * col_sum * e_v - s.eps
-    e1, e2 = inverse_mean_moments(o_mu, t_mu, s.eps)
-    return dataclasses.replace(s, o_mu=o_mu, t_mu=t_mu, E_mu_inv=e1, E_mu_inv2=e2)
+    e1, e2 = inverse_mean_moments(M * e_v, 2.0 * col_sum * e_v - s.eps, s.eps)
+    return dataclasses.replace(s, E_mu_inv=e1, E_mu_inv2=e2)
 
 
 def update_qv(s: PosteriorState) -> PosteriorState:
@@ -357,28 +388,39 @@ def update_qv(s: PosteriorState) -> PosteriorState:
     return dataclasses.replace(s, a_v=a_v)
 
 
-def expected_residual(s: PosteriorState, G: np.ndarray, p: PreambleSet,
+def expected_residual(s: PosteriorState, G: np.ndarray | None, p: PreambleSet,
                       Y: ComplexTensor, Ty: np.ndarray | None = None,
-                      y_energy: float | None = None) -> float:
+                      y_energy: float | None = None,
+                      kr: np.ndarray | None = None) -> float:
     """Posterior-expected squared residual
     E||Y - kruskal(A, X)||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
     with E[X^H X] = M_X^H M_X + M C_X, so
     Tr(G E[X^H X]) = Re sum((M_X G) o conj(M_X)) + M Tr(G C_X),
-    the last term being the stored tr_GC."""
+    the last term being the stored tr_GC. With ``G`` None the first term
+    is taken as ||M_X KR^T||_F^2, equal since G = KR^T KR^*: M L K work
+    and no K x K array. ``kr`` (KR) is formed from ``p`` when absent."""
+    if kr is None and (G is None or Ty is None):
+        kr = khatri_rao(list(p.factors))
     if Ty is None:
-        Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
+        Ty = _y_kr_conj(Y, kr)
     if y_energy is None:
         y_energy = float(np.vdot(Y.array, Y.array).real)
     M = s.M_X.shape[0]
-    fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real) + M * s.tr_GC
+    if G is None:
+        fitted = s.M_X @ kr.T
+        fit = float(np.vdot(fitted, fitted).real)
+    else:
+        fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real)
+    fit += M * s.tr_GC
     cross = float(np.sum(Ty * s.M_X.conj()).real)
     return y_energy - 2.0 * cross + fit
 
 
-def update_qbeta(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTensor,
-                 Ty: np.ndarray | None = None,
-                 y_energy: float | None = None) -> PosteriorState:
-    """Refresh the noise-precision rate a_beta = F + eps.
+def update_qbeta(s: PosteriorState, G: np.ndarray | None, p: PreambleSet, Y: ComplexTensor,
+                 Ty: np.ndarray | None = None, y_energy: float | None = None,
+                 kr: np.ndarray | None = None) -> PosteriorState:
+    """Refresh the noise-precision rate a_beta = F + eps, with F from
+    :func:`expected_residual` (its KR form when ``G`` is None).
 
     F is mathematically >= 0; anything below -1e-8 (relative to the
     observation energy) is reported as numerical failure, and mere roundoff
@@ -386,7 +428,7 @@ def update_qbeta(s: PosteriorState, G: np.ndarray, p: PreambleSet, Y: ComplexTen
     """
     if y_energy is None:
         y_energy = float(np.vdot(Y.array, Y.array).real)
-    F = expected_residual(s, G, p, Y, Ty=Ty, y_energy=y_energy)
+    F = expected_residual(s, G, p, Y, Ty=Ty, y_energy=y_energy, kr=kr)
     if F < -1e-8 * (1.0 + y_energy):
         raise EngineError(f"negative expected residual F={F}")
     return dataclasses.replace(s, a_beta=max(F, 0.0) + s.eps)
@@ -396,10 +438,14 @@ def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
     """Iterate qX -> qmu -> qv -> qbeta until the relative Frobenius change
-    of M_X drops below cfg.rel_tol or cfg.max_iters is reached."""
-    G = precompute_gram(p)
+    of M_X drops below cfg.rel_tol or cfg.max_iters is reached.
+
+    The K x K Gram G is formed only when q(X) takes its direct path; when
+    :func:`woodbury_pays`, q(X) and q(beta) read only KR and no K x K
+    array is formed."""
+    G = None if woodbury_pays(p.L, p.K) else precompute_gram(p)
     kr = khatri_rao(list(p.factors))
-    Ty = unfold_last(Y) @ kr.conj()
+    Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y.array, Y.array).real)
     s = init_posterior(p, Y, cfg)
     trace: list[tuple[int, float, float]] = []
@@ -409,7 +455,7 @@ def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
         s = update_qX(s, G, p, Y, Ty=Ty, kr=kr)
         s = update_qmu(s)
         s = update_qv(s)
-        s = update_qbeta(s, G, p, Y, Ty=Ty, y_energy=y_energy)
+        s = update_qbeta(s, G, p, Y, Ty=Ty, y_energy=y_energy, kr=kr)
         s.iter = it
         resid = s.a_beta - s.eps
         max_col = float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))

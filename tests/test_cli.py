@@ -1,0 +1,83 @@
+"""The command line: exit codes 0, 1 and 2, `validate`, and what a run
+imports."""
+
+import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import leojadce
+from leojadce import cli, vbi
+
+TINY = "K = 40\nM = 4\ndims = 4x4\nalgos = vbi, somp, amp\ntrials = 2\n"
+
+
+@pytest.fixture
+def cfg(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TINY)
+    return path
+
+
+def run(cfg, out, sweep="snr=10"):
+    return cli.main(["run", "--config", str(cfg), "--sweep", sweep, "--out", str(out)])
+
+
+def test_run_writes_trials_and_exits_0(cfg, tmp_path):
+    assert run(cfg, tmp_path / "out") == 0
+    with open(tmp_path / "out" / "trials.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert sorted((r[2], r[3]) for r in rows[1:]) == sorted(
+        (algo, trial) for trial in "01" for algo in ("vbi", "somp", "amp"))
+    assert all(r[4] != "nan" for r in rows[1:])
+
+
+def test_validate_prints_config_ok(cfg, capsys):
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("config OK: K=40 M=4 L=16 dims=(4, 4)")
+
+
+@pytest.mark.parametrize("config_text, sweep", [
+    (None, "snr=10"),                 # no config file
+    ("bogus_key = 1\n", "snr=10"),    # unknown key
+    (TINY, "bogus=1,2"),              # unknown sweep axis
+    (TINY, "L=17"),                   # no default factorization for L
+])
+def test_configuration_errors_exit_1(tmp_path, capsys, config_text, sweep):
+    path = tmp_path / "scenario.cfg"
+    if config_text is not None:
+        path.write_text(config_text)
+    assert run(path, tmp_path / "out", sweep) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise vbi.EngineError("negative expected residual F=-1.0")
+
+    monkeypatch.setattr(vbi, "run", failing_run)
+    assert run(cfg, tmp_path / "out") == 2
+    assert (tmp_path / "out" / "failures.csv").read_text().count("EngineError") == 2
+
+
+def test_run_does_not_import_mpmath(cfg, tmp_path):
+    # mpmath serves only the 1F1 Kummer branch (x > 30), which a tiny
+    # scene never reaches
+    code = textwrap.dedent(f"""
+        import sys
+        import leojadce.cli
+        assert leojadce.cli.main(["run", "--config", {str(cfg)!r},
+                                  "--sweep", "snr=10", "--out", {str(tmp_path / "out")!r}]) == 0
+        print("mpmath" in sys.modules)
+    """)
+    src = str(Path(leojadce.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

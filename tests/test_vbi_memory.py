@@ -1,0 +1,121 @@
+"""The engine at its memory floor: no K x K array on the Woodbury path,
+q(beta)'s fit term from KR, the Gram in one buffer, Y KR^* without a
+conjugate copy of KR, and the direct path's column energies in blocks."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import ztrtri
+
+from leojadce import vbi
+from leojadce.signals import gen_preambles, synthesize_received
+from leojadce.tensors import hadamard, khatri_rao, unfold_last
+
+M = 4
+WOODBURY, DIRECT = (4, 4), (8, 8)   # at K=40: L = 16 < K and L = 64 > K
+
+
+def scene(dims, K, m=M, sigma_n2=0.05, seed=0):
+    rng = np.random.default_rng(seed)
+    p = gen_preambles(dims, K, rng)
+    X = np.zeros((m, K), dtype=complex)
+    active = rng.choice(K, 4, replace=False)
+    X[:, active] = rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4))
+    return p, synthesize_received(p, X, sigma_n2, rng)
+
+
+@pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
+@pytest.mark.parametrize("e_beta, log_e_v", [(3.0, (-2, 4)), (2e6, (2, 6))])
+def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
+    K = 40
+    p, Y = scene(dims, K)
+    rng = np.random.default_rng(1)
+    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
+    s = dataclasses.replace(s, a_beta=s.b_beta / e_beta,
+                            a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K),
+                            E_mu_inv=rng.standard_normal(K))
+    G = vbi.precompute_gram(p)
+    s = vbi.update_qX(s, G, p, Y)
+    kr = khatri_rao(list(p.factors))
+
+    # with Ty = 0, ||Y||^2 = 0 and tr_GC = 0 the residual is the fit term alone
+    bare = dataclasses.replace(s, tr_GC=0.0)
+    zero = np.zeros_like(s.M_X)
+    gram_fit = vbi.expected_residual(bare, G, p, Y, Ty=zero, y_energy=0.0)
+    kr_fit = vbi.expected_residual(bare, None, p, Y, Ty=zero, y_energy=0.0, kr=kr)
+    assert gram_fit > 0
+    assert kr_fit == pytest.approx(gram_fit, rel=1e-12)
+    # KR formed from p when it is not passed
+    assert vbi.expected_residual(bare, None, p, Y, Ty=zero, y_energy=0.0) == kr_fit
+    assert (vbi.update_qbeta(s, None, p, Y, kr=kr).a_beta
+            == pytest.approx(vbi.update_qbeta(s, G, p, Y).a_beta, rel=1e-10))
+
+
+def counting_gram(monkeypatch):
+    calls = []
+    gram = vbi.precompute_gram
+
+    def counting(p):
+        calls.append(p)
+        return gram(p)
+
+    monkeypatch.setattr(vbi, "precompute_gram", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dims, grams", [(WOODBURY, 0), (DIRECT, 1)])
+def test_run_forms_the_gram_only_on_the_direct_path(monkeypatch, dims, grams):
+    calls = counting_gram(monkeypatch)
+    p, Y = scene(dims, 40)
+    result = vbi.run(p, Y, vbi.EngineConfig(max_iters=5))
+    assert result.n_iters >= 1
+    assert len(calls) == grams
+
+
+def test_woodbury_run_peak_memory_below_one_k_by_k_array():
+    K = 400
+    p, Y = scene(WOODBURY, K)
+    assert vbi.woodbury_pays(p.L, K)
+    tracemalloc.start()
+    try:
+        vbi.run(p, Y, vbi.EngineConfig(max_iters=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < K * K * np.dtype(complex).itemsize, peak
+
+
+@pytest.mark.parametrize("dims", [(6, 7), (3, 4, 3), (2, 3, 2, 3)])
+def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
+    p = gen_preambles(dims, 40, np.random.default_rng(len(dims)))
+    oracle = hadamard([(a.conj().T @ a).conj() for a in p.factors])
+    np.testing.assert_array_equal(vbi.precompute_gram(p), oracle)
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (10, 10), (3, 3, 3), (2, 3, 2, 3)])
+@pytest.mark.parametrize("K", [7, 40, 130])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
+    p, Y = scene(dims, K, m=m, seed=K + m)
+    kr = khatri_rao(list(p.factors))
+    ref = unfold_last(Y) @ kr.conj()
+    np.testing.assert_array_equal(vbi._y_kr_conj(Y, kr), ref)
+    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
+    np.testing.assert_array_equal(s.M_X, ref / p.L)
+
+
+def test_direct_column_energies_in_blocks_bit_equal_to_whole_inverse():
+    # K = 150 spans two full column blocks and a partial one
+    K = 150
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((200, K)) + 1j * rng.standard_normal((200, K))
+    G = B.conj().T @ B
+    e_beta, e_v = 0.7, 10.0 ** rng.uniform(-2, 4, K)
+    rhs = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
+    F = cholesky(e_beta * G + np.diag(e_v.astype(complex)), lower=True)
+    F_inv, _ = ztrtri(F, lower=1)
+    _, c_diag = vbi._solve_direct(G, e_beta, e_v, rhs)
+    np.testing.assert_array_equal(c_diag, np.sum(np.abs(F_inv) ** 2, axis=0))
