@@ -11,9 +11,12 @@ The q(mu_k) block is not conjugate: its density in u = mu^-1 is
 proportional to u^(-1-eps) exp(-o u^2 + t u), whose inverse-moment ratios
 evaluate to Gamma/1F1 expressions spanning huge dynamic range. They are
 assembled in signed-log space (see :mod:`leojadce.specfun`): each 1F1
-value is a scalar signed-log call, and the products, sums and ratios run on
-arrays of (log|.|, sign) over all K devices, with every log and exp taken
-through libm so the results match the scalar arithmetic bit for bit.
+value is a scalar signed-log call, six per device, whose series reads its
+step ratios from a per-(a, b) table and returns a (log|.|, sign) named
+tuple; each batch of K results is split into two arrays in one pass. The
+products, sums and ratios run on those arrays over all K devices, with
+every log and exp taken through libm so the results match the scalar
+arithmetic bit for bit.
 
 Memory: the engine holds only the arrays its updates read. On the L x L
 Woodbury path of q(X) (:func:`woodbury_pays`, L << K) no K x K array
@@ -211,13 +214,21 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
       M_X = 1_M m^T + (Y_mat - 1_M m^T Phi^H) S^-1 Phi D^-1.
 
     It equals rhs C_X, but subtracts no terms of size E[beta] that would
-    cancel when E[beta] G dominates D."""
-    phi = kr.conj()
+    cancel when E[beta] G dominates D.
+
+    Phi is never formed: Phi D^-1 is conj(KR D^-1), conjugated in place,
+    W is conj(solve(R^*, KR)), and |W|^2 is squared in the buffer of |W|,
+    so besides KR at most about two L x K arrays are live."""
     inv_d = 1.0 / e_v
-    S = (phi * inv_d) @ kr.T + np.eye(phi.shape[0]) / e_beta
+    phi_d = kr * inv_d
+    np.conjugate(phi_d, out=phi_d)
+    S = phi_d @ kr.T + np.eye(kr.shape[0]) / e_beta
+    del phi_d
     R = _cholesky(S, "preamble-space system")
-    W = solve_triangular(R, phi, lower=True, check_finite=False)
-    c_diag = inv_d - np.sum(np.abs(W) ** 2, axis=0) * inv_d ** 2
+    W = solve_triangular(R.conj(), kr, lower=True, check_finite=False)
+    np.conjugate(W, out=W)
+    w_energy = np.abs(W)
+    c_diag = inv_d - np.sum(np.square(w_energy, out=w_energy), axis=0) * inv_d ** 2
     innov = Y_mat - (kr @ e_mu_inv)[None, :]
     V = solve_triangular(R, innov.conj().T, lower=True, check_finite=False)
     M_X = e_mu_inv[None, :] + (V.conj().T @ W) * inv_d
@@ -278,10 +289,12 @@ def _signed_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _hyp1f1_signed_log(a: float, b: float, x: list[float]
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(log|Hy|, sign Hy) at every x, one scalar :func:`hyp1f1` call each."""
-    vals = [hyp1f1(a, b, xi) for xi in x]
-    return (np.fromiter((v.log_abs for v in vals), float, len(vals)),
-            np.fromiter((v.sign for v in vals), float, len(vals)))
+    """(log|Hy|, sign Hy) at every x, one scalar :func:`hyp1f1` call each;
+    the (log_abs, sign) tuples are split into the two arrays in one pass."""
+    if not x:
+        return np.empty(0), np.empty(0)
+    log_abs, sign = zip(*[hyp1f1(a, b, xi) for xi in x])
+    return np.array(log_abs, dtype=float), np.array(sign, dtype=float)
 
 
 def _product(g: SignedLogValue, hy, scale) -> tuple[np.ndarray, np.ndarray]:

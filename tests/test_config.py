@@ -15,3 +15,12 @@ def test_parse_config_rejects_unknown_and_duplicate_keys(text):
     # noise_temperature_k is not a key: g_over_t_db carries the noise temperature
     with pytest.raises(ConfigError, match="unknown key|duplicate key"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text", ["K 40", "K = 3.5", "snr_db = ten", "dims = axb",
+                                  "dims = 20x"])
+def test_parse_config_rejects_malformed_values(text):
+    # a line without '=', a non-integer int, a non-numeric float, dims that
+    # do not parse, and dims with a single factor
+    with pytest.raises(ConfigError):
+        parse_config(text)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import ztrtri
 
 from leojadce import vbi
@@ -119,3 +119,52 @@ def test_direct_column_energies_in_blocks_bit_equal_to_whole_inverse():
     F_inv, _ = ztrtri(F, lower=1)
     _, c_diag = vbi._solve_direct(G, e_beta, e_v, rhs)
     np.testing.assert_array_equal(c_diag, np.sum(np.abs(F_inv) ** 2, axis=0))
+
+
+def woodbury_with_conjugate_kr(kr, e_beta, e_v, Y_mat, e_mu_inv):
+    """The Woodbury solve with Phi = KR^* formed as a copy and |W|^2 through
+    two real temporaries, the oracle of the in-place form."""
+    phi = kr.conj()
+    inv_d = 1.0 / e_v
+    S = (phi * inv_d) @ kr.T + np.eye(phi.shape[0]) / e_beta
+    R = cholesky(S, lower=True, overwrite_a=True, check_finite=False)
+    W = solve_triangular(R, phi, lower=True, check_finite=False)
+    c_diag = inv_d - np.sum(np.abs(W) ** 2, axis=0) * inv_d ** 2
+    innov = Y_mat - (kr @ e_mu_inv)[None, :]
+    V = solve_triangular(R, innov.conj().T, lower=True, check_finite=False)
+    M_X = e_mu_inv[None, :] + (V.conj().T @ W) * inv_d
+    return M_X, c_diag
+
+
+def woodbury_inputs(L, K, seed):
+    rng = np.random.default_rng(seed)
+    kr = rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))
+    e_v = 10.0 ** rng.uniform(-2, 4, K)
+    e_beta = 10.0 ** rng.uniform(-1, 3)
+    Y_mat = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+    return kr, e_beta, e_v, Y_mat, 1e-6 * rng.standard_normal(K)
+
+
+@pytest.mark.parametrize("L, K, seeds", [(16, 40, 5), (100, 500, 3), (64, 130, 5),
+                                         (400, 2000, 1)])
+def test_woodbury_solve_bit_equal_to_conjugate_kr_form(L, K, seeds):
+    for seed in range(seeds):
+        args = woodbury_inputs(L, K, seed)
+        M_X, c_diag = vbi._solve_woodbury(*args)
+        ref_M_X, ref_c_diag = woodbury_with_conjugate_kr(*args)
+        np.testing.assert_array_equal(M_X, ref_M_X)
+        np.testing.assert_array_equal(c_diag, ref_c_diag)
+
+
+def test_woodbury_solve_peak_memory_below_two_l_by_k_arrays():
+    # W and the real |W| are about 1.5 L x K complex arrays; a conjugate
+    # copy of KR on top of them measured 2.7
+    L, K = 144, 1500
+    args = woodbury_inputs(L, K, seed=0)
+    tracemalloc.start()
+    try:
+        vbi._solve_woodbury(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * L * K * 16
