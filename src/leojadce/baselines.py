@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 @dataclass(frozen=True)
@@ -51,11 +50,17 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     one reorthogonalisation pass). The residual then loses its component
     along the new unit column q: the row q^H R_res, which equals q^H Y
     because R_res is Y less its projection on the earlier columns, joins
-    the stored Q^H Y rows, and R_res -= q (q^H R_res). One triangular solve
-    R C = Q^H Y gives the coefficients at the end. Per atom this costs the
-    M x K correlation |A^H R_res|, taken as |A^T R_res^*| on a transposed
-    view of A (L K M multiply-adds; no L x K adjoint of A is formed), plus
-    O(L s + L M) for the column and the residual on a support of size s.
+    the stored Q^H Y rows, and R_res -= q (q^H R_res). One solve of
+    R C = Q^H Y gives the coefficients at the end. It runs through
+    ``np.linalg.solve``: the LU factorization of an upper-triangular R
+    makes no row swaps, so this is a back-substitution, and a
+    baselines-only run need not load scipy (about 28 MB of resident
+    memory) for one s x s system. Its coefficients agree with a triangular
+    solve to roundoff; the support, chosen before the solve, does not
+    depend on it. Per atom this costs the M x K correlation |A^H R_res|,
+    taken as |A^T R_res^*| on a transposed view of A (L K M multiply-adds;
+    no L x K adjoint of A is formed), plus O(L s + L M) for the column and
+    the residual on a support of size s.
 
     ``rank_deficient`` is set, and the search stops before the atom joins,
     when the new column's orthogonal remainder is at most
@@ -105,7 +110,7 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
         norms.append(float(np.linalg.norm(R_res)))
     if support:
         n = len(support)
-        coef = solve_triangular(R[:n, :n], QhY[:n], lower=False, check_finite=False)
+        coef = np.linalg.solve(R[:n, :n], QhY[:n])
         X_hat[:, support] = coef.conj().T
     return SompResult(support=support, X_hat=X_hat, residual_norms=norms,
                       rank_deficient=rank_deficient)

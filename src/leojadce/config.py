@@ -75,6 +75,8 @@ class ScenarioConfig:
             raise ConfigError("p_a must lie in [0, 1]")
         if self.xi <= 0:
             raise ConfigError("xi must be > 0")
+        if not self.algos:
+            raise ConfigError(f"algos must name at least one of {KNOWN_ALGOS}")
         unknown = set(self.algos) - set(KNOWN_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -202,7 +204,7 @@ def factorization_for_length(token: str) -> tuple[int, ...]:
     """Resolve an L-axis value: explicit '20x20' or a known total length."""
     if "x" in token or "*" in token:
         return _parse_dims(token)
-    L = int(token)
+    L = _parse_value("L", token, int)
     if L not in DEFAULT_FACTORIZATIONS:
         raise ConfigError(
             f"no default factorization for L={L}; give it explicitly, e.g. '20x{L // 20}'")
@@ -212,17 +214,17 @@ def factorization_for_length(token: str) -> tuple[int, ...]:
 def apply_axis(cfg: ScenarioConfig, axis: str, value: str) -> ScenarioConfig:
     """Specialize the base config for one sweep-axis value."""
     if axis == "snr":
-        return cfg.replace(snr_db=float(value))
+        return cfg.replace(snr_db=_parse_value(axis, value, float))
     if axis == "p_a":
-        return cfg.replace(p_a=float(value))
+        return cfg.replace(p_a=_parse_value(axis, value, float))
     if axis == "K":
-        return cfg.replace(K=int(value))
+        return cfg.replace(K=_parse_value(axis, value, int))
     if axis == "M":
-        return cfg.replace(M=int(value))
+        return cfg.replace(M=_parse_value(axis, value, int))
     if axis == "L":
         return cfg.replace(dims=factorization_for_length(value))
     if axis == "d":
-        d = int(value)
+        d = _parse_value(axis, value, int)
         if cfg.L != 225:
             raise ConfigError("the tensor-order axis is defined for L = 225 scenarios")
         if d not in ORDER_FACTORIZATIONS_225:

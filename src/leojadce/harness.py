@@ -182,6 +182,9 @@ def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
         for trial in range(cfg.trials):
             tasks.append((cfg_v, sweep.axis, value, trial, collect_traces))
     if workers > 1:
+        if "vbi" in cfg.algos:
+            # forked workers share the pages of what the parent has loaded
+            vbi.preload_solvers()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_trial_task, tasks, chunksize=1))
     else:

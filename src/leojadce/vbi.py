@@ -23,6 +23,13 @@ Woodbury path of q(X) (:func:`woodbury_pays`, L << K) no K x K array
 exists: the solve holds the L x K Khatri-Rao product KR and L x L / L x K
 arrays, and q(beta) takes its fit term from KR. The direct path holds the
 K x K Gram G and one K x K factor buffer.
+
+scipy.linalg is imported inside the q(X) solve helpers, on their first
+call, not when this module loads: its package init costs about 28 MB of
+resident memory and a few tenths of a second, which a process that only
+runs the baselines, or only validates a config, never needs. A sweep that
+forks VBI workers calls :func:`preload_solvers` first, so they share the
+parent's copy.
 """
 
 from __future__ import annotations
@@ -33,8 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import ztrtri
 
 from .signals import PreambleSet
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
@@ -167,7 +172,17 @@ def woodbury_pays(L: int, K: int) -> bool:
     return L * L * K + L ** 3 / 3 < K ** 3 / 2
 
 
+def preload_solvers() -> None:
+    """Import scipy.linalg, which the q(X) solves otherwise import on their
+    first call. A process about to fork VBI workers calls this first, so
+    the workers share the parent's copy of its pages instead of each
+    importing a private one."""
+    import scipy.linalg  # noqa: F401
+
+
 def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
+    from scipy.linalg import cholesky
+
     try:
         return cholesky(A, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -186,6 +201,9 @@ def _solve_direct(G: np.ndarray, e_beta: float, e_v: np.ndarray, rhs: np.ndarray
     inverse both run in its one buffer, with no K x K copy; the column
     energies are taken in blocks of _ENERGY_BLOCK columns, so no K x K
     real array is formed either."""
+    from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import ztrtri
+
     P = np.multiply(e_beta, G, order="F")
     P.flat[::len(e_v) + 1] += e_v
     F = _cholesky(P, "X-covariance system")
@@ -219,6 +237,8 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
     Phi is never formed: Phi D^-1 is conj(KR D^-1), conjugated in place,
     W is conj(solve(R^*, KR)), and |W|^2 is squared in the buffer of |W|,
     so besides KR at most about two L x K arrays are live."""
+    from scipy.linalg import solve_triangular
+
     inv_d = 1.0 / e_v
     phi_d = kr * inv_d
     np.conjugate(phi_d, out=phi_d)

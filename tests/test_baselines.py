@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from leojadce.baselines import (AmpConfig, AmpResult, SompConfig, SompResult,
                                 amp_mmv, default_max_support, somp)
@@ -266,3 +267,26 @@ def test_amp_matches_three_product_form_bit_for_bit(L, K, M, n_active, noise,
     assert (got.n_iters, got.diverged) == (ref.n_iters, ref.diverged)
     assert ref.diverged == (expect == "diverges")
     assert (ref.n_iters < max_iters) == (expect != "runs")
+
+
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_somp_coefficients_match_triangular_solve(M, monkeypatch):
+    # SOMP solves R C = Q^H Y with numpy's LU, which makes no row swaps on
+    # an upper-triangular R; a triangular solve is the oracle
+    np_solve = np.linalg.solve
+    seen = []
+
+    def recording_solve(a, b):
+        x = np_solve(a, b)
+        seen.append((a, b, x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for s in (1, 2, 5, 17, 40, 80):
+        A, Y = sparse_scene(100 * M + s, 96, 120, M, min(s, 30), 0.1)
+        somp(Y, A, SompConfig(max_support=s, residual_tol=0.0))
+    assert [len(a) for a, _, _ in seen] == [1, 2, 5, 17, 40, 80]
+    for R, QhY, coef in seen:
+        assert np.array_equal(R, np.triu(R))
+        ref = solve_triangular(R, QhY, lower=False)
+        assert np.linalg.norm(coef - ref) <= 1e-12 * np.linalg.norm(ref)

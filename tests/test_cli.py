@@ -1,6 +1,7 @@
 """The command line: exit codes 0, 1 and 2, `validate`, and what a run
 imports."""
 
+import ast
 import csv
 import os
 import subprocess
@@ -81,3 +82,64 @@ def test_run_does_not_import_mpmath(cfg, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("sweep", ["snr=ten", "K=abc", "L=abc", "d=abc", "p_a=x", "M=abc"])
+def test_malformed_sweep_values_exit_1(cfg, tmp_path, capsys, sweep):
+    assert run(cfg, tmp_path / "out", sweep) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert sweep.partition("=")[2] in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_algos_exit_1_on_validate_and_run(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TINY.replace("algos = vbi, somp, amp", "algos ="))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    path.write_text(TINY)
+    assert cli.main(["run", "--config", str(path), "--sweep", "snr=10",
+                     "--out", str(tmp_path / "out"), "--algos", ","]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def loaded_in_fresh_interpreter(argv: list[str], modules: list[str]) -> list[bool]:
+    """Run ``leojadce.cli.main(argv)`` in a new interpreter, require exit 0,
+    and report which of ``modules`` that process had loaded by the end."""
+    code = textwrap.dedent(f"""
+        import sys
+        import leojadce.cli
+        assert leojadce.cli.main({argv!r}) == 0
+        print([name in sys.modules for name in {modules!r}])
+    """)
+    src = str(Path(leojadce.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_validate_and_baselines_run_do_not_import_scipy(cfg, tmp_path):
+    # scipy.linalg serves only VBI's q(X) factorizations; SOMP solves its
+    # triangular system with numpy
+    assert loaded_in_fresh_interpreter(["validate", "--config", str(cfg)], ["scipy"]) == [False]
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
+            "--algos", "somp,amp"]
+    assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
+
+
+def test_vbi_run_imports_scipy_linalg(cfg, tmp_path):
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
+            "--algos", "vbi", "--trials", "1"]
+    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [True]
+
+
+def test_forked_vbi_sweep_loads_scipy_before_forking(cfg, tmp_path):
+    # the parent runs no trial itself: scipy.linalg is there only because
+    # run_sweep loaded it before forking, so the workers share its pages
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "out"),
+            "--algos", "vbi", "--trials", "1", "--workers", "2"]
+    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [True]

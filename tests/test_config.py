@@ -2,7 +2,7 @@
 
 import pytest
 
-from leojadce.config import ConfigError, parse_config
+from leojadce.config import ConfigError, ScenarioConfig, apply_axis, parse_config
 
 
 def test_parse_config_reads_known_keys():
@@ -23,4 +23,17 @@ def test_parse_config_rejects_malformed_values(text):
     # a line without '=', a non-integer int, a non-numeric float, dims that
     # do not parse, and dims with a single factor
     with pytest.raises(ConfigError):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("axis, value", [("snr", "ten"), ("p_a", "x"), ("K", "abc"),
+                                         ("M", "abc"), ("L", "abc"), ("d", "abc")])
+def test_apply_axis_rejects_malformed_values(axis, value):
+    with pytest.raises(ConfigError, match=f"{axis}: .*{value!r}"):
+        apply_axis(ScenarioConfig(), axis, value)
+
+
+@pytest.mark.parametrize("text", ["algos =", "algos = ,"])
+def test_parse_config_rejects_empty_algos(text):
+    with pytest.raises(ConfigError, match="algos"):
         parse_config(text)
