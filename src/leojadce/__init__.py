@@ -8,13 +8,13 @@ from .channel import (ChannelRealization, DeviceGeometry, LinkBudget,
 from .config import ScenarioConfig, SweepSpec, load_config, make_sweep, parse_config
 from .detection import DetectionResult, detect, error_probability, nmse, nmse_active
 from .harness import TrialRecord, aggregate, run_sweep, run_trial, write_outputs
-from .signals import (PreambleSet, assemble_preamble_matrix, gen_preambles,
-                      snr_to_noise_variance, synthesize_received)
+from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
+                      synthesize_received)
 from .specfun import SignedLogValue, bessel_j, hyp1f1, ln_gamma_signed
 from .tensors import (ComplexTensor, FactorMatrices, fold_last, hadamard,
                       khatri_rao, kron, kruskal, unfold_last)
-from .vbi import (EngineConfig, EngineResult, PosteriorState, init_posterior,
-                  inverse_mean_moments, precompute_gram, run, update_qX,
-                  update_qbeta, update_qmu, update_qv)
+from .vbi import (EngineConfig, EngineResult, PosteriorState, expected_residual,
+                  init_posterior, inverse_mean_moments, precompute_gram, run,
+                  update_qX, update_qbeta, update_qmu, update_qv, woodbury_pays)
 
 __version__ = "0.1.0"

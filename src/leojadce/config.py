@@ -7,10 +7,12 @@ the :class:`ScenarioConfig` field names; unknown keys are errors.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import vbi
 from .channel import LinkBudget
 from .signals import DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225
 
@@ -61,6 +63,12 @@ class ScenarioConfig:
     algos: tuple[str, ...] = ("vbi",)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # snr_db = inf is the noise-free scene
+            if (f.type == "float" and not math.isfinite(value)
+                    and (f.name, value) != ("snr_db", math.inf)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if len(self.dims) < 2 or any(l < 2 for l in self.dims):
             raise ConfigError(f"dims must have d >= 2 entries, all >= 2: {self.dims}")
         for lo, hi, name in ((self.hlos_norm_sq_low, self.hlos_norm_sq_high, "hlos_norm_sq"),
@@ -75,6 +83,17 @@ class ScenarioConfig:
             raise ConfigError("p_a must lie in [0, 1]")
         if self.xi <= 0:
             raise ConfigError("xi must be > 0")
+        if min(self.rician_factor, self.hlos_norm_sq_low, self.theta_max_deg) < 0:
+            raise ConfigError("rician_factor, hlos_norm_sq_low and theta_max_deg must be >= 0")
+        if self.v_nlos_low <= 0:
+            raise ConfigError("v_nlos_low must be > 0")
+        if not (0.0 < self.threshold_ratio < 1.0):
+            raise ConfigError("threshold_ratio must lie in (0, 1)")
+        try:
+            self.link_budget()
+            self.engine_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.algos:
             raise ConfigError(f"algos must name at least one of {KNOWN_ALGOS}")
         unknown = set(self.algos) - set(KNOWN_ALGOS)
@@ -93,6 +112,9 @@ class ScenarioConfig:
             three_db_angle_deg=self.three_db_angle_deg,
             rain_mean_db=self.rain_mean_db, rain_std_db=self.rain_std_db,
         )
+
+    def engine_config(self) -> vbi.EngineConfig:
+        return vbi.EngineConfig(eps=self.eps, max_iters=self.max_iters, rel_tol=self.rel_tol)
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
@@ -163,8 +185,9 @@ def load_config(path: str) -> ScenarioConfig:
 class SweepSpec:
     """One experiment axis and the list of values to visit.
 
-    Values are kept as canonical strings so that output files and RNG
-    derivation are stable regardless of how numbers were spelled.
+    Values are kept as canonical strings (see :func:`canonical_value`) so
+    that output files and RNG derivation are stable regardless of how
+    numbers were spelled; two spellings of one number are one value.
     """
 
     axis: str
@@ -175,16 +198,22 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; valid: {SWEEP_AXES}")
         if not self.values:
             raise ConfigError("sweep needs at least one value")
+        if len(set(self.values)) != len(self.values):
+            raise ConfigError(f"sweep values repeat: {list(self.values)}")
 
 
 def canonical_value(v) -> str:
-    """Stable string form for an axis value (int-like floats lose the dot)."""
-    if isinstance(v, str):
-        return v
+    """Stable string form for an axis value: int-like numbers lose the dot
+    ("10.0" and 10 give "10"), other numbers take their float repr, and a
+    string that is not a number (a "20x20" factorization, or a malformed
+    value that :func:`apply_axis` will reject) is kept as it is."""
     if isinstance(v, (tuple, list)):
         return "x".join(str(int(d)) for d in v)
-    f = float(v)
-    return str(int(f)) if f == int(f) else repr(f)
+    try:
+        f = float(v)
+    except ValueError:
+        return v
+    return str(int(f)) if math.isfinite(f) and f == int(f) else repr(f)
 
 
 def make_sweep(axis: str, values) -> SweepSpec:
@@ -197,7 +226,7 @@ def parse_sweep(text: str) -> SweepSpec:
         raise ConfigError(f"sweep must look like axis=v1,v2,..., got {text!r}")
     axis, _, vals = text.partition("=")
     values = [v.strip() for v in vals.split(",") if v.strip()]
-    return SweepSpec(axis=axis.strip(), values=tuple(values))
+    return make_sweep(axis.strip(), values)
 
 
 def factorization_for_length(token: str) -> tuple[int, ...]:

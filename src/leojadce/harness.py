@@ -28,9 +28,9 @@ import numpy as np
 from . import baselines, detection, vbi
 from .channel import draw_channels, device_state_matrix, sample_device_geometry
 from .config import ScenarioConfig, SweepSpec, apply_axis
-from .signals import (PreambleSet, assemble_preamble_matrix, gen_preambles,
-                      snr_to_noise_variance, synthesize_received)
-from .tensors import ComplexTensor, unfold_last
+from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
+                      synthesize_received)
+from .tensors import ComplexTensor, FactorMatrices, unfold_last
 
 TRIALS_HEADER = ["axis", "value", "algorithm", "trial", "pe", "nmse", "nmse_active", "iters"]
 SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
@@ -102,9 +102,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
         t0 = time.perf_counter()
         try:
             if algo == "vbi":
-                engine_cfg = vbi.EngineConfig(
-                    eps=cfg.eps, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-                result = vbi.run(preambles, Y, engine_cfg)
+                result = vbi.run(preambles, Y, cfg.engine_config())
                 x_hat = result.M_X
                 alpha_hat = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi).alpha_hat
                 iters = result.n_iters
@@ -144,7 +142,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     return records, trace_rows
 
 
-def baseline_inputs(Y: ComplexTensor, preambles: PreambleSet
+def baseline_inputs(Y: ComplexTensor, preambles: FactorMatrices
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The pair (Y_mat*, A*) that the baselines read as ``A X^H``.
 
@@ -254,49 +252,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_trials_csv(path: Path, records: list[TrialRecord]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(TRIALS_HEADER)
-        for r in records:
-            w.writerow([r.axis, r.value, r.algorithm, r.trial,
-                        _fmt(r.pe), _fmt(r.nmse), _fmt(r.nmse_active), r.iters])
-
-
-def write_timings_csv(path: Path, records: list[TrialRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TIMINGS_HEADER)
-        for r in records:
-            w.writerow([r.axis, r.value, r.algorithm, r.trial, f"{r.wall_ms:.3f}"])
-
-
-def write_failures_csv(path: Path, records: list[TrialRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(FAILURES_HEADER)
-        for r in records:
-            if r.failed:
-                w.writerow([r.axis, r.value, r.algorithm, r.trial, r.error])
-
-
-def write_summary_csv(path: Path, rows: list[SummaryRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_HEADER)
-        for s in rows:
-            w.writerow([s.axis, s.value, s.algorithm, s.n,
-                        _fmt(s.pe_mean), _fmt(s.pe_std), _fmt(s.pe_ci95),
-                        _fmt(s.nmse_mean), _fmt(s.nmse_std), _fmt(s.nmse_ci95),
-                        _fmt(s.nmse_active_mean), _fmt(s.iters_mean)])
-
-
-def write_trace_csv(path: Path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for trial, it, resid, max_col in rows:
-            w.writerow([trial, it, _fmt(resid), _fmt(max_col)])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_outputs(out_dir: str | Path, sweep: SweepSpec,
@@ -304,11 +264,21 @@ def write_outputs(out_dir: str | Path, sweep: SweepSpec,
                   traces: dict[str, list[tuple]] | None = None) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trials_csv(out / "trials.csv", records)
-    write_timings_csv(out / "timings.csv", records)
-    write_failures_csv(out / "failures.csv", records)
-    write_summary_csv(out / "summary.csv", aggregate(records))
+    _write_csv(out / "trials.csv", TRIALS_HEADER,
+               ([r.axis, r.value, r.algorithm, r.trial,
+                 _fmt(r.pe), _fmt(r.nmse), _fmt(r.nmse_active), r.iters] for r in records))
+    _write_csv(out / "timings.csv", TIMINGS_HEADER,
+               ([r.axis, r.value, r.algorithm, r.trial, f"{r.wall_ms:.3f}"] for r in records))
+    _write_csv(out / "failures.csv", FAILURES_HEADER,
+               ([r.axis, r.value, r.algorithm, r.trial, r.error] for r in records if r.failed))
+    _write_csv(out / "summary.csv", SUMMARY_HEADER,
+               ([s.axis, s.value, s.algorithm, s.n,
+                 _fmt(s.pe_mean), _fmt(s.pe_std), _fmt(s.pe_ci95),
+                 _fmt(s.nmse_mean), _fmt(s.nmse_std), _fmt(s.nmse_ci95),
+                 _fmt(s.nmse_active_mean), _fmt(s.iters_mean)] for s in aggregate(records)))
     if traces:
         for value, rows in traces.items():
             if rows:
-                write_trace_csv(out / f"trace_{sweep.axis}_{value}.csv", rows)
+                _write_csv(out / f"trace_{sweep.axis}_{value}.csv", TRACE_HEADER,
+                           ([trial, it, _fmt(resid), _fmt(max_col)]
+                            for trial, it, resid, max_col in rows))

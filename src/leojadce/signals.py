@@ -9,7 +9,6 @@ devices is a CP-structured tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,56 +16,31 @@ import numpy as np
 from .tensors import ComplexTensor, FactorMatrices, khatri_rao, kruskal
 
 
-@dataclass(frozen=True)
-class PreambleSet:
-    """Known preamble factors for all K devices."""
-
-    factors: FactorMatrices
-
-    def __post_init__(self):
-        if any(l < 2 for l in self.factors.mode_dims):
-            raise ValueError("every mode dimension must be >= 2")
-
-    @property
-    def L(self) -> int:
-        return self.factors.L
-
-    @property
-    def K(self) -> int:
-        return self.factors.K
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.factors.mode_dims
-
-
-def gen_preambles(dims: Sequence[int], K: int, rng: np.random.Generator) -> PreambleSet:
-    """Draw i.i.d. circular complex Gaussian factors, normalized column-wise."""
-    dims = [int(l) for l in dims]
-    if len(dims) < 2 or any(l < 2 for l in dims):
-        raise ValueError(f"need d >= 2 factor dims, all >= 2, got {dims}")
+def gen_preambles(dims: Sequence[int], K: int, rng: np.random.Generator) -> FactorMatrices:
+    """Draw i.i.d. circular complex Gaussian factors, normalized column-wise;
+    :class:`FactorMatrices` rejects fewer than two dims or a dim below 2."""
     if K < 1:
         raise ValueError("K must be >= 1")
     mats = []
-    for l in dims:
+    for l in map(int, dims):
         a = rng.standard_normal((l, K)) + 1j * rng.standard_normal((l, K))
         a /= np.linalg.norm(a, axis=0, keepdims=True)
         mats.append(a)
-    return PreambleSet(FactorMatrices(tuple(mats)))
+    return FactorMatrices(tuple(mats))
 
 
-def assemble_preamble_matrix(p: PreambleSet) -> np.ndarray:
+def assemble_preamble_matrix(p: FactorMatrices) -> np.ndarray:
     """L x K matrix whose column k is the Kronecker fold of device k's
     factor columns (equals the Khatri-Rao product of the factors)."""
-    return khatri_rao(list(p.factors))
+    return khatri_rao(list(p))
 
 
-def synthesize_received(p: PreambleSet, X: np.ndarray, sigma_n2: float,
+def synthesize_received(p: FactorMatrices, X: np.ndarray, sigma_n2: float,
                         rng: np.random.Generator) -> ComplexTensor:
     """Noisy received tensor: kruskal(factors, X) + CN(0, sigma_n2) noise."""
     if sigma_n2 < 0:
         raise ValueError("noise variance must be >= 0")
-    signal = kruskal(p.factors, X)
+    signal = kruskal(p, X)
     if sigma_n2 == 0.0:
         return signal
     shape = signal.dims

@@ -43,39 +43,18 @@ class ComplexTensor:
         return self.array.shape
 
     @property
-    def order(self) -> int:
-        return self.array.ndim
-
-    @property
     def flat(self) -> np.ndarray:
         """Canonical linear-order view (length = prod(dims))."""
         return self.array.reshape(-1)
 
-    @classmethod
-    def from_flat(cls, data: np.ndarray, dims: Sequence[int]) -> "ComplexTensor":
-        dims = tuple(int(n) for n in dims)
-        data = np.asarray(data, dtype=complex).reshape(-1)
-        if data.size != int(np.prod(dims)):
-            raise ValueError(f"flat length {data.size} != prod{dims}")
-        return cls(data.reshape(dims))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.array))
-
-    def __add__(self, other: "ComplexTensor") -> "ComplexTensor":
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return ComplexTensor(self.array + other.array)
-
-    def __sub__(self, other: "ComplexTensor") -> "ComplexTensor":
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return ComplexTensor(self.array - other.array)
 
 
 @dataclass(frozen=True)
 class FactorMatrices:
-    """Known per-mode factor matrices A_1..A_d, each l_i x K.
+    """Known per-mode factor matrices A_1..A_d, each l_i x K with l_i >= 2:
+    the preamble factors of all K devices.
 
     Unit column norms are enforced where the factors are generated, not
     here; this type only guarantees a consistent shape family.
@@ -90,6 +69,8 @@ class FactorMatrices:
         cols = {a.shape[1] for a in mats}
         if len(cols) != 1:
             raise ValueError(f"factor matrices disagree on column count: {sorted(cols)}")
+        if any(a.shape[0] < 2 for a in mats):
+            raise ValueError("every mode dimension must be >= 2")
         for a in mats:
             a.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
@@ -179,7 +160,7 @@ def kruskal(factors: FactorMatrices, X: DeviceStateMatrix) -> ComplexTensor:
 def unfold_last(t: ComplexTensor) -> np.ndarray:
     """Mode-(d+1) unfolding: M x (prod l_i), columns in canonical row-major
     order over (i_1, ..., i_d)."""
-    if t.order < 3:
+    if t.array.ndim < 3:
         raise ValueError("unfold_last expects an order >= 3 tensor")
     m = t.dims[-1]
     return t.array.reshape(-1, m).T

@@ -18,11 +18,13 @@ products, sums and ratios run on those arrays over all K devices, with
 every log and exp taken through libm so the results match the scalar
 arithmetic bit for bit.
 
-Memory: the engine holds only the arrays its updates read. On the L x L
-Woodbury path of q(X) (:func:`woodbury_pays`, L << K) no K x K array
-exists: the solve holds the L x K Khatri-Rao product KR and L x L / L x K
-arrays, and q(beta) takes its fit term from KR. The direct path holds the
-K x K Gram G and one K x K factor buffer.
+Memory: the engine holds only the arrays its updates read. :func:`run`
+forms the operands once per call (the L x K Khatri-Rao product KR,
+Y_(d+1) KR^*, Y_(d+1) and ||Y||^2) and picks the q(X) path once, by
+:func:`woodbury_pays`. On the L x L Woodbury path (L << K) no K x K array
+exists: the solve holds KR and L x L / L x K arrays. The direct path adds
+the K x K Gram G and one K x K factor buffer. On both paths q(beta) takes
+its fit term ||M_X KR^T||_F^2 from KR, at M L K work.
 
 scipy.linalg is imported inside the q(X) solve helpers, on their first
 call, not when this module loads: its package init costs about 28 MB of
@@ -41,9 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .signals import PreambleSet
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
-from .tensors import ComplexTensor, khatri_rao, unfold_last
+from .tensors import ComplexTensor, FactorMatrices, khatri_rao, unfold_last
 
 
 class EngineError(RuntimeError):
@@ -79,8 +80,9 @@ class PosteriorState:
     on every update. Gamma blocks are parameterized as (rate a, shape b)
     with E = b / a; b_v and b_beta never change. Every field is a scalar,
     a length-K vector or the M x K mean: the K x K arrays of the q(X)
-    solve (G and its factor on the direct path) live only in :func:`run`
-    and :func:`update_qX`, and the Woodbury path forms none.
+    solve (G and its factor, on the direct path that :func:`run` picks
+    when Woodbury does not pay) live only in :func:`run` and
+    :func:`update_qX`, and the Woodbury path forms none.
     """
 
     M_X: np.ndarray          # M x K posterior mean
@@ -93,7 +95,6 @@ class PosteriorState:
     a_beta: float            # rate for q(beta)
     b_beta: float            # shape L*M + eps, fixed
     eps: float
-    iter: int = 0
 
     @property
     def E_v(self) -> np.ndarray:
@@ -117,14 +118,14 @@ class EngineResult:
         return self.state.M_X
 
 
-def precompute_gram(p: PreambleSet) -> np.ndarray:
+def precompute_gram(p: FactorMatrices) -> np.ndarray:
     """K x K Gram hadamard_i (A_i^H A_i)^* = KR^T KR^*; since the factors
     are known constants this is the whole expectation entering the
     X-covariance.
 
     Each conjugated factor Gram is multiplied into the first in place, in
     list order, so at most two K x K arrays are live."""
-    first, *rest = p.factors
+    first, *rest = p
     G = first.conj().T @ first
     np.conjugate(G, out=G)
     for a in rest:
@@ -139,13 +140,13 @@ def _y_kr_conj(Y: ComplexTensor, kr: np.ndarray) -> np.ndarray:
     return (unfold_last(Y).conj() @ kr).conj()
 
 
-def init_posterior(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig) -> PosteriorState:
+def init_posterior(p: FactorMatrices, Y: ComplexTensor, cfg: EngineConfig) -> PosteriorState:
     """Deterministic start: matched-filter mean, identity covariance
     (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means, zero prior-mean
     moments, noise precision from total energy."""
     L, K = p.L, p.K
     M = Y.dims[-1]
-    kr = khatri_rao(list(p.factors))
+    kr = khatri_rao(list(p))
     m_x = _y_kr_conj(Y, kr) / L
     b_v = M + cfg.eps
     b_beta = L * M + cfg.eps
@@ -255,30 +256,22 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
     return M_X, c_diag
 
 
-def update_qX(s: PosteriorState, G: np.ndarray | None, p: PreambleSet, Y: ComplexTensor,
-              Ty: np.ndarray | None = None, kr: np.ndarray | None = None
-              ) -> PosteriorState:
+def update_qX(s: PosteriorState, G: np.ndarray | None, kr: np.ndarray, Ty: np.ndarray,
+              Y_mat: np.ndarray) -> PosteriorState:
     """Refresh (M_X, c_diag, tr_GC) without forming C_X.
 
     With C_X = (E[beta] G + diag(E[v]))^-1:
-    M_X = (E[beta] Y_(d+1) KR^* + 1_M (E[mu^-1] E[v])^T) C_X,
-    c_diag = diag(C_X), and tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta].
-    When :func:`woodbury_pays` for the preamble length L, the solve goes
-    through an L x L system; otherwise through a Cholesky factor of the
-    K x K system. Only the direct path reads the Gram ``G`` (formed here
-    when None); the Woodbury path reads ``kr``. ``Ty`` may carry the
-    precomputed constant Y_(d+1) KR^*, and ``kr`` the Khatri-Rao product KR.
+    M_X = (E[beta] Ty + 1_M (E[mu^-1] E[v])^T) C_X,
+    c_diag = diag(C_X), and tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta],
+    where Ty = Y_(d+1) KR^* and Y_mat = Y_(d+1). With ``G`` None the solve
+    goes through the L x L Woodbury system, which reads ``kr`` and
+    ``Y_mat``; otherwise through a Cholesky factor of the K x K system,
+    which reads ``G`` and ``Ty``.
     """
     e_beta, e_v = s.E_beta, s.E_v
-    if woodbury_pays(p.L, p.K):
-        if kr is None:
-            kr = khatri_rao(list(p.factors))
-        M_X, c_diag = _solve_woodbury(kr, e_beta, e_v, unfold_last(Y), s.E_mu_inv)
+    if G is None:
+        M_X, c_diag = _solve_woodbury(kr, e_beta, e_v, Y_mat, s.E_mu_inv)
     else:
-        if Ty is None:
-            Ty = _y_kr_conj(Y, khatri_rao(list(p.factors)))
-        if G is None:
-            G = precompute_gram(p)
         rhs = e_beta * Ty + (s.E_mu_inv * e_v)[None, :]
         M_X, c_diag = _solve_direct(G, e_beta, e_v, rhs)
     if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
@@ -421,63 +414,47 @@ def update_qv(s: PosteriorState) -> PosteriorState:
     return dataclasses.replace(s, a_v=a_v)
 
 
-def expected_residual(s: PosteriorState, G: np.ndarray | None, p: PreambleSet,
-                      Y: ComplexTensor, Ty: np.ndarray | None = None,
-                      y_energy: float | None = None,
-                      kr: np.ndarray | None = None) -> float:
+def expected_residual(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
+                      y_energy: float) -> float:
     """Posterior-expected squared residual
     E||Y - kruskal(A, X)||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
-    with E[X^H X] = M_X^H M_X + M C_X, so
-    Tr(G E[X^H X]) = Re sum((M_X G) o conj(M_X)) + M Tr(G C_X),
-    the last term being the stored tr_GC. With ``G`` None the first term
-    is taken as ||M_X KR^T||_F^2, equal since G = KR^T KR^*: M L K work
-    and no K x K array. ``kr`` (KR) is formed from ``p`` when absent."""
-    if kr is None and (G is None or Ty is None):
-        kr = khatri_rao(list(p.factors))
-    if Ty is None:
-        Ty = _y_kr_conj(Y, kr)
-    if y_energy is None:
-        y_energy = float(np.vdot(Y.array, Y.array).real)
+    with E[X^H X] = M_X^H M_X + M C_X and G = KR^T KR^*, so
+    Tr(G E[X^H X]) = ||M_X KR^T||_F^2 + M Tr(G C_X),
+    the last term being the stored tr_GC. ``y_energy`` is ||Y||^2."""
     M = s.M_X.shape[0]
-    if G is None:
-        fitted = s.M_X @ kr.T
-        fit = float(np.vdot(fitted, fitted).real)
-    else:
-        fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real)
-    fit += M * s.tr_GC
+    fitted = s.M_X @ kr.T
+    fit = float(np.vdot(fitted, fitted).real) + M * s.tr_GC
     cross = float(np.sum(Ty * s.M_X.conj()).real)
     return y_energy - 2.0 * cross + fit
 
 
-def update_qbeta(s: PosteriorState, G: np.ndarray | None, p: PreambleSet, Y: ComplexTensor,
-                 Ty: np.ndarray | None = None, y_energy: float | None = None,
-                 kr: np.ndarray | None = None) -> PosteriorState:
+def update_qbeta(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
+                 y_energy: float) -> PosteriorState:
     """Refresh the noise-precision rate a_beta = F + eps, with F from
-    :func:`expected_residual` (its KR form when ``G`` is None).
+    :func:`expected_residual`.
 
     F is mathematically >= 0; anything below -1e-8 (relative to the
     observation energy) is reported as numerical failure, and mere roundoff
     below zero is truncated before adding eps.
     """
-    if y_energy is None:
-        y_energy = float(np.vdot(Y.array, Y.array).real)
-    F = expected_residual(s, G, p, Y, Ty=Ty, y_energy=y_energy, kr=kr)
+    F = expected_residual(s, kr, Ty, y_energy)
     if F < -1e-8 * (1.0 + y_energy):
         raise EngineError(f"negative expected residual F={F}")
     return dataclasses.replace(s, a_beta=max(F, 0.0) + s.eps)
 
 
-def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
+def run(p: FactorMatrices, Y: ComplexTensor, cfg: EngineConfig,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
     """Iterate qX -> qmu -> qv -> qbeta until the relative Frobenius change
     of M_X drops below cfg.rel_tol or cfg.max_iters is reached.
 
-    The K x K Gram G is formed only when q(X) takes its direct path; when
-    :func:`woodbury_pays`, q(X) and q(beta) read only KR and no K x K
-    array is formed."""
+    The operands of q(X) and q(beta) are formed once, here. The K x K Gram
+    G is formed only when q(X) takes its direct path; when
+    :func:`woodbury_pays`, G is None and no K x K array is formed."""
     G = None if woodbury_pays(p.L, p.K) else precompute_gram(p)
-    kr = khatri_rao(list(p.factors))
+    kr = khatri_rao(list(p))
+    Y_mat = unfold_last(Y)
     Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y.array, Y.array).real)
     s = init_posterior(p, Y, cfg)
@@ -485,11 +462,10 @@ def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev = s.M_X
-        s = update_qX(s, G, p, Y, Ty=Ty, kr=kr)
+        s = update_qX(s, G, kr, Ty, Y_mat)
         s = update_qmu(s)
         s = update_qv(s)
-        s = update_qbeta(s, G, p, Y, Ty=Ty, y_energy=y_energy, kr=kr)
-        s.iter = it
+        s = update_qbeta(s, kr, Ty, y_energy)
         resid = s.a_beta - s.eps
         max_col = float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))
         trace.append((it, resid, max_col))
@@ -500,4 +476,4 @@ def run(p: PreambleSet, Y: ComplexTensor, cfg: EngineConfig,
         if denom > 0 and delta / denom < cfg.rel_tol:
             converged = True
             break
-    return EngineResult(state=s, n_iters=s.iter, converged=converged, trace=trace)
+    return EngineResult(state=s, n_iters=it, converged=converged, trace=trace)

@@ -47,6 +47,9 @@ def test_validate_prints_config_ok(cfg, capsys):
     ("bogus_key = 1\n", "snr=10"),    # unknown key
     (TINY, "bogus=1,2"),              # unknown sweep axis
     (TINY, "L=17"),                   # no default factorization for L
+    (TINY + "f_hz = -1\n", "snr=10"),          # rejected by the link budget
+    (TINY + "eps = 0.5\n", "snr=10"),          # rejected by the engine config
+    (TINY + "threshold_ratio = 1.5\n", "snr=10"),
 ])
 def test_configuration_errors_exit_1(tmp_path, capsys, config_text, sweep):
     path = tmp_path / "scenario.cfg"
@@ -84,13 +87,21 @@ def test_run_does_not_import_mpmath(cfg, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("sweep", ["snr=ten", "K=abc", "L=abc", "d=abc", "p_a=x", "M=abc"])
+@pytest.mark.parametrize("sweep", ["snr=ten", "K=abc", "L=abc", "d=abc", "p_a=x", "M=abc",
+                                   "snr=nan", "snr=-inf"])
 def test_malformed_sweep_values_exit_1(cfg, tmp_path, capsys, sweep):
     assert run(cfg, tmp_path / "out", sweep) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert sweep.partition("=")[2] in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_two_spellings_of_one_value_write_identical_trials(cfg, tmp_path):
+    assert run(cfg, tmp_path / "int", "snr=10") == 0
+    assert run(cfg, tmp_path / "float", "snr=10.0") == 0
+    assert ((tmp_path / "float" / "trials.csv").read_bytes()
+            == (tmp_path / "int" / "trials.csv").read_bytes())
 
 
 def test_empty_algos_exit_1_on_validate_and_run(tmp_path, capsys):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from leojadce.signals import (DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225,
-                              PreambleSet, assemble_preamble_matrix,
-                              gen_preambles, snr_to_noise_variance,
-                              synthesize_received)
+                              assemble_preamble_matrix, gen_preambles,
+                              snr_to_noise_variance, synthesize_received)
 from leojadce.tensors import (ComplexTensor, FactorMatrices, kron, kruskal,
                               unfold_last)
 
@@ -14,21 +13,21 @@ from leojadce.tensors import (ComplexTensor, FactorMatrices, kron, kruskal,
 def test_preamble_columns_unit_norm():
     rng = np.random.default_rng(0)
     p = gen_preambles((4, 5, 3), K=20, rng=rng)
-    for a in p.factors:
+    for a in p:
         np.testing.assert_allclose(np.linalg.norm(a, axis=0), 1.0, atol=1e-12)
 
 
 def test_preambles_deterministic_under_seed():
     p1 = gen_preambles((4, 5), 7, np.random.default_rng(42))
     p2 = gen_preambles((4, 5), 7, np.random.default_rng(42))
-    for a, b in zip(p1.factors, p2.factors):
+    for a, b in zip(p1, p2):
         np.testing.assert_array_equal(a, b)
 
 
 def test_preamble_vec_equals_kron_fold():
     rng = np.random.default_rng(1)
     p = gen_preambles((3, 4), 5, rng)
-    A1, A2 = p.factors.matrices
+    A1, A2 = p.matrices
     for k in range(5):
         x = np.ones((1, 1), dtype=complex)
         t = kruskal(FactorMatrices((A1[:, [k]], A2[:, [k]])), x)
@@ -52,7 +51,7 @@ def test_assemble_matches_khatri_rao_and_basis_case():
     assert A.shape == (12, 6)
     for k in range(6):
         np.testing.assert_allclose(
-            A[:, k], kron(p.factors.matrices[0][:, k], p.factors.matrices[1][:, k]),
+            A[:, k], kron(p.matrices[0][:, k], p.matrices[1][:, k]),
             atol=1e-14)
     # unit-norm columns: products of unit-norm factors
     np.testing.assert_allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-12)
@@ -61,7 +60,7 @@ def test_assemble_matches_khatri_rao_and_basis_case():
     e1[0] = 1.0
     e2 = np.zeros((4, 1), dtype=complex)
     e2[0] = 1.0
-    basis = assemble_preamble_matrix(PreambleSet(FactorMatrices((e1, e2))))
+    basis = assemble_preamble_matrix(FactorMatrices((e1, e2)))
     expected = np.zeros((12, 1), dtype=complex)
     expected[0] = 1.0
     np.testing.assert_array_equal(basis, expected)
@@ -87,7 +86,7 @@ def test_synthesize_noise_variance_monte_carlo():
     rng = np.random.default_rng(6)
     p = gen_preambles((10, 10), 3, rng)
     X = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    signal = kruskal(p.factors, X)
+    signal = kruskal(p, X)
     Y = synthesize_received(p, X, 1.0, rng)
     noise = Y.array - signal.array
     n = noise.size  # 1000 entries

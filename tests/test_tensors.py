@@ -220,15 +220,6 @@ def test_complex_tensor_flat_is_canonical_order():
     assert t.dims == (2, 3, 4)
 
 
-def test_complex_tensor_from_flat_round_trip():
-    rng = np.random.default_rng(15)
-    flat = crandn(rng, 24)
-    t = ComplexTensor.from_flat(flat, (2, 3, 4))
-    np.testing.assert_array_equal(t.flat, flat)
-    with pytest.raises(ValueError):
-        ComplexTensor.from_flat(flat, (2, 3, 5))
-
-
 def test_tensors_are_immutable():
     t = ComplexTensor(np.ones((2, 2, 2), dtype=complex))
     with pytest.raises(ValueError):
@@ -243,3 +234,9 @@ def test_factor_matrices_validation():
         FactorMatrices((crandn(rng, 3, 2), crandn(rng, 3, 4)))
     f = FactorMatrices((crandn(rng, 3, 2), crandn(rng, 4, 2)))
     assert f.d == 2 and f.K == 2 and f.L == 12 and f.mode_dims == (3, 4)
+
+
+def test_factor_matrices_reject_unit_mode_dimension():
+    rng = np.random.default_rng(17)
+    with pytest.raises(ValueError, match=">= 2"):
+        FactorMatrices((crandn(rng, 1, 2), crandn(rng, 4, 2)))

@@ -28,6 +28,15 @@ def scene(dims, sigma_n2, seed=0):
     return p, X, synthesize_received(p, X, sigma_n2, rng)
 
 
+def operands(p, Y):
+    """What vbi.run forms once per call: G (None on the Woodbury path), KR,
+    Y_(d+1) KR^*, Y_(d+1) and ||Y||^2."""
+    G = None if vbi.woodbury_pays(p.L, p.K) else vbi.precompute_gram(p)
+    kr = khatri_rao(list(p))
+    return (G, kr, unfold_last(Y) @ kr.conj(), unfold_last(Y),
+            float(np.vdot(Y.array, Y.array).real))
+
+
 def state_with(p, Y, e_beta, e_v, e_mu_inv):
     s = vbi.init_posterior(p, Y, vbi.EngineConfig())
     return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v,
@@ -54,19 +63,18 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     e_v = 10.0 ** rng.uniform(*log_e_v, K)
     s = state_with(p, Y, e_beta, e_v, rng.standard_normal(K))
     G = vbi.precompute_gram(p)
-    Ty = unfold_last(Y) @ khatri_rao(list(p.factors)).conj()
+    G_path, kr, Ty, Y_mat, y_energy = operands(p, Y)
 
     C = np.linalg.inv(e_beta * G + np.diag(e_v))
     M_X = (e_beta * Ty + np.ones((M, 1)) * (s.E_mu_inv * e_v)[None, :]) @ C
-    y_energy = float(np.vdot(Y.array, Y.array).real)
     F = (y_energy - 2.0 * np.sum(Ty * M_X.conj()).real
          + np.sum(G * (M_X.conj().T @ M_X + M * C).T).real)
 
-    out = vbi.update_qX(s, G, p, Y)
+    out = vbi.update_qX(s, G_path, kr, Ty, Y_mat)
     assert np.linalg.norm(out.M_X - M_X) <= 1e-10 * np.linalg.norm(M_X)
     np.testing.assert_allclose(out.c_diag, np.diag(C).real, rtol=1e-10, atol=0)
     assert out.tr_GC == pytest.approx(np.trace(G @ C).real, rel=1e-10)
-    assert vbi.expected_residual(out, G, p, Y) == pytest.approx(F, rel=1e-10)
+    assert vbi.expected_residual(out, kr, Ty, y_energy) == pytest.approx(F, rel=1e-10)
 
 
 def test_direct_solve_equals_out_of_place_system_bit_for_bit():
@@ -90,16 +98,16 @@ def test_indefinite_system_is_reported(dims, e_beta):
     p, _, Y = scene(dims, 0.05)
     s = state_with(p, Y, e_beta, -np.ones(K), np.zeros(K))
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
-        vbi.update_qX(s, vbi.precompute_gram(p), p, Y)
+        vbi.update_qX(s, *operands(p, Y)[:4])
 
 
 @pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
 def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     p, X, Y = scene(dims, 0.0)
-    G = vbi.precompute_gram(p)
+    _, kr, Ty, _, y_energy = operands(p, Y)
     residuals = []
     result = vbi.run(p, Y, vbi.EngineConfig(), on_iteration=lambda it, s: residuals.append(
-        vbi.expected_residual(s, G, p, Y)))
+        vbi.expected_residual(s, kr, Ty, y_energy)))
     assert len(residuals) == result.n_iters and result.converged
     assert min(residuals) >= 0.0
     assert nmse(result.M_X, X) < 1e-4

@@ -38,20 +38,23 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
                             a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K),
                             E_mu_inv=rng.standard_normal(K))
     G = vbi.precompute_gram(p)
-    s = vbi.update_qX(s, G, p, Y)
-    kr = khatri_rao(list(p.factors))
+    kr = khatri_rao(list(p))
+    Y_mat = unfold_last(Y)
+    Ty = Y_mat @ kr.conj()
+    s = vbi.update_qX(s, None if vbi.woodbury_pays(p.L, K) else G, kr, Ty, Y_mat)
 
+    # the Gram form Re sum((M_X G) o conj(M_X)) of the fit term, as the oracle
+    gram_fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real)
     # with Ty = 0, ||Y||^2 = 0 and tr_GC = 0 the residual is the fit term alone
     bare = dataclasses.replace(s, tr_GC=0.0)
-    zero = np.zeros_like(s.M_X)
-    gram_fit = vbi.expected_residual(bare, G, p, Y, Ty=zero, y_energy=0.0)
-    kr_fit = vbi.expected_residual(bare, None, p, Y, Ty=zero, y_energy=0.0, kr=kr)
+    kr_fit = vbi.expected_residual(bare, kr, np.zeros_like(s.M_X), 0.0)
     assert gram_fit > 0
     assert kr_fit == pytest.approx(gram_fit, rel=1e-12)
-    # KR formed from p when it is not passed
-    assert vbi.expected_residual(bare, None, p, Y, Ty=zero, y_energy=0.0) == kr_fit
-    assert (vbi.update_qbeta(s, None, p, Y, kr=kr).a_beta
-            == pytest.approx(vbi.update_qbeta(s, G, p, Y).a_beta, rel=1e-10))
+    y_energy = float(np.vdot(Y.array, Y.array).real)
+    gram_a_beta = (y_energy - 2.0 * float(np.sum(Ty * s.M_X.conj()).real) + gram_fit
+                   + M * s.tr_GC + s.eps)
+    assert (vbi.update_qbeta(s, kr, Ty, y_energy).a_beta
+            == pytest.approx(gram_a_beta, rel=1e-10))
 
 
 def counting_gram(monkeypatch):
@@ -91,7 +94,7 @@ def test_woodbury_run_peak_memory_below_one_k_by_k_array():
 @pytest.mark.parametrize("dims", [(6, 7), (3, 4, 3), (2, 3, 2, 3)])
 def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
     p = gen_preambles(dims, 40, np.random.default_rng(len(dims)))
-    oracle = hadamard([(a.conj().T @ a).conj() for a in p.factors])
+    oracle = hadamard([(a.conj().T @ a).conj() for a in p])
     np.testing.assert_array_equal(vbi.precompute_gram(p), oracle)
 
 
@@ -100,7 +103,7 @@ def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     p, Y = scene(dims, K, m=m, seed=K + m)
-    kr = khatri_rao(list(p.factors))
+    kr = khatri_rao(list(p))
     ref = unfold_last(Y) @ kr.conj()
     np.testing.assert_array_equal(vbi._y_kr_conj(Y, kr), ref)
     s = vbi.init_posterior(p, Y, vbi.EngineConfig())
