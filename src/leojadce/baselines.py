@@ -9,9 +9,9 @@ with X the M x K device-state matrix, and both return their estimate of X
 itself: recovered coefficient rows conjugate-transpose back into
 device-state columns.
 
-The received tensor's matrix form is Y_mat = unfold_last(Y).T = A X^T, with
-A the assembled preamble matrix. Its conjugate Y_mat* = A* X^H is in the
-form above, so the harness passes the pair (Y_mat.conj(), A.conj()).
+The L x M received samples are Y = A X^T + N, with A the assembled
+preamble matrix. Their conjugate Y* = A* X^H + N* is in the form above, so
+the harness passes the pair (Y.conj(), A.conj()).
 """
 
 from __future__ import annotations

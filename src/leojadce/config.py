@@ -99,6 +99,8 @@ class ScenarioConfig:
         unknown = set(self.algos) - set(KNOWN_ALGOS)
         if unknown:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
+        if len(set(self.algos)) != len(self.algos):
+            raise ConfigError(f"algos repeat: {list(self.algos)}")
 
     @property
     def L(self) -> int:

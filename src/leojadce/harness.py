@@ -19,7 +19,6 @@ import csv
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .channel import draw_channels, device_state_matrix, sample_device_geometry
 from .config import ScenarioConfig, SweepSpec, apply_axis
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)
-from .tensors import ComplexTensor, FactorMatrices, unfold_last
+from .tensors import FactorMatrices
 
 TRIALS_HEADER = ["axis", "value", "algorithm", "trial", "pe", "nmse", "nmse_active", "iters"]
 SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
@@ -142,17 +141,17 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     return records, trace_rows
 
 
-def baseline_inputs(Y: ComplexTensor, preambles: FactorMatrices
+def baseline_inputs(Y: np.ndarray, preambles: FactorMatrices
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (Y_mat*, A*) that the baselines read as ``A X^H``.
+    """The pair (Y*, A*) that the baselines read as ``A X^H``.
 
-    The received tensor's matrix form is Y_mat = unfold_last(Y).T = A X^T;
-    conjugating both sides gives Y_mat* = A* X^H. A is conjugated in place,
-    so no second L x K copy is live.
+    The L x M received samples are Y = A X^T + N, with A the L x K preamble
+    matrix; conjugating both sides gives Y* = A* X^H + N*. A is conjugated
+    in place, so no second L x K copy is live.
     """
     A = assemble_preamble_matrix(preambles)
     np.conjugate(A, out=A)
-    return unfold_last(Y).T.conj(), A
+    return Y.conj(), A
 
 
 def somp_residual_tol(Y_mat: np.ndarray, sigma_n2: float) -> float:
@@ -179,7 +178,12 @@ def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
         cfg_v = apply_axis(cfg, sweep.axis, value)
         for trial in range(cfg.trials):
             tasks.append((cfg_v, sweep.axis, value, trial, collect_traces))
+    # the pool starts all its workers at once: no more than there are trials
+    workers = min(workers, len(tasks))
     if workers > 1:
+        # a one-worker sweep never loads the pool and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         if "vbi" in cfg.algos:
             # forked workers share the pages of what the parent has loaded
             vbi.preload_solvers()

@@ -2,8 +2,8 @@
 
 Each device's preamble is the vectorization of a rank-1 tensor built from
 per-mode unit-norm Gaussian vectors, so the length-L sequence equals the
-Kronecker product of its factors and the noisy superposition of all active
-devices is a CP-structured tensor.
+Kronecker product of its factors. The receiver sees the noisy superposition
+of all devices as an L x M sample matrix: preamble sample by antenna.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensors import ComplexTensor, FactorMatrices, khatri_rao, kruskal
+from .tensors import FactorMatrices, khatri_rao
 
 
 def gen_preambles(dims: Sequence[int], K: int, rng: np.random.Generator) -> FactorMatrices:
@@ -36,17 +36,20 @@ def assemble_preamble_matrix(p: FactorMatrices) -> np.ndarray:
 
 
 def synthesize_received(p: FactorMatrices, X: np.ndarray, sigma_n2: float,
-                        rng: np.random.Generator) -> ComplexTensor:
-    """Noisy received tensor: kruskal(factors, X) + CN(0, sigma_n2) noise."""
+                        rng: np.random.Generator) -> np.ndarray:
+    """Received samples Y = KR X^T + N, with KR = khatri_rao(p) and N
+    i.i.d. CN(0, sigma_n2): a read-only, C-contiguous L x M array whose
+    row l is preamble sample l and column m is antenna m. Y^T = X KR^T + N^T
+    is the mode-(d+1) unfolding of the received tensor."""
     if sigma_n2 < 0:
         raise ValueError("noise variance must be >= 0")
-    signal = kruskal(p, X)
-    if sigma_n2 == 0.0:
-        return signal
-    shape = signal.dims
-    noise = math.sqrt(sigma_n2 / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return ComplexTensor(signal.array + noise)
+    Y = np.ascontiguousarray((X @ khatri_rao(list(p)).T).T)
+    if sigma_n2 != 0.0:
+        noise = math.sqrt(sigma_n2 / 2.0) * (
+            rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))
+        Y += noise
+    Y.flags.writeable = False
+    return Y
 
 
 def snr_to_noise_variance(snr_db: float, xi: float) -> float:

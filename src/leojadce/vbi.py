@@ -1,11 +1,14 @@
 """Mean-field variational Bayesian engine for device-state recovery.
 
-Model: the received tensor is kruskal(A_1..A_d, X) + noise, with a
-circular complex Gaussian prior CN(mu_k^-1 1_M, v_k^-1 I_M) on each column
-of X and near-flat Gamma(eps, eps) hyperpriors on mu_k, v_k and the noise
-precision beta. The factorized posterior is optimized by coordinate
-ascent; every update below is the closed-form optimum of its block with
-the other blocks fixed.
+Model: the L x M received samples are Y = KR X^T + N, where KR is the
+L x K Khatri-Rao product of the preamble factors A_1..A_d and N is white
+circular complex Gaussian noise; the updates read Y through
+Y_(d+1) = Y^T = X KR^T + N^T, the mode-(d+1) unfolding of the received
+tensor. Each column of X has a circular complex Gaussian prior
+CN(mu_k^-1 1_M, v_k^-1 I_M), with near-flat Gamma(eps, eps) hyperpriors on
+mu_k, v_k and the noise precision beta. The factorized posterior is
+optimized by coordinate ascent; every update below is the closed-form
+optimum of its block with the other blocks fixed.
 
 The q(mu_k) block is not conjugate: its density in u = mu^-1 is
 proportional to u^(-1-eps) exp(-o u^2 + t u), whose inverse-moment ratios
@@ -19,12 +22,12 @@ every log and exp taken through libm so the results match the scalar
 arithmetic bit for bit.
 
 Memory: the engine holds only the arrays its updates read. :func:`run`
-forms the operands once per call (the L x K Khatri-Rao product KR,
-Y_(d+1) KR^*, Y_(d+1) and ||Y||^2) and picks the q(X) path once, by
-:func:`woodbury_pays`. On the L x L Woodbury path (L << K) no K x K array
-exists: the solve holds KR and L x L / L x K arrays. The direct path adds
-the K x K Gram G and one K x K factor buffer. On both paths q(beta) takes
-its fit term ||M_X KR^T||_F^2 from KR, at M L K work.
+forms the operands once per call (KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2)
+and picks the q(X) path once, by :func:`woodbury_pays`. On the L x L
+Woodbury path (L << K) no K x K array exists: the solve holds KR and
+L x L / L x K arrays. The direct path adds the K x K Gram G and one K x K
+factor buffer. On both paths q(beta) takes its fit term ||M_X KR^T||_F^2
+from KR, at M L K work.
 
 scipy.linalg is imported inside the q(X) solve helpers, on their first
 call, not when this module loads: its package init costs about 28 MB of
@@ -44,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
-from .tensors import ComplexTensor, FactorMatrices, khatri_rao, unfold_last
+from .tensors import FactorMatrices, khatri_rao
 
 
 class EngineError(RuntimeError):
@@ -134,23 +137,23 @@ def precompute_gram(p: FactorMatrices) -> np.ndarray:
     return G
 
 
-def _y_kr_conj(Y: ComplexTensor, kr: np.ndarray) -> np.ndarray:
-    """Y_(d+1) KR^*, computed as (Y_(d+1)^* KR)^*, so the conjugate copy
-    is of the M x L unfolding, not of the L x K KR."""
-    return (unfold_last(Y).conj() @ kr).conj()
+def _y_kr_conj(Y: np.ndarray, kr: np.ndarray) -> np.ndarray:
+    """Y_(d+1) KR^* = Y^T KR^*, computed as (Y^H KR)^*, so the conjugate
+    copy is of the L x M samples, not of the L x K KR."""
+    return (Y.T.conj() @ kr).conj()
 
 
-def init_posterior(p: FactorMatrices, Y: ComplexTensor, cfg: EngineConfig) -> PosteriorState:
+def init_posterior(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig) -> PosteriorState:
     """Deterministic start: matched-filter mean, identity covariance
     (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means, zero prior-mean
     moments, noise precision from total energy."""
     L, K = p.L, p.K
-    M = Y.dims[-1]
+    M = Y.shape[1]
     kr = khatri_rao(list(p))
     m_x = _y_kr_conj(Y, kr) / L
     b_v = M + cfg.eps
     b_beta = L * M + cfg.eps
-    energy = float(np.vdot(Y.array, Y.array).real)
+    energy = float(np.vdot(Y, Y).real)
     a_beta = b_beta * energy / (L * M) if energy > 0 else b_beta
     return PosteriorState(
         M_X=m_x,
@@ -416,8 +419,8 @@ def update_qv(s: PosteriorState) -> PosteriorState:
 
 def expected_residual(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
                       y_energy: float) -> float:
-    """Posterior-expected squared residual
-    E||Y - kruskal(A, X)||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
+    """Posterior-expected squared residual of the L x M samples
+    E||Y^T - X KR^T||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
     with E[X^H X] = M_X^H M_X + M C_X and G = KR^T KR^*, so
     Tr(G E[X^H X]) = ||M_X KR^T||_F^2 + M Tr(G C_X),
     the last term being the stored tr_GC. ``y_energy`` is ||Y||^2."""
@@ -443,7 +446,7 @@ def update_qbeta(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
     return dataclasses.replace(s, a_beta=max(F, 0.0) + s.eps)
 
 
-def run(p: FactorMatrices, Y: ComplexTensor, cfg: EngineConfig,
+def run(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
     """Iterate qX -> qmu -> qv -> qbeta until the relative Frobenius change
@@ -454,15 +457,14 @@ def run(p: FactorMatrices, Y: ComplexTensor, cfg: EngineConfig,
     :func:`woodbury_pays`, G is None and no K x K array is formed."""
     G = None if woodbury_pays(p.L, p.K) else precompute_gram(p)
     kr = khatri_rao(list(p))
-    Y_mat = unfold_last(Y)
     Ty = _y_kr_conj(Y, kr)
-    y_energy = float(np.vdot(Y.array, Y.array).real)
+    y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(p, Y, cfg)
     trace: list[tuple[int, float, float]] = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev = s.M_X
-        s = update_qX(s, G, kr, Ty, Y_mat)
+        s = update_qX(s, G, kr, Ty, Y.T)
         s = update_qmu(s)
         s = update_qv(s)
         s = update_qbeta(s, kr, Ty, y_energy)

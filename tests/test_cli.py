@@ -116,6 +116,18 @@ def test_empty_algos_exit_1_on_validate_and_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_algos_exit_1_on_validate_and_run(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TINY.replace("algos = vbi, somp, amp", "algos = somp, somp"))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert "algos repeat" in capsys.readouterr().err
+    path.write_text(TINY)
+    assert cli.main(["run", "--config", str(path), "--sweep", "snr=10",
+                     "--out", str(tmp_path / "out"), "--algos", "somp,somp"]) == 1
+    assert "algos repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def loaded_in_fresh_interpreter(argv: list[str], modules: list[str]) -> list[bool]:
     """Run ``leojadce.cli.main(argv)`` in a new interpreter, require exit 0,
     and report which of ``modules`` that process had loaded by the end."""
@@ -154,3 +166,13 @@ def test_forked_vbi_sweep_loads_scipy_before_forking(cfg, tmp_path):
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "out"),
             "--algos", "vbi", "--trials", "1", "--workers", "2"]
     assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [True]
+
+
+def test_process_pool_loads_only_for_a_forked_sweep(cfg, tmp_path):
+    modules = ["concurrent.futures.process", "multiprocessing"]
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "one"),
+            "--trials", "1"]
+    assert loaded_in_fresh_interpreter(argv, modules) == [False, False]
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "two"),
+            "--trials", "1", "--workers", "2"]
+    assert loaded_in_fresh_interpreter(argv, modules) == [True, True]

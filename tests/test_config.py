@@ -41,6 +41,14 @@ def test_parse_config_rejects_empty_algos(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text", ["algos = somp, somp", "algos = vbi, amp, vbi"])
+def test_parse_config_rejects_repeated_algos(text):
+    # a repeated name would run one algorithm twice and write two trials.csv
+    # rows with one (axis, value, algorithm, trial) key
+    with pytest.raises(ConfigError, match="algos repeat"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("text", ["f_hz = -1", "rain_mean_db = 1", "eps = 0.5", "rel_tol = 0",
                                   "max_iters = 0", "threshold_ratio = 1.5",
                                   "threshold_ratio = 0", "snr_db = nan", "snr_db = -inf",

@@ -1,6 +1,7 @@
 """How the experiment harness feeds and scores the algorithms, and its
 reproducibility contract."""
 
+import concurrent.futures
 import csv
 
 from leojadce import vbi
@@ -10,7 +11,7 @@ from leojadce.harness import TRIALS_HEADER, run_sweep, run_trial, write_outputs
 
 def test_baselines_scored_against_true_device_states():
     # At 60 dB both baselines recover X; a conjugation slip between the
-    # tensor's A X^T matrix form and their A X^H contract shows up as an
+    # samples' A X^T form and their A X^H contract shows up as an
     # NMSE near or above 1, and an activity rule that counts every nonzero
     # column as active shows up as a large Pe.
     cfg = ScenarioConfig(K=100, M=4, dims=(10, 10), snr_db=60.0,
@@ -48,6 +49,33 @@ def test_trials_csv_identical_across_reruns_and_worker_counts(tmp_path):
     serial = trials_csv(tmp_path, "a")
     assert trials_csv(tmp_path, "b") == serial
     assert trials_csv(tmp_path, "c", workers=2) == serial
+
+
+def test_pool_has_no_more_workers_than_trials(monkeypatch):
+    # the pool starts all its workers at once, so 64 requested workers for
+    # a two-trial sweep must not fork 64 processes; the fake pool records
+    # its size and runs the tasks inline
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = TINY.replace(algos=("somp",), trials=1)
+    serial, _ = run_sweep(cfg, TINY_SWEEP)
+    pooled, _ = run_sweep(cfg, TINY_SWEEP, workers=64)
+    assert sizes == [2]
+    assert [(r.value, r.pe, r.nmse) for r in pooled] == [(r.value, r.pe, r.nmse) for r in serial]
 
 
 def test_adding_trials_keeps_existing_rows(tmp_path):

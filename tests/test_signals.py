@@ -1,13 +1,14 @@
 """Preamble construction and received-signal synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 
 from leojadce.signals import (DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225,
                               assemble_preamble_matrix, gen_preambles,
                               snr_to_noise_variance, synthesize_received)
-from leojadce.tensors import (ComplexTensor, FactorMatrices, kron, kruskal,
-                              unfold_last)
+from leojadce.tensors import FactorMatrices, khatri_rao
 
 
 def test_preamble_columns_unit_norm():
@@ -30,8 +31,8 @@ def test_preamble_vec_equals_kron_fold():
     A1, A2 = p.matrices
     for k in range(5):
         x = np.ones((1, 1), dtype=complex)
-        t = kruskal(FactorMatrices((A1[:, [k]], A2[:, [k]])), x)
-        np.testing.assert_allclose(t.flat, kron(A1[:, k], A2[:, k]), atol=1e-14)
+        Y = synthesize_received(FactorMatrices((A1[:, [k]], A2[:, [k]])), x, 0.0, rng)
+        np.testing.assert_allclose(Y.reshape(-1), np.kron(A1[:, k], A2[:, k]), atol=1e-14)
 
 
 def test_preamble_invalid_dims():
@@ -51,7 +52,7 @@ def test_assemble_matches_khatri_rao_and_basis_case():
     assert A.shape == (12, 6)
     for k in range(6):
         np.testing.assert_allclose(
-            A[:, k], kron(p.matrices[0][:, k], p.matrices[1][:, k]),
+            A[:, k], np.kron(p.matrices[0][:, k], p.matrices[1][:, k]),
             atol=1e-14)
     # unit-norm columns: products of unit-norm factors
     np.testing.assert_allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-12)
@@ -70,7 +71,7 @@ def test_synthesize_zero_noise_zero_state():
     rng = np.random.default_rng(4)
     p = gen_preambles((3, 4), 5, rng)
     Y = synthesize_received(p, np.zeros((2, 5), dtype=complex), 0.0, rng)
-    assert Y.norm() == 0.0
+    assert np.linalg.norm(Y) == 0.0
 
 
 def test_synthesize_noise_free_identity_bit_exact():
@@ -78,17 +79,17 @@ def test_synthesize_noise_free_identity_bit_exact():
     p = gen_preambles((3, 4), 5, rng)
     X = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
     Y = synthesize_received(p, X, 0.0, rng)
-    # matrix and tensor forms are the same data under the canonical reshape
-    assert np.array_equal(unfold_last(Y), X @ assemble_preamble_matrix(p).T)
+    # the transposed samples are the mode-(d+1) unfolding X KR^T
+    assert np.array_equal(Y.T, X @ assemble_preamble_matrix(p).T)
 
 
 def test_synthesize_noise_variance_monte_carlo():
     rng = np.random.default_rng(6)
     p = gen_preambles((10, 10), 3, rng)
     X = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    signal = kruskal(p, X)
+    signal = (X @ khatri_rao(list(p)).T).T
     Y = synthesize_received(p, X, 1.0, rng)
-    noise = Y.array - signal.array
+    noise = Y - signal
     n = noise.size  # 1000 entries
     per_entry = np.abs(noise) ** 2
     assert abs(np.mean(per_entry) - 1.0) < 3.0 / np.sqrt(n)
@@ -107,3 +108,27 @@ def test_default_factorizations_consistent():
     for d, dims in ORDER_FACTORIZATIONS_225.items():
         assert len(dims) == d
         assert int(np.prod(dims)) == 225
+
+
+@pytest.mark.parametrize("d", sorted(ORDER_FACTORIZATIONS_225))
+def test_synthesize_matches_tensor_shaped_noise_bit_for_bit(d):
+    # Drawing the noise as (L, M) takes the same Philox draws, in the same
+    # order, as drawing it with the tensor's shape (l_1, ..., l_d, M): the
+    # samples equal that construction bit for bit.
+    dims = ORDER_FACTORIZATIONS_225[d]
+    K, M, sigma_n2 = 30, 4, 0.3
+    p = gen_preambles(dims, K, np.random.default_rng(d))
+    X = np.random.default_rng(10 + d).standard_normal((M, K)) + 0j
+    Y = synthesize_received(p, X, sigma_n2,
+                            np.random.Generator(np.random.Philox(d)))
+
+    rng = np.random.Generator(np.random.Philox(d))
+    shape = tuple(dims) + (M,)
+    noise = math.sqrt(sigma_n2 / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    expected = (X @ khatri_rao(list(p)).T).T + noise.reshape(225, M)
+    assert Y.shape == (225, M) and Y.flags.c_contiguous
+    assert np.array_equal(Y, expected)
+    assert not Y.flags.writeable
+    with pytest.raises(ValueError):
+        Y[0, 0] = 0.0

@@ -1,55 +1,56 @@
-"""Multilinear algebra: index-convention locks and brute-force oracles."""
+"""Multilinear algebra: the Khatri-Rao column order, and the received
+samples against Kronecker and brute-force oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leojadce.tensors import (ComplexTensor, FactorMatrices, fold_last,
-                              hadamard, khatri_rao, kron, kruskal, unfold_last)
+from leojadce.signals import synthesize_received
+from leojadce.tensors import FactorMatrices, khatri_rao
 
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# ---------------------------------------------------------------- kron
+# ------------------------------------- khatri_rao: columnwise Kronecker order
 
 def test_kron_basis_vectors():
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    out = kron(e1, e1)
-    assert out.shape == (4,)
-    np.testing.assert_array_equal(out, np.array([1, 0, 0, 0], dtype=complex))
+    e1 = np.array([[1.0], [0.0]], dtype=complex)
+    out = khatri_rao([e1, e1])
+    assert out.shape == (4, 1)
+    np.testing.assert_array_equal(out[:, 0], np.array([1, 0, 0, 0], dtype=complex))
 
 
 def test_kron_scalar_identity():
     rng = np.random.default_rng(1)
-    a = crandn(rng, 5)
-    np.testing.assert_array_equal(kron(a, np.array([1.0])), a)
-    np.testing.assert_array_equal(kron(np.array([1.0]), a), a)
+    a = crandn(rng, 5, 3)
+    one = np.ones((1, 3))
+    np.testing.assert_array_equal(khatri_rao([a, one]), a)
+    np.testing.assert_array_equal(khatri_rao([one, a]), a)
 
 
 def test_kron_index_formula_oracle():
     rng = np.random.default_rng(2)
-    a, b = crandn(rng, 2), crandn(rng, 3)
-    out = kron(a, b)
+    a, b = crandn(rng, 2, 2), crandn(rng, 3, 2)
+    out = khatri_rao([a, b])
     # scalar products may differ from the vectorized path in the last ulp
-    for i in range(2):
-        for j in range(3):
-            assert abs(out[i * 3 + j] - a[i] * b[j]) < 1e-15
+    for k in range(2):
+        for i in range(2):
+            for j in range(3):
+                assert abs(out[i * 3 + j, k] - a[i, k] * b[j, k]) < 1e-15
 
 
 def test_kron_rejects_empty():
     with pytest.raises(ValueError):
-        kron(np.array([]), np.array([1.0]))
+        khatri_rao([])
 
-
-# ---------------------------------------------------------------- khatri_rao
 
 def test_khatri_rao_single_columns_is_kron():
     rng = np.random.default_rng(3)
     a, b = crandn(rng, 3, 1), crandn(rng, 4, 1)
-    np.testing.assert_allclose(khatri_rao([a, b])[:, 0], kron(a[:, 0], b[:, 0]))
+    np.testing.assert_allclose(khatri_rao([a, b])[:, 0], np.kron(a[:, 0], b[:, 0]))
 
 
 def test_khatri_rao_shape():
@@ -64,7 +65,7 @@ def test_khatri_rao_gram_identity():
     A, B = crandn(rng, 6, 4), crandn(rng, 5, 4)
     kr = khatri_rao([A, B])
     lhs = kr.T @ kr.conj()
-    rhs = hadamard([A.T @ A.conj(), B.T @ B.conj()])
+    rhs = (A.T @ A.conj()) * (B.T @ B.conj())
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -74,94 +75,66 @@ def test_khatri_rao_column_count_mismatch():
         khatri_rao([crandn(rng, 2, 3), crandn(rng, 2, 4)])
 
 
-# ---------------------------------------------------------------- hadamard
+# ------------------- the received samples in Kruskal (CP) form, noise-free
 
-def test_hadamard_identity_and_zero():
-    rng = np.random.default_rng(7)
-    A = crandn(rng, 3, 4)
-    np.testing.assert_array_equal(hadamard([A, np.ones_like(A)]), A)
-    np.testing.assert_array_equal(hadamard([A, np.zeros_like(A)]), np.zeros_like(A))
+def received(factors, X):
+    """Noise-free L x M received samples KR X^T."""
+    return synthesize_received(factors, X, 0.0, np.random.default_rng(0))
 
-
-def test_hadamard_matches_nested_application():
-    rng = np.random.default_rng(8)
-    A, B, C = (crandn(rng, 3, 3) for _ in range(3))
-    np.testing.assert_allclose(hadamard([A, B, C]), hadamard([hadamard([A, B]), C]))
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ValueError):
-        hadamard([np.ones((2, 2)), np.ones((2, 3))])
-
-
-# ---------------------------------------------------------------- kruskal
 
 def test_kruskal_basis_case():
     e = lambda n: np.eye(n, 1, dtype=complex)  # first basis vector as column
     factors = FactorMatrices((e(3), e(4)))
-    t = kruskal(factors, e(2).reshape(1, 2).T.reshape(2, 1))
-    expected = np.zeros((3, 4, 2), dtype=complex)
-    expected[0, 0, 0] = 1.0
-    np.testing.assert_array_equal(t.array, expected)
+    Y = received(factors, e(2))
+    expected = np.zeros((12, 2), dtype=complex)
+    expected[0, 0] = 1.0
+    np.testing.assert_array_equal(Y, expected)
 
 
 def test_kruskal_zero_state():
     rng = np.random.default_rng(9)
     factors = FactorMatrices((crandn(rng, 3, 2), crandn(rng, 4, 2)))
-    t = kruskal(factors, np.zeros((2, 2), dtype=complex))
-    assert t.norm() == 0.0
+    Y = received(factors, np.zeros((2, 2), dtype=complex))
+    assert np.linalg.norm(Y) == 0.0
 
 
 def test_kruskal_brute_force_oracle():
     rng = np.random.default_rng(10)
     l1, l2, K, M = 3, 4, 2, 2
     A1, A2, X = crandn(rng, l1, K), crandn(rng, l2, K), crandn(rng, M, K)
-    t = kruskal(FactorMatrices((A1, A2)), X)
+    Y = received(FactorMatrices((A1, A2)), X)
     expected = np.zeros((l1, l2, M), dtype=complex)
     for i in range(l1):
         for j in range(l2):
             for m in range(M):
                 for k in range(K):
                     expected[i, j, m] += A1[i, k] * A2[j, k] * X[m, k]
-    np.testing.assert_allclose(t.array, expected, atol=1e-12)
+    np.testing.assert_allclose(Y, expected.reshape(l1 * l2, M), atol=1e-12)
 
 
 def test_kruskal_dim_mismatch():
     rng = np.random.default_rng(11)
     factors = FactorMatrices((crandn(rng, 3, 2), crandn(rng, 4, 2)))
     with pytest.raises(ValueError):
-        kruskal(factors, crandn(rng, 2, 3))
+        received(factors, crandn(rng, 2, 3))
 
-
-# ---------------------------------------------------------------- unfold / fold
 
 def test_unfold_rank1_outer_product():
+    # the transposed samples are the mode-(d+1) unfolding x (a1 kron a2)^T
     rng = np.random.default_rng(12)
     a1, a2, x = crandn(rng, 3, 1), crandn(rng, 4, 1), crandn(rng, 2, 1)
-    t = kruskal(FactorMatrices((a1, a2)), x)
-    expected = x @ kron(a1[:, 0], a2[:, 0])[None, :]
-    np.testing.assert_allclose(unfold_last(t), expected, atol=1e-14)
-
-
-def test_fold_unfold_round_trip():
-    rng = np.random.default_rng(13)
-    t = ComplexTensor(crandn(rng, 3, 4, 5, 2))
-    np.testing.assert_array_equal(fold_last(unfold_last(t), t.dims).array, t.array)
+    Y = received(FactorMatrices((a1, a2)), x)
+    expected = x @ np.kron(a1[:, 0], a2[:, 0])[None, :]
+    np.testing.assert_allclose(Y.T, expected, atol=1e-14)
 
 
 def test_unfold_kruskal_identity_pins_ordering():
     rng = np.random.default_rng(14)
     A = [crandn(rng, 3, 4), crandn(rng, 2, 4), crandn(rng, 5, 4)]
     X = crandn(rng, 3, 4)
-    factors = FactorMatrices(tuple(A))
-    lhs = unfold_last(kruskal(factors, X))
+    lhs = received(FactorMatrices(tuple(A)), X).T
     rhs = X @ khatri_rao(A).T
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_unfold_requires_order_three():
-    with pytest.raises(ValueError):
-        unfold_last(ComplexTensor(np.ones((3, 4), dtype=complex)))
 
 
 # ------------------------------------------------- invariants (property tests)
@@ -172,16 +145,16 @@ dims_strategy = st.lists(st.integers(2, 4), min_size=2, max_size=3)
 @settings(max_examples=30, deadline=None)
 @given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1))
 def test_vec_kron_consistency(dims, seed):
-    # flattening a rank-1 tensor equals the kron fold of its factor columns
+    # flattening the rank-1 samples equals the kron fold of the factor
+    # columns and the state column
     rng = np.random.default_rng(seed)
     cols = [crandn(rng, l, 1) for l in dims]
     x = crandn(rng, 2, 1)
-    t = kruskal(FactorMatrices(tuple(cols)), x)
-    vec = t.flat
+    vec = received(FactorMatrices(tuple(cols)), x).reshape(-1)
     expected = cols[0][:, 0]
     for c in cols[1:]:
-        expected = kron(expected, c[:, 0])
-    expected = kron(expected, x[:, 0])
+        expected = np.kron(expected, c[:, 0])
+    expected = np.kron(expected, x[:, 0])
     np.testing.assert_allclose(vec, expected, rtol=0, atol=1e-14)
 
 
@@ -192,8 +165,7 @@ def test_unfolding_identity_random_instances(dims, K, M, seed):
     rng = np.random.default_rng(seed)
     A = [crandn(rng, l, K) for l in dims]
     X = crandn(rng, M, K)
-    factors = FactorMatrices(tuple(A))
-    lhs = unfold_last(kruskal(factors, X))
+    lhs = received(FactorMatrices(tuple(A)), X).T
     rhs = X @ khatri_rao(A).T
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -204,26 +176,18 @@ def test_frobenius_norm_tensor_vs_unfolded(dims, K, seed):
     rng = np.random.default_rng(seed)
     A = [crandn(rng, l, K) for l in dims]
     X = crandn(rng, 3, K)
-    factors = FactorMatrices(tuple(A))
-    t_norm2 = kruskal(factors, X).norm() ** 2
+    t_norm2 = np.linalg.norm(received(FactorMatrices(tuple(A)), X)) ** 2
     m_norm2 = np.linalg.norm(X @ khatri_rao(A).T) ** 2
     np.testing.assert_allclose(t_norm2, m_norm2, rtol=1e-10)
 
 
 # ---------------------------------------------------------------- types
 
-def test_complex_tensor_flat_is_canonical_order():
-    arr = np.arange(24, dtype=complex).reshape(2, 3, 4)
-    t = ComplexTensor(arr)
-    # linear index of (i1, i2, m) is (i1*3 + i2)*4 + m
-    assert t.flat[(1 * 3 + 2) * 4 + 3] == arr[1, 2, 3]
-    assert t.dims == (2, 3, 4)
-
-
 def test_tensors_are_immutable():
-    t = ComplexTensor(np.ones((2, 2, 2), dtype=complex))
+    rng = np.random.default_rng(15)
+    factors = FactorMatrices((crandn(rng, 2, 2), crandn(rng, 2, 2)))
     with pytest.raises(ValueError):
-        t.array[0, 0, 0] = 5.0
+        factors.matrices[0][0, 0] = 5.0
 
 
 def test_factor_matrices_validation():

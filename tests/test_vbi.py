@@ -13,7 +13,7 @@ from leojadce import vbi
 from leojadce.detection import nmse
 from leojadce.signals import gen_preambles, synthesize_received
 from leojadce.specfun import SignedLogValue, hyp1f1, ln_gamma_signed, signed_log_sum
-from leojadce.tensors import khatri_rao, unfold_last
+from leojadce.tensors import khatri_rao
 
 K, M = 40, 4
 WOODBURY, DIRECT = (4, 4), (8, 8)   # L = 16 < K and L = 64 > K
@@ -33,8 +33,7 @@ def operands(p, Y):
     Y_(d+1) KR^*, Y_(d+1) and ||Y||^2."""
     G = None if vbi.woodbury_pays(p.L, p.K) else vbi.precompute_gram(p)
     kr = khatri_rao(list(p))
-    return (G, kr, unfold_last(Y) @ kr.conj(), unfold_last(Y),
-            float(np.vdot(Y.array, Y.array).real))
+    return G, kr, Y.T @ kr.conj(), Y.T, float(np.vdot(Y, Y).real)
 
 
 def state_with(p, Y, e_beta, e_v, e_mu_inv):
