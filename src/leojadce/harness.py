@@ -37,7 +37,7 @@ SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
                   "nmse_mean", "nmse_std", "nmse_ci95",
                   "nmse_active_mean", "iters_mean"]
 TIMINGS_HEADER = ["axis", "value", "algorithm", "trial", "wall_ms"]
-TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy"]
+TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy", "n_active"]
 FAILURES_HEADER = ["axis", "value", "algorithm", "trial", "error"]
 
 
@@ -106,7 +106,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 alpha_hat = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi).alpha_hat
                 iters = result.n_iters
                 if collect_traces:
-                    trace_rows.extend((trial, it, res, mc) for it, res, mc in result.trace)
+                    trace_rows.extend((trial, *row) for row in result.trace)
             elif algo == "somp":
                 Y_mat, A = baseline_inputs(Y, preambles)
                 somp_cfg = baselines.SompConfig(
@@ -284,5 +284,5 @@ def write_outputs(out_dir: str | Path, sweep: SweepSpec,
         for value, rows in traces.items():
             if rows:
                 _write_csv(out / f"trace_{sweep.axis}_{value}.csv", TRACE_HEADER,
-                           ([trial, it, _fmt(resid), _fmt(max_col)]
-                            for trial, it, resid, max_col in rows))
+                           ([trial, it, _fmt(resid), _fmt(max_col), n_active]
+                            for trial, it, resid, max_col, n_active in rows))

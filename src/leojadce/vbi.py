@@ -29,6 +29,16 @@ L x L / L x K arrays. The direct path adds the K x K Gram G and one K x K
 factor buffer. On both paths q(beta) takes its fit term ||M_X KR^T||_F^2
 from KR, at M L K work.
 
+Pruning: a device whose prior precision E[v_k] has collapsed (see
+:func:`prune`) leaves the q(X) solve for the rest of the run, as in the
+fixed-point pruning of sparse Bayesian learning (Tipping & Faul 2003; Wipf
+& Rao 2007). q(X) is the one block that couples the devices and costs K^3;
+it then solves only for the active devices, on the path picked for all K.
+A pruned device reports an all-zero column of M_X and c_diag = 0, adds
+nothing to Tr(G C_X), and keeps the q(v) rate it was pruned with; q(mu)
+still runs over all K devices. Each pruning step changes the model, so
+the ELBO is non-decreasing only while the active set is fixed.
+
 scipy.linalg is imported inside the q(X) solve helpers, on their first
 call, not when this module loads: its package init costs about 28 MB of
 resident memory and a few tenths of a second, which a process that only
@@ -48,6 +58,27 @@ import numpy as np
 
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
 from .tensors import FactorMatrices, khatri_rao
+
+
+# Pruning (see :func:`prune`): from this iteration on, a device whose prior
+# precision E[v_k] exceeds PRUNE_PRECISION_RATIO times the smallest active
+# E[v], and whose M_X column energy is below PRUNE_ENERGY_FRACTION of the
+# largest and did not grow since the previous iteration, leaves the q(X)
+# solve. The fraction sits a factor 30 under the detection threshold
+# M (r max|M_X|)^2 >= 0.09 x the largest column energy at r = 0.3, so a
+# device pruned at that iteration would not be detected there. Both were
+# picked on master seeds 7 and 1234 at K=500: at L=400, 30 dB the run then
+# stops after 15-18 iterations instead of 30-32, and at L=100 (xi = 1) or
+# at 10 dB no device is pruned. A fraction of 1e-2 pruned the same devices;
+# one of 1e-3 pruned them over more iterations, and the run stopped after
+# 16-25. The growth test keeps a true device whose column the iteration
+# has not yet picked up: with X 20 times larger (a harness xi of 400), the
+# unit E[v] start holds such a column near its prior for many iterations.
+# The test costs 0-5 iterations a trial at L=400, 30 dB; without it, such
+# devices were pruned at L=100, xi = 400, and on a K=40 scene.
+PRUNE_FROM_ITER = 5
+PRUNE_PRECISION_RATIO = 200.0
+PRUNE_ENERGY_FRACTION = 3e-3
 
 
 class EngineError(RuntimeError):
@@ -86,10 +117,16 @@ class PosteriorState:
     solve (G and its factor, on the direct path that :func:`run` picks
     when Woodbury does not pay) live only in :func:`run` and
     :func:`update_qX`, and the Woodbury path forms none.
+
+    Every vector keeps all K devices. A device pruned from the q(X) solve
+    has an all-zero column of M_X, c_diag = 0 and no share of tr_GC (whose
+    K then counts the active devices only), and its a_v stays at the value
+    it had when it was pruned. Pruning changes the model, so the ELBO of
+    these statistics is non-decreasing only while the active set is fixed.
     """
 
-    M_X: np.ndarray          # M x K posterior mean
-    c_diag: np.ndarray       # K real, positive: diag(C_X)
+    M_X: np.ndarray          # M x K posterior mean; zero columns for pruned devices
+    c_diag: np.ndarray       # K real: diag(C_X), positive; 0 for pruned devices
     tr_GC: float             # Tr(G C_X)
     a_v: np.ndarray          # K rates for q(v_k)
     b_v: float               # shape M + eps, fixed
@@ -113,8 +150,9 @@ class EngineResult:
     state: PosteriorState
     n_iters: int
     converged: bool
-    # rows of (iteration, residual F, max column energy of M_X)
-    trace: list[tuple[int, float, float]]
+    # rows of (iteration, residual F, max column energy of M_X, number of
+    # devices in that iteration's q(X) solve)
+    trace: list[tuple[int, float, float, int]]
 
     @property
     def M_X(self) -> np.ndarray:
@@ -260,7 +298,7 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
 
 
 def update_qX(s: PosteriorState, G: np.ndarray | None, kr: np.ndarray, Ty: np.ndarray,
-              Y_mat: np.ndarray) -> PosteriorState:
+              Y_mat: np.ndarray, active: np.ndarray | None = None) -> PosteriorState:
     """Refresh (M_X, c_diag, tr_GC) without forming C_X.
 
     With C_X = (E[beta] G + diag(E[v]))^-1:
@@ -270,18 +308,29 @@ def update_qX(s: PosteriorState, G: np.ndarray | None, kr: np.ndarray, Ty: np.nd
     goes through the L x L Woodbury system, which reads ``kr`` and
     ``Y_mat``; otherwise through a Cholesky factor of the K x K system,
     which reads ``G`` and ``Ty``.
+
+    ``active`` holds the sorted indices of the devices still in the model
+    (all K by default). G, kr and Ty hold only those devices' rows and
+    columns, and the formulas above run on that subsystem, with K its
+    size. A pruned device gets an all-zero column of M_X and c_diag = 0,
+    and adds nothing to tr_GC.
     """
-    e_beta, e_v = s.E_beta, s.E_v
+    active = np.arange(len(s.a_v)) if active is None else active
+    e_beta, e_v, e_mu_inv = s.E_beta, s.E_v[active], s.E_mu_inv[active]
     if G is None:
-        M_X, c_diag = _solve_woodbury(kr, e_beta, e_v, Y_mat, s.E_mu_inv)
+        M_X_a, c_diag_a = _solve_woodbury(kr, e_beta, e_v, Y_mat, e_mu_inv)
     else:
-        rhs = e_beta * Ty + (s.E_mu_inv * e_v)[None, :]
-        M_X, c_diag = _solve_direct(G, e_beta, e_v, rhs)
-    if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
+        rhs = e_beta * Ty + (e_mu_inv * e_v)[None, :]
+        M_X_a, c_diag_a = _solve_direct(G, e_beta, e_v, rhs)
+    if not (np.all(np.isfinite(M_X_a)) and np.all(np.isfinite(c_diag_a))):
         raise EngineError("non-finite entries in q(X) update")
-    if np.any(c_diag <= 0):
+    if np.any(c_diag_a <= 0):
         raise EngineError("non-positive diagonal of the X-covariance")
-    tr_GC = (len(e_v) - float(np.dot(e_v, c_diag))) / e_beta
+    tr_GC = (len(e_v) - float(np.dot(e_v, c_diag_a))) / e_beta
+    M_X = np.zeros_like(s.M_X)
+    M_X[:, active] = M_X_a
+    c_diag = np.zeros(len(s.a_v))
+    c_diag[active] = c_diag_a
     return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC)
 
 
@@ -403,15 +452,23 @@ def update_qmu(s: PosteriorState) -> PosteriorState:
     return dataclasses.replace(s, E_mu_inv=e1, E_mu_inv2=e2)
 
 
-def update_qv(s: PosteriorState) -> PosteriorState:
+def update_qv(s: PosteriorState, active: np.ndarray | None = None) -> PosteriorState:
     """Refresh the column-precision rates:
     a_v[k] = ||M_X(:,k)||^2 + M c_diag[k] - 2 E[mu^-1] Re(sum_m M_X(m,k))
-             + M E[mu^-2] + eps, with c_diag = diag(C_X) from q(X)."""
+             + M E[mu^-2] + eps, with c_diag = diag(C_X) from q(X).
+
+    Only the ``active`` devices' rates move (all K by default); a pruned
+    device keeps the rate it was pruned with. Its M_X column and c_diag
+    are 0, so the formula would leave it M E[mu^-2] + eps, which q(mu)
+    makes about eps (1 - 1/(2 E[v])) at its t = -eps: negative for
+    E[v] < 1/2."""
+    active = np.arange(len(s.a_v)) if active is None else active
     M = s.M_X.shape[0]
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     col_sum = np.real(np.sum(s.M_X, axis=0))
-    a_v = (col_energy + M * s.c_diag
-           - 2.0 * s.E_mu_inv * col_sum + M * s.E_mu_inv2 + s.eps)
+    a_v = s.a_v.copy()
+    a_v[active] = (col_energy + M * s.c_diag
+                   - 2.0 * s.E_mu_inv * col_sum + M * s.E_mu_inv2 + s.eps)[active]
     if np.any(a_v <= 0) or not np.all(np.isfinite(a_v)):
         raise EngineError("non-positive or non-finite q(v) rate")
     return dataclasses.replace(s, a_v=a_v)
@@ -446,6 +503,21 @@ def update_qbeta(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
     return dataclasses.replace(s, a_beta=max(F, 0.0) + s.eps)
 
 
+def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
+          ) -> np.ndarray:
+    """Mask over the active devices of those that leave the q(X) solve.
+
+    A device goes when its precision has collapsed relative to the active
+    set, E[v_k] > PRUNE_PRECISION_RATIO * min E[v], and its column of M_X
+    holds less than PRUNE_ENERGY_FRACTION of the largest column energy and
+    did not grow since the previous iteration (``prev_col_energy``). The
+    device with the smallest E[v] always stays. A column that still grows
+    may belong to a true device that the iteration has not yet picked up."""
+    return ((e_v > PRUNE_PRECISION_RATIO * np.min(e_v))
+            & (col_energy < PRUNE_ENERGY_FRACTION * np.max(col_energy))
+            & (col_energy <= prev_col_energy))
+
+
 def run(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
@@ -454,23 +526,38 @@ def run(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig,
 
     The operands of q(X) and q(beta) are formed once, here. The K x K Gram
     G is formed only when q(X) takes its direct path; when
-    :func:`woodbury_pays`, G is None and no K x K array is formed."""
+    :func:`woodbury_pays`, G is None and no K x K array is formed.
+
+    From iteration PRUNE_FROM_ITER on, the devices that :func:`prune`
+    names leave the q(X) solve for good, and later iterations solve only
+    for the rest, on the path picked at the start: G (cut by index, never
+    recomputed) or KR's columns, and Ty's columns, are cut to the active
+    devices. A pruned device reports an all-zero column of M_X and
+    c_diag = 0, and its q(v) rate stays frozen; q(mu) still runs over
+    every device. Pruning changes the model, so the ELBO is non-decreasing
+    only between pruning steps, while the active set is fixed. A run where
+    no device meets the rule solves for every device on every iteration
+    and gives the M_X of the unpruned iteration bit for bit."""
     G = None if woodbury_pays(p.L, p.K) else precompute_gram(p)
     kr = khatri_rao(list(p))
     Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(p, Y, cfg)
-    trace: list[tuple[int, float, float]] = []
+    # G and the q(X) copies kr_a, Ty_a hold only the rows and columns of
+    # the devices in ``active``
+    active, kr_a, Ty_a = np.arange(p.K), kr, Ty
+    col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
+    trace: list[tuple[int, float, float, int]] = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        prev = s.M_X
-        s = update_qX(s, G, kr, Ty, Y.T)
+        prev, prev_col_energy = s.M_X, col_energy
+        s = update_qX(s, G, kr_a, Ty_a, Y.T, active)
         s = update_qmu(s)
-        s = update_qv(s)
+        s = update_qv(s, active)
         s = update_qbeta(s, kr, Ty, y_energy)
         resid = s.a_beta - s.eps
-        max_col = float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))
-        trace.append((it, resid, max_col))
+        col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
+        trace.append((it, resid, float(np.max(col_energy)), len(active)))
         if on_iteration is not None:
             on_iteration(it, s)
         denom = float(np.linalg.norm(prev))
@@ -478,4 +565,14 @@ def run(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig,
         if denom > 0 and delta / denom < cfg.rel_tol:
             converged = True
             break
+        if not PRUNE_FROM_ITER <= it < cfg.max_iters:
+            continue
+        drop = prune(s.E_v[active], col_energy[active], prev_col_energy[active])
+        if drop.any():
+            keep = np.flatnonzero(~drop)
+            active, Ty_a = active[keep], Ty_a[:, keep]
+            if G is None:
+                kr_a = kr_a[:, keep]
+            else:
+                G = G[np.ix_(keep, keep)]
     return EngineResult(state=s, n_iters=it, converged=converged, trace=trace)

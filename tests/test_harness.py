@@ -6,7 +6,7 @@ import csv
 
 from leojadce import vbi
 from leojadce.config import ScenarioConfig, make_sweep
-from leojadce.harness import TRIALS_HEADER, run_sweep, run_trial, write_outputs
+from leojadce.harness import TRACE_HEADER, TRIALS_HEADER, run_sweep, run_trial, write_outputs
 
 
 def test_baselines_scored_against_true_device_states():
@@ -111,3 +111,23 @@ def test_failed_trial_reason_goes_to_failures_csv(tmp_path, monkeypatch):
     assert trials[0] == TRIALS_HEADER
     assert all(len(row) == len(TRIALS_HEADER) for row in trials)
     assert ["snr", "10", "vbi", "0", "nan", "nan", "nan", "0"] in trials
+
+
+def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
+    records, traces = run_sweep(TINY, TINY_SWEEP, collect_traces=True)
+    write_outputs(tmp_path / "traced", TINY_SWEEP, records, traces)
+    assert (tmp_path / "traced" / "trials.csv").read_bytes() == trials_csv(tmp_path, "plain")
+    for value in TINY_SWEEP.values:
+        with open(tmp_path / "traced" / f"trace_snr_{value}.csv", newline="",
+                  encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == TRACE_HEADER
+        assert header[-1] == "n_active"
+        for r in records:
+            if r.value != value or r.algorithm != "vbi":
+                continue
+            mine = [row for row in rows if row[0] == str(r.trial)]
+            assert [int(row[1]) for row in mine] == list(range(1, r.iters + 1))
+            n_active = [int(row[4]) for row in mine]
+            assert n_active[0] == TINY.K
+            assert n_active == sorted(n_active, reverse=True)

@@ -1,0 +1,211 @@
+"""Pruning inside the engine: a run where no device meets the rule is the
+unpruned iteration bit for bit, pruned devices stay out for good, true
+devices whose columns still grow are kept, and the solve on the devices
+left is the dense-inverse q(X) of that subsystem."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from leojadce import harness, vbi
+from leojadce.channel import device_state_matrix, draw_channels
+from leojadce.config import ScenarioConfig
+from leojadce.signals import (gen_preambles, snr_to_noise_variance,
+                              synthesize_received)
+from leojadce.tensors import khatri_rao
+
+K, M = 40, 4
+WOODBURY, DIRECT = (4, 4), (8, 8)   # L = 16 < K and L = 64 > K
+
+
+def scene(dims, sigma_n2, scale=1.0, seed=0):
+    """Four active devices of K=40; ``scale`` multiplies X, and the noise
+    with it, so the SNR stays that of ``sigma_n2``. Returns the preambles,
+    the samples and X."""
+    rng = np.random.default_rng(seed)
+    p = gen_preambles(dims, K, rng)
+    X = np.zeros((M, K), dtype=complex)
+    active = rng.choice(K, 4, replace=False)
+    X[:, active] = scale * (rng.standard_normal((M, 4)) + 1j * rng.standard_normal((M, 4)))
+    return p, synthesize_received(p, X, sigma_n2 * scale ** 2, rng), X
+
+
+def harness_scene(cfg, trial=0):
+    """The preambles and samples that harness.run_trial draws for ``trial``."""
+    rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
+    p = gen_preambles(cfg.dims, cfg.K, rng)
+    geom = harness.scenario_geometry(cfg)
+    ch = draw_channels(cfg.link_budget(), geom, cfg.M, cfg.p_a, rng)
+    X = device_state_matrix(ch, geom.xi)
+    return p, synthesize_received(p, X, snr_to_noise_variance(cfg.snr_db, cfg.xi), rng)
+
+
+def unpruned_run(p, Y, cfg):
+    """The iteration without pruning, as it stood before pruning was added:
+    every device stays in the q(X) solve. Returns (M_X, n_iters, trace)."""
+    G = None if vbi.woodbury_pays(p.L, p.K) else vbi.precompute_gram(p)
+    kr = khatri_rao(list(p))
+    Ty = vbi._y_kr_conj(Y, kr)
+    y_energy = float(np.vdot(Y, Y).real)
+    s = vbi.init_posterior(p, Y, cfg)
+    trace = []
+    for it in range(1, cfg.max_iters + 1):
+        prev = s.M_X
+        s = vbi.update_qX(s, G, kr, Ty, Y.T)
+        s = vbi.update_qmu(s)
+        s = vbi.update_qv(s)
+        s = vbi.update_qbeta(s, kr, Ty, y_energy)
+        trace.append((it, s.a_beta - s.eps,
+                      float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))))
+        denom = float(np.linalg.norm(prev))
+        if denom > 0 and float(np.linalg.norm(s.M_X - prev)) / denom < cfg.rel_tol:
+            break
+    return s.M_X, it, trace
+
+
+PAPER_SHORT = ScenarioConfig(K=500, M=8, dims=(10, 10), snr_db=10.0, algos=("vbi",),
+                             trials=1)
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (lambda: scene(WOODBURY, 0.05)[:2], vbi.EngineConfig(max_iters=4)),
+    (lambda: scene(DIRECT, 0.05)[:2], vbi.EngineConfig(max_iters=4)),
+    # the L=100, 10 dB trial of the short-preamble benchmark scene
+    (lambda: harness_scene(PAPER_SHORT), PAPER_SHORT.engine_config()),
+], ids=["woodbury-4-iters", "direct-4-iters", "L100-10dB"])
+def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
+    p, Y = make()
+    result = vbi.run(p, Y, cfg)
+    M_X, n_iters, trace = unpruned_run(p, Y, cfg)
+    assert [row[3] for row in result.trace] == [p.K] * result.n_iters
+    assert result.n_iters == n_iters
+    assert [row[:3] for row in result.trace] == trace
+    np.testing.assert_array_equal(result.M_X, M_X)
+
+
+# both prune; DIRECT cuts G, WOODBURY stays on the Woodbury path and cuts KR
+PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
+
+
+def states_of(p, Y, cfg=vbi.EngineConfig()):
+    states = [vbi.init_posterior(p, Y, cfg)]
+    result = vbi.run(p, Y, cfg, on_iteration=lambda it, s: states.append(s))
+    return result, states
+
+
+@pytest.mark.parametrize("dims, sigma_n2", PRUNING)
+def test_pruned_devices_stay_out(dims, sigma_n2):
+    p, Y, _ = scene(dims, sigma_n2)
+    result, states = states_of(p, Y)
+    n_active = [row[3] for row in result.trace]
+    assert n_active[-1] < K
+    assert n_active == sorted(n_active, reverse=True)
+    pruned = np.zeros(K, dtype=bool)
+    for it, (before, s) in enumerate(zip(states, states[1:]), start=1):
+        zero = np.all(s.M_X == 0, axis=0)
+        assert np.all(zero[pruned]), f"a pruned column came back at iteration {it}"
+        assert np.count_nonzero(~zero) == n_active[it - 1]
+        np.testing.assert_array_equal(s.c_diag == 0, zero)
+        # a device pruned before this iteration's q(v) keeps its rate
+        np.testing.assert_array_equal(s.a_v[zero], before.a_v[zero])
+        pruned = zero
+    assert pruned.any()
+
+
+@pytest.mark.parametrize("dims, sigma_n2", PRUNING)
+def test_active_set_solve_matches_dense_inverse(dims, sigma_n2):
+    # each iteration's q(X) from the previous iteration's E[beta], E[v] and
+    # E[mu^-1], on the devices whose columns it left nonzero
+    p, Y, _ = scene(dims, sigma_n2)
+    _, states = states_of(p, Y)
+    G = vbi.precompute_gram(p)
+    Ty = Y.T @ khatri_rao(list(p)).conj()
+    checked = 0
+    for before, s in zip(states, states[1:]):
+        a = np.flatnonzero(np.any(s.M_X != 0, axis=0))
+        e_beta, e_v = before.E_beta, before.E_v[a]
+        G_a = G[np.ix_(a, a)]
+        C = np.linalg.inv(e_beta * G_a + np.diag(e_v))
+        M_X = (e_beta * Ty[:, a] + (before.E_mu_inv[a] * e_v)[None, :]) @ C
+        assert np.linalg.norm(s.M_X[:, a] - M_X) <= 1e-9 * np.linalg.norm(M_X)
+        np.testing.assert_allclose(s.c_diag[a], np.diag(C).real, rtol=1e-9, atol=0)
+        assert s.tr_GC == pytest.approx(np.trace(G_a @ C).real, rel=1e-9)
+        checked += len(a) < K
+    assert checked > 0
+
+
+def counting(monkeypatch, name):
+    calls = []
+    fn = getattr(vbi, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(vbi, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dims, sigma_n2", PRUNING)
+def test_pruning_keeps_the_call_counts(monkeypatch, dims, sigma_n2):
+    # q(mu) still runs over every device, and no Khatri-Rao product is
+    # formed again when K shrinks
+    p, Y, _ = scene(dims, sigma_n2)
+    hyp = counting(monkeypatch, "hyp1f1")
+    kr = counting(monkeypatch, "khatri_rao")
+    result = vbi.run(p, Y, vbi.EngineConfig())
+    assert result.trace[-1][3] < K
+    assert len(hyp) == 6 * K * result.n_iters
+    pruned_kr = len(kr)
+    kr.clear()
+    unpruned = vbi.run(p, Y, vbi.EngineConfig(max_iters=4))
+    assert unpruned.trace[-1][3] == K
+    assert pruned_kr == len(kr)
+
+
+def test_pruned_device_below_half_unit_precision_keeps_a_positive_rate():
+    # a pruned device has a zero column and c_diag = 0, so q(mu) gives it
+    # t = -eps and E[mu^-2] near -eps / (2 M E[v]); below E[v] = 1/2 the
+    # formula's rate M E[mu^-2] + eps is negative, and only the freeze on
+    # the pruned devices keeps it positive
+    p, Y, _ = scene(DIRECT, 1e-2)
+    s = vbi.run(p, Y, vbi.EngineConfig()).state
+    pruned = np.all(s.M_X == 0, axis=0)
+    assert pruned.any()
+    a_v = np.where(pruned, s.b_v / 0.1, s.a_v)      # E[v] = 0.1 when pruned
+    s = vbi.update_qmu(dataclasses.replace(s, a_v=a_v))
+    out = vbi.update_qv(s, np.flatnonzero(~pruned))
+    np.testing.assert_array_equal(out.a_v[pruned], a_v[pruned])
+    assert np.all(out.a_v > 0)
+    with pytest.raises(vbi.EngineError, match="q\\(v\\) rate"):
+        vbi.update_qv(s)
+
+
+def nmse(M_X, X):
+    return float(np.linalg.norm(M_X - X) ** 2 / np.linalg.norm(X) ** 2)
+
+
+@pytest.mark.parametrize("sigma_n2, scale", [(1e-2, 20.0), (5e-2, 30.0)])
+def test_scaled_scenes_keep_every_true_device(sigma_n2, scale):
+    # X 20 and 30 times larger, as a harness xi of 400 and 900 makes it: the
+    # true columns grow from the unit E[v] start over many iterations, while
+    # the collapsed devices' E[v] sits far above. Without the test that a
+    # column has stopped growing, true device 21 was pruned at iteration 9
+    # of the first scene, and devices 21 and 0 at iterations 16-17 of the
+    # second.
+    p, Y, X = scene(DIRECT, sigma_n2, scale)
+    result = vbi.run(p, Y, vbi.EngineConfig())
+    assert result.trace[-1][3] < K
+    true = np.any(X != 0, axis=0)
+    assert np.all(np.any(result.M_X[:, true] != 0, axis=0))
+    # and the estimate is no worse than the unpruned iteration's
+    assert nmse(result.M_X, X) <= nmse(unpruned_run(p, Y, vbi.EngineConfig())[0], X)
+
+
+def test_paper_scale_trial_converges_within_twenty_iterations():
+    cfg = ScenarioConfig(K=500, M=8, dims=(20, 20), snr_db=30.0, master_seed=100,
+                         algos=("vbi",), trials=1)
+    (record,), _ = harness.run_trial(cfg, "snr", "30", 0)
+    assert not record.failed, record.error
+    assert record.iters < 20
