@@ -6,7 +6,7 @@ from .channel import (ChannelRealization, DeviceGeometry, LinkBudget,
                       antenna_gain, device_state_matrix, draw_channels,
                       large_scale_gain, sample_device_geometry, sample_rain_db)
 from .config import ScenarioConfig, SweepSpec, load_config, make_sweep, parse_config
-from .detection import DetectionResult, detect, error_probability, nmse, nmse_active
+from .detection import detect, error_probability, nmse, nmse_active
 from .harness import TrialRecord, aggregate, run_sweep, run_trial, write_outputs
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)

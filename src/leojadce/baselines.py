@@ -1,23 +1,20 @@
 """Reference sparse-recovery baselines operating on the matrix-form signal.
 
 The baselines see a plain L x M observation and an L x K dictionary; they
-do not exploit the tensor structure. Both take their input in the form
+do not exploit the tensor structure. They read the received samples in the
+one convention every algorithm here shares,
 
-    Y = A X^H (+ noise),
+    Y = A X^T (+ noise),
 
-with X the M x K device-state matrix, and both return their estimate of X
-itself: recovered coefficient rows conjugate-transpose back into
-device-state columns.
-
-The L x M received samples are Y = A X^T + N, with A the assembled
-preamble matrix. Their conjugate Y* = A* X^H + N* is in the form above, so
-the harness passes the pair (Y.conj(), A.conj()).
+with A the L x K preamble matrix and X the M x K device-state matrix, and
+they return their estimate of X itself: device k's coefficient row is
+column k of the estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +38,9 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     correlation magnitude against the residual, least-squares refit on the
     support, repeat until the residual tolerance or the support cap.
 
-    ``Y`` (L x M) is read as ``A X^H`` plus noise; ``X_hat`` estimates the
-    M x K matrix X, so it holds the conjugate transpose of the fitted
-    coefficient rows.
+    ``Y`` (L x M) is read as ``A X^T`` plus noise; ``X_hat`` estimates the
+    M x K matrix X, so it holds the transpose of the fitted coefficient
+    rows.
 
     The refit keeps a growing QR factor A_S = Q R of the chosen atoms. A new
     atom a_k is orthogonalised twice against Q (classical Gram-Schmidt with
@@ -111,7 +108,7 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     if support:
         n = len(support)
         coef = np.linalg.solve(R[:n, :n], QhY[:n])
-        X_hat[:, support] = coef.conj().T
+        X_hat[:, support] = coef.T
     return SompResult(support=support, X_hat=X_hat, residual_norms=norms,
                       rank_deficient=rank_deficient)
 
@@ -144,7 +141,7 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
     shrunk jointly via block soft thresholding. Kept simple: it is a
     comparison baseline, not a tuned state-evolution implementation.
 
-    ``Y`` (L x M) is read as ``A X^H`` plus noise, like :func:`somp`; the
+    ``Y`` (L x M) is read as ``A X^T`` plus noise, like :func:`somp`; the
     returned ``X_hat`` estimates the M x K matrix X (zeros if it diverged).
 
     An iteration does two L x K products: the adjoint A^H Z, taken as
@@ -185,5 +182,5 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
             break
         if np.linalg.norm(Y - AX) <= cfg.tol * y_norm:
             break
-    return AmpResult(X_hat=X.conj().T if not diverged else np.zeros((M, K), dtype=complex),
+    return AmpResult(X_hat=X.T if not diverged else np.zeros((M, K), dtype=complex),
                      n_iters=n_done, diverged=diverged)

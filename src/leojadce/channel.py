@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class LinkBudget:
     g_over_t_db: float = 34.0          # transmit gain to noise temperature, dB/K
     dish_diameter_m: float = 0.0       # 0 -> calibrate from three_db_angle_deg
     three_db_angle_deg: float = 0.4
-    rain_mean_db: float = -2.6         # mean dB power gain (non-positive)
+    rain_mean_db: float = -2.6         # mean dB power gain (negative)
     rain_std_db: float = 1.63
 
     def __post_init__(self):
@@ -44,8 +44,9 @@ class LinkBudget:
                      "three_db_angle_deg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.rain_mean_db > 0:
-            raise ValueError("rain_mean_db is a dB power gain, must be <= 0")
+        if self.rain_mean_db >= 0:
+            raise ValueError("rain_mean_db is the mean dB power gain of rain "
+                             "attenuation, must be < 0")
         if self.rain_std_db < 0 or self.dish_diameter_m < 0:
             raise ValueError("rain_std_db and dish_diameter_m must be >= 0")
 
@@ -59,18 +60,18 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Slowly-varying per-device quantities, frozen for a whole scenario."""
+    """Slowly-varying per-device quantities, frozen for a whole scenario.
+    The arrays are made read-only, so that trials can share one geometry."""
 
     theta_rad: np.ndarray       # off-axis angle per device
-    rician: np.ndarray          # Rician factor per device
+    omega: np.ndarray           # receive antenna gain at theta_rad
     hlos_norm_sq: np.ndarray    # squared LOS norm, drawn U[0.6, 0.7]
     v_nlos: np.ndarray          # NLOS variance, drawn U[0.2, 0.25]
-    xi: np.ndarray              # preamble transmit power per device
     hlos_dir: np.ndarray        # M x K unit-norm phase directions
 
     def __post_init__(self):
-        if np.any(self.rician < 0) or np.any(self.v_nlos <= 0) or np.any(self.xi <= 0):
-            raise ValueError("rician must be >= 0; v_nlos and xi must be > 0")
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
 
     @property
     def K(self) -> int:
@@ -88,16 +89,15 @@ class ChannelRealization:
     H: np.ndarray          # M x K
     alpha: np.ndarray      # activity bit per device
     g: np.ndarray          # large-scale power gain per device
-    omega: np.ndarray      # receive antenna gain per device
 
 
-def sample_device_geometry(K: int, M: int, rng: np.random.Generator, *,
+def sample_device_geometry(K: int, M: int, lb: LinkBudget, rng: np.random.Generator, *,
                            theta_max_deg: float = 0.4,
-                           rician_factor: float = 8.0,
                            hlos_norm_sq_range: tuple[float, float] = (0.6, 0.7),
-                           v_nlos_range: tuple[float, float] = (0.2, 0.25),
-                           xi: float = 1.0) -> DeviceGeometry:
-    """Draw the frozen per-device geometry for a scenario."""
+                           v_nlos_range: tuple[float, float] = (0.2, 0.25)
+                           ) -> DeviceGeometry:
+    """Draw the frozen per-device geometry for a scenario, with the antenna
+    gain of ``lb``'s receive dish at each device's off-axis angle."""
     theta = rng.uniform(0.0, math.radians(theta_max_deg), size=K)
     norms = rng.uniform(*hlos_norm_sq_range, size=K)
     v_nlos = rng.uniform(*v_nlos_range, size=K)
@@ -105,10 +105,9 @@ def sample_device_geometry(K: int, M: int, rng: np.random.Generator, *,
     hlos_dir = np.exp(1j * phases) / math.sqrt(M)  # unit norm per column
     return DeviceGeometry(
         theta_rad=theta,
-        rician=np.full(K, float(rician_factor)),
+        omega=antenna_gain(theta, lb),
         hlos_norm_sq=norms,
         v_nlos=v_nlos,
-        xi=np.full(K, float(xi)),
         hlos_dir=hlos_dir,
     )
 
@@ -162,16 +161,6 @@ def _gain_kernel(phi):
     return out if np.ndim(phi) else float(out[0])
 
 
-@functools.lru_cache(maxsize=16)
-def _geometry_gain(theta_rad: bytes, lb: LinkBudget) -> np.ndarray:
-    """:func:`antenna_gain` at a frozen geometry's off-axis angles (float64
-    bytes), computed once per (geometry, link budget) rather than once per
-    trial. The array is read-only because every caller shares it."""
-    omega = np.asarray(antenna_gain(np.frombuffer(theta_rad), lb))
-    omega.flags.writeable = False
-    return omega
-
-
 def calibrate_dish_diameter(f_hz: float, three_db_angle_deg: float) -> float:
     """Dish diameter putting the half-power point (gain 1/sqrt(2)) of the
     aperture pattern at the given off-axis angle."""
@@ -197,7 +186,7 @@ def _half_power_phi() -> float:
 
 
 def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
-                  rng: np.random.Generator) -> ChannelRealization:
+                  rician_factor: float, rng: np.random.Generator) -> ChannelRealization:
     """Draw activity, rain, and small-scale fading for one trial.
 
     Circular complex Gaussian convention: variance v splits evenly, i.e.
@@ -207,19 +196,19 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     alpha = (rng.random(K) < p_a).astype(np.int8)
     r_db = sample_rain_db(lb.rain_mean_db, lb.rain_std_db, rng, size=K)
     g = np.array([large_scale_gain(lb, r) for r in r_db])
-    omega = _geometry_gain(np.asarray(geom.theta_rad, dtype=float).tobytes(), lb)
 
-    lam = geom.rician
+    lam = rician_factor
     los = geom.hlos_dir * np.sqrt(geom.hlos_norm_sq)[None, :]
     nlos = math.sqrt(0.5) * (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K)))
     nlos *= np.sqrt(geom.v_nlos)[None, :]
-    H = omega[None, :] * (np.sqrt(lam * g / (lam + 1.0))[None, :] * los
-                          + np.sqrt(g / (lam + 1.0))[None, :] * nlos)
-    return ChannelRealization(H=H, alpha=alpha, g=g, omega=omega)
+    H = geom.omega[None, :] * (np.sqrt(lam * g / (lam + 1.0))[None, :] * los
+                               + np.sqrt(g / (lam + 1.0))[None, :] * nlos)
+    return ChannelRealization(H=H, alpha=alpha, g=g)
 
 
-def device_state_matrix(ch: ChannelRealization, xi: np.ndarray) -> np.ndarray:
-    """M x K device-state matrix; inactive columns are exactly zero."""
-    X = ch.H * (ch.alpha * np.sqrt(xi))[None, :]
+def device_state_matrix(ch: ChannelRealization, xi: float) -> np.ndarray:
+    """M x K device-state matrix for transmit power ``xi``; inactive columns
+    are exactly zero."""
+    X = ch.H * (ch.alpha * math.sqrt(xi))[None, :]
     X[:, ch.alpha == 0] = 0.0  # bitwise-zero, not just scaled-by-zero
     return X

@@ -1,23 +1,13 @@
-"""Activity decision, CSI extraction, and figures of merit."""
+"""Activity decision and figures of merit."""
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    alpha_hat: np.ndarray   # activity bit per device
-    theta: float            # threshold used
-    h_hat: np.ndarray       # M x K, zero columns for undetected devices
-
-
-def detect(M_X: np.ndarray, r: float, xi: float) -> DetectionResult:
+def detect(M_X: np.ndarray, r: float) -> np.ndarray:
     """Threshold rule: theta = M (r * max|M_X|)^2, device k active iff its
-    column energy reaches theta; detected channels are M_X(:,k)/sqrt(xi).
+    column energy reaches theta. Returns the int8 activity bit per device.
 
     An all-zero M_X yields no detections (theta = 0 degenerate case).
     """
@@ -26,16 +16,10 @@ def detect(M_X: np.ndarray, r: float, xi: float) -> DetectionResult:
     M_X = np.asarray(M_X)
     M, K = M_X.shape
     peak = float(np.max(np.abs(M_X))) if M_X.size else 0.0
-    col_energy = np.sum(np.abs(M_X) ** 2, axis=0)
     if peak == 0.0:
-        return DetectionResult(alpha_hat=np.zeros(K, dtype=np.int8), theta=0.0,
-                               h_hat=np.zeros_like(M_X))
-    theta = M * (r * peak) ** 2
-    alpha_hat = (col_energy >= theta).astype(np.int8)
-    h_hat = np.zeros_like(M_X)
-    active = alpha_hat == 1
-    h_hat[:, active] = M_X[:, active] / math.sqrt(xi)
-    return DetectionResult(alpha_hat=alpha_hat, theta=theta, h_hat=h_hat)
+        return np.zeros(K, dtype=np.int8)
+    col_energy = np.sum(np.abs(M_X) ** 2, axis=0)
+    return (col_energy >= M * (r * peak) ** 2).astype(np.int8)
 
 
 def error_probability(alpha_hat: np.ndarray, alpha_true: np.ndarray) -> float:

@@ -5,8 +5,13 @@ function of (master seed, axis name, axis value, trial index). Trials use
 a counter-based Philox stream keyed by a stable hash of that tuple, so
 adding trials or axis values never perturbs existing ones, and trials can
 run in any order or in parallel. Device geometry (positions, LOS
-directions, per-device variances) is frozen per scenario from a separate
-stream; preambles, activity, rain, fading, and noise are redrawn per trial.
+directions, per-device variances, antenna gains) is frozen per scenario
+from a separate stream and cached per configuration, so a process draws it
+once per configuration; preambles, activity, rain, fading, and noise are
+redrawn per trial.
+
+All three algorithms read the same received samples Y = A X^T + N and are
+scored against the same M x K device-state matrix X.
 
 Wall-clock timings are never written into trials.csv (its bytes must be
 identical across reruns); they go to a sidecar timings.csv. Why a trial
@@ -16,6 +21,7 @@ failed goes to a sidecar failures.csv, one row per failed trial.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import time
@@ -25,11 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, detection, vbi
-from .channel import draw_channels, device_state_matrix, sample_device_geometry
+from .channel import (DeviceGeometry, draw_channels, device_state_matrix,
+                      sample_device_geometry)
 from .config import ScenarioConfig, SweepSpec, apply_axis
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)
-from .tensors import FactorMatrices
 
 TRIALS_HEADER = ["axis", "value", "algorithm", "trial", "pe", "nmse", "nmse_active", "iters"]
 SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
@@ -70,14 +76,15 @@ def geometry_rng(cfg: ScenarioConfig) -> np.random.Generator:
         _stable_seed(cfg.master_seed, "geometry", cfg.K, cfg.M)))
 
 
-def scenario_geometry(cfg: ScenarioConfig):
+@functools.lru_cache
+def scenario_geometry(cfg: ScenarioConfig) -> DeviceGeometry:
+    """The frozen device geometry of ``cfg``'s scenario, drawn once per
+    configuration; its arrays are read-only because every trial shares them."""
     return sample_device_geometry(
-        cfg.K, cfg.M, geometry_rng(cfg),
+        cfg.K, cfg.M, cfg.link_budget(), geometry_rng(cfg),
         theta_max_deg=cfg.theta_max_deg,
-        rician_factor=cfg.rician_factor,
         hlos_norm_sq_range=(cfg.hlos_norm_sq_low, cfg.hlos_norm_sq_high),
         v_nlos_range=(cfg.v_nlos_low, cfg.v_nlos_high),
-        xi=cfg.xi,
     )
 
 
@@ -88,9 +95,8 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     rng = trial_rng(cfg.master_seed, axis, value, trial)
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
     geom = scenario_geometry(cfg)
-    lb = cfg.link_budget()
-    ch = draw_channels(lb, geom, cfg.M, cfg.p_a, rng)
-    X_true = device_state_matrix(ch, geom.xi)
+    ch = draw_channels(cfg.link_budget(), geom, cfg.M, cfg.p_a, cfg.rician_factor, rng)
+    X_true = device_state_matrix(ch, cfg.xi)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db, cfg.xi)
     Y = synthesize_received(preambles, X_true, sigma_n2, rng)
     have_active = bool(np.any(ch.alpha == 1))
@@ -103,25 +109,24 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
             if algo == "vbi":
                 result = vbi.run(preambles, Y, cfg.engine_config())
                 x_hat = result.M_X
-                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi).alpha_hat
+                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio)
                 iters = result.n_iters
                 if collect_traces:
                     trace_rows.extend((trial, *row) for row in result.trace)
             elif algo == "somp":
-                Y_mat, A = baseline_inputs(Y, preambles)
                 somp_cfg = baselines.SompConfig(
                     max_support=baselines.default_max_support(cfg.p_a, cfg.K),
-                    residual_tol=somp_residual_tol(Y_mat, sigma_n2))
-                sres = baselines.somp(Y_mat, A, somp_cfg)
+                    residual_tol=somp_residual_tol(Y, sigma_n2))
+                sres = baselines.somp(Y, assemble_preamble_matrix(preambles), somp_cfg)
                 x_hat = sres.X_hat
                 alpha_hat = np.zeros(cfg.K, dtype=np.int8)
                 alpha_hat[sres.support] = 1
                 iters = len(sres.support)
             elif algo == "amp":
-                Y_mat, A = baseline_inputs(Y, preambles)
-                ares = baselines.amp_mmv(Y_mat, A, sigma_n2, cfg.p_a)
+                ares = baselines.amp_mmv(Y, assemble_preamble_matrix(preambles),
+                                         sigma_n2, cfg.p_a)
                 x_hat = ares.X_hat
-                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio, cfg.xi).alpha_hat
+                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio)
                 iters = ares.n_iters
             else:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -141,26 +146,13 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     return records, trace_rows
 
 
-def baseline_inputs(Y: np.ndarray, preambles: FactorMatrices
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (Y*, A*) that the baselines read as ``A X^H``.
-
-    The L x M received samples are Y = A X^T + N, with A the L x K preamble
-    matrix; conjugating both sides gives Y* = A* X^H + N*. A is conjugated
-    in place, so no second L x K copy is live.
-    """
-    A = assemble_preamble_matrix(preambles)
-    np.conjugate(A, out=A)
-    return Y.conj(), A
-
-
-def somp_residual_tol(Y_mat: np.ndarray, sigma_n2: float) -> float:
+def somp_residual_tol(Y: np.ndarray, sigma_n2: float) -> float:
     """Discrepancy-principle stop: quit once the residual reaches the
     expected noise floor."""
-    y_norm = float(np.linalg.norm(Y_mat))
+    y_norm = float(np.linalg.norm(Y))
     if y_norm == 0.0:
         return 0.0
-    floor = math.sqrt(sigma_n2 * Y_mat.size)
+    floor = math.sqrt(sigma_n2 * Y.size)
     return floor / y_norm
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from leojadce import channel
 from leojadce.channel import (ChannelRealization, DeviceGeometry, LinkBudget,
                               SPEED_OF_LIGHT, antenna_gain, _gain_kernel,
                               calibrate_dish_diameter, device_state_matrix,
@@ -115,15 +114,15 @@ def test_dish_calibration_is_consistent():
 
 # ---------------------------------------------------------------- channel draws
 
-def _uniform_geometry(K, M, theta=0.0, lam=8.0, norm_sq=0.65, v=0.225, xi=1.0):
-    """All-identical devices: columns of one draw are i.i.d. replicas."""
+def _uniform_geometry(K, M, norm_sq=0.65, v=0.225):
+    """All-identical devices at boresight (unit antenna gain): columns of
+    one draw are i.i.d. replicas."""
     direction = np.exp(1j * np.linspace(0.1, 2.0, M)) / math.sqrt(M)
     return DeviceGeometry(
-        theta_rad=np.full(K, theta),
-        rician=np.full(K, lam),
+        theta_rad=np.zeros(K),
+        omega=np.ones(K),
         hlos_norm_sq=np.full(K, norm_sq),
         v_nlos=np.full(K, v),
-        xi=np.full(K, xi),
         hlos_dir=np.tile(direction[:, None], (1, K)),
     )
 
@@ -131,41 +130,20 @@ def _uniform_geometry(K, M, theta=0.0, lam=8.0, norm_sq=0.65, v=0.225, xi=1.0):
 def test_draw_channels_zero_activity():
     rng = np.random.default_rng(3)
     lb = default_budget()
-    geom = sample_device_geometry(50, 4, rng)
-    ch = draw_channels(lb, geom, 4, 0.0, rng)
+    geom = sample_device_geometry(50, 4, lb, rng)
+    ch = draw_channels(lb, geom, 4, 0.0, 8.0, rng)
     assert np.all(ch.alpha == 0)
     assert ch.H.shape == (4, 50)
-
-
-def test_draw_channels_computes_antenna_gain_once_per_geometry(monkeypatch):
-    calls = []
-
-    def counting_gain(theta, lb):
-        calls.append(lb)
-        return antenna_gain(theta, lb)
-
-    monkeypatch.setattr(channel, "antenna_gain", counting_gain)
-    rng = np.random.default_rng(6)
-    geom = sample_device_geometry(30, 2, rng, theta_max_deg=0.37)  # a fresh geometry
-    lb, lb_wide = default_budget(), default_budget(three_db_angle_deg=0.5)
-    first = draw_channels(lb, geom, 2, 0.5, rng)
-    second = draw_channels(lb, geom, 2, 0.5, rng)
-    wide = draw_channels(lb_wide, geom, 2, 0.5, rng)
-    assert calls == [lb, lb_wide]
-    np.testing.assert_array_equal(first.omega, antenna_gain(geom.theta_rad, lb))
-    np.testing.assert_array_equal(second.omega, first.omega)
-    np.testing.assert_array_equal(wide.omega, antenna_gain(geom.theta_rad, lb_wide))
-    assert not first.omega.flags.writeable
 
 
 def test_draw_channels_infinite_rician_limit():
     rng = np.random.default_rng(4)
     lb = default_budget(rain_std_db=0.0)
     K, M = 20_000, 4
-    geom = _uniform_geometry(K, M, lam=1e12)
-    ch = draw_channels(lb, geom, M, 0.5, rng)
+    geom = _uniform_geometry(K, M)
+    ch = draw_channels(lb, geom, M, 0.5, 1e12, rng)
     g = ch.g[0]
-    expected_mean = ch.omega[0] * math.sqrt(g) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
+    expected_mean = geom.omega[0] * math.sqrt(g) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     sample_mean = np.mean(ch.H, axis=1)
     sample_var = np.var(ch.H, axis=1)
     np.testing.assert_allclose(sample_mean, expected_mean, rtol=1e-5)
@@ -176,9 +154,9 @@ def test_draw_channels_rician_moment_oracle():
     rng = np.random.default_rng(5)
     lb = default_budget(rain_std_db=0.0)  # freeze g so moments are clean
     K, M, lam, v = 100_000, 4, 8.0, 0.225
-    geom = _uniform_geometry(K, M, lam=lam, v=v)
-    ch = draw_channels(lb, geom, M, 0.5, rng)
-    g, w = ch.g[0], ch.omega[0]
+    geom = _uniform_geometry(K, M, v=v)
+    ch = draw_channels(lb, geom, M, 0.5, lam, rng)
+    g, w = ch.g[0], geom.omega[0]
     mean_true = w * math.sqrt(lam * g / (lam + 1)) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     var_true = w**2 * g * v / (lam + 1)
     sample_mean = np.mean(ch.H, axis=1)
@@ -192,7 +170,9 @@ def test_draw_channels_rician_moment_oracle():
 
 def test_geometry_sampling_ranges():
     rng = np.random.default_rng(6)
-    geom = sample_device_geometry(1000, 4, rng)
+    lb = default_budget()
+    geom = sample_device_geometry(1000, 4, lb, rng)
+    np.testing.assert_array_equal(geom.omega, antenna_gain(geom.theta_rad, lb))
     assert np.all((geom.hlos_norm_sq >= 0.6) & (geom.hlos_norm_sq <= 0.7))
     assert np.all((geom.v_nlos >= 0.2) & (geom.v_nlos <= 0.25))
     assert np.all((geom.theta_rad >= 0) & (geom.theta_rad <= math.radians(0.4)))
@@ -206,13 +186,13 @@ def _toy_realization(rng, K=6, M=3, alpha=None):
     if alpha is None:
         alpha = rng.integers(0, 2, K).astype(np.int8)
     return ChannelRealization(H=H, alpha=np.asarray(alpha, dtype=np.int8),
-                              g=np.ones(K), omega=np.ones(K))
+                              g=np.ones(K))
 
 
 def test_device_state_all_inactive_is_zero():
     rng = np.random.default_rng(7)
     ch = _toy_realization(rng, alpha=np.zeros(6))
-    X = device_state_matrix(ch, np.ones(6))
+    X = device_state_matrix(ch, 1.0)
     assert np.count_nonzero(X) == 0
 
 
@@ -221,18 +201,18 @@ def test_device_state_single_active_scaling():
     alpha = np.zeros(6)
     alpha[2] = 1
     ch = _toy_realization(rng, alpha=alpha)
-    X = device_state_matrix(ch, np.full(6, 4.0))
+    X = device_state_matrix(ch, 4.0)
     np.testing.assert_allclose(X[:, 2], 2.0 * ch.H[:, 2])
 
 
 def test_device_state_loop_oracle_and_exact_zeros():
     rng = np.random.default_rng(9)
     ch = _toy_realization(rng)
-    xi = rng.uniform(0.5, 2.0, 6)
+    xi = rng.uniform(0.5, 2.0)
     X = device_state_matrix(ch, xi)
     for k in range(6):
         if ch.alpha[k]:
-            np.testing.assert_allclose(X[:, k], math.sqrt(xi[k]) * ch.H[:, k])
+            np.testing.assert_allclose(X[:, k], math.sqrt(xi) * ch.H[:, k])
         else:
             # bitwise zero, enabling exact activity accounting
             assert np.all(X[:, k] == 0.0)

@@ -49,7 +49,8 @@ def test_parse_config_rejects_repeated_algos(text):
         parse_config(text)
 
 
-@pytest.mark.parametrize("text", ["f_hz = -1", "rain_mean_db = 1", "eps = 0.5", "rel_tol = 0",
+@pytest.mark.parametrize("text", ["f_hz = -1", "rain_mean_db = 1", "rain_mean_db = 0",
+                                  "eps = 0.5", "rel_tol = 0",
                                   "max_iters = 0", "threshold_ratio = 1.5",
                                   "threshold_ratio = 0", "snr_db = nan", "snr_db = -inf",
                                   "xi = nan", "f_hz = inf", "rician_factor = -1",

@@ -3,15 +3,18 @@ reproducibility contract."""
 
 import concurrent.futures
 import csv
+import dataclasses
 
-from leojadce import vbi
+import numpy as np
+
+from leojadce import channel, harness, vbi
 from leojadce.config import ScenarioConfig, make_sweep
 from leojadce.harness import TRACE_HEADER, TRIALS_HEADER, run_sweep, run_trial, write_outputs
 
 
 def test_baselines_scored_against_true_device_states():
     # At 60 dB both baselines recover X; a conjugation slip between the
-    # samples' A X^T form and their A X^H contract shows up as an
+    # samples' A X^T form and the baselines' reading of them shows up as an
     # NMSE near or above 1, and an activity rule that counts every nonzero
     # column as active shows up as a large Pe.
     cfg = ScenarioConfig(K=100, M=4, dims=(10, 10), snr_db=60.0,
@@ -131,3 +134,30 @@ def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
             n_active = [int(row[4]) for row in mine]
             assert n_active[0] == TINY.K
             assert n_active == sorted(n_active, reverse=True)
+
+
+def test_geometry_drawn_once_per_configuration(monkeypatch):
+    # the frozen geometry, antenna gain included, is drawn by the first
+    # trial of a configuration and shared, read-only, by the rest
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(channel, "antenna_gain", counting(channel.antenna_gain))
+    monkeypatch.setattr(harness, "sample_device_geometry",
+                        counting(harness.sample_device_geometry))
+    harness.scenario_geometry.cache_clear()
+    cfg = TINY.replace(algos=("somp",))
+    for trial in range(2):
+        records, _ = run_trial(cfg, "snr", "10", trial)
+        assert not records[0].failed
+    assert sorted(calls) == ["antenna_gain", "sample_device_geometry"]
+    geom = harness.scenario_geometry(cfg)
+    np.testing.assert_array_equal(geom.omega,
+                                  channel.antenna_gain(geom.theta_rad, cfg.link_budget()))
+    for f in dataclasses.fields(geom):
+        assert not getattr(geom, f.name).flags.writeable, f.name

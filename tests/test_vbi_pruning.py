@@ -36,8 +36,8 @@ def harness_scene(cfg, trial=0):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     geom = harness.scenario_geometry(cfg)
-    ch = draw_channels(cfg.link_budget(), geom, cfg.M, cfg.p_a, rng)
-    X = device_state_matrix(ch, geom.xi)
+    ch = draw_channels(cfg.link_budget(), geom, cfg.M, cfg.p_a, cfg.rician_factor, rng)
+    X = device_state_matrix(ch, cfg.xi)
     return p, synthesize_received(p, X, snr_to_noise_variance(cfg.snr_db, cfg.xi), rng)
 
 
