@@ -54,10 +54,13 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     baselines-only run need not load scipy (about 28 MB of resident
     memory) for one s x s system. Its coefficients agree with a triangular
     solve to roundoff; the support, chosen before the solve, does not
-    depend on it. Per atom this costs the M x K correlation |A^H R_res|,
-    taken as |A^T R_res^*| on a transposed view of A (L K M multiply-adds;
-    no L x K adjoint of A is formed), plus O(L s + L M) for the column and
-    the residual on a support of size s.
+    depend on it. The K x M correlation A^T R_res^* (whose magnitudes are
+    those of A^H R_res) is formed once, on a transposed view of A (L K M
+    multiply-adds; no L x K adjoint of A is formed). As R_res loses
+    q (q^H R_res), the correlation loses the rank-1 term
+    (A^T q^*) (q^H R_res)^*, so each atom costs L K multiply-adds for it,
+    plus O(L s + L M) for the column and the residual on a support of
+    size s.
 
     ``rank_deficient`` is set, and the search stops before the atom joins,
     when the new column's orthogonal remainder is at most
@@ -83,10 +86,11 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     R = np.zeros((cap, cap), dtype=complex)     # A_S = Q R, upper triangular
     QhY = np.zeros((cap, M), dtype=complex)     # row j holds q_j^H Y
     eps = np.finfo(float).eps
+    corr = A.T @ R_res.conj()                   # (A^H R_res)^*
     while len(support) < cap:
         if norms[-1] / y_norm <= cfg.residual_tol:
             break
-        score = np.sum(np.abs(A.T @ R_res.conj()), axis=1)   # |A^H R_res|
+        score = np.sum(np.abs(corr), axis=1)
         score[support] = -1.0
         k_star = int(np.argmax(score))
         s = len(support)
@@ -100,9 +104,11 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
             rank_deficient = True
             break
         R[s, s] = r_ss
-        Q_H[s] = w.conj() / r_ss
+        q = w / r_ss
+        Q_H[s] = q.conj()
         QhY[s] = Q_H[s] @ R_res
-        R_res -= np.outer(w / r_ss, QhY[s])
+        R_res -= np.outer(q, QhY[s])
+        corr -= np.outer(A.T @ Q_H[s], QhY[s].conj())
         support.append(k_star)
         norms.append(float(np.linalg.norm(R_res)))
     if support:

@@ -23,6 +23,7 @@ import numpy as np
 from .specfun import bessel_j
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+BOLTZMANN = 1.38e-23             # J/K
 
 
 @dataclass(frozen=True)
@@ -32,30 +33,20 @@ class LinkBudget:
     f_hz: float = 30e9                 # carrier frequency
     d0_m: float = 1000e3               # orbit altitude / slant distance
     bandwidth_hz: float = 25e6
-    boltzmann: float = 1.38e-23        # J/K
     g_over_t_db: float = 34.0          # transmit gain to noise temperature, dB/K
-    dish_diameter_m: float = 0.0       # 0 -> calibrate from three_db_angle_deg
-    three_db_angle_deg: float = 0.4
+    three_db_angle_deg: float = 0.4    # half-power off-axis angle of the receive beam
     rain_mean_db: float = -2.6         # mean dB power gain (negative)
     rain_std_db: float = 1.63
 
     def __post_init__(self):
-        for name in ("f_hz", "d0_m", "bandwidth_hz", "boltzmann",
-                     "three_db_angle_deg"):
+        for name in ("f_hz", "d0_m", "bandwidth_hz", "three_db_angle_deg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.rain_mean_db >= 0:
             raise ValueError("rain_mean_db is the mean dB power gain of rain "
                              "attenuation, must be < 0")
-        if self.rain_std_db < 0 or self.dish_diameter_m < 0:
-            raise ValueError("rain_std_db and dish_diameter_m must be >= 0")
-
-    def dish_diameter(self) -> float:
-        """Configured dish diameter, or the one calibrated so the pattern's
-        half-power point sits at the 3 dB angle."""
-        if self.dish_diameter_m > 0:
-            return self.dish_diameter_m
-        return calibrate_dish_diameter(self.f_hz, self.three_db_angle_deg)
+        if self.rain_std_db < 0:
+            raise ValueError("rain_std_db must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,6 @@ class ChannelRealization:
 
     H: np.ndarray          # M x K
     alpha: np.ndarray      # activity bit per device
-    g: np.ndarray          # large-scale power gain per device
 
 
 def sample_device_geometry(K: int, M: int, lb: LinkBudget, rng: np.random.Generator, *,
@@ -97,7 +87,7 @@ def sample_device_geometry(K: int, M: int, lb: LinkBudget, rng: np.random.Genera
                            v_nlos_range: tuple[float, float] = (0.2, 0.25)
                            ) -> DeviceGeometry:
     """Draw the frozen per-device geometry for a scenario, with the antenna
-    gain of ``lb``'s receive dish at each device's off-axis angle."""
+    gain of ``lb``'s receive beam at each device's off-axis angle."""
     theta = rng.uniform(0.0, math.radians(theta_max_deg), size=K)
     norms = rng.uniform(*hlos_norm_sq_range, size=K)
     v_nlos = rng.uniform(*v_nlos_range, size=K)
@@ -105,22 +95,23 @@ def sample_device_geometry(K: int, M: int, lb: LinkBudget, rng: np.random.Genera
     hlos_dir = np.exp(1j * phases) / math.sqrt(M)  # unit norm per column
     return DeviceGeometry(
         theta_rad=theta,
-        omega=antenna_gain(theta, lb),
+        omega=antenna_gain(theta, lb.three_db_angle_deg),
         hlos_norm_sq=norms,
         v_nlos=v_nlos,
         hlos_dir=hlos_dir,
     )
 
 
-def large_scale_gain(lb: LinkBudget, r_db: float) -> float:
-    """Linear large-scale power gain for a given rain gain r_db <= 0.
+def large_scale_gain(lb: LinkBudget, r_db: np.ndarray) -> np.ndarray:
+    """Linear large-scale power gain for each rain gain in r_db <= 0.
 
     g = (c / (4 pi f d0))^2 * 10^(G/T_dB / 10) / (kappa B) * 10^(r_dB / 10)
     """
-    if r_db > 0:
-        raise ValueError("rain gain r_db must be <= 0 dB")
+    r_db = np.asarray(r_db, dtype=float)
+    if np.any(r_db > 0):
+        raise ValueError("rain gains r_db must be <= 0 dB")
     fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * lb.f_hz * lb.d0_m)) ** 2
-    budget = 10.0 ** (lb.g_over_t_db / 10.0) / (lb.boltzmann * lb.bandwidth_hz)
+    budget = 10.0 ** (lb.g_over_t_db / 10.0) / (BOLTZMANN * lb.bandwidth_hz)
     return fpl * budget * 10.0 ** (r_db / 10.0)
 
 
@@ -143,12 +134,15 @@ def sample_rain_db(mu_r_db: float, sigma_r_db: float,
     return -np.exp(z)
 
 
-def antenna_gain(theta_rad: float | np.ndarray, lb: LinkBudget) -> float | np.ndarray:
-    """Circular-aperture receive gain J1(phi)/(2 phi) + 36 J3(phi)/phi^3,
-    phi = pi d_s f / c * sin(theta); continuous limit 1 at boresight."""
-    d_s = lb.dish_diameter()
-    phi = np.pi * d_s * lb.f_hz / SPEED_OF_LIGHT * np.sin(np.abs(theta_rad))
-    return _gain_kernel(phi)
+def antenna_gain(theta_rad: float | np.ndarray,
+                 three_db_angle_deg: float) -> float | np.ndarray:
+    """Circular-aperture receive gain J1(phi)/(2 phi) + 36 J3(phi)/phi^3
+    with phi = phi* sin(theta) / sin(theta_3dB), phi* the kernel's first
+    half-power point, so the gain is 2^-1/2 at the 3 dB angle; continuous
+    limit 1 at boresight. (This is phi = pi d f / c * sin(theta) for the
+    dish of diameter d whose half-power point sits at theta_3dB.)"""
+    return _gain_kernel(_half_power_phi() * np.sin(np.abs(theta_rad))
+                        / math.sin(math.radians(three_db_angle_deg)))
 
 
 def _gain_kernel(phi):
@@ -161,28 +155,20 @@ def _gain_kernel(phi):
     return out if np.ndim(phi) else float(out[0])
 
 
-def calibrate_dish_diameter(f_hz: float, three_db_angle_deg: float) -> float:
-    """Dish diameter putting the half-power point (gain 1/sqrt(2)) of the
-    aperture pattern at the given off-axis angle."""
-    phi_star = _half_power_phi()
-    return phi_star * SPEED_OF_LIGHT / (
-        math.pi * f_hz * math.sin(math.radians(three_db_angle_deg)))
-
-
 @functools.cache
 def _half_power_phi() -> float:
-    """First phi with _gain_kernel(phi) = 2^-1/2, by bisection."""
+    """First phi with _gain_kernel(phi) = 2^-1/2, by bisection down to
+    adjacent floats."""
     target = 1.0 / math.sqrt(2.0)
     lo, hi = 1e-6, 1.0
     while _gain_kernel(hi) > target:
         hi *= 1.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _gain_kernel(mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
@@ -195,7 +181,7 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     K = geom.K
     alpha = (rng.random(K) < p_a).astype(np.int8)
     r_db = sample_rain_db(lb.rain_mean_db, lb.rain_std_db, rng, size=K)
-    g = np.array([large_scale_gain(lb, r) for r in r_db])
+    g = large_scale_gain(lb, r_db)
 
     lam = rician_factor
     los = geom.hlos_dir * np.sqrt(geom.hlos_norm_sq)[None, :]
@@ -203,7 +189,7 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     nlos *= np.sqrt(geom.v_nlos)[None, :]
     H = geom.omega[None, :] * (np.sqrt(lam * g / (lam + 1.0))[None, :] * los
                                + np.sqrt(g / (lam + 1.0))[None, :] * nlos)
-    return ChannelRealization(H=H, alpha=alpha, g=g)
+    return ChannelRealization(H=H, alpha=alpha)
 
 
 def device_state_matrix(ch: ChannelRealization, xi: float) -> np.ndarray:

@@ -32,9 +32,7 @@ class ScenarioConfig:
     f_hz: float = 30e9
     d0_m: float = 1000e3
     bandwidth_hz: float = 25e6
-    boltzmann: float = 1.38e-23
     g_over_t_db: float = 34.0
-    dish_diameter_m: float = 0.0      # 0 -> calibrated from the 3 dB angle
     three_db_angle_deg: float = 0.4
     rain_mean_db: float = -2.6
     rain_std_db: float = 1.63
@@ -107,16 +105,14 @@ class ScenarioConfig:
         return int(np.prod(self.dims))
 
     def link_budget(self) -> LinkBudget:
-        return LinkBudget(
-            f_hz=self.f_hz, d0_m=self.d0_m, bandwidth_hz=self.bandwidth_hz,
-            boltzmann=self.boltzmann,
-            g_over_t_db=self.g_over_t_db, dish_diameter_m=self.dish_diameter_m,
-            three_db_angle_deg=self.three_db_angle_deg,
-            rain_mean_db=self.rain_mean_db, rain_std_db=self.rain_std_db,
-        )
+        return self._build(LinkBudget)
 
     def engine_config(self) -> vbi.EngineConfig:
-        return vbi.EngineConfig(eps=self.eps, max_iters=self.max_iters, rel_tol=self.rel_tol)
+        return self._build(vbi.EngineConfig)
+
+    def _build(self, cls):
+        """An instance of ``cls`` from the fields of the same names here."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)

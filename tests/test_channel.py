@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from leojadce.channel import (ChannelRealization, DeviceGeometry, LinkBudget,
-                              SPEED_OF_LIGHT, antenna_gain, _gain_kernel,
-                              calibrate_dish_diameter, device_state_matrix,
+from leojadce.channel import (BOLTZMANN, ChannelRealization, DeviceGeometry,
+                              LinkBudget, SPEED_OF_LIGHT, antenna_gain,
+                              _gain_kernel, _half_power_phi, device_state_matrix,
                               draw_channels, large_scale_gain,
                               rain_lognormal_params, sample_device_geometry,
                               sample_rain_db)
@@ -31,7 +31,7 @@ def test_gain_no_rain_is_exact_budget():
     lb = default_budget()
     g0 = large_scale_gain(lb, 0.0)
     fpl = (SPEED_OF_LIGHT / (4 * math.pi * lb.f_hz * lb.d0_m)) ** 2
-    budget = 10 ** (lb.g_over_t_db / 10) / (lb.boltzmann * lb.bandwidth_hz)
+    budget = 10 ** (lb.g_over_t_db / 10) / (BOLTZMANN * lb.bandwidth_hz)
     assert g0 == fpl * budget
 
 
@@ -42,9 +42,24 @@ def test_gain_db_arithmetic():
     assert g3 / g0 == pytest.approx(0.5, rel=1e-3)
 
 
+def test_gain_of_rain_array_matches_per_draw_loop():
+    # numpy's vectorised 10 ** x may differ from the scalar pow by 1 ulp,
+    # and the product rounds once more
+    lb = default_budget()
+    r_db = sample_rain_db(lb.rain_mean_db, lb.rain_std_db, np.random.default_rng(10),
+                          size=1000)
+    fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * lb.f_hz * lb.d0_m)) ** 2
+    budget = 10.0 ** (lb.g_over_t_db / 10.0) / (BOLTZMANN * lb.bandwidth_hz)
+    loop = [fpl * budget * 10.0 ** (float(r) / 10.0) for r in r_db]
+    np.testing.assert_allclose(large_scale_gain(lb, r_db), loop,
+                               rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_gain_rejects_positive_rain():
     with pytest.raises(ValueError):
         large_scale_gain(default_budget(), 0.5)
+    with pytest.raises(ValueError):
+        large_scale_gain(default_budget(), np.array([-1.0, 0.0, 0.5, -2.0]))
 
 
 # ---------------------------------------------------------------- rain fading
@@ -76,13 +91,15 @@ def test_rain_params_reject_nonnegative_mean():
 # ---------------------------------------------------------------- antenna gain
 
 def test_antenna_gain_boresight():
-    assert antenna_gain(0.0, default_budget()) == pytest.approx(1.0, abs=1e-9)
+    assert antenna_gain(0.0, 0.4) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_antenna_gain_half_power_at_3db_angle():
-    lb = default_budget()  # dish calibrated from the 3 dB angle
-    w = antenna_gain(math.radians(lb.three_db_angle_deg), lb)
-    assert 0.45 <= w**2 <= 0.55
+    # the bisection ends on adjacent floats, at the published 2.07123
+    assert _half_power_phi() == 2.0712311784218587
+    assert abs(_half_power_phi() - 2.07123) < 1e-5
+    w = antenna_gain(math.radians(0.4), 0.4)
+    assert w**2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_gain_kernel_series_oracle():
@@ -97,19 +114,20 @@ def test_gain_kernel_series_oracle():
 
 
 def test_antenna_gain_even_and_peaked_at_zero():
-    lb = default_budget()
     thetas = np.linspace(1e-4, math.radians(0.4), 25)
-    plus = np.array([antenna_gain(t, lb) for t in thetas])
-    minus = np.array([antenna_gain(-t, lb) for t in thetas])
+    plus = np.array([antenna_gain(t, 0.4) for t in thetas])
+    minus = np.array([antenna_gain(-t, 0.4) for t in thetas])
     np.testing.assert_allclose(plus, minus, rtol=1e-14)
-    assert np.all(plus < antenna_gain(0.0, lb))
+    assert np.all(plus < antenna_gain(0.0, 0.4))
 
 
-def test_dish_calibration_is_consistent():
-    d = calibrate_dish_diameter(30e9, 0.4)
-    lb = default_budget(dish_diameter_m=d)
-    w = antenna_gain(math.radians(0.4), lb)
-    assert w**2 == pytest.approx(0.5, rel=1e-6)
+def test_antenna_gain_is_the_paper_form():
+    # phi = phi* sin(theta) / sin(theta_3dB), element by element
+    for three_db_deg in (0.2, 0.4, 1.5):
+        thetas = np.linspace(0.0, math.radians(3 * three_db_deg), 31)
+        expected = [_gain_kernel(_half_power_phi() * math.sin(t)
+                                 / math.sin(math.radians(three_db_deg))) for t in thetas]
+        np.testing.assert_array_equal(antenna_gain(thetas, three_db_deg), expected)
 
 
 # ---------------------------------------------------------------- channel draws
@@ -142,7 +160,7 @@ def test_draw_channels_infinite_rician_limit():
     K, M = 20_000, 4
     geom = _uniform_geometry(K, M)
     ch = draw_channels(lb, geom, M, 0.5, 1e12, rng)
-    g = ch.g[0]
+    g = large_scale_gain(lb, lb.rain_mean_db)  # rain_std_db = 0: rain at its mean
     expected_mean = geom.omega[0] * math.sqrt(g) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     sample_mean = np.mean(ch.H, axis=1)
     sample_var = np.var(ch.H, axis=1)
@@ -156,7 +174,7 @@ def test_draw_channels_rician_moment_oracle():
     K, M, lam, v = 100_000, 4, 8.0, 0.225
     geom = _uniform_geometry(K, M, v=v)
     ch = draw_channels(lb, geom, M, 0.5, lam, rng)
-    g, w = ch.g[0], geom.omega[0]
+    g, w = large_scale_gain(lb, lb.rain_mean_db), geom.omega[0]
     mean_true = w * math.sqrt(lam * g / (lam + 1)) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     var_true = w**2 * g * v / (lam + 1)
     sample_mean = np.mean(ch.H, axis=1)
@@ -172,7 +190,8 @@ def test_geometry_sampling_ranges():
     rng = np.random.default_rng(6)
     lb = default_budget()
     geom = sample_device_geometry(1000, 4, lb, rng)
-    np.testing.assert_array_equal(geom.omega, antenna_gain(geom.theta_rad, lb))
+    np.testing.assert_array_equal(geom.omega,
+                                  antenna_gain(geom.theta_rad, lb.three_db_angle_deg))
     assert np.all((geom.hlos_norm_sq >= 0.6) & (geom.hlos_norm_sq <= 0.7))
     assert np.all((geom.v_nlos >= 0.2) & (geom.v_nlos <= 0.25))
     assert np.all((geom.theta_rad >= 0) & (geom.theta_rad <= math.radians(0.4)))
@@ -185,8 +204,7 @@ def _toy_realization(rng, K=6, M=3, alpha=None):
     H = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
     if alpha is None:
         alpha = rng.integers(0, 2, K).astype(np.int8)
-    return ChannelRealization(H=H, alpha=np.asarray(alpha, dtype=np.int8),
-                              g=np.ones(K))
+    return ChannelRealization(H=H, alpha=np.asarray(alpha, dtype=np.int8))
 
 
 def test_device_state_all_inactive_is_zero():

@@ -1,10 +1,15 @@
 """Config-file parsing."""
 
+import dataclasses
+import math
+from pathlib import Path
+
 import pytest
 
-import math
+from leojadce.config import (ConfigError, ScenarioConfig, apply_axis, load_config,
+                             parse_config, parse_sweep)
 
-from leojadce.config import ConfigError, ScenarioConfig, apply_axis, parse_config, parse_sweep
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_config_reads_known_keys():
@@ -12,9 +17,12 @@ def test_parse_config_reads_known_keys():
     assert (cfg.K, cfg.dims, cfg.algos) == (40, (4, 4), ("vbi", "amp"))
 
 
-@pytest.mark.parametrize("text", ["noise_temperature_k = 290", "K = 40\nK = 50"])
+@pytest.mark.parametrize("text", ["noise_temperature_k = 290", "boltzmann = 1.38e-23",
+                                  "dish_diameter_m = 1.2", "K = 40\nK = 50"])
 def test_parse_config_rejects_unknown_and_duplicate_keys(text):
-    # noise_temperature_k is not a key: g_over_t_db carries the noise temperature
+    # noise_temperature_k is not a key: g_over_t_db carries the noise
+    # temperature; Boltzmann's constant is fixed, and the 3 dB angle alone
+    # sets the beam, so neither boltzmann nor dish_diameter_m is a key
     with pytest.raises(ConfigError, match="unknown key|duplicate key"):
         parse_config(text)
 
@@ -80,3 +88,16 @@ def test_parse_sweep_canonicalises_numbers(text, values):
 def test_parse_sweep_rejects_two_spellings_of_one_value():
     with pytest.raises(ConfigError, match="repeat"):
         parse_sweep("snr=10.0, 1e1 ")
+
+
+def test_example_paper_config_loads():
+    cfg = load_config(ROOT / "examples" / "paper.cfg")
+    assert cfg == ScenarioConfig(K=500, M=8, dims=(20, 20), snr_db=30.0,
+                                 algos=("vbi", "somp", "amp"))
+
+
+def test_readme_documents_every_config_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [f.name for f in dataclasses.fields(ScenarioConfig)
+               if f"`{f.name}`" not in readme]
+    assert not missing

@@ -158,6 +158,6 @@ def test_geometry_drawn_once_per_configuration(monkeypatch):
     assert sorted(calls) == ["antenna_gain", "sample_device_geometry"]
     geom = harness.scenario_geometry(cfg)
     np.testing.assert_array_equal(geom.omega,
-                                  channel.antenna_gain(geom.theta_rad, cfg.link_budget()))
+                                  channel.antenna_gain(geom.theta_rad, cfg.three_db_angle_deg))
     for f in dataclasses.fields(geom):
         assert not getattr(geom, f.name).flags.writeable, f.name
