@@ -10,7 +10,7 @@ from .detection import detect, error_probability, nmse, nmse_active
 from .harness import TrialRecord, aggregate, run_sweep, run_trial, write_outputs
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)
-from .specfun import SignedLogValue, bessel_j, hyp1f1, ln_gamma_signed
+from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
 from .tensors import FactorMatrices, khatri_rao
 from .vbi import (EngineConfig, EngineResult, PosteriorState, expected_residual,
                   init_posterior, inverse_mean_moments, precompute_gram, run,

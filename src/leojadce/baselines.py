@@ -125,6 +125,16 @@ def default_max_support(p_a: float, K: int) -> int:
     return min(K, max(1, math.ceil(1.5 * p_a * K - 1e-9)))
 
 
+def somp_residual_tol(Y: np.ndarray, sigma_n2: float) -> float:
+    """Discrepancy-principle stop: quit once the residual reaches the
+    expected noise floor."""
+    y_norm = float(np.linalg.norm(Y))
+    if y_norm == 0.0:
+        return 0.0
+    floor = math.sqrt(sigma_n2 * Y.size)
+    return floor / y_norm
+
+
 @dataclass(frozen=True)
 class AmpConfig:
     max_iters: int = 50

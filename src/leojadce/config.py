@@ -83,6 +83,8 @@ class ScenarioConfig:
             raise ConfigError("xi must be > 0")
         if min(self.rician_factor, self.hlos_norm_sq_low, self.theta_max_deg) < 0:
             raise ConfigError("rician_factor, hlos_norm_sq_low and theta_max_deg must be >= 0")
+        if self.theta_max_deg > 90:
+            raise ConfigError("theta_max_deg must be <= 90")
         if self.v_nlos_low <= 0:
             raise ConfigError("v_nlos_low must be > 0")
         if not (0.0 < self.threshold_ratio < 1.0):

@@ -116,7 +116,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
             elif algo == "somp":
                 somp_cfg = baselines.SompConfig(
                     max_support=baselines.default_max_support(cfg.p_a, cfg.K),
-                    residual_tol=somp_residual_tol(Y, sigma_n2))
+                    residual_tol=baselines.somp_residual_tol(Y, sigma_n2))
                 sres = baselines.somp(Y, assemble_preamble_matrix(preambles), somp_cfg)
                 x_hat = sres.X_hat
                 alpha_hat = np.zeros(cfg.K, dtype=np.int8)
@@ -144,16 +144,6 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                                        wall_ms, failed=True,
                                        error=f"{type(exc).__name__}: {exc}"))
     return records, trace_rows
-
-
-def somp_residual_tol(Y: np.ndarray, sigma_n2: float) -> float:
-    """Discrepancy-principle stop: quit once the residual reaches the
-    expected noise floor."""
-    y_norm = float(np.linalg.norm(Y))
-    if y_norm == 0.0:
-        return 0.0
-    floor = math.sqrt(sigma_n2 * Y.size)
-    return floor / y_norm
 
 
 def _trial_task(args):

@@ -1,5 +1,5 @@
-"""Special-function numerics: signed-log Gamma, confluent hypergeometric
-1F1, and Bessel J1/J3.
+"""Special-function numerics of the q(mu) update: signed-log Gamma and the
+confluent hypergeometric function 1F1.
 
 The Gamma/1F1 values feeding the posterior inverse-mean moments span many
 orders of magnitude (Gamma(-eps/2) ~ -2/eps for the near-flat hyperprior)
@@ -205,58 +205,3 @@ def hyp1f1(a: float, b: float, x: float) -> SignedLogValue:
     if x <= KUMMER_SWITCH_X:
         return _hyp1f1_series(a, b, x)
     return _hyp1f1_kummer(a, b, x)
-
-
-def _bessel_series(n: int, x: float, max_terms: int = 400) -> float:
-    """Ascending series J_n(x) = sum_j (-1)^j (x/2)^(2j+n) / (j! (j+n)!)."""
-    half = 0.5 * x
-    term = half**n / math.factorial(n)
-    total = term
-    for j in range(max_terms):
-        term *= -(half * half) / ((j + 1) * (j + 1 + n))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            break
-    return total
-
-
-def _bessel_miller(n: int, x: float) -> float:
-    """Downward three-term recurrence with normalization
-    J_0 + 2*sum_{k even >= 2} J_k = 1 (Miller's algorithm)."""
-    m = int(x + 20 + 10.0 * x ** (1.0 / 3.0))
-    if m % 2:
-        m += 1
-    fp, f = 0.0, 1e-30
-    norm = 0.0
-    result = 0.0
-    for k in range(m, 0, -1):
-        fm = (2.0 * k / x) * f - fp
-        fp, f = f, fm
-        if k - 1 == n:
-            result = f
-        if (k - 1) % 2 == 0 and k - 1 >= 2:
-            norm += 2.0 * f
-        if abs(f) > 1e250:  # rescale to dodge overflow
-            fp *= 1e-250
-            f *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    norm += f  # f now holds the order-0 iterate
-    return result / norm
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, orders 1 and 3 only.
-
-    Ascending series for x <= 12, Miller's downward recurrence beyond;
-    relative accuracy ~1e-12 on [0, 50].
-    """
-    if n not in (1, 3):
-        raise ValueError(f"only orders 1 and 3 are supported, got {n}")
-    if x < 0.0:
-        raise ValueError("bessel_j domain restricted to x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x <= 12.0:
-        return _bessel_series(n, x)
-    return _bessel_miller(n, x)

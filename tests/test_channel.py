@@ -2,19 +2,26 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from leojadce.channel import (BOLTZMANN, ChannelRealization, DeviceGeometry,
-                              LinkBudget, SPEED_OF_LIGHT, antenna_gain,
-                              _gain_kernel, _half_power_phi, device_state_matrix,
-                              draw_channels, large_scale_gain,
+from leojadce.channel import (BOLTZMANN, HALF_POWER_PHI, ChannelRealization,
+                              DeviceGeometry, LinkBudget, SPEED_OF_LIGHT,
+                              _bessel_j1_j3, _gain_kernel, antenna_gain,
+                              device_state_matrix, draw_channels, large_scale_gain,
                               rain_lognormal_params, sample_device_geometry,
                               sample_rain_db)
 
 
 def default_budget(**kw):
     return LinkBudget(**kw)
+
+
+def default_geometry(K, M, lb, rng):
+    return sample_device_geometry(K, M, lb, rng, theta_max_deg=0.4,
+                                  hlos_norm_sq_range=(0.6, 0.7),
+                                  v_nlos_range=(0.2, 0.25))
 
 
 # ---------------------------------------------------------------- large-scale gain
@@ -95,21 +102,23 @@ def test_antenna_gain_boresight():
 
 
 def test_antenna_gain_half_power_at_3db_angle():
-    # the bisection ends on adjacent floats, at the published 2.07123
-    assert _half_power_phi() == 2.0712311784218587
-    assert abs(_half_power_phi() - 2.07123) < 1e-5
+    # phi* is within half an ulp of the kernel's first half-power point,
+    # found at 40 digits, and rounds to the published 2.07123
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda p: mpmath.besselj(1, p) / (2 * p) + 36 * mpmath.besselj(3, p) / p**3
+            - 1 / mpmath.sqrt(2), 2.07)
+        assert abs(HALF_POWER_PHI - root) <= math.ulp(HALF_POWER_PHI) / 2
+    assert abs(HALF_POWER_PHI - 2.07123) < 1e-5
     w = antenna_gain(math.radians(0.4), 0.4)
     assert w**2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_gain_kernel_series_oracle():
     # direct series evaluation of J1(phi)/(2 phi) + 36 J3(phi)/phi^3
-    def series(n, x, terms=60):
-        return sum((-1.0) ** j / (math.factorial(j) * math.factorial(j + n))
-                   * (0.5 * x) ** (2 * j + n) for j in range(terms))
-
     phi = 5.0
-    expected = series(1, phi) / (2 * phi) + 36.0 * series(3, phi) / phi**3
+    expected = (_bessel_series_oracle(1, phi) / (2 * phi)
+                + 36.0 * _bessel_series_oracle(3, phi) / phi**3)
     assert _gain_kernel(phi) == pytest.approx(expected, rel=1e-12)
 
 
@@ -125,9 +134,97 @@ def test_antenna_gain_is_the_paper_form():
     # phi = phi* sin(theta) / sin(theta_3dB), element by element
     for three_db_deg in (0.2, 0.4, 1.5):
         thetas = np.linspace(0.0, math.radians(3 * three_db_deg), 31)
-        expected = [_gain_kernel(_half_power_phi() * math.sin(t)
+        expected = [_gain_kernel(HALF_POWER_PHI * math.sin(t)
                                  / math.sin(math.radians(three_db_deg))) for t in thetas]
         np.testing.assert_array_equal(antenna_gain(thetas, three_db_deg), expected)
+
+
+# ---------------------------------------------------------------- Bessel J1, J3
+
+def _bessel_series_oracle(n, x, terms=60):
+    total = 0.0
+    for j in range(terms):
+        total += (-1.0) ** j / (math.factorial(j) * math.factorial(j + n)) \
+            * (0.5 * x) ** (2 * j + n)
+    return total
+
+
+def _scalar_miller(n, x):
+    """Miller's downward recurrence for one x, one order at a time: the
+    order-by-order reference for the array recurrence."""
+    m = int(x + 20 + 10.0 * x ** (1.0 / 3.0))
+    if m % 2:
+        m += 1
+    fp, f = 0.0, 1e-30
+    norm = 0.0
+    result = 0.0
+    for k in range(m, 0, -1):
+        fm = (2.0 * k / x) * f - fp
+        fp, f = f, fm
+        if k - 1 == n:
+            result = f
+        if (k - 1) % 2 == 0 and k - 1 >= 2:
+            norm += 2.0 * f
+        if abs(f) > 1e250:
+            fp *= 1e-250
+            f *= 1e-250
+            norm *= 1e-250
+            result *= 1e-250
+    return result / (norm + f)
+
+
+def test_gain_kernel_is_one_near_zero():
+    # phi <= 1e-8 is the kernel's continuous limit, with no Bessel call
+    assert _gain_kernel(0.0) == 1.0
+    np.testing.assert_array_equal(_gain_kernel(np.array([0.0, 1e-9, 1e-8])), 1.0)
+    j1, j3 = _bessel_j1_j3(np.array([]))
+    assert j1.shape == j3.shape == (0,)
+
+
+def test_bessel_small_x_limits():
+    for x in (1e-4, 1e-6, 1e-8):
+        j1, j3 = _bessel_j1_j3(np.array([x]))
+        assert j1[0] / (2 * x) == pytest.approx(0.25, abs=1e-9)
+        assert 36.0 * j3[0] / x**3 == pytest.approx(0.75, abs=1e-8)
+
+
+def test_bessel_series_oracle_j1_at_one():
+    j1, _ = _bessel_j1_j3(np.array([1.0]))
+    assert j1[0] == pytest.approx(_bessel_series_oracle(1, 1.0), abs=1e-12)
+
+
+def test_bessel_recurrence_with_independent_series():
+    # J0(x) + J2(x) = (2/x) J1(x), with J0 and J2 from the local series
+    xs = np.array([0.5, 1.7, 4.0, 9.0, 11.5])
+    j1, _ = _bessel_j1_j3(xs)
+    for x, j in zip(xs, j1):
+        lhs = _bessel_series_oracle(0, x) + _bessel_series_oracle(2, x)
+        assert lhs == pytest.approx(2.0 / x * j, rel=1e-10)
+
+
+def test_bessel_against_scipy():
+    sp = pytest.importorskip("scipy.special")
+    xs = np.concatenate([np.geomspace(1e-6, 50.0, 400), [77.7, 150.0, 512.3, 1000.0]])
+    j1, j3 = _bessel_j1_j3(xs)
+    np.testing.assert_allclose(j1, sp.jv(1, xs), rtol=1e-10, atol=2e-15)
+    np.testing.assert_allclose(j3, sp.jv(3, xs), rtol=1e-10, atol=2e-15)
+
+
+def test_bessel_matches_scalar_miller_above_12():
+    # both orders from one pass give each order's own recurrence bit for bit
+    xs = np.concatenate([np.linspace(12.01, 50.0, 60), [123.4, 999.9]])
+    j1, j3 = _bessel_j1_j3(xs)
+    assert [float(v) for v in j1] == [_scalar_miller(1, float(x)) for x in xs]
+    assert [float(v) for v in j3] == [_scalar_miller(3, float(x)) for x in xs]
+
+
+def test_gain_kernel_batch_independent():
+    # entries with different start indices and rescalings share one pass,
+    # yet each keeps the bits it gets alone
+    phi = np.concatenate([np.geomspace(1e-9, 1e3, 200), [0.0, 2.07, 5e3]])
+    batch = _gain_kernel(phi)
+    assert [float(v) for v in batch] == [_gain_kernel(float(p)) for p in phi]
+    np.testing.assert_array_equal(_gain_kernel(phi[::-1]), batch[::-1])
 
 
 # ---------------------------------------------------------------- channel draws
@@ -148,7 +245,7 @@ def _uniform_geometry(K, M, norm_sq=0.65, v=0.225):
 def test_draw_channels_zero_activity():
     rng = np.random.default_rng(3)
     lb = default_budget()
-    geom = sample_device_geometry(50, 4, lb, rng)
+    geom = default_geometry(50, 4, lb, rng)
     ch = draw_channels(lb, geom, 4, 0.0, 8.0, rng)
     assert np.all(ch.alpha == 0)
     assert ch.H.shape == (4, 50)
@@ -189,7 +286,7 @@ def test_draw_channels_rician_moment_oracle():
 def test_geometry_sampling_ranges():
     rng = np.random.default_rng(6)
     lb = default_budget()
-    geom = sample_device_geometry(1000, 4, lb, rng)
+    geom = default_geometry(1000, 4, lb, rng)
     np.testing.assert_array_equal(geom.omega,
                                   antenna_gain(geom.theta_rad, lb.three_db_angle_deg))
     assert np.all((geom.hlos_norm_sq >= 0.6) & (geom.hlos_norm_sq <= 0.7))
@@ -241,3 +338,9 @@ def test_link_budget_validation():
         LinkBudget(f_hz=-1.0)
     with pytest.raises(ValueError):
         LinkBudget(rain_mean_db=1.0)
+    # at 180 degrees phi is ~1e13 and the Bessel recurrence would take as
+    # many steps; above it sin(theta_3dB) <= 0 and every gain would read 1
+    for angle in (0.0, -1.0, 90.0 + 1e-9, 180.0, 200.0, 360.0):
+        with pytest.raises(ValueError, match="three_db_angle_deg"):
+            LinkBudget(three_db_angle_deg=angle)
+    assert LinkBudget(three_db_angle_deg=90.0).three_db_angle_deg == 90.0

@@ -116,6 +116,16 @@ def test_empty_algos_exit_1_on_validate_and_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", ["three_db_angle_deg = 180", "three_db_angle_deg = 200",
+                                  "three_db_angle_deg = 360", "theta_max_deg = 91"])
+def test_beam_angles_beyond_a_quarter_turn_exit_1_on_validate(tmp_path, capsys, line):
+    # 180 degrees used to hang the antenna gain; 200 and 360 gave gain 1
+    path = tmp_path / "scenario.cfg"
+    path.write_text(TINY + line + "\n")
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_repeated_algos_exit_1_on_validate_and_run(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_text(TINY.replace("algos = vbi, somp, amp", "algos = somp, somp"))

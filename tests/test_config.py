@@ -63,7 +63,10 @@ def test_parse_config_rejects_repeated_algos(text):
                                   "threshold_ratio = 0", "snr_db = nan", "snr_db = -inf",
                                   "xi = nan", "f_hz = inf", "rician_factor = -1",
                                   "v_nlos_low = 0", "hlos_norm_sq_low = -1",
-                                  "theta_max_deg = -1"])
+                                  "theta_max_deg = -1", "theta_max_deg = 91",
+                                  "three_db_angle_deg = 0", "three_db_angle_deg = 180",
+                                  "three_db_angle_deg = 200",
+                                  "three_db_angle_deg = 360"])
 def test_parse_config_rejects_what_a_trial_would_reject(text):
     # the link budget, the engine config, the device geometry's ranges and
     # the detection threshold are checked when the config loads, not in

@@ -7,8 +7,7 @@ import pytest
 import scipy.special as sp
 
 from leojadce.specfun import (ConvergenceError, SignedLogValue, _hyp1f1_kummer,
-                              _hyp1f1_series, bessel_j, hyp1f1, ln_gamma_signed,
-                              signed_log_sum)
+                              _hyp1f1_series, hyp1f1, ln_gamma_signed, signed_log_sum)
 
 
 # ---------------------------------------------------------------- signed log
@@ -149,50 +148,3 @@ def test_hyp1f1_domain_and_poles():
 def test_hyp1f1_nonconvergence_flag():
     with pytest.raises(ConvergenceError):
         _hyp1f1_series(0.5, 1.5, 5000.0)
-
-
-# ---------------------------------------------------------------- Bessel
-
-def _bessel_series_oracle(n, x, terms=60):
-    total = 0.0
-    for j in range(terms):
-        total += (-1.0) ** j / (math.factorial(j) * math.factorial(j + n)) \
-            * (0.5 * x) ** (2 * j + n)
-    return total
-
-
-def test_bessel_zero_argument():
-    assert bessel_j(1, 0.0) == 0.0
-    assert bessel_j(3, 0.0) == 0.0
-
-
-def test_bessel_small_x_limits():
-    x = 1e-4
-    assert bessel_j(1, x) / (2 * x) == pytest.approx(0.25, abs=1e-9)
-    assert 36.0 * bessel_j(3, x) / x**3 == pytest.approx(0.75, abs=1e-8)
-
-
-def test_bessel_series_oracle_j1_at_one():
-    assert bessel_j(1, 1.0) == pytest.approx(_bessel_series_oracle(1, 1.0), abs=1e-12)
-
-
-def test_bessel_recurrence_with_independent_series():
-    # J0(x) + J2(x) = (2/x) J1(x), with J0 and J2 from the local series
-    for x in (0.5, 1.7, 4.0, 9.0, 11.5):
-        lhs = _bessel_series_oracle(0, x) + _bessel_series_oracle(2, x)
-        assert lhs == pytest.approx(2.0 / x * bessel_j(1, x), rel=1e-10)
-
-
-def test_bessel_against_scipy_across_branches():
-    xs = np.concatenate([np.linspace(0.01, 12.0, 40), np.linspace(12.01, 50.0, 60)])
-    for n in (1, 3):
-        for x in xs:
-            ref = float(sp.jv(n, x))
-            assert bessel_j(n, float(x)) == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
-
-def test_bessel_rejects_bad_order_and_domain():
-    with pytest.raises(ValueError):
-        bessel_j(2, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(1, -1.0)
