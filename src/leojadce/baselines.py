@@ -149,13 +149,14 @@ class AmpResult:
     diverged: bool
 
 
-def amp_mmv(Y: np.ndarray, A: np.ndarray, sigma_n2: float, p_a: float,
+def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float,
             cfg: AmpConfig = AmpConfig()) -> AmpResult:
     """Soft-threshold AMP with a row-wise (MMV) group threshold.
 
     Standard iteration with an Onsager term; rows of the pseudo-data are
     shrunk jointly via block soft thresholding. Kept simple: it is a
-    comparison baseline, not a tuned state-evolution implementation.
+    comparison baseline, not a tuned state-evolution implementation. The
+    threshold follows the residual's own scale, so it reads no noise variance.
 
     ``Y`` (L x M) is read as ``A X^T`` plus noise, like :func:`somp`; the
     returned ``X_hat`` estimates the M x K matrix X (zeros if it diverged).

@@ -25,6 +25,14 @@ BOLTZMANN = 1.38e-23             # J/K
 # (the correctly rounded root, 2.07123117842185782...)
 HALF_POWER_PHI = 2.0712311784218578
 
+# The device population of every scenario: off-axis angles uniform on
+# [0, THETA_MAX_DEG], squared LOS norms and NLOS variances uniform over
+# their ranges, and one Rician (LOS-to-NLOS power) factor for all channels.
+THETA_MAX_DEG = 0.4
+HLOS_NORM_SQ_RANGE = (0.6, 0.7)
+V_NLOS_RANGE = (0.2, 0.25)
+RICIAN_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -84,9 +92,10 @@ class ChannelRealization:
 
 
 def sample_device_geometry(K: int, M: int, lb: LinkBudget, rng: np.random.Generator, *,
-                           theta_max_deg: float,
-                           hlos_norm_sq_range: tuple[float, float],
-                           v_nlos_range: tuple[float, float]) -> DeviceGeometry:
+                           theta_max_deg: float = THETA_MAX_DEG,
+                           hlos_norm_sq_range: tuple[float, float] = HLOS_NORM_SQ_RANGE,
+                           v_nlos_range: tuple[float, float] = V_NLOS_RANGE
+                           ) -> DeviceGeometry:
     """Draw the frozen per-device geometry for a scenario, with the antenna
     gain of ``lb``'s receive beam at each device's off-axis angle."""
     theta = rng.uniform(0.0, math.radians(theta_max_deg), size=K)
@@ -203,9 +212,7 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     return ChannelRealization(H=H, alpha=alpha)
 
 
-def device_state_matrix(ch: ChannelRealization, xi: float) -> np.ndarray:
-    """M x K device-state matrix for transmit power ``xi``; inactive columns
-    are exactly zero."""
-    X = ch.H * (ch.alpha * math.sqrt(xi))[None, :]
-    X[:, ch.alpha == 0] = 0.0  # bitwise-zero, not just scaled-by-zero
-    return X
+def device_state_matrix(ch: ChannelRealization) -> np.ndarray:
+    """M x K device-state matrix at unit transmit power: an active device's
+    channel column, and exactly zero for an inactive one."""
+    return np.where(ch.alpha == 1, ch.H, 0.0)

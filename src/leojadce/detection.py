@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# The ratio r of the activity rule in :func:`detect` that the experiments use.
+THRESHOLD_RATIO = 0.3
+
 
 def detect(M_X: np.ndarray, r: float) -> np.ndarray:
     """Threshold rule: theta = M (r * max|M_X|)^2, device k active iff its

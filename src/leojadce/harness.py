@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, detection, vbi
-from .channel import (DeviceGeometry, draw_channels, device_state_matrix,
-                      sample_device_geometry)
+from .channel import (RICIAN_FACTOR, DeviceGeometry, LinkBudget, draw_channels,
+                      device_state_matrix, sample_device_geometry)
 from .config import ScenarioConfig, SweepSpec, apply_axis
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)
@@ -45,6 +45,10 @@ SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
 TIMINGS_HEADER = ["axis", "value", "algorithm", "trial", "wall_ms"]
 TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy", "n_active"]
 FAILURES_HEADER = ["axis", "value", "algorithm", "trial", "error"]
+
+# Every scenario's link budget and VBI engine, at their defaults.
+LINK_BUDGET = LinkBudget()
+ENGINE_CONFIG = vbi.EngineConfig()
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,7 @@ def geometry_rng(cfg: ScenarioConfig) -> np.random.Generator:
 def scenario_geometry(cfg: ScenarioConfig) -> DeviceGeometry:
     """The frozen device geometry of ``cfg``'s scenario, drawn once per
     configuration; its arrays are read-only because every trial shares them."""
-    return sample_device_geometry(
-        cfg.K, cfg.M, cfg.link_budget(), geometry_rng(cfg),
-        theta_max_deg=cfg.theta_max_deg,
-        hlos_norm_sq_range=(cfg.hlos_norm_sq_low, cfg.hlos_norm_sq_high),
-        v_nlos_range=(cfg.v_nlos_low, cfg.v_nlos_high),
-    )
+    return sample_device_geometry(cfg.K, cfg.M, LINK_BUDGET, geometry_rng(cfg))
 
 
 def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
@@ -95,9 +94,9 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     rng = trial_rng(cfg.master_seed, axis, value, trial)
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
     geom = scenario_geometry(cfg)
-    ch = draw_channels(cfg.link_budget(), geom, cfg.M, cfg.p_a, cfg.rician_factor, rng)
-    X_true = device_state_matrix(ch, cfg.xi)
-    sigma_n2 = snr_to_noise_variance(cfg.snr_db, cfg.xi)
+    ch = draw_channels(LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
+    X_true = device_state_matrix(ch)
+    sigma_n2 = snr_to_noise_variance(cfg.snr_db)
     Y = synthesize_received(preambles, X_true, sigma_n2, rng)
     have_active = bool(np.any(ch.alpha == 1))
 
@@ -107,9 +106,9 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
         t0 = time.perf_counter()
         try:
             if algo == "vbi":
-                result = vbi.run(preambles, Y, cfg.engine_config())
+                result = vbi.run(preambles, Y, ENGINE_CONFIG)
                 x_hat = result.M_X
-                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio)
+                alpha_hat = detection.detect(x_hat, detection.THRESHOLD_RATIO)
                 iters = result.n_iters
                 if collect_traces:
                     trace_rows.extend((trial, *row) for row in result.trace)
@@ -123,10 +122,9 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 alpha_hat[sres.support] = 1
                 iters = len(sres.support)
             elif algo == "amp":
-                ares = baselines.amp_mmv(Y, assemble_preamble_matrix(preambles),
-                                         sigma_n2, cfg.p_a)
+                ares = baselines.amp_mmv(Y, assemble_preamble_matrix(preambles), cfg.p_a)
                 x_hat = ares.X_hat
-                alpha_hat = detection.detect(x_hat, cfg.threshold_ratio)
+                alpha_hat = detection.detect(x_hat, detection.THRESHOLD_RATIO)
                 iters = ares.n_iters
             else:
                 raise ValueError(f"unknown algorithm {algo!r}")

@@ -52,9 +52,9 @@ def synthesize_received(p: FactorMatrices, X: np.ndarray, sigma_n2: float,
     return Y
 
 
-def snr_to_noise_variance(snr_db: float, xi: float) -> float:
-    """SNR is defined as 10 log10(xi / sigma_n^2)."""
-    return xi * 10.0 ** (-snr_db / 10.0)
+def snr_to_noise_variance(snr_db: float) -> float:
+    """SNR is defined as 10 log10(1 / sigma_n^2), at unit transmit power."""
+    return 10.0 ** (-snr_db / 10.0)
 
 
 # Factorizations used by the experiments for common preamble lengths.

@@ -65,17 +65,18 @@ from .tensors import FactorMatrices, khatri_rao
 # E[v], and whose M_X column energy is below PRUNE_ENERGY_FRACTION of the
 # largest and did not grow since the previous iteration, leaves the q(X)
 # solve. The fraction sits a factor 30 under the detection threshold
-# M (r max|M_X|)^2 >= 0.09 x the largest column energy at r = 0.3, so a
-# device pruned at that iteration would not be detected there. Both were
-# picked on master seeds 7 and 1234 at K=500: at L=400, 30 dB the run then
-# stops after 15-18 iterations instead of 30-32, and at L=100 (xi = 1) or
-# at 10 dB no device is pruned. A fraction of 1e-2 pruned the same devices;
-# one of 1e-3 pruned them over more iterations, and the run stopped after
-# 16-25. The growth test keeps a true device whose column the iteration
-# has not yet picked up: with X 20 times larger (a harness xi of 400), the
-# unit E[v] start holds such a column near its prior for many iterations.
-# The test costs 0-5 iterations a trial at L=400, 30 dB; without it, such
-# devices were pruned at L=100, xi = 400, and on a K=40 scene.
+# M (r max|M_X|)^2 >= 0.09 x the largest column energy at
+# r = detection.THRESHOLD_RATIO, so a device pruned at that iteration would
+# not be detected there. Both were picked on master seeds 7 and 1234 at
+# K=500: at L=400, 30 dB the run then stops after 15-18 iterations instead
+# of 30-32, and at L=100 or at 10 dB no device is pruned. A fraction of
+# 1e-2 pruned the same devices; one of 1e-3 pruned them over more
+# iterations, and the run stopped after 16-25. The growth test keeps a true
+# device whose column the iteration has not yet picked up: with X 20 times
+# larger (a transmit power of 400), the unit E[v] start holds such a column
+# near its prior for many iterations. The test costs 0-5 iterations a trial
+# at L=400, 30 dB; without it, such devices were pruned at L=100 with a
+# transmit power of 400, and on a K=40 scene.
 PRUNE_FROM_ITER = 5
 PRUNE_PRECISION_RATIO = 200.0
 PRUNE_ENERGY_FRACTION = 3e-3

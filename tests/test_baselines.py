@@ -94,7 +94,7 @@ def test_default_max_support():
 def test_amp_zero_input():
     rng = np.random.default_rng(6)
     A = unit_columns(rng, 10, 6)
-    res = amp_mmv(np.zeros((10, 2), dtype=complex), A, 0.01, 0.2)
+    res = amp_mmv(np.zeros((10, 2), dtype=complex), A, 0.2)
     assert np.count_nonzero(res.X_hat) == 0
     assert not res.diverged
 
@@ -106,7 +106,7 @@ def test_amp_one_sparse_recovery():
     X = np.zeros((M, K), dtype=complex)
     X[:, 3] = 3.0 * crandn(rng, M)
     Y = A @ X.T
-    res = amp_mmv(Y, A, 1e-6, 1.0 / K, AmpConfig(max_iters=200, tol=1e-6))
+    res = amp_mmv(Y, A, 1.0 / K, AmpConfig(max_iters=200, tol=1e-6))
     assert not res.diverged
     energies = np.sum(np.abs(res.X_hat) ** 2, axis=0)
     assert np.argmax(energies) == 3
@@ -121,7 +121,7 @@ def test_amp_iterates_bounded_on_random_instance():
     L, K, M = 40, 60, 4
     A = unit_columns(rng, L, K)
     Y = crandn(rng, L, M)
-    res = amp_mmv(Y, A, 0.1, 0.1, AmpConfig(max_iters=100))
+    res = amp_mmv(Y, A, 0.1, AmpConfig(max_iters=100))
     assert not res.diverged
     assert np.all(np.isfinite(res.X_hat))
 
@@ -157,7 +157,7 @@ def lstsq_somp(Y, A, cfg):
     return SompResult(support, X_hat, norms, rank_deficient)
 
 
-def three_product_amp(Y, A, sigma_n2, p_a, cfg=AmpConfig()):
+def three_product_amp(Y, A, p_a, cfg=AmpConfig()):
     """AMP with an explicit adjoint copy and a fresh A X product for the
     stop test: the reference that :func:`amp_mmv` must match bit for bit."""
     L, M = Y.shape
@@ -265,7 +265,7 @@ def test_amp_matches_three_product_form_bit_for_bit(L, K, M, n_active, noise,
     A, Y = sparse_scene(40, L, K, M, n_active, noise)
     cfg = AmpConfig(max_iters=max_iters)
     p_a = n_active / K
-    got, ref = amp_mmv(Y, A, noise ** 2, p_a, cfg), three_product_amp(Y, A, noise ** 2, p_a, cfg)
+    got, ref = amp_mmv(Y, A, p_a, cfg), three_product_amp(Y, A, p_a, cfg)
     np.testing.assert_array_equal(got.X_hat, ref.X_hat)
     assert (got.n_iters, got.diverged) == (ref.n_iters, ref.diverged)
     assert ref.diverged == (expect == "diverges")

@@ -307,7 +307,7 @@ def _toy_realization(rng, K=6, M=3, alpha=None):
 def test_device_state_all_inactive_is_zero():
     rng = np.random.default_rng(7)
     ch = _toy_realization(rng, alpha=np.zeros(6))
-    X = device_state_matrix(ch, 1.0)
+    X = device_state_matrix(ch)
     assert np.count_nonzero(X) == 0
 
 
@@ -316,18 +316,18 @@ def test_device_state_single_active_scaling():
     alpha = np.zeros(6)
     alpha[2] = 1
     ch = _toy_realization(rng, alpha=alpha)
-    X = device_state_matrix(ch, 4.0)
-    np.testing.assert_allclose(X[:, 2], 2.0 * ch.H[:, 2])
+    X = device_state_matrix(ch)
+    np.testing.assert_array_equal(X[:, 2], ch.H[:, 2])
+    assert np.count_nonzero(X[:, np.arange(6) != 2]) == 0
 
 
 def test_device_state_loop_oracle_and_exact_zeros():
     rng = np.random.default_rng(9)
     ch = _toy_realization(rng)
-    xi = rng.uniform(0.5, 2.0)
-    X = device_state_matrix(ch, xi)
+    X = device_state_matrix(ch)
     for k in range(6):
         if ch.alpha[k]:
-            np.testing.assert_allclose(X[:, k], math.sqrt(xi) * ch.H[:, k])
+            np.testing.assert_array_equal(X[:, k], ch.H[:, k])
         else:
             # bitwise zero, enabling exact activity accounting
             assert np.all(X[:, k] == 0.0)

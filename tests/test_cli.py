@@ -47,9 +47,9 @@ def test_validate_prints_config_ok(cfg, capsys):
     ("bogus_key = 1\n", "snr=10"),    # unknown key
     (TINY, "bogus=1,2"),              # unknown sweep axis
     (TINY, "L=17"),                   # no default factorization for L
-    (TINY + "f_hz = -1\n", "snr=10"),          # rejected by the link budget
-    (TINY + "eps = 0.5\n", "snr=10"),          # rejected by the engine config
-    (TINY + "threshold_ratio = 1.5\n", "snr=10"),
+    (TINY + "p_a = 1.5\n", "snr=10"),          # out of range
+    (TINY + "snr_db = nan\n", "snr=10"),       # not a number
+    (TINY + "threshold_ratio = 0.3\n", "snr=10"),  # unknown key: the threshold is fixed
 ])
 def test_configuration_errors_exit_1(tmp_path, capsys, config_text, sweep):
     path = tmp_path / "scenario.cfg"
@@ -119,11 +119,14 @@ def test_empty_algos_exit_1_on_validate_and_run(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["three_db_angle_deg = 180", "three_db_angle_deg = 200",
                                   "three_db_angle_deg = 360", "theta_max_deg = 91"])
 def test_beam_angles_beyond_a_quarter_turn_exit_1_on_validate(tmp_path, capsys, line):
-    # 180 degrees used to hang the antenna gain; 200 and 360 gave gain 1
+    # 180 degrees used to hang the antenna gain; 200 and 360 gave gain 1.
+    # Both angles are now fixed in the modules that use them, so no config
+    # reaches them: naming one is an unknown key
     path = tmp_path / "scenario.cfg"
     path.write_text(TINY + line + "\n")
     assert cli.main(["validate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "unknown key" in err
 
 
 def test_repeated_algos_exit_1_on_validate_and_run(tmp_path, capsys):

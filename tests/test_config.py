@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,23 @@ def test_parse_config_reads_known_keys():
     assert (cfg.K, cfg.dims, cfg.algos) == (40, (4, 4), ("vbi", "amp"))
 
 
+# The fixed scene (README, "Fixed scene"): the link budget, the device
+# geometry and transmit power, and the engine and detection settings live
+# in the modules that use them, so a config naming one, even at its value
+# there, names an unknown key.
+FIXED_SCENE = ["f_hz = 30e9", "d0_m = 1000e3", "bandwidth_hz = 25e6", "g_over_t_db = 34",
+               "three_db_angle_deg = 0.4", "rain_mean_db = -2.6", "rain_std_db = 1.63",
+               "rician_factor = 8", "hlos_norm_sq_low = 0.6", "hlos_norm_sq_high = 0.7",
+               "v_nlos_low = 0.2", "v_nlos_high = 0.25", "theta_max_deg = 0.4", "xi = 1",
+               "eps = 1e-6", "max_iters = 35", "rel_tol = 1e-3", "threshold_ratio = 0.3"]
+
+
 @pytest.mark.parametrize("text", ["noise_temperature_k = 290", "boltzmann = 1.38e-23",
-                                  "dish_diameter_m = 1.2", "K = 40\nK = 50"])
+                                  "dish_diameter_m = 1.2", *FIXED_SCENE, "K = 40\nK = 50"])
 def test_parse_config_rejects_unknown_and_duplicate_keys(text):
-    # noise_temperature_k is not a key: g_over_t_db carries the noise
-    # temperature; Boltzmann's constant is fixed, and the 3 dB angle alone
-    # sets the beam, so neither boltzmann nor dish_diameter_m is a key
+    # noise_temperature_k is not a key: the link budget's G/T carries the
+    # noise temperature; Boltzmann's constant is fixed, and the 3 dB angle
+    # alone sets the beam, so neither boltzmann nor dish_diameter_m is a key
     with pytest.raises(ConfigError, match="unknown key|duplicate key"):
         parse_config(text)
 
@@ -66,13 +78,15 @@ def test_parse_config_rejects_repeated_algos(text):
                                   "theta_max_deg = -1", "theta_max_deg = 91",
                                   "three_db_angle_deg = 0", "three_db_angle_deg = 180",
                                   "three_db_angle_deg = 200",
-                                  "three_db_angle_deg = 360"])
+                                  "three_db_angle_deg = 360", "p_a = 1.5", "p_a = nan",
+                                  "K = 0", "trials = 0"])
 def test_parse_config_rejects_what_a_trial_would_reject(text):
-    # the link budget, the engine config, the device geometry's ranges and
-    # the detection threshold are checked when the config loads, not in
-    # the first trial; no number but snr_db (inf: noise-free) may be
-    # non-finite
-    with pytest.raises(ConfigError):
+    # checked when the config loads, not in the first trial: no number but
+    # snr_db (inf: noise-free) may be non-finite, and a value of the fixed
+    # scene never reaches a trial, because its key is unknown
+    key = text.partition("=")[0].strip()
+    with pytest.raises(ConfigError, match=key if key in ("snr_db", "p_a", "K", "trials")
+                       else "unknown key"):
         parse_config(text)
 
 
@@ -99,8 +113,11 @@ def test_example_paper_config_loads():
                                  algos=("vbi", "somp", "amp"))
 
 
-def test_readme_documents_every_config_key():
+def test_readme_config_table_is_exactly_the_config_keys():
+    # the docs list no key that the parser rejects, and miss none it reads
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    missing = [f.name for f in dataclasses.fields(ScenarioConfig)
-               if f"`{f.name}`" not in readme]
-    assert not missing
+    section = readme.split("## Config file", 1)[1].split("\n## ", 1)[0]
+    first_cells = [line.split("|")[1] for line in section.splitlines()
+                   if line.startswith("| `")]
+    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]

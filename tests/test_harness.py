@@ -29,8 +29,8 @@ def test_baselines_scored_against_true_device_states():
 
 def test_noise_free_scene_recovered_by_every_algorithm():
     # one scene, one X_true: all three algorithms are scored against it
-    cfg = ScenarioConfig(K=100, M=4, dims=(10, 10), snr_db=150.0, max_iters=200,
-                         rel_tol=1e-8, algos=("vbi", "somp", "amp"), trials=1)
+    cfg = ScenarioConfig(K=100, M=4, dims=(10, 10), snr_db=150.0,
+                         algos=("vbi", "somp", "amp"), trials=1)
     records, _ = run_trial(cfg, "snr", "150", 0)
     assert [r.algorithm for r in records] == ["vbi", "somp", "amp"]
     for r in records:
@@ -157,7 +157,7 @@ def test_geometry_drawn_once_per_configuration(monkeypatch):
         assert not records[0].failed
     assert sorted(calls) == ["antenna_gain", "sample_device_geometry"]
     geom = harness.scenario_geometry(cfg)
-    np.testing.assert_array_equal(geom.omega,
-                                  channel.antenna_gain(geom.theta_rad, cfg.three_db_angle_deg))
+    three_db = channel.LinkBudget().three_db_angle_deg
+    np.testing.assert_array_equal(geom.omega, channel.antenna_gain(geom.theta_rad, three_db))
     for f in dataclasses.fields(geom):
         assert not getattr(geom, f.name).flags.writeable, f.name

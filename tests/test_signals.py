@@ -96,9 +96,9 @@ def test_synthesize_noise_variance_monte_carlo():
 
 
 def test_snr_mapping():
-    assert snr_to_noise_variance(0.0, 1.0) == 1.0
-    assert snr_to_noise_variance(10.0, 1.0) == pytest.approx(0.1)
-    assert snr_to_noise_variance(10.0, 2.0) == pytest.approx(0.2)
+    assert snr_to_noise_variance(0.0) == 1.0
+    assert snr_to_noise_variance(10.0) == pytest.approx(0.1)
+    assert snr_to_noise_variance(-10.0) == pytest.approx(10.0)
 
 
 def test_default_factorizations_consistent():

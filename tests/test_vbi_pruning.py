@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from leojadce import harness, vbi
-from leojadce.channel import device_state_matrix, draw_channels
+from leojadce.channel import RICIAN_FACTOR, device_state_matrix, draw_channels
 from leojadce.config import ScenarioConfig
 from leojadce.signals import (gen_preambles, snr_to_noise_variance,
                               synthesize_received)
@@ -36,9 +36,9 @@ def harness_scene(cfg, trial=0):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     geom = harness.scenario_geometry(cfg)
-    ch = draw_channels(cfg.link_budget(), geom, cfg.M, cfg.p_a, cfg.rician_factor, rng)
-    X = device_state_matrix(ch, cfg.xi)
-    return p, synthesize_received(p, X, snr_to_noise_variance(cfg.snr_db, cfg.xi), rng)
+    ch = draw_channels(harness.LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
+    X = device_state_matrix(ch)
+    return p, synthesize_received(p, X, snr_to_noise_variance(cfg.snr_db), rng)
 
 
 def unpruned_run(p, Y, cfg):
@@ -72,7 +72,7 @@ PAPER_SHORT = ScenarioConfig(K=500, M=8, dims=(10, 10), snr_db=10.0, algos=("vbi
     (lambda: scene(WOODBURY, 0.05)[:2], vbi.EngineConfig(max_iters=4)),
     (lambda: scene(DIRECT, 0.05)[:2], vbi.EngineConfig(max_iters=4)),
     # the L=100, 10 dB trial of the short-preamble benchmark scene
-    (lambda: harness_scene(PAPER_SHORT), PAPER_SHORT.engine_config()),
+    (lambda: harness_scene(PAPER_SHORT), vbi.EngineConfig()),
 ], ids=["woodbury-4-iters", "direct-4-iters", "L100-10dB"])
 def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
     p, Y = make()
@@ -188,7 +188,7 @@ def nmse(M_X, X):
 
 @pytest.mark.parametrize("sigma_n2, scale", [(1e-2, 20.0), (5e-2, 30.0)])
 def test_scaled_scenes_keep_every_true_device(sigma_n2, scale):
-    # X 20 and 30 times larger, as a harness xi of 400 and 900 makes it: the
+    # X 20 and 30 times larger, as a transmit power of 400 and 900 makes it: the
     # true columns grow from the unit E[v] start over many iterations, while
     # the collapsed devices' E[v] sits far above. Without the test that a
     # column has stopped growing, true device 21 was pruned at iteration 9
