@@ -91,16 +91,14 @@ class ChannelRealization:
     alpha: np.ndarray      # activity bit per device
 
 
-def sample_device_geometry(K: int, M: int, lb: LinkBudget, rng: np.random.Generator, *,
-                           theta_max_deg: float = THETA_MAX_DEG,
-                           hlos_norm_sq_range: tuple[float, float] = HLOS_NORM_SQ_RANGE,
-                           v_nlos_range: tuple[float, float] = V_NLOS_RANGE
-                           ) -> DeviceGeometry:
-    """Draw the frozen per-device geometry for a scenario, with the antenna
-    gain of ``lb``'s receive beam at each device's off-axis angle."""
-    theta = rng.uniform(0.0, math.radians(theta_max_deg), size=K)
-    norms = rng.uniform(*hlos_norm_sq_range, size=K)
-    v_nlos = rng.uniform(*v_nlos_range, size=K)
+def sample_device_geometry(K: int, M: int, lb: LinkBudget,
+                           rng: np.random.Generator) -> DeviceGeometry:
+    """Draw the frozen per-device geometry for a scenario over the ranges
+    above, with the antenna gain of ``lb``'s receive beam at each device's
+    off-axis angle."""
+    theta = rng.uniform(0.0, math.radians(THETA_MAX_DEG), size=K)
+    norms = rng.uniform(*HLOS_NORM_SQ_RANGE, size=K)
+    v_nlos = rng.uniform(*V_NLOS_RANGE, size=K)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(M, K))
     hlos_dir = np.exp(1j * phases) / math.sqrt(M)  # unit norm per column
     return DeviceGeometry(

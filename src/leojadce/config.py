@@ -155,8 +155,6 @@ def canonical_value(v) -> str:
     ("10.0" and 10 give "10"), other numbers take their float repr, and a
     string that is not a number (a "20x20" factorization, or a malformed
     value that :func:`apply_axis` will reject) is kept as it is."""
-    if isinstance(v, (tuple, list)):
-        return "x".join(str(int(d)) for d in v)
     try:
         f = float(v)
     except ValueError:

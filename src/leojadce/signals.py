@@ -2,8 +2,11 @@
 
 Each device's preamble is the vectorization of a rank-1 tensor built from
 per-mode unit-norm Gaussian vectors, so the length-L sequence equals the
-Kronecker product of its factors. The receiver sees the noisy superposition
-of all devices as an L x M sample matrix: preamble sample by antenna.
+Kronecker product of its factors. The preambles of all K devices are
+carried as the tuple of their d factor arrays A_1..A_d, each l_i x K; their
+Khatri-Rao product (see :mod:`leojadce.tensors`) is the L x K matrix of
+preambles. The receiver sees the noisy superposition of all devices as an
+L x M sample matrix: preamble sample by antenna.
 """
 
 from __future__ import annotations
@@ -13,29 +16,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensors import FactorMatrices, khatri_rao
+from .tensors import khatri_rao
 
 
-def gen_preambles(dims: Sequence[int], K: int, rng: np.random.Generator) -> FactorMatrices:
-    """Draw i.i.d. circular complex Gaussian factors, normalized column-wise;
-    :class:`FactorMatrices` rejects fewer than two dims or a dim below 2."""
+def gen_preambles(dims: Sequence[int], K: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The read-only factor arrays A_1..A_d, one l_i x K array per entry of
+    ``dims``: i.i.d. circular complex Gaussian, normalized column-wise.
+    Needs d >= 2 modes, each of length >= 2."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    dims = [int(l) for l in dims]
+    if len(dims) < 2 or min(dims) < 2:
+        raise ValueError(f"need d >= 2 modes, each of length >= 2: {dims}")
     mats = []
-    for l in map(int, dims):
+    for l in dims:
         a = rng.standard_normal((l, K)) + 1j * rng.standard_normal((l, K))
         a /= np.linalg.norm(a, axis=0, keepdims=True)
+        a.flags.writeable = False
         mats.append(a)
-    return FactorMatrices(tuple(mats))
+    return tuple(mats)
 
 
-def assemble_preamble_matrix(p: FactorMatrices) -> np.ndarray:
+def assemble_preamble_matrix(p: tuple[np.ndarray, ...]) -> np.ndarray:
     """L x K matrix whose column k is the Kronecker fold of device k's
     factor columns (equals the Khatri-Rao product of the factors)."""
-    return khatri_rao(list(p))
+    return khatri_rao(p)
 
 
-def synthesize_received(p: FactorMatrices, X: np.ndarray, sigma_n2: float,
+def synthesize_received(p: tuple[np.ndarray, ...], X: np.ndarray, sigma_n2: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Received samples Y = KR X^T + N, with KR = khatri_rao(p) and N
     i.i.d. CN(0, sigma_n2): a read-only, C-contiguous L x M array whose
@@ -43,7 +52,7 @@ def synthesize_received(p: FactorMatrices, X: np.ndarray, sigma_n2: float,
     is the mode-(d+1) unfolding of the received tensor."""
     if sigma_n2 < 0:
         raise ValueError("noise variance must be >= 0")
-    Y = np.ascontiguousarray((X @ khatri_rao(list(p)).T).T)
+    Y = np.ascontiguousarray((X @ khatri_rao(p).T).T)
     if sigma_n2 != 0.0:
         noise = math.sqrt(sigma_n2 / 2.0) * (
             rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))

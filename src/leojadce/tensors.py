@@ -14,55 +14,10 @@ preamble sample l in this same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FactorMatrices:
-    """Known per-mode factor matrices A_1..A_d, each l_i x K with l_i >= 2:
-    the preamble factors of all K devices.
-
-    Unit column norms are enforced where the factors are generated, not
-    here; this type only guarantees a consistent shape family.
-    """
-
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(np.ascontiguousarray(a, dtype=complex) for a in self.matrices)
-        if len(mats) < 2:
-            raise ValueError("need at least two factor matrices (d >= 2)")
-        cols = {a.shape[1] for a in mats}
-        if len(cols) != 1:
-            raise ValueError(f"factor matrices disagree on column count: {sorted(cols)}")
-        if any(a.shape[0] < 2 for a in mats):
-            raise ValueError("every mode dimension must be >= 2")
-        for a in mats:
-            a.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def d(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def K(self) -> int:
-        return self.matrices[0].shape[1]
-
-    @property
-    def mode_dims(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a in self.matrices)
-
-    @property
-    def L(self) -> int:
-        return int(np.prod(self.mode_dims))
-
-    def __iter__(self):
-        return iter(self.matrices)
 
 
 def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:

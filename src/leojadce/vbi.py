@@ -1,7 +1,8 @@
 """Mean-field variational Bayesian engine for device-state recovery.
 
 Model: the L x M received samples are Y = KR X^T + N, where KR is the
-L x K Khatri-Rao product of the preamble factors A_1..A_d and N is white
+L x K Khatri-Rao product of the preamble factors, given as the tuple
+p = (A_1, ..., A_d) of l_i x K arrays, and N is white
 circular complex Gaussian noise; the updates read Y through
 Y_(d+1) = Y^T = X KR^T + N^T, the mode-(d+1) unfolding of the received
 tensor. Each column of X has a circular complex Gaussian prior
@@ -57,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
-from .tensors import FactorMatrices, khatri_rao
+from .tensors import khatri_rao
 
 
 # Pruning (see :func:`prune`): from this iteration on, a device whose prior
@@ -160,13 +161,13 @@ class EngineResult:
         return self.state.M_X
 
 
-def precompute_gram(p: FactorMatrices) -> np.ndarray:
+def precompute_gram(p: tuple[np.ndarray, ...]) -> np.ndarray:
     """K x K Gram hadamard_i (A_i^H A_i)^* = KR^T KR^*; since the factors
     are known constants this is the whole expectation entering the
     X-covariance.
 
     Each conjugated factor Gram is multiplied into the first in place, in
-    list order, so at most two K x K arrays are live."""
+    factor order, so at most two K x K arrays are live."""
     first, *rest = p
     G = first.conj().T @ first
     np.conjugate(G, out=G)
@@ -182,13 +183,14 @@ def _y_kr_conj(Y: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return (Y.T.conj() @ kr).conj()
 
 
-def init_posterior(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig) -> PosteriorState:
+def init_posterior(p: tuple[np.ndarray, ...], Y: np.ndarray,
+                   cfg: EngineConfig) -> PosteriorState:
     """Deterministic start: matched-filter mean, identity covariance
     (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means, zero prior-mean
     moments, noise precision from total energy."""
-    L, K = p.L, p.K
-    M = Y.shape[1]
-    kr = khatri_rao(list(p))
+    L, M = Y.shape
+    K = p[0].shape[1]
+    kr = khatri_rao(p)
     m_x = _y_kr_conj(Y, kr) / L
     b_v = M + cfg.eps
     b_beta = L * M + cfg.eps
@@ -519,7 +521,7 @@ def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
             & (col_energy <= prev_col_energy))
 
 
-def run(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig,
+def run(p: tuple[np.ndarray, ...], Y: np.ndarray, cfg: EngineConfig,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
     """Iterate qX -> qmu -> qv -> qbeta until the relative Frobenius change
@@ -539,14 +541,15 @@ def run(p: FactorMatrices, Y: np.ndarray, cfg: EngineConfig,
     only between pruning steps, while the active set is fixed. A run where
     no device meets the rule solves for every device on every iteration
     and gives the M_X of the unpruned iteration bit for bit."""
-    G = None if woodbury_pays(p.L, p.K) else precompute_gram(p)
-    kr = khatri_rao(list(p))
+    L, K = Y.shape[0], p[0].shape[1]
+    G = None if woodbury_pays(L, K) else precompute_gram(p)
+    kr = khatri_rao(p)
     Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(p, Y, cfg)
     # G and the q(X) copies kr_a, Ty_a hold only the rows and columns of
     # the devices in ``active``
-    active, kr_a, Ty_a = np.arange(p.K), kr, Ty
+    active, kr_a, Ty_a = np.arange(K), kr, Ty
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     trace: list[tuple[int, float, float, int]] = []
     converged = False

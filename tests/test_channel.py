@@ -18,12 +18,6 @@ def default_budget(**kw):
     return LinkBudget(**kw)
 
 
-def default_geometry(K, M, lb, rng):
-    return sample_device_geometry(K, M, lb, rng, theta_max_deg=0.4,
-                                  hlos_norm_sq_range=(0.6, 0.7),
-                                  v_nlos_range=(0.2, 0.25))
-
-
 # ---------------------------------------------------------------- large-scale gain
 
 def test_free_space_loss_factor():
@@ -245,7 +239,7 @@ def _uniform_geometry(K, M, norm_sq=0.65, v=0.225):
 def test_draw_channels_zero_activity():
     rng = np.random.default_rng(3)
     lb = default_budget()
-    geom = default_geometry(50, 4, lb, rng)
+    geom = sample_device_geometry(50, 4, lb, rng)
     ch = draw_channels(lb, geom, 4, 0.0, 8.0, rng)
     assert np.all(ch.alpha == 0)
     assert ch.H.shape == (4, 50)
@@ -286,7 +280,7 @@ def test_draw_channels_rician_moment_oracle():
 def test_geometry_sampling_ranges():
     rng = np.random.default_rng(6)
     lb = default_budget()
-    geom = default_geometry(1000, 4, lb, rng)
+    geom = sample_device_geometry(1000, 4, lb, rng)
     np.testing.assert_array_equal(geom.omega,
                                   antenna_gain(geom.theta_rad, lb.three_db_angle_deg))
     assert np.all((geom.hlos_norm_sq >= 0.6) & (geom.hlos_norm_sq <= 0.7))

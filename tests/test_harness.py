@@ -38,6 +38,19 @@ def test_noise_free_scene_recovered_by_every_algorithm():
         assert r.nmse < 1e-6, (r.algorithm, r.nmse)
 
 
+def test_noise_free_sweep_over_tensor_order():
+    # the d axis splits L = 225 into 2, 3 and 4 modes; VBI and AMP recover
+    # X from the noise-free samples at every order
+    cfg = ScenarioConfig(K=40, M=4, dims=(15, 15), snr_db=float("inf"),
+                         algos=("vbi", "somp", "amp"), trials=2)
+    records, _ = run_sweep(cfg, make_sweep("d", [2, 3, 4]))
+    assert len(records) == 3 * 3 * 2
+    for r in records:
+        assert not r.failed, (r.value, r.algorithm, r.error)
+        if r.algorithm != "somp":
+            assert r.nmse < 1e-6, (r.value, r.algorithm, r.nmse)
+
+
 TINY = ScenarioConfig(K=40, M=4, dims=(4, 4), algos=("vbi", "somp", "amp"), trials=2)
 TINY_SWEEP = make_sweep("snr", [10, 30])
 

@@ -8,7 +8,7 @@ import pytest
 from leojadce.signals import (DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225,
                               assemble_preamble_matrix, gen_preambles,
                               snr_to_noise_variance, synthesize_received)
-from leojadce.tensors import FactorMatrices, khatri_rao
+from leojadce.tensors import khatri_rao
 
 
 def test_preamble_columns_unit_norm():
@@ -28,10 +28,10 @@ def test_preambles_deterministic_under_seed():
 def test_preamble_vec_equals_kron_fold():
     rng = np.random.default_rng(1)
     p = gen_preambles((3, 4), 5, rng)
-    A1, A2 = p.matrices
+    A1, A2 = p
     for k in range(5):
         x = np.ones((1, 1), dtype=complex)
-        Y = synthesize_received(FactorMatrices((A1[:, [k]], A2[:, [k]])), x, 0.0, rng)
+        Y = synthesize_received((A1[:, [k]], A2[:, [k]]), x, 0.0, rng)
         np.testing.assert_allclose(Y.reshape(-1), np.kron(A1[:, k], A2[:, k]), atol=1e-14)
 
 
@@ -52,7 +52,7 @@ def test_assemble_matches_khatri_rao_and_basis_case():
     assert A.shape == (12, 6)
     for k in range(6):
         np.testing.assert_allclose(
-            A[:, k], np.kron(p.matrices[0][:, k], p.matrices[1][:, k]),
+            A[:, k], np.kron(p[0][:, k], p[1][:, k]),
             atol=1e-14)
     # unit-norm columns: products of unit-norm factors
     np.testing.assert_allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-12)
@@ -61,7 +61,7 @@ def test_assemble_matches_khatri_rao_and_basis_case():
     e1[0] = 1.0
     e2 = np.zeros((4, 1), dtype=complex)
     e2[0] = 1.0
-    basis = assemble_preamble_matrix(FactorMatrices((e1, e2)))
+    basis = assemble_preamble_matrix((e1, e2))
     expected = np.zeros((12, 1), dtype=complex)
     expected[0] = 1.0
     np.testing.assert_array_equal(basis, expected)
@@ -87,7 +87,7 @@ def test_synthesize_noise_variance_monte_carlo():
     rng = np.random.default_rng(6)
     p = gen_preambles((10, 10), 3, rng)
     X = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    signal = (X @ khatri_rao(list(p)).T).T
+    signal = (X @ khatri_rao(p).T).T
     Y = synthesize_received(p, X, 1.0, rng)
     noise = Y - signal
     n = noise.size  # 1000 entries
@@ -126,7 +126,7 @@ def test_synthesize_matches_tensor_shaped_noise_bit_for_bit(d):
     shape = tuple(dims) + (M,)
     noise = math.sqrt(sigma_n2 / 2.0) * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    expected = (X @ khatri_rao(list(p)).T).T + noise.reshape(225, M)
+    expected = (X @ khatri_rao(p).T).T + noise.reshape(225, M)
     assert Y.shape == (225, M) and Y.flags.c_contiguous
     assert np.array_equal(Y, expected)
     assert not Y.flags.writeable

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leojadce.signals import synthesize_received
-from leojadce.tensors import FactorMatrices, khatri_rao
+from leojadce.signals import gen_preambles, synthesize_received
+from leojadce.tensors import khatri_rao
 
 
 def crandn(rng, *shape):
@@ -84,7 +84,7 @@ def received(factors, X):
 
 def test_kruskal_basis_case():
     e = lambda n: np.eye(n, 1, dtype=complex)  # first basis vector as column
-    factors = FactorMatrices((e(3), e(4)))
+    factors = (e(3), e(4))
     Y = received(factors, e(2))
     expected = np.zeros((12, 2), dtype=complex)
     expected[0, 0] = 1.0
@@ -93,7 +93,7 @@ def test_kruskal_basis_case():
 
 def test_kruskal_zero_state():
     rng = np.random.default_rng(9)
-    factors = FactorMatrices((crandn(rng, 3, 2), crandn(rng, 4, 2)))
+    factors = (crandn(rng, 3, 2), crandn(rng, 4, 2))
     Y = received(factors, np.zeros((2, 2), dtype=complex))
     assert np.linalg.norm(Y) == 0.0
 
@@ -102,7 +102,7 @@ def test_kruskal_brute_force_oracle():
     rng = np.random.default_rng(10)
     l1, l2, K, M = 3, 4, 2, 2
     A1, A2, X = crandn(rng, l1, K), crandn(rng, l2, K), crandn(rng, M, K)
-    Y = received(FactorMatrices((A1, A2)), X)
+    Y = received((A1, A2), X)
     expected = np.zeros((l1, l2, M), dtype=complex)
     for i in range(l1):
         for j in range(l2):
@@ -114,7 +114,7 @@ def test_kruskal_brute_force_oracle():
 
 def test_kruskal_dim_mismatch():
     rng = np.random.default_rng(11)
-    factors = FactorMatrices((crandn(rng, 3, 2), crandn(rng, 4, 2)))
+    factors = (crandn(rng, 3, 2), crandn(rng, 4, 2))
     with pytest.raises(ValueError):
         received(factors, crandn(rng, 2, 3))
 
@@ -123,7 +123,7 @@ def test_unfold_rank1_outer_product():
     # the transposed samples are the mode-(d+1) unfolding x (a1 kron a2)^T
     rng = np.random.default_rng(12)
     a1, a2, x = crandn(rng, 3, 1), crandn(rng, 4, 1), crandn(rng, 2, 1)
-    Y = received(FactorMatrices((a1, a2)), x)
+    Y = received((a1, a2), x)
     expected = x @ np.kron(a1[:, 0], a2[:, 0])[None, :]
     np.testing.assert_allclose(Y.T, expected, atol=1e-14)
 
@@ -132,7 +132,7 @@ def test_unfold_kruskal_identity_pins_ordering():
     rng = np.random.default_rng(14)
     A = [crandn(rng, 3, 4), crandn(rng, 2, 4), crandn(rng, 5, 4)]
     X = crandn(rng, 3, 4)
-    lhs = received(FactorMatrices(tuple(A)), X).T
+    lhs = received(tuple(A), X).T
     rhs = X @ khatri_rao(A).T
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -150,7 +150,7 @@ def test_vec_kron_consistency(dims, seed):
     rng = np.random.default_rng(seed)
     cols = [crandn(rng, l, 1) for l in dims]
     x = crandn(rng, 2, 1)
-    vec = received(FactorMatrices(tuple(cols)), x).reshape(-1)
+    vec = received(tuple(cols), x).reshape(-1)
     expected = cols[0][:, 0]
     for c in cols[1:]:
         expected = np.kron(expected, c[:, 0])
@@ -165,7 +165,7 @@ def test_unfolding_identity_random_instances(dims, K, M, seed):
     rng = np.random.default_rng(seed)
     A = [crandn(rng, l, K) for l in dims]
     X = crandn(rng, M, K)
-    lhs = received(FactorMatrices(tuple(A)), X).T
+    lhs = received(tuple(A), X).T
     rhs = X @ khatri_rao(A).T
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -176,7 +176,7 @@ def test_frobenius_norm_tensor_vs_unfolded(dims, K, seed):
     rng = np.random.default_rng(seed)
     A = [crandn(rng, l, K) for l in dims]
     X = crandn(rng, 3, K)
-    t_norm2 = np.linalg.norm(received(FactorMatrices(tuple(A)), X)) ** 2
+    t_norm2 = np.linalg.norm(received(tuple(A), X)) ** 2
     m_norm2 = np.linalg.norm(X @ khatri_rao(A).T) ** 2
     np.testing.assert_allclose(t_norm2, m_norm2, rtol=1e-10)
 
@@ -184,23 +184,12 @@ def test_frobenius_norm_tensor_vs_unfolded(dims, K, seed):
 # ---------------------------------------------------------------- types
 
 def test_tensors_are_immutable():
+    # every preamble factor is read-only, at tensor orders d = 2, 3 and 4
     rng = np.random.default_rng(15)
-    factors = FactorMatrices((crandn(rng, 2, 2), crandn(rng, 2, 2)))
-    with pytest.raises(ValueError):
-        factors.matrices[0][0, 0] = 5.0
-
-
-def test_factor_matrices_validation():
-    rng = np.random.default_rng(16)
-    with pytest.raises(ValueError):
-        FactorMatrices((crandn(rng, 3, 2),))
-    with pytest.raises(ValueError):
-        FactorMatrices((crandn(rng, 3, 2), crandn(rng, 3, 4)))
-    f = FactorMatrices((crandn(rng, 3, 2), crandn(rng, 4, 2)))
-    assert f.d == 2 and f.K == 2 and f.L == 12 and f.mode_dims == (3, 4)
-
-
-def test_factor_matrices_reject_unit_mode_dimension():
-    rng = np.random.default_rng(17)
-    with pytest.raises(ValueError, match=">= 2"):
-        FactorMatrices((crandn(rng, 1, 2), crandn(rng, 4, 2)))
+    for dims in [(2, 2), (3, 2, 2), (2, 3, 2, 2)]:
+        factors = gen_preambles(dims, 2, rng)
+        assert len(factors) == len(dims)
+        for a in factors:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 5.0

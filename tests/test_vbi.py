@@ -31,8 +31,8 @@ def scene(dims, sigma_n2, seed=0):
 def operands(p, Y):
     """What vbi.run forms once per call: G (None on the Woodbury path), KR,
     Y_(d+1) KR^*, Y_(d+1) and ||Y||^2."""
-    G = None if vbi.woodbury_pays(p.L, p.K) else vbi.precompute_gram(p)
-    kr = khatri_rao(list(p))
+    kr = khatri_rao(p)
+    G = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
     return G, kr, Y.T @ kr.conj(), Y.T, float(np.vdot(Y, Y).real)
 
 

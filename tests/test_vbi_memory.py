@@ -39,10 +39,10 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
                             a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K),
                             E_mu_inv=rng.standard_normal(K))
     G = vbi.precompute_gram(p)
-    kr = khatri_rao(list(p))
+    kr = khatri_rao(p)
     Y_mat = Y.T
     Ty = Y_mat @ kr.conj()
-    s = vbi.update_qX(s, None if vbi.woodbury_pays(p.L, K) else G, kr, Ty, Y_mat)
+    s = vbi.update_qX(s, None if vbi.woodbury_pays(Y.shape[0], K) else G, kr, Ty, Y_mat)
 
     # the Gram form Re sum((M_X G) o conj(M_X)) of the fit term, as the oracle
     gram_fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real)
@@ -82,7 +82,7 @@ def test_run_forms_the_gram_only_on_the_direct_path(monkeypatch, dims, grams):
 def test_woodbury_run_peak_memory_below_one_k_by_k_array():
     K = 400
     p, Y = scene(WOODBURY, K)
-    assert vbi.woodbury_pays(p.L, K)
+    assert vbi.woodbury_pays(Y.shape[0], K)
     tracemalloc.start()
     try:
         vbi.run(p, Y, vbi.EngineConfig(max_iters=3))
@@ -104,11 +104,11 @@ def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     p, Y = scene(dims, K, m=m, seed=K + m)
-    kr = khatri_rao(list(p))
+    kr = khatri_rao(p)
     ref = Y.T @ kr.conj()
     np.testing.assert_array_equal(vbi._y_kr_conj(Y, kr), ref)
     s = vbi.init_posterior(p, Y, vbi.EngineConfig())
-    np.testing.assert_array_equal(s.M_X, ref / p.L)
+    np.testing.assert_array_equal(s.M_X, ref / Y.shape[0])
 
 
 def test_direct_column_energies_in_blocks_bit_equal_to_whole_inverse():

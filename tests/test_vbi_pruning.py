@@ -44,8 +44,8 @@ def harness_scene(cfg, trial=0):
 def unpruned_run(p, Y, cfg):
     """The iteration without pruning, as it stood before pruning was added:
     every device stays in the q(X) solve. Returns (M_X, n_iters, trace)."""
-    G = None if vbi.woodbury_pays(p.L, p.K) else vbi.precompute_gram(p)
-    kr = khatri_rao(list(p))
+    kr = khatri_rao(p)
+    G = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
     Ty = vbi._y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
     s = vbi.init_posterior(p, Y, cfg)
@@ -78,7 +78,7 @@ def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
     p, Y = make()
     result = vbi.run(p, Y, cfg)
     M_X, n_iters, trace = unpruned_run(p, Y, cfg)
-    assert [row[3] for row in result.trace] == [p.K] * result.n_iters
+    assert [row[3] for row in result.trace] == [p[0].shape[1]] * result.n_iters
     assert result.n_iters == n_iters
     assert [row[:3] for row in result.trace] == trace
     np.testing.assert_array_equal(result.M_X, M_X)
@@ -120,7 +120,7 @@ def test_active_set_solve_matches_dense_inverse(dims, sigma_n2):
     p, Y, _ = scene(dims, sigma_n2)
     _, states = states_of(p, Y)
     G = vbi.precompute_gram(p)
-    Ty = Y.T @ khatri_rao(list(p)).conj()
+    Ty = Y.T @ khatri_rao(p).conj()
     checked = 0
     for before, s in zip(states, states[1:]):
         a = np.flatnonzero(np.any(s.M_X != 0, axis=0))
