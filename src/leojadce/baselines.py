@@ -29,8 +29,6 @@ class SompConfig:
 class SompResult:
     support: list[int]
     X_hat: np.ndarray           # M x K, zero off-support
-    residual_norms: list[float]
-    rank_deficient: bool = False
 
 
 def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
@@ -62,11 +60,11 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     plus O(L s + L M) for the column and the residual on a support of
     size s.
 
-    ``rank_deficient`` is set, and the search stops before the atom joins,
-    when the new column's orthogonal remainder is at most
-    ``max(L, s + 1) * eps * ||a_k||``: the relative cutoff that
-    ``np.linalg.lstsq`` applies to the singular values of an L x (s + 1)
-    support, applied here to the distance of a_k from the span of Q."""
+    The search stops before the atom joins when the new column's
+    orthogonal remainder is at most ``max(L, s + 1) * eps * ||a_k||``: the
+    relative cutoff that ``np.linalg.lstsq`` applies to the singular values
+    of an L x (s + 1) support, applied here to the distance of a_k from the
+    span of Q."""
     Y = np.asarray(Y, dtype=complex)
     A = np.asarray(A, dtype=complex)
     L, M = Y.shape
@@ -76,11 +74,10 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     y_norm = float(np.linalg.norm(Y))
     support: list[int] = []
     R_res = Y.copy()
-    norms = [float(np.linalg.norm(R_res))]
-    rank_deficient = False
+    res_norm = y_norm
     X_hat = np.zeros((M, K), dtype=complex)
     if y_norm == 0.0:
-        return SompResult(support=[], X_hat=X_hat, residual_norms=norms)
+        return SompResult(support=[], X_hat=X_hat)
     cap = cfg.max_support
     Q_H = np.zeros((cap, L), dtype=complex)     # row j holds q_j^H
     R = np.zeros((cap, cap), dtype=complex)     # A_S = Q R, upper triangular
@@ -88,7 +85,7 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     eps = np.finfo(float).eps
     corr = A.T @ R_res.conj()                   # (A^H R_res)^*
     while len(support) < cap:
-        if norms[-1] / y_norm <= cfg.residual_tol:
+        if res_norm / y_norm <= cfg.residual_tol:
             break
         score = np.sum(np.abs(corr), axis=1)
         score[support] = -1.0
@@ -101,7 +98,6 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
             R[:s, s] += c
         r_ss = float(np.linalg.norm(w))
         if r_ss <= max(L, s + 1) * eps * float(np.linalg.norm(A[:, k_star])):
-            rank_deficient = True
             break
         R[s, s] = r_ss
         q = w / r_ss
@@ -110,13 +106,12 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
         R_res -= np.outer(q, QhY[s])
         corr -= np.outer(A.T @ Q_H[s], QhY[s].conj())
         support.append(k_star)
-        norms.append(float(np.linalg.norm(R_res)))
+        res_norm = float(np.linalg.norm(R_res))
     if support:
         n = len(support)
         coef = np.linalg.solve(R[:n, :n], QhY[:n])
         X_hat[:, support] = coef.T
-    return SompResult(support=support, X_hat=X_hat, residual_norms=norms,
-                      rank_deficient=rank_deficient)
+    return SompResult(support=support, X_hat=X_hat)
 
 
 def default_max_support(p_a: float, K: int) -> int:

@@ -79,18 +79,6 @@ class DeviceGeometry:
         return self.theta_rad.size
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One drawn channel + activity state for all K devices.
-
-    ``H`` columns are the conjugated per-device channels; inactive devices
-    still carry a channel (they simply do not transmit).
-    """
-
-    H: np.ndarray          # M x K
-    alpha: np.ndarray      # activity bit per device
-
-
 def sample_device_geometry(K: int, M: int, lb: LinkBudget,
                            rng: np.random.Generator) -> DeviceGeometry:
     """Draw the frozen per-device geometry for a scenario over the ranges
@@ -190,8 +178,14 @@ def _bessel_j1_j3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
-                  rician_factor: float, rng: np.random.Generator) -> ChannelRealization:
+                  rician_factor: float, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Draw activity, rain, and small-scale fading for one trial.
+
+    Returns the M x K device-state matrix X at unit transmit power, whose
+    column k is device k's conjugated channel if it is active and exactly
+    zero if not, and the int8 activity bits. The draw takes the same random
+    numbers at any ``p_a``.
 
     Circular complex Gaussian convention: variance v splits evenly, i.e.
     real and imaginary parts are each N(0, v/2).
@@ -207,10 +201,4 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     nlos *= np.sqrt(geom.v_nlos)[None, :]
     H = geom.omega[None, :] * (np.sqrt(lam * g / (lam + 1.0))[None, :] * los
                                + np.sqrt(g / (lam + 1.0))[None, :] * nlos)
-    return ChannelRealization(H=H, alpha=alpha)
-
-
-def device_state_matrix(ch: ChannelRealization) -> np.ndarray:
-    """M x K device-state matrix at unit transmit power: an active device's
-    channel column, and exactly zero for an inactive one."""
-    return np.where(ch.alpha == 1, ch.H, 0.0)
+    return np.where(alpha == 1, H, 0.0), alpha

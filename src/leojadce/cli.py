@@ -4,13 +4,16 @@
         [--trials N] [--seed S] [--algos vbi,somp] [--traces] [--workers W]
     leojadce validate --config cfg.txt
 
-Exit codes: 0 success, 1 configuration error, 2 at least one trial failed.
+Exit codes: 0 success, 1 configuration error or an --out that cannot be a
+directory, 2 at least one trial failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from pathlib import Path
 
 from .config import ConfigError, apply_axis, load_config, parse_sweep
 from .harness import run_sweep, write_outputs
@@ -58,12 +61,14 @@ def main(argv=None) -> int:
         if args.algos is not None:
             overrides["algos"] = tuple(a.strip() for a in args.algos.split(",") if a.strip())
         if overrides:
-            cfg = cfg.replace(**overrides)
+            cfg = dataclasses.replace(cfg, **overrides)
         sweep = parse_sweep(args.sweep)
         # validate every axis value against the base config up front
         for value in sweep.values:
             apply_axis(cfg, sweep.axis, value)
-    except ConfigError as exc:
+        # an --out that cannot be a directory fails before the first trial
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

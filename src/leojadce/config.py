@@ -64,9 +64,6 @@ class ScenarioConfig:
     def L(self) -> int:
         return int(np.prod(self.dims))
 
-    def replace(self, **kwargs) -> "ScenarioConfig":
-        return dataclasses.replace(self, **kwargs)
-
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     parts = text.replace("x", ",").replace("*", ",").split(",")
@@ -189,20 +186,20 @@ def factorization_for_length(token: str) -> tuple[int, ...]:
 def apply_axis(cfg: ScenarioConfig, axis: str, value: str) -> ScenarioConfig:
     """Specialize the base config for one sweep-axis value."""
     if axis == "snr":
-        return cfg.replace(snr_db=_parse_value(axis, value, float))
+        return dataclasses.replace(cfg, snr_db=_parse_value(axis, value, float))
     if axis == "p_a":
-        return cfg.replace(p_a=_parse_value(axis, value, float))
+        return dataclasses.replace(cfg, p_a=_parse_value(axis, value, float))
     if axis == "K":
-        return cfg.replace(K=_parse_value(axis, value, int))
+        return dataclasses.replace(cfg, K=_parse_value(axis, value, int))
     if axis == "M":
-        return cfg.replace(M=_parse_value(axis, value, int))
+        return dataclasses.replace(cfg, M=_parse_value(axis, value, int))
     if axis == "L":
-        return cfg.replace(dims=factorization_for_length(value))
+        return dataclasses.replace(cfg, dims=factorization_for_length(value))
     if axis == "d":
         d = _parse_value(axis, value, int)
         if cfg.L != 225:
             raise ConfigError("the tensor-order axis is defined for L = 225 scenarios")
         if d not in ORDER_FACTORIZATIONS_225:
             raise ConfigError(f"no L=225 factorization for d={d}")
-        return cfg.replace(dims=ORDER_FACTORIZATIONS_225[d])
+        return dataclasses.replace(cfg, dims=ORDER_FACTORIZATIONS_225[d])
     raise ConfigError(f"unknown axis {axis!r}")

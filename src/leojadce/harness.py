@@ -32,7 +32,7 @@ import numpy as np
 
 from . import baselines, detection, vbi
 from .channel import (RICIAN_FACTOR, DeviceGeometry, LinkBudget, draw_channels,
-                      device_state_matrix, sample_device_geometry)
+                      sample_device_geometry)
 from .config import ScenarioConfig, SweepSpec, apply_axis
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)
@@ -94,11 +94,10 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     rng = trial_rng(cfg.master_seed, axis, value, trial)
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
     geom = scenario_geometry(cfg)
-    ch = draw_channels(LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
-    X_true = device_state_matrix(ch)
+    X_true, alpha = draw_channels(LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db)
     Y = synthesize_received(preambles, X_true, sigma_n2, rng)
-    have_active = bool(np.any(ch.alpha == 1))
+    have_active = bool(np.any(alpha == 1))
 
     records: list[TrialRecord] = []
     trace_rows: list[tuple] = []
@@ -129,9 +128,9 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
             else:
                 raise ValueError(f"unknown algorithm {algo!r}")
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            pe = detection.error_probability(alpha_hat, ch.alpha)
+            pe = detection.error_probability(alpha_hat, alpha)
             nm = detection.nmse(x_hat, X_true) if have_active else math.nan
-            nma = (detection.nmse_active(x_hat, X_true, ch.alpha)
+            nma = (detection.nmse_active(x_hat, X_true, alpha)
                    if have_active else math.nan)
             records.append(TrialRecord(axis, value, algo, trial, pe, nm, nma,
                                        iters, wall_ms))
@@ -180,22 +179,6 @@ def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
     return records, traces
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    axis: str
-    value: str
-    algorithm: str
-    n: int
-    pe_mean: float
-    pe_std: float
-    pe_ci95: float
-    nmse_mean: float
-    nmse_std: float
-    nmse_ci95: float
-    nmse_active_mean: float
-    iters_mean: float
-
-
 def _mean_std_ci(values: list[float]) -> tuple[float, float, float]:
     arr = np.asarray([v for v in values if not math.isnan(v)], dtype=float)
     if arr.size == 0:
@@ -206,27 +189,23 @@ def _mean_std_ci(values: list[float]) -> tuple[float, float, float]:
     return mean, std, ci
 
 
-def aggregate(records: list[TrialRecord]) -> list[SummaryRow]:
-    """Grouped mean/std/95% CI per (axis value, algorithm)."""
+def aggregate(records: list[TrialRecord]) -> list[list]:
+    """One ``SUMMARY_HEADER`` row per (axis value, algorithm), in the order
+    the groups first appear: the trial count, then the mean, standard
+    deviation and 95% CI of pe and nmse, the mean nmse_active, and the mean
+    iteration count of the trials that did not fail. Means skip NaN."""
     if not records:
         raise ValueError("no records to aggregate")
     groups: dict[tuple[str, str, str], list[TrialRecord]] = {}
-    order: list[tuple[str, str, str]] = []
     for r in records:
-        key = (r.axis, r.value, r.algorithm)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.axis, r.value, r.algorithm), []).append(r)
     rows = []
-    for key in order:
-        grp = groups[key]
-        pe_m, pe_s, pe_c = _mean_std_ci([r.pe for r in grp])
-        nm_m, nm_s, nm_c = _mean_std_ci([r.nmse for r in grp])
+    for key, grp in groups.items():
+        pe = _mean_std_ci([r.pe for r in grp])
+        nm = _mean_std_ci([r.nmse for r in grp])
         nma_m, _, _ = _mean_std_ci([r.nmse_active for r in grp])
         it_m, _, _ = _mean_std_ci([float(r.iters) for r in grp if not r.failed])
-        rows.append(SummaryRow(key[0], key[1], key[2], len(grp),
-                               pe_m, pe_s, pe_c, nm_m, nm_s, nm_c, nma_m, it_m))
+        rows.append([*key, len(grp), *map(_fmt, (*pe, *nm, nma_m, it_m))])
     return rows
 
 
@@ -255,11 +234,7 @@ def write_outputs(out_dir: str | Path, sweep: SweepSpec,
                ([r.axis, r.value, r.algorithm, r.trial, f"{r.wall_ms:.3f}"] for r in records))
     _write_csv(out / "failures.csv", FAILURES_HEADER,
                ([r.axis, r.value, r.algorithm, r.trial, r.error] for r in records if r.failed))
-    _write_csv(out / "summary.csv", SUMMARY_HEADER,
-               ([s.axis, s.value, s.algorithm, s.n,
-                 _fmt(s.pe_mean), _fmt(s.pe_std), _fmt(s.pe_ci95),
-                 _fmt(s.nmse_mean), _fmt(s.nmse_std), _fmt(s.nmse_ci95),
-                 _fmt(s.nmse_active_mean), _fmt(s.iters_mean)] for s in aggregate(records)))
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, aggregate(records))
     if traces:
         for value, rows in traces.items():
             if rows:

@@ -21,6 +21,11 @@ def unit_columns(rng, L, K):
     return A / np.linalg.norm(A, axis=0, keepdims=True)
 
 
+def residual_norm(Y, A, res):
+    """||Y - A X_hat^T||_F: the residual that a SOMP result leaves."""
+    return float(np.linalg.norm(Y - A @ res.X_hat.T))
+
+
 def test_somp_single_active_noise_free():
     rng = np.random.default_rng(0)
     L, K, M = 16, 10, 3
@@ -30,7 +35,8 @@ def test_somp_single_active_noise_free():
     res = somp(Y, A, SompConfig(max_support=5, residual_tol=1e-10))
     assert res.support == [4]
     np.testing.assert_allclose(res.X_hat[:, 4], x[:, 0], atol=1e-10)
-    assert not res.rank_deficient
+    # the residual tolerance, not a rank-deficient atom, ended the search
+    assert residual_norm(Y, A, res) <= 1e-10 * np.linalg.norm(Y)
 
 
 def test_somp_zero_signal_empty_support():
@@ -52,7 +58,6 @@ def test_somp_orthonormal_dictionary_exact_recovery():
     Y = A @ X.T
     res = somp(Y, A, SompConfig(max_support=s, residual_tol=0.0))
     assert sorted(res.support) == sorted(active.tolist())
-    assert len(res.residual_norms) == s + 1  # support found in s iterations
     np.testing.assert_allclose(res.X_hat, X, atol=1e-10)
 
 
@@ -61,12 +66,18 @@ def test_somp_residual_non_increasing():
     L, K, M = 24, 40, 3
     A = unit_columns(rng, L, K)
     Y = crandn(rng, L, M)
-    res = somp(Y, A, SompConfig(max_support=15, residual_tol=0.0))
-    diffs = np.diff(res.residual_norms)
+    support, norms = [], []
+    for cap in range(1, 16):
+        res = somp(Y, A, SompConfig(max_support=cap, residual_tol=0.0))
+        # a larger cap only adds atoms, in the same order
+        assert res.support[:-1] == support and len(res.support) == cap
+        support = res.support
+        norms.append(residual_norm(Y, A, res))
+    diffs = np.diff([float(np.linalg.norm(Y))] + norms)
     assert np.all(diffs <= 1e-10)
 
 
-def test_somp_rank_deficient_support_flags_and_stops():
+def test_somp_stops_on_a_linearly_dependent_atom():
     rng = np.random.default_rng(4)
     L, M = 10, 2
     col = crandn(rng, L, 1)
@@ -74,8 +85,10 @@ def test_somp_rank_deficient_support_flags_and_stops():
     A = np.hstack([col, col, unit_columns(rng, L, 2)])  # duplicated atom
     Y = col @ crandn(rng, M, 1).T
     res = somp(Y, A, SompConfig(max_support=3, residual_tol=-1.0))
-    assert res.rank_deficient
-    assert len(res.support) >= 1
+    # no residual stop: only a rank-deficient atom ends the search below
+    # the cap, and the duplicate never joins its twin
+    assert 1 <= len(res.support) < 3
+    assert not {0, 1} <= set(res.support)
 
 
 def test_somp_rejects_oversized_support():
@@ -133,12 +146,10 @@ def lstsq_somp(Y, A, cfg):
     K = A.shape[1]
     y_norm = float(np.linalg.norm(Y))
     support, coef, R = [], np.zeros((0, M), dtype=complex), Y.copy()
-    norms = [float(np.linalg.norm(R))]
-    rank_deficient = False
     if y_norm == 0.0:
-        return SompResult([], np.zeros((M, K), dtype=complex), norms)
+        return SompResult([], np.zeros((M, K), dtype=complex))
     while len(support) < cfg.max_support:
-        if norms[-1] / y_norm <= cfg.residual_tol:
+        if np.linalg.norm(R) / y_norm <= cfg.residual_tol:
             break
         score = np.sum(np.abs(A.conj().T @ R), axis=1)
         score[support] = -1.0
@@ -146,15 +157,13 @@ def lstsq_somp(Y, A, cfg):
         A_s = A[:, trial_support]
         sol, _, rank, _ = np.linalg.lstsq(A_s, Y, rcond=None)
         if rank < len(trial_support):
-            rank_deficient = True
             break
         support, coef = trial_support, sol
         R = Y - A_s @ coef
-        norms.append(float(np.linalg.norm(R)))
     X_hat = np.zeros((M, K), dtype=complex)
     if support:
         X_hat[:, support] = coef.T
-    return SompResult(support, X_hat, norms, rank_deficient)
+    return SompResult(support, X_hat)
 
 
 def three_product_amp(Y, A, p_a, cfg=AmpConfig()):
@@ -204,9 +213,8 @@ def Y_of(A, X, noise, rng):
 def assert_matches_lstsq_somp(Y, A, cfg):
     got, ref = somp(Y, A, cfg), lstsq_somp(Y, A, cfg)
     assert got.support == ref.support
-    assert got.rank_deficient == ref.rank_deficient
     assert np.linalg.norm(got.X_hat - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
-    np.testing.assert_allclose(got.residual_norms, ref.residual_norms,
+    np.testing.assert_allclose(residual_norm(Y, A, got), residual_norm(Y, A, ref),
                                rtol=1e-10, atol=1e-10 * np.linalg.norm(Y))
     return got
 
@@ -219,7 +227,7 @@ def test_somp_matches_lstsq_refit_at_residual_tolerance(seed):
     tol = noise * math.sqrt(Y.size) / np.linalg.norm(Y)
     got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=20, residual_tol=tol))
     assert 1 <= len(got.support) < 20
-    assert got.residual_norms[-1] <= tol * np.linalg.norm(Y)
+    assert residual_norm(Y, A, got) <= tol * np.linalg.norm(Y)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -251,8 +259,8 @@ def test_somp_matches_lstsq_refit_on_duplicated_atom():
     A[:, 2] = A[:, 0]
     Y = A[:, :2] @ crandn(rng, 2, M) + 1e-3 * crandn(rng, L, M)
     got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=3, residual_tol=0.0))
-    assert got.rank_deficient
-    assert len(got.support) == 2
+    # the search stopped below the cap, on the duplicate of atom 0
+    assert sorted(got.support) == [0, 1]
 
 
 @pytest.mark.parametrize("L, K, M, n_active, noise, max_iters, expect", [

@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from leojadce.channel import (BOLTZMANN, HALF_POWER_PHI, ChannelRealization,
+from leojadce.channel import (BOLTZMANN, HALF_POWER_PHI, RICIAN_FACTOR,
                               DeviceGeometry, LinkBudget, SPEED_OF_LIGHT,
                               _bessel_j1_j3, _gain_kernel, antenna_gain,
-                              device_state_matrix, draw_channels, large_scale_gain,
+                              draw_channels, large_scale_gain,
                               rain_lognormal_params, sample_device_geometry,
                               sample_rain_db)
 
@@ -240,9 +240,9 @@ def test_draw_channels_zero_activity():
     rng = np.random.default_rng(3)
     lb = default_budget()
     geom = sample_device_geometry(50, 4, lb, rng)
-    ch = draw_channels(lb, geom, 4, 0.0, 8.0, rng)
-    assert np.all(ch.alpha == 0)
-    assert ch.H.shape == (4, 50)
+    X, alpha = draw_channels(lb, geom, 4, 0.0, 8.0, rng)
+    assert alpha.dtype == np.int8 and np.all(alpha == 0)
+    assert X.shape == (4, 50)
 
 
 def test_draw_channels_infinite_rician_limit():
@@ -250,11 +250,11 @@ def test_draw_channels_infinite_rician_limit():
     lb = default_budget(rain_std_db=0.0)
     K, M = 20_000, 4
     geom = _uniform_geometry(K, M)
-    ch = draw_channels(lb, geom, M, 0.5, 1e12, rng)
+    X, _ = draw_channels(lb, geom, M, 1.0, 1e12, rng)  # every device active
     g = large_scale_gain(lb, lb.rain_mean_db)  # rain_std_db = 0: rain at its mean
     expected_mean = geom.omega[0] * math.sqrt(g) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
-    sample_mean = np.mean(ch.H, axis=1)
-    sample_var = np.var(ch.H, axis=1)
+    sample_mean = np.mean(X, axis=1)
+    sample_var = np.var(X, axis=1)
     np.testing.assert_allclose(sample_mean, expected_mean, rtol=1e-5)
     assert np.all(sample_var < 1e-9)
 
@@ -264,12 +264,12 @@ def test_draw_channels_rician_moment_oracle():
     lb = default_budget(rain_std_db=0.0)  # freeze g so moments are clean
     K, M, lam, v = 100_000, 4, 8.0, 0.225
     geom = _uniform_geometry(K, M, v=v)
-    ch = draw_channels(lb, geom, M, 0.5, lam, rng)
+    X, _ = draw_channels(lb, geom, M, 1.0, lam, rng)  # every device active
     g, w = large_scale_gain(lb, lb.rain_mean_db), geom.omega[0]
     mean_true = w * math.sqrt(lam * g / (lam + 1)) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     var_true = w**2 * g * v / (lam + 1)
-    sample_mean = np.mean(ch.H, axis=1)
-    sample_var = np.var(ch.H, axis=1)
+    sample_mean = np.mean(X, axis=1)
+    sample_var = np.var(X, axis=1)
     # 3-sigma Monte-Carlo bounds per antenna
     mean_tol = 3 * math.sqrt(var_true / K)
     assert np.all(np.abs(sample_mean - mean_true) < mean_tol)
@@ -291,37 +291,41 @@ def test_geometry_sampling_ranges():
 
 # ---------------------------------------------------------------- device state
 
-def _toy_realization(rng, K=6, M=3, alpha=None):
-    H = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
-    if alpha is None:
-        alpha = rng.integers(0, 2, K).astype(np.int8)
-    return ChannelRealization(H=H, alpha=np.asarray(alpha, dtype=np.int8))
+def _draws(seed, p_a, K=12, M=3):
+    """``draw_channels`` at ``p_a``, and at p_a = 1 from the same seed: the
+    draw takes the same random numbers at any p_a, so the second X holds
+    every device's channel. Returns (X, alpha, H)."""
+    lb = default_budget()
+    geom = sample_device_geometry(K, M, lb, np.random.default_rng(seed))
+    X, alpha = draw_channels(lb, geom, M, p_a, RICIAN_FACTOR, np.random.default_rng([seed, 1]))
+    H, every = draw_channels(lb, geom, M, 1.0, RICIAN_FACTOR, np.random.default_rng([seed, 1]))
+    assert np.all(every == 1) and np.count_nonzero(H) == H.size
+    return X, alpha, H
 
 
 def test_device_state_all_inactive_is_zero():
-    rng = np.random.default_rng(7)
-    ch = _toy_realization(rng, alpha=np.zeros(6))
-    X = device_state_matrix(ch)
+    X, alpha, _ = _draws(7, 0.0)
+    assert np.all(alpha == 0)
     assert np.count_nonzero(X) == 0
 
 
 def test_device_state_single_active_scaling():
-    rng = np.random.default_rng(8)
-    alpha = np.zeros(6)
-    alpha[2] = 1
-    ch = _toy_realization(rng, alpha=alpha)
-    X = device_state_matrix(ch)
-    np.testing.assert_array_equal(X[:, 2], ch.H[:, 2])
-    assert np.count_nonzero(X[:, np.arange(6) != 2]) == 0
+    # the activity bits are the first K uniforms of the draw: a p_a between
+    # the smallest two makes exactly one device active
+    K = 12
+    u = np.sort(np.random.default_rng([8, 1]).random(K))
+    X, alpha, H = _draws(8, 0.5 * (u[0] + u[1]), K=K)
+    (k,) = np.flatnonzero(alpha)
+    np.testing.assert_array_equal(X[:, k], H[:, k])
+    assert np.count_nonzero(X[:, np.arange(K) != k]) == 0
 
 
 def test_device_state_loop_oracle_and_exact_zeros():
-    rng = np.random.default_rng(9)
-    ch = _toy_realization(rng)
-    X = device_state_matrix(ch)
-    for k in range(6):
-        if ch.alpha[k]:
-            np.testing.assert_array_equal(X[:, k], ch.H[:, k])
+    X, alpha, H = _draws(9, 0.5)
+    assert 0 < np.count_nonzero(alpha) < alpha.size
+    for k in range(alpha.size):
+        if alpha[k]:
+            np.testing.assert_array_equal(X[:, k], H[:, k])
         else:
             # bitwise zero, enabling exact activity accounting
             assert np.all(X[:, k] == 0.0)

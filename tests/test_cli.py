@@ -60,6 +60,22 @@ def test_configuration_errors_exit_1(tmp_path, capsys, config_text, sweep):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/out"])
+def test_out_that_cannot_be_a_directory_exits_1_before_any_trial(cfg, tmp_path, capsys,
+                                                                 monkeypatch, out):
+    # "taken" is a file: making it a directory raises FileExistsError, and
+    # making a directory under it NotADirectoryError
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    (tmp_path / "taken").write_text("kept")
+    assert run(cfg, tmp_path / out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
 def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
     def failing_run(*args, **kwargs):
         raise vbi.EngineError("negative expected residual F=-1.0")

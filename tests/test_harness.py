@@ -4,12 +4,16 @@ reproducibility contract."""
 import concurrent.futures
 import csv
 import dataclasses
+import math
+import statistics
 
 import numpy as np
+import pytest
 
 from leojadce import channel, harness, vbi
 from leojadce.config import ScenarioConfig, make_sweep
-from leojadce.harness import TRACE_HEADER, TRIALS_HEADER, run_sweep, run_trial, write_outputs
+from leojadce.harness import (SUMMARY_HEADER, TRACE_HEADER, TRIALS_HEADER, run_sweep,
+                              run_trial, write_outputs)
 
 
 def test_baselines_scored_against_true_device_states():
@@ -87,7 +91,7 @@ def test_pool_has_no_more_workers_than_trials(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    cfg = TINY.replace(algos=("somp",), trials=1)
+    cfg = dataclasses.replace(TINY, algos=("somp",), trials=1)
     serial, _ = run_sweep(cfg, TINY_SWEEP)
     pooled, _ = run_sweep(cfg, TINY_SWEEP, workers=64)
     assert sizes == [2]
@@ -96,7 +100,8 @@ def test_pool_has_no_more_workers_than_trials(monkeypatch):
 
 def test_adding_trials_keeps_existing_rows(tmp_path):
     two = trials_csv(tmp_path, "two").decode().splitlines()
-    three = trials_csv(tmp_path, "three", cfg=TINY.replace(trials=3)).decode().splitlines()
+    three = trials_csv(tmp_path, "three",
+                       cfg=dataclasses.replace(TINY, trials=3)).decode().splitlines()
     kept = [row for row in three[1:] if row.split(",")[3] != "2"]
     assert three[0] == two[0]
     assert kept == two[1:]
@@ -108,7 +113,7 @@ def test_failed_trial_reason_goes_to_failures_csv(tmp_path, monkeypatch):
         raise vbi.EngineError("negative expected residual F=-1.0")
 
     monkeypatch.setattr(vbi, "run", failing_run)
-    cfg = TINY.replace(algos=("vbi", "somp"), trials=1)
+    cfg = dataclasses.replace(TINY, algos=("vbi", "somp"), trials=1)
     sweep = make_sweep("snr", [10])
     records, traces = run_sweep(cfg, sweep)
     failed = [r for r in records if r.failed]
@@ -127,6 +132,67 @@ def test_failed_trial_reason_goes_to_failures_csv(tmp_path, monkeypatch):
     assert trials[0] == TRIALS_HEADER
     assert all(len(row) == len(TRIALS_HEADER) for row in trials)
     assert ["snr", "10", "vbi", "0", "nan", "nan", "nan", "0"] in trials
+
+
+def _summary_stats(values):
+    """(mean, std, ci95) over the values that are not NaN: std with ddof = 1,
+    and 0 for a single value."""
+    kept = [v for v in values if not math.isnan(v)]
+    if not kept:
+        return math.nan, math.nan, math.nan
+    std = statistics.stdev(kept) if len(kept) > 1 else 0.0
+    return statistics.fmean(kept), std, 1.96 * std / math.sqrt(len(kept))
+
+
+def test_summary_csv_recomputed_from_trials_csv(tmp_path, monkeypatch):
+    # the scene of the failures test, over two SNR values and two trials,
+    # with VBI failing on its first trial only: the (10, vbi) group then
+    # holds one failed trial and one value, every other group two values
+    real_run, calls = vbi.run, []
+
+    def failing_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise vbi.EngineError("negative expected residual F=-1.0")
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(vbi, "run", failing_first)
+    cfg = dataclasses.replace(TINY, algos=("vbi", "somp"))
+    records, traces = run_sweep(cfg, TINY_SWEEP)
+    write_outputs(tmp_path, TINY_SWEEP, records, traces)
+
+    def read(name):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    trials, summary, failures = read("trials.csv"), read("summary.csv"), read("failures.csv")
+    failed = {tuple(row[:4]) for row in failures[1:]}
+    assert failed == {("snr", "10", "vbi", "0")}
+    groups = {}
+    for row in trials[1:]:
+        groups.setdefault(tuple(row[:3]), []).append(row)
+    assert summary[0] == SUMMARY_HEADER
+    assert [tuple(row[:3]) for row in summary[1:]] == list(groups)
+    for row in summary[1:]:
+        grp = groups[tuple(row[:3])]
+        col = {name: [float(r[TRIALS_HEADER.index(name)]) for r in grp]
+               for name in ("pe", "nmse", "nmse_active")}
+        iters_ok = [float(r[TRIALS_HEADER.index("iters")]) for r in grp
+                    if tuple(r[:4]) not in failed]
+        expected = [*_summary_stats(col["pe"]), *_summary_stats(col["nmse"]),
+                    _summary_stats(col["nmse_active"])[0], _summary_stats(iters_ok)[0]]
+        assert int(row[3]) == len(grp)
+        got = [float(x) for x in row[4:]]
+        assert len(got) == len(expected)
+        for name, g, e in zip(SUMMARY_HEADER[4:], got, expected):
+            if math.isnan(e):
+                assert math.isnan(g), (row[:3], name)
+            else:
+                assert g == pytest.approx(e, rel=1e-12, abs=0.0), (row[:3], name)
+    one_value = next(row for row in summary[1:] if row[1:3] == ["10", "vbi"])
+    assert one_value[3] == "2"
+    assert one_value[SUMMARY_HEADER.index("pe_std")] == "0.0"
+    assert one_value[SUMMARY_HEADER.index("pe_ci95")] == "0.0"
 
 
 def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
@@ -164,7 +230,7 @@ def test_geometry_drawn_once_per_configuration(monkeypatch):
     monkeypatch.setattr(harness, "sample_device_geometry",
                         counting(harness.sample_device_geometry))
     harness.scenario_geometry.cache_clear()
-    cfg = TINY.replace(algos=("somp",))
+    cfg = dataclasses.replace(TINY, algos=("somp",))
     for trial in range(2):
         records, _ = run_trial(cfg, "snr", "10", trial)
         assert not records[0].failed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from leojadce import harness, vbi
-from leojadce.channel import RICIAN_FACTOR, device_state_matrix, draw_channels
+from leojadce.channel import RICIAN_FACTOR, draw_channels
 from leojadce.config import ScenarioConfig
 from leojadce.signals import (gen_preambles, snr_to_noise_variance,
                               synthesize_received)
@@ -36,8 +36,7 @@ def harness_scene(cfg, trial=0):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     geom = harness.scenario_geometry(cfg)
-    ch = draw_channels(harness.LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
-    X = device_state_matrix(ch)
+    X, _ = draw_channels(harness.LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
     return p, synthesize_received(p, X, snr_to_noise_variance(cfg.snr_db), rng)
 
 
