@@ -4,8 +4,8 @@
         [--trials N] [--seed S] [--algos vbi,somp] [--traces] [--workers W]
     leojadce validate --config cfg.txt
 
-Exit codes: 0 success, 1 configuration error or an --out that cannot be a
-directory, 2 at least one trial failed.
+Exit codes: 0 success, 1 configuration error (a --workers below 1 among
+them) or an --out that cannot be a directory, 2 at least one trial failed.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def main(argv=None) -> int:
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
         sweep = parse_sweep(args.sweep)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         # validate every axis value against the base config up front
         for value in sweep.values:
             apply_axis(cfg, sweep.axis, value)
@@ -72,7 +74,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    records, traces = run_sweep(cfg, sweep, workers=max(1, args.workers),
+    records, traces = run_sweep(cfg, sweep, workers=args.workers,
                                 collect_traces=args.traces)
     write_outputs(args.out, sweep, records, traces if args.traces else None)
     n_failed = sum(1 for r in records if r.failed)

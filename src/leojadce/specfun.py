@@ -6,20 +6,14 @@ orders of magnitude (Gamma(-eps/2) ~ -2/eps for the near-flat hyperprior)
 while the final ratios are O(1), so every Gamma and 1F1 evaluation here is
 carried as a sign plus log-magnitude and combined with a signed logsumexp.
 
-The q(mu) update calls :func:`hyp1f1` six times per device per iteration,
-mostly at x << 1 where the series ends after a handful of terms, so a call
-is kept close to the cost of its terms: :func:`hyp1f1` checks its domain
-and hands small x to :func:`_hyp1f1_series`, which reads the Pochhammer
-step ratios (a + v) / (b + v) of its first STEP_TABLE_TERMS terms from a
-table cached per (a, b) and builds its signed-log result directly. The
-table holds the same floats the per-term formula computes, and each term
-is formed in the same order, so the values are bit for bit those of the
-plain series.
+The q(mu) update sums its 1F1 series as arrays over all devices (see
+:func:`leojadce.vbi.inverse_mean_moments`); :func:`hyp1f1` is the scalar
+reference that array series must equal bit for bit, and the q(mu) update
+still calls it, one element at a time, for x > KUMMER_SWITCH_X.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, NamedTuple
 
@@ -27,11 +21,6 @@ MAX_SERIES_TERMS = 10000
 SERIES_RTOL = 1e-16
 # direct Pochhammer series below, Kummer-transformed series above
 KUMMER_SWITCH_X = 30.0
-# Series steps tabled per (a, b): at the q(mu) pairs x <= 4 needs at most
-# 31 terms and x = 30 needs 86; later terms are formed per term. q(mu)
-# uses six (a, b) pairs.
-STEP_TABLE_TERMS = 64
-STEP_TABLE_PAIRS = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -41,8 +30,8 @@ class ConvergenceError(RuntimeError):
 class SignedLogValue(NamedTuple):
     """sign * exp(log_abs), with exact zero encoded as sign == 0.
 
-    A named tuple, so that the one built per 1F1 call is cheap; like any
-    tuple it compares equal to the plain tuple (log_abs, sign)."""
+    A named tuple: like any tuple it compares equal to the plain tuple
+    (log_abs, sign)."""
 
     log_abs: float
     sign: int
@@ -117,45 +106,26 @@ def ln_gamma_signed(x: float) -> SignedLogValue:
     return SignedLogValue(log_abs, 1 if s > 0 else -1)
 
 
-@functools.lru_cache(maxsize=STEP_TABLE_PAIRS)
-def _step_table(a: float, b: float) -> tuple[tuple[float, float], ...]:
-    """The pairs ((a + v) / (b + v), float(v + 1)) for the first
-    STEP_TABLE_TERMS series terms, kept for the STEP_TABLE_PAIRS most
-    recently used (a, b); they depend on nothing else."""
-    return tuple(((a + v) / (b + v), float(v + 1)) for v in range(STEP_TABLE_TERMS))
-
-
 def _hyp1f1_series(a: float, b: float, x: float) -> SignedLogValue:
     """Direct Pochhammer series sum_v (a)_v/(b)_v x^v/v! in float.
 
     Each term is term * ((a + v) / (b + v) * x / (v + 1)), evaluated left
-    to right; the ratio and divisor of the first STEP_TABLE_TERMS terms come
-    from :func:`_step_table`, later ones are computed per term. Finiteness
-    is checked once, on exit: an overflowed term makes the total inf, and
-    inf <= inf ends the loop there."""
-    rtol = SERIES_RTOL
+    to right. Finiteness is checked once, on exit: an overflowed term makes
+    the total inf, and inf <= inf ends the loop there."""
     term = total = 1.0
-    steps = _step_table(a, b)
-    for r, n in steps:
-        term *= r * x / n
+    for v in range(MAX_SERIES_TERMS):
+        term *= (a + v) / (b + v) * x / (v + 1)
         total += term
-        if abs(term) <= rtol * abs(total):
+        if abs(term) <= SERIES_RTOL * abs(total):
             break
     else:
-        for v in range(len(steps), MAX_SERIES_TERMS):
-            term *= (a + v) / (b + v) * x / (v + 1)
-            total += term
-            if abs(term) <= rtol * abs(total):
-                break
-        else:
-            raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x}")
+        raise ConvergenceError(f"1F1 series did not converge for a={a}, b={b}, x={x}")
     if not math.isfinite(total):
         raise ConvergenceError(
             f"1F1 series overflowed double precision for a={a}, b={b}, x={x}")
     if total == 0.0:
         return SignedLogValue(-math.inf, 0)
-    # tuple.__new__ skips the named tuple's Python-level __new__
-    return tuple.__new__(SignedLogValue, (math.log(abs(total)), 1 if total > 0 else -1))
+    return SignedLogValue(math.log(abs(total)), 1 if total > 0 else -1)
 
 
 def _hyp1f1_kummer(a: float, b: float, x: float) -> SignedLogValue:
@@ -191,9 +161,8 @@ def hyp1f1(a: float, b: float, x: float) -> SignedLogValue:
     """Confluent hypergeometric Hy(a, b, x) for x >= 0, in signed-log form.
 
     x <= KUMMER_SWITCH_X uses the Pochhammer power series with relative
-    termination at 1e-16, its first STEP_TABLE_TERMS step ratios read from
-    a per-(a, b) table (see :func:`_hyp1f1_series`); larger x switches to
-    the Kummer transform. Raises :class:`ConvergenceError` if the term cap
+    termination at 1e-16 (see :func:`_hyp1f1_series`); larger x switches
+    to the Kummer transform. Raises :class:`ConvergenceError` if the term cap
     is hit.
     """
     if b <= 0.0 and b == math.floor(b):

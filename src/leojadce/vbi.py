@@ -14,13 +14,13 @@ optimum of its block with the other blocks fixed.
 The q(mu_k) block is not conjugate: its density in u = mu^-1 is
 proportional to u^(-1-eps) exp(-o u^2 + t u), whose inverse-moment ratios
 evaluate to Gamma/1F1 expressions spanning huge dynamic range. They are
-assembled in signed-log space (see :mod:`leojadce.specfun`): each 1F1
-value is a scalar signed-log call, six per device, whose series reads its
-step ratios from a per-(a, b) table and returns a (log|.|, sign) named
-tuple; each batch of K results is split into two arrays in one pass. The
-products, sums and ratios run on those arrays over all K devices, with
-every log and exp taken through libm so the results match the scalar
-arithmetic bit for bit.
+assembled in signed-log space (see :mod:`leojadce.specfun`). Each of the
+six 1F1 values is summed as one array Pochhammer series over all K
+devices, whose entries take the steps of the scalar series in its order
+and stop at their own terms; only an x above specfun.KUMMER_SWITCH_X
+takes a scalar call. The products, sums and ratios run on (log|.|, sign)
+arrays, with every log and exp taken through libm, so the results match
+the scalar arithmetic bit for bit.
 
 Memory: the engine holds only the arrays its updates read. :func:`run`
 forms the operands once per call (KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2)
@@ -57,7 +57,8 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import SignedLogValue, hyp1f1, ln_gamma_signed
+from .specfun import (KUMMER_SWITCH_X, MAX_SERIES_TERMS, SERIES_RTOL, ConvergenceError,
+                      SignedLogValue, hyp1f1, ln_gamma_signed)
 from .tensors import khatri_rao
 
 
@@ -355,14 +356,47 @@ def _signed_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_abs, np.sign(c)
 
 
-def _hyp1f1_signed_log(a: float, b: float, x: list[float]
+def _hyp1f1_signed_log(a: float, b: float, x: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(log|Hy|, sign Hy) at every x, one scalar :func:`hyp1f1` call each;
-    the (log_abs, sign) tuples are split into the two arrays in one pass."""
-    if not x:
-        return np.empty(0), np.empty(0)
-    log_abs, sign = zip(*[hyp1f1(a, b, xi) for xi in x])
-    return np.array(log_abs, dtype=float), np.array(sign, dtype=float)
+    """(log|Hy|, sign Hy) of Hy(a, b, x) at every entry of the 1-D ``x``.
+
+    The entries with 0 <= x <= KUMMER_SWITCH_X are summed as one array
+    Pochhammer series, which does per entry what specfun._hyp1f1_series
+    does: the same steps in the same order, each entry stopping at its own
+    term, and the ConvergenceError of the term cap or of an overflow. x = 0
+    stops after its first term with the total 1.0, so it gives (0.0, +1).
+    Every other entry is one scalar :func:`hyp1f1` call: its Kummer branch
+    above KUMMER_SWITCH_X, or its error for a negative or NaN x."""
+    x = np.asarray(x, dtype=float)
+    series = (x >= 0.0) & (x <= KUMMER_SWITCH_X)
+    total = np.ones(x.size)
+    # the entries still summing: their positions, x, last term and sum
+    pos = np.flatnonzero(series)
+    x_s, term, acc = x[pos], np.ones(pos.size), np.ones(pos.size)
+    v = 0
+    # a Python float overflows without a warning; like the scalar series,
+    # this one reports an overflow once, after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pos.size:
+            if v == MAX_SERIES_TERMS:
+                raise ConvergenceError(
+                    f"1F1 series did not converge for a={a}, b={b}, x={x_s[0]}")
+            term *= (a + v) / (b + v) * x_s / (v + 1)
+            acc += term
+            stop = np.abs(term) <= SERIES_RTOL * np.abs(acc)
+            if stop.any():
+                total[pos[stop]] = acc[stop]
+                go = ~stop
+                pos, x_s, term, acc = pos[go], x_s[go], term[go], acc[go]
+            v += 1
+    bad = ~np.isfinite(total)
+    if bad.any():
+        raise ConvergenceError("1F1 series overflowed double precision for "
+                               f"a={a}, b={b}, x={x[np.argmax(bad)]}")
+    log_abs, sign = _signed_log(total)
+    for i in np.flatnonzero(~series):
+        log_abs[i], sign[i] = hyp1f1(a, b, float(x[i]))
+    return log_abs, sign
 
 
 def _product(g: SignedLogValue, hy, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -401,11 +435,12 @@ def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
       E[mu^-2] = (sqrt(o) G(1-e/2) Hy(1-e/2,1/2,x) + t G((3-e)/2) Hy((3-e)/2,3/2,x))
                  / (o^3/2 G(-e/2) Hy(-e/2,1/2,x) + o t G((1-e)/2) Hy((1-e)/2,3/2,x))
 
-    The 1F1 values are scalar signed-log calls, six per device. Everything
-    else (the Gamma x 1F1 x scale products, the two-term sums, the ratios)
-    runs on arrays of (log|.|, sign) with every log and exp taken through
-    libm, so the results equal the per-device SignedLogValue arithmetic
-    bit for bit.
+    Each 1F1 value is an array series over all devices (see
+    :func:`_hyp1f1_signed_log`), with a scalar :func:`hyp1f1` call only
+    where x > KUMMER_SWITCH_X. It and everything else (the Gamma x 1F1 x
+    scale products, the two-term sums, the ratios) run on arrays of
+    (log|.|, sign) with every log and exp taken through libm, so the
+    results equal the per-device SignedLogValue arithmetic bit for bit.
     """
     shape = np.shape(o)
     o = np.asarray(o, dtype=float).ravel()
@@ -417,7 +452,7 @@ def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
     g_b = ln_gamma_signed(1.0 - eps / 2.0)
     g_c = ln_gamma_signed((3.0 - eps) / 2.0)
 
-    x = (t * t / (4.0 * o)).tolist()
+    x = t * t / (4.0 * o)
     hy_m_half = _hyp1f1_signed_log(-eps / 2.0, 0.5, x)
     hy_a_half = _hyp1f1_signed_log((1.0 - eps) / 2.0, 0.5, x)
     hy_a_three = _hyp1f1_signed_log((1.0 - eps) / 2.0, 1.5, x)

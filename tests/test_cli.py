@@ -113,6 +113,20 @@ def test_malformed_sweep_values_exit_1(cfg, tmp_path, capsys, sweep):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_1_before_out_is_made(cfg, tmp_path, capsys, monkeypatch,
+                                                     workers):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(out),
+                     "--workers", workers]) == 1
+    assert capsys.readouterr().err == f"config error: --workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_two_spellings_of_one_value_write_identical_trials(cfg, tmp_path):
     assert run(cfg, tmp_path / "int", "snr=10") == 0
     assert run(cfg, tmp_path / "float", "snr=10.0") == 0

@@ -1,21 +1,20 @@
-"""The 1F1 series at the cost of its terms: the tabled-step path equals the
-plain per-term Pochhammer series bit for bit, raises where that series
-raised, and keeps its step cache bounded; SignedLogValue keeps its API."""
+"""The 1F1 series, scalar and over arrays: the scalar series equals the
+plain per-term Pochhammer series bit for bit and raises where that series
+raises, and q(mu)'s array series equals the scalar hyp1f1 bit for bit at
+every entry; SignedLogValue keeps its API."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from leojadce import specfun, vbi
-from leojadce.specfun import (MAX_SERIES_TERMS, SERIES_RTOL, STEP_TABLE_PAIRS,
-                              STEP_TABLE_TERMS, ConvergenceError, SignedLogValue,
-                              _hyp1f1_series, hyp1f1)
+from leojadce.specfun import (MAX_SERIES_TERMS, SERIES_RTOL, ConvergenceError,
+                              SignedLogValue, _hyp1f1_series, hyp1f1)
 
 
 def plain_series(a, b, x):
-    """The per-term formula the tabled steps must reproduce: (total, terms)."""
+    """The per-term formula the series must reproduce: (total, terms)."""
     term = total = 1.0
     for v in range(MAX_SERIES_TERMS):
         term *= (a + v) / (b + v) * x / (v + 1)
@@ -44,7 +43,7 @@ def grid_x(seed):
 
 @pytest.mark.parametrize("a, b", PAIRS)
 def test_hyp1f1_equals_per_term_series_bit_for_bit(a, b):
-    past_table = 0
+    past_64 = 0
     for x in grid_x(seed=len(PAIRS)):
         got = hyp1f1(a, b, x)
         assert type(got) is SignedLogValue and type(got.sign) is int
@@ -52,11 +51,11 @@ def test_hyp1f1_equals_per_term_series_bit_for_bit(a, b):
             assert (got.log_abs, got.sign) == (0.0, 1)
             continue
         total, terms = plain_series(a, b, x)
-        past_table += terms > STEP_TABLE_TERMS
+        past_64 += terms > 64
         assert got.log_abs == math.log(abs(total)), (a, b, x)
         assert got.sign == (1 if total > 0 else -1), (a, b, x)
         assert _hyp1f1_series(a, b, x) == got
-    assert past_table > 0   # the grid reaches terms formed past the table
+    assert past_64 > 0   # the grid reaches series longer than 64 terms
 
 
 def test_series_overflow_still_raises():
@@ -65,16 +64,15 @@ def test_series_overflow_still_raises():
 
 
 def test_series_term_cap_still_raises(monkeypatch):
-    # a NaN term never meets the stopping rule: through the table, then on
-    # to MAX_SERIES_TERMS
+    # a NaN term never meets the stopping rule, so the series runs on to
+    # MAX_SERIES_TERMS
     with pytest.raises(ConvergenceError, match="did not converge"):
         hyp1f1(math.nan, 1.5, 1.0)
     with pytest.raises(ConvergenceError, match="did not converge"):
         _hyp1f1_series(0.5, 1.5, math.nan)
-    # x = 30 needs more terms than the table holds; a cap between the two
-    # is hit on the per-term steps
-    assert plain_series(0.5, 1.5, 30.0)[1] > STEP_TABLE_TERMS + 10
-    monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", STEP_TABLE_TERMS + 10)
+    # x = 30 needs more terms than a cap of 74
+    assert plain_series(0.5, 1.5, 30.0)[1] > 74
+    monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", 74)
     with pytest.raises(ConvergenceError, match="did not converge"):
         hyp1f1(0.5, 1.5, 30.0)
 
@@ -100,31 +98,35 @@ def test_signed_log_value_api():
     assert SignedLogValue(0.0, 1) == hyp1f1(0.5, 1.5, 0.0)
 
 
-def test_step_cache_stays_bounded():
-    pairs = qmu_pairs(3e-4)       # pairs no other test tables
-    xs = np.linspace(1e-3, 4.0, 10_000 // len(pairs)).tolist()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for a, b in pairs:
-            for x in xs:
-                hyp1f1(a, b, x)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 100_000
-    for i in range(3 * STEP_TABLE_PAIRS):
-        hyp1f1(0.25 + i, 1.5, 0.5)
-        assert specfun._step_table.cache_info().currsize <= STEP_TABLE_PAIRS
-
-
-def test_hyp1f1_signed_log_arrays_match_scalar_calls():
-    x = [0.0, 1e-9, 0.013, 3.8, 25.0, 31.0]
-    a, b = -0.5e-6, 0.5
+@pytest.mark.parametrize("a, b", [pair for eps in (1e-6, 1e-3, 1e-2)
+                                  for pair in qmu_pairs(eps)])
+def test_hyp1f1_signed_log_arrays_match_scalar_calls(a, b):
+    # one array holds x = 0, entries that stop at different term counts,
+    # entries past 64 terms, x = 30 (the last series entry) and Kummer
+    # entries above it
+    x = [*grid_x(seed=1), 30.0, 30.5]
     log_abs, sign = vbi._hyp1f1_signed_log(a, b, x)
     ref = [hyp1f1(a, b, xi) for xi in x]
     assert log_abs.dtype == sign.dtype == np.float64
     np.testing.assert_array_equal(log_abs, [r.log_abs for r in ref])
     np.testing.assert_array_equal(sign, [r.sign for r in ref])
+    terms = {plain_series(a, b, xi)[1] for xi in x if 0.0 < xi <= 30.0}
+    assert len(terms) > 10 and max(terms) > 64
     empty = vbi._hyp1f1_signed_log(a, b, [])
     assert empty[0].shape == empty[1].shape == (0,)
+
+
+def test_hyp1f1_signed_log_arrays_raise_as_the_scalar_series(monkeypatch):
+    # an overflowed sum and a NaN parameter raise as the scalar series
+    # does, next to entries that converge
+    with pytest.raises(ConvergenceError, match="overflowed double precision"):
+        _hyp1f1_series(1e4, 0.5, 30.0)
+    with pytest.raises(ConvergenceError, match="overflowed double precision"):
+        vbi._hyp1f1_signed_log(1e4, 0.5, [1e-3, 30.0])
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        vbi._hyp1f1_signed_log(math.nan, 1.5, [0.5, 1.0])
+    # the term cap: x = 30 needs more than 74 terms, x = 1 fewer
+    monkeypatch.setattr(vbi, "MAX_SERIES_TERMS", 74)
+    vbi._hyp1f1_signed_log(0.5, 1.5, [1.0])
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        vbi._hyp1f1_signed_log(0.5, 1.5, [1.0, 30.0])
