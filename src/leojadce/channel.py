@@ -24,6 +24,10 @@ BOLTZMANN = 1.38e-23             # J/K
 # first half-power point of the beam-gain kernel: _gain_kernel(phi) = 2^-1/2
 # (the correctly rounded root, 2.07123117842185782...)
 HALF_POWER_PHI = 2.0712311784218578
+# largest beam-gain argument phi taken: the Miller recurrence of
+# _bessel_j1_j3 runs about phi steps (0.1 s for 500 devices at 1e4), and
+# the fixed scene stays below HALF_POWER_PHI (theta <= the 3 dB angle)
+MAX_PHI = 1e4
 
 # The device population of every scenario: off-axis angles uniform on
 # [0, THETA_MAX_DEG], squared LOS norms and NLOS variances uniform over
@@ -136,13 +140,18 @@ def antenna_gain(theta_rad: float | np.ndarray,
     with phi = HALF_POWER_PHI sin(theta) / sin(theta_3dB), so the gain is
     2^-1/2 at the 3 dB angle; continuous limit 1 at boresight. (This is
     phi = pi d f / c * sin(theta) for the dish of diameter d whose
-    half-power point sits at theta_3dB.)"""
+    half-power point sits at theta_3dB.) A phi above MAX_PHI, an angle
+    more than about 4800 times the 3 dB angle, is a ValueError."""
     return _gain_kernel(HALF_POWER_PHI * np.sin(np.abs(theta_rad))
                         / math.sin(math.radians(three_db_angle_deg)))
 
 
 def _gain_kernel(phi):
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
+    if np.any(phi_arr > MAX_PHI):
+        raise ValueError(f"beam-gain argument phi = {np.max(phi_arr):g} exceeds "
+                         f"MAX_PHI = {MAX_PHI:g}: the 3 dB angle is too small "
+                         "for the off-axis angles")
     out = np.ones_like(phi_arr)
     nz = phi_arr > 1e-8
     p = phi_arr[nz]

@@ -6,10 +6,11 @@ orders of magnitude (Gamma(-eps/2) ~ -2/eps for the near-flat hyperprior)
 while the final ratios are O(1), so every Gamma and 1F1 evaluation here is
 carried as a sign plus log-magnitude and combined with a signed logsumexp.
 
-The q(mu) update sums its 1F1 series as arrays over all devices (see
+The q(mu) update sums the 1F1 series of all six of its (a, b) pairs as one
+stacked array series over the devices still in the model (see
 :func:`leojadce.vbi.inverse_mean_moments`); :func:`hyp1f1` is the scalar
-reference that array series must equal bit for bit, and the q(mu) update
-still calls it, one element at a time, for x > KUMMER_SWITCH_X.
+reference that series must equal bit for bit, and the q(mu) update still
+calls it, one element at a time, for x > KUMMER_SWITCH_X.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def _hyp1f1_kummer(a: float, b: float, x: float) -> SignedLogValue:
 
 
 def hyp1f1(a: float, b: float, x: float) -> SignedLogValue:
-    """Confluent hypergeometric Hy(a, b, x) for x >= 0, in signed-log form.
+    """Confluent hypergeometric Hy(a, b, x) for finite x >= 0, in signed-log
+    form; a negative, NaN or infinite x is a ValueError.
 
     x <= KUMMER_SWITCH_X uses the Pochhammer power series with relative
     termination at 1e-16 (see :func:`_hyp1f1_series`); larger x switches
@@ -167,8 +169,8 @@ def hyp1f1(a: float, b: float, x: float) -> SignedLogValue:
     """
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"1F1 pole at b={b}")
-    if x < 0.0:
-        raise ValueError("hyp1f1 domain restricted to x >= 0")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("hyp1f1 domain restricted to finite x >= 0")
     if x == 0.0:
         return SignedLogValue(0.0, 1)
     if x <= KUMMER_SWITCH_X:

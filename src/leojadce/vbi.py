@@ -14,13 +14,14 @@ optimum of its block with the other blocks fixed.
 The q(mu_k) block is not conjugate: its density in u = mu^-1 is
 proportional to u^(-1-eps) exp(-o u^2 + t u), whose inverse-moment ratios
 evaluate to Gamma/1F1 expressions spanning huge dynamic range. They are
-assembled in signed-log space (see :mod:`leojadce.specfun`). Each of the
-six 1F1 values is summed as one array Pochhammer series over all K
-devices, whose entries take the steps of the scalar series in its order
-and stop at their own terms; only an x above specfun.KUMMER_SWITCH_X
-takes a scalar call. The products, sums and ratios run on (log|.|, sign)
-arrays, with every log and exp taken through libm, so the results match
-the scalar arithmetic bit for bit.
+assembled in signed-log space (see :mod:`leojadce.specfun`). One q(mu)
+update is one batched pass over the devices in the q(X) solve: the six
+1F1 values are one stacked array Pochhammer series, whose entries take the
+steps of the scalar series in its order and stop at their own terms (only
+an x above specfun.KUMMER_SWITCH_X takes a scalar call), and the products,
+sums and ratios run on (log|.|, sign) arrays, with every log and exp taken
+through libm in four passes, so the results match the scalar arithmetic
+bit for bit.
 
 Memory: the engine holds only the arrays its updates read. :func:`run`
 forms the operands once per call (KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2)
@@ -36,9 +37,10 @@ fixed-point pruning of sparse Bayesian learning (Tipping & Faul 2003; Wipf
 & Rao 2007). q(X) is the one block that couples the devices and costs K^3;
 it then solves only for the active devices, on the path picked for all K.
 A pruned device reports an all-zero column of M_X and c_diag = 0, adds
-nothing to Tr(G C_X), and keeps the q(v) rate it was pruned with; q(mu)
-still runs over all K devices. Each pruning step changes the model, so
-the ELBO is non-decreasing only while the active set is fixed.
+nothing to Tr(G C_X), and keeps the q(v) rate and the q(mu) moments it
+was pruned with; q(mu) and q(v) then run only over the active devices.
+Each pruning step changes the model, so the ELBO is non-decreasing only
+while the active set is fixed.
 
 scipy.linalg is imported inside the q(X) solve helpers, on their first
 call, not when this module loads: its package init costs about 28 MB of
@@ -58,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .specfun import (KUMMER_SWITCH_X, MAX_SERIES_TERMS, SERIES_RTOL, ConvergenceError,
-                      SignedLogValue, hyp1f1, ln_gamma_signed)
+                      hyp1f1, ln_gamma_signed)
 from .tensors import khatri_rao
 
 
@@ -123,9 +125,11 @@ class PosteriorState:
 
     Every vector keeps all K devices. A device pruned from the q(X) solve
     has an all-zero column of M_X, c_diag = 0 and no share of tr_GC (whose
-    K then counts the active devices only), and its a_v stays at the value
-    it had when it was pruned. Pruning changes the model, so the ELBO of
-    these statistics is non-decreasing only while the active set is fixed.
+    K then counts the active devices only), and its a_v, E_mu_inv and
+    E_mu_inv2 stay at the values they had when it was pruned; no update
+    reads the moments of a pruned device. Pruning changes the model, so the
+    ELBO of these statistics is non-decreasing only while the active set is
+    fixed.
     """
 
     M_X: np.ndarray          # M x K posterior mean; zero columns for pruned devices
@@ -339,12 +343,12 @@ def update_qX(s: PosteriorState, G: np.ndarray | None, kr: np.ndarray, Ty: np.nd
 
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` (math.log or math.exp) over a 1-D array, through libm.
+    """``fn`` (math.log or math.exp) over an array, through libm.
 
     numpy's SIMD log and exp can differ from libm by one ulp, which would
     move the engine's output bits away from the scalar SignedLogValue
     arithmetic that defines them."""
-    return np.fromiter(map(fn, a.tolist()), float, a.size)
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def _signed_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,70 +360,53 @@ def _signed_log(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_abs, np.sign(c)
 
 
-def _hyp1f1_signed_log(a: float, b: float, x: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(log|Hy|, sign Hy) of Hy(a, b, x) at every entry of the 1-D ``x``.
+def _hyp1f1_stacked(pairs, x, extra=()) -> tuple[np.ndarray, np.ndarray]:
+    """(log|.|, sign) of Hy(a, b, x_i) for each (a, b) in ``pairs`` and each
+    entry of the 1-D ``x``, pair after pair, then of each entry of the 1-D
+    ``extra``; the logs of all of them are taken in one libm pass.
 
-    The entries with 0 <= x <= KUMMER_SWITCH_X are summed as one array
-    Pochhammer series, which does per entry what specfun._hyp1f1_series
-    does: the same steps in the same order, each entry stopping at its own
-    term, and the ConvergenceError of the term cap or of an overflow. x = 0
-    stops after its first term with the total 1.0, so it gives (0.0, +1).
-    Every other entry is one scalar :func:`hyp1f1` call: its Kummer branch
-    above KUMMER_SWITCH_X, or its error for a negative or NaN x."""
+    The entries with 0 <= x <= KUMMER_SWITCH_X of every pair are summed as
+    one stacked array Pochhammer series, which does per entry what
+    specfun._hyp1f1_series does: the same steps in the same order, each
+    entry stopping at its own term, and the ConvergenceError of the term cap
+    or of an overflow. x = 0 stops after its first term with the total 1.0,
+    so it gives (0.0, +1). Every other entry is one scalar :func:`hyp1f1`
+    call: its Kummer branch above KUMMER_SWITCH_X, or its domain error for a
+    negative or non-finite x."""
+    a, b = np.array(pairs, dtype=float).T
     x = np.asarray(x, dtype=float)
-    series = (x >= 0.0) & (x <= KUMMER_SWITCH_X)
-    total = np.ones(x.size)
-    # the entries still summing: their positions, x, last term and sum
+    n = x.size
+    xs = np.tile(x, len(a))
+    series = (xs >= 0.0) & (xs <= KUMMER_SWITCH_X)
+    total = np.ones(xs.size)
+    # the entries still summing: their positions, pair, x, last term and sum
     pos = np.flatnonzero(series)
-    x_s, term, acc = x[pos], np.ones(pos.size), np.ones(pos.size)
+    pair, x_s, term, acc = pos // n, xs[pos], np.ones(pos.size), np.ones(pos.size)
     v = 0
     # a Python float overflows without a warning; like the scalar series,
     # this one reports an overflow once, after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         while pos.size:
             if v == MAX_SERIES_TERMS:
-                raise ConvergenceError(
-                    f"1F1 series did not converge for a={a}, b={b}, x={x_s[0]}")
-            term *= (a + v) / (b + v) * x_s / (v + 1)
+                raise ConvergenceError("1F1 series did not converge for "
+                                       f"a={a[pair[0]]}, b={b[pair[0]]}, x={x_s[0]}")
+            term *= ((a + v) / (b + v))[pair] * x_s / (v + 1)
             acc += term
             stop = np.abs(term) <= SERIES_RTOL * np.abs(acc)
             if stop.any():
                 total[pos[stop]] = acc[stop]
                 go = ~stop
-                pos, x_s, term, acc = pos[go], x_s[go], term[go], acc[go]
+                pos, pair, x_s, term, acc = pos[go], pair[go], x_s[go], term[go], acc[go]
             v += 1
     bad = ~np.isfinite(total)
     if bad.any():
+        i = int(np.argmax(bad))
         raise ConvergenceError("1F1 series overflowed double precision for "
-                               f"a={a}, b={b}, x={x[np.argmax(bad)]}")
-    log_abs, sign = _signed_log(total)
+                               f"a={a[i // n]}, b={b[i // n]}, x={xs[i]}")
+    log_abs, sign = _signed_log(np.concatenate([total, np.asarray(extra, dtype=float)]))
     for i in np.flatnonzero(~series):
-        log_abs[i], sign[i] = hyp1f1(a, b, float(x[i]))
+        log_abs[i], sign[i] = hyp1f1(float(a[i // n]), float(b[i // n]), float(xs[i]))
     return log_abs, sign
-
-
-def _product(g: SignedLogValue, hy, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log of g * Hy * scale, with every factor in signed-log form;
-    a zero factor carries log -inf, so the product's log is -inf too."""
-    return (g.log_abs + hy[0]) + scale[0], g.sign * hy[1] * scale[1]
-
-
-def _sum2(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Two-term max-shifted signed-log sum, as :func:`signed_log_sum` does
-    it per entry (a two-term fsum is the rounded plain sum)."""
-    (lu, su), (lv, sv) = u, v
-    m = np.maximum(lu, lv)
-    m[m == -np.inf] = 0.0   # both terms zero: acc is 0 below
-    acc = su * _libm(math.exp, lu - m) + sv * _libm(math.exp, lv - m)
-    log_acc, sign = _signed_log(acc)
-    return m + log_acc, sign
-
-
-def _ratio_value(num, den) -> np.ndarray:
-    """num / den collapsed to floats; den must have no zero entry."""
-    (ln, sn), (ld, sd) = num, den
-    return np.where(sn == 0, 0.0, sn * sd * _libm(math.exp, ln - ld))
 
 
 def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
@@ -435,59 +422,72 @@ def inverse_mean_moments(o: np.ndarray, t: np.ndarray, eps: float
       E[mu^-2] = (sqrt(o) G(1-e/2) Hy(1-e/2,1/2,x) + t G((3-e)/2) Hy((3-e)/2,3/2,x))
                  / (o^3/2 G(-e/2) Hy(-e/2,1/2,x) + o t G((1-e)/2) Hy((1-e)/2,3/2,x))
 
-    Each 1F1 value is an array series over all devices (see
-    :func:`_hyp1f1_signed_log`), with a scalar :func:`hyp1f1` call only
-    where x > KUMMER_SWITCH_X. It and everything else (the Gamma x 1F1 x
-    scale products, the two-term sums, the ratios) run on arrays of
-    (log|.|, sign) with every log and exp taken through libm, so the
-    results equal the per-device SignedLogValue arithmetic bit for bit.
+    The six 1F1 values are one stacked array series (see
+    :func:`_hyp1f1_stacked`), with a scalar :func:`hyp1f1` call only where
+    x > KUMMER_SWITCH_X. Everything else runs on arrays of (log|.|, sign),
+    with every log and exp taken through libm in four passes: the 1F1
+    totals with the six scale factors, the smaller term of each two-term
+    sum, the sums, and the ratios. So each device's results equal its
+    SignedLogValue arithmetic bit for bit.
     """
     shape = np.shape(o)
     o = np.asarray(o, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
     if np.any(o <= 0):
         raise EngineError("mu^-2 coefficient must be strictly positive")
-    g_m = ln_gamma_signed(-eps / 2.0)
-    g_a = ln_gamma_signed((1.0 - eps) / 2.0)
-    g_b = ln_gamma_signed(1.0 - eps / 2.0)
-    g_c = ln_gamma_signed((3.0 - eps) / 2.0)
-
-    x = t * t / (4.0 * o)
-    hy_m_half = _hyp1f1_signed_log(-eps / 2.0, 0.5, x)
-    hy_a_half = _hyp1f1_signed_log((1.0 - eps) / 2.0, 0.5, x)
-    hy_a_three = _hyp1f1_signed_log((1.0 - eps) / 2.0, 1.5, x)
-    hy_b_half = _hyp1f1_signed_log(1.0 - eps / 2.0, 0.5, x)
-    hy_b_three = _hyp1f1_signed_log(1.0 - eps / 2.0, 1.5, x)
-    hy_c_three = _hyp1f1_signed_log((3.0 - eps) / 2.0, 1.5, x)
+    pairs = [(-eps / 2.0, 0.5), ((1.0 - eps) / 2.0, 0.5), ((1.0 - eps) / 2.0, 1.5),
+             (1.0 - eps / 2.0, 0.5), (1.0 - eps / 2.0, 1.5), ((3.0 - eps) / 2.0, 1.5)]
     sq_o = np.sqrt(o)
-    by_t, by_sq_o, by_o = _signed_log(t), _signed_log(sq_o), _signed_log(o)
+    # rows 0-5: the 1F1 values of ``pairs``; rows 6-11: the scale factors
+    log_abs, sign = _hyp1f1_stacked(pairs, t * t / (4.0 * o),
+                                    np.concatenate([t, sq_o, o, sq_o * t, o * sq_o, o * t]))
+    log_abs, sign = log_abs.reshape(12, -1), sign.reshape(12, -1)
+    # the eight Gamma(a) Hy(a, b, x) x scale terms, the two of num1, den1,
+    # num2 and den2 in turn; a zero factor carries log -inf
+    hy, sc = [4, 1, 0, 2, 3, 5, 0, 2], [6, 7, 8, 9, 7, 6, 10, 11]
+    gamma = [ln_gamma_signed(pairs[i][0]) for i in hy]
+    term_log = (np.array([[g.log_abs] for g in gamma]) + log_abs[hy]) + log_abs[sc]
+    term_sign = np.array([[g.sign] for g in gamma], dtype=float) * sign[hy] * sign[sc]
 
-    num1 = _sum2(_product(g_b, hy_b_three, by_t),
-                 _product(g_a, hy_a_half, by_sq_o))
-    den1 = _sum2(_product(g_m, hy_m_half, by_o),
-                 _product(g_a, hy_a_three, _signed_log(sq_o * t)))
-    num2 = _sum2(_product(g_b, hy_b_half, by_sq_o),
-                 _product(g_c, hy_c_three, by_t))
-    den2 = _sum2(_product(g_m, hy_m_half, _signed_log(o * sq_o)),
-                 _product(g_a, hy_a_three, _signed_log(o * t)))
-    vanishing = (den1[1] == 0) | (den2[1] == 0)
+    # the four two-term sums, max-shifted as signed_log_sum does it per
+    # entry (a two-term fsum is the rounded plain sum); the larger term's
+    # exp(0) is exactly 1, so only the smaller one takes a libm call
+    m = np.maximum(term_log[0::2], term_log[1::2])
+    m[m == -np.inf] = 0.0   # both terms zero: the sum is 0 below
+    shift = term_log - np.repeat(m, 2, axis=0)
+    scaled = np.ones(shift.shape)
+    nz = shift != 0.0
+    scaled[nz] = _libm(math.exp, shift[nz])
+    sum_log, sum_sign = _signed_log(term_sign[0::2] * scaled[0::2]
+                                    + term_sign[1::2] * scaled[1::2])
+    sum_log = m + sum_log
+
+    num, den = [0, 2], [1, 3]
+    vanishing = np.any(sum_sign[den] == 0, axis=0)
     if np.any(vanishing):
         i = int(np.argmax(vanishing))
         raise EngineError(f"vanishing moment denominator at o={o[i]}, t={t[i]}")
-    return (_ratio_value(num1, den1).reshape(shape),
-            _ratio_value(num2, den2).reshape(shape))
+    e1, e2 = np.where(sum_sign[num] == 0, 0.0, sum_sign[num] * sum_sign[den]
+                      * _libm(math.exp, sum_log[num] - sum_log[den]))
+    return e1.reshape(shape), e2.reshape(shape)
 
 
-def update_qmu(s: PosteriorState) -> PosteriorState:
+def update_qmu(s: PosteriorState, active: np.ndarray | None = None) -> PosteriorState:
     """Refresh the prior-mean block: o = M E[v], t = 2 Re(sum_m M_X) E[v] - eps,
-    then the inverse-mean moments."""
+    then the inverse-mean moments.
+
+    Only the ``active`` devices' moments move (all K by default); a pruned
+    device keeps the moments it was pruned with, which no update reads."""
     if np.any(s.a_v <= 0):
         raise EngineError("q(v) rates must be positive before the mu update")
+    active = np.arange(len(s.a_v)) if active is None else active
     M = s.M_X.shape[0]
-    e_v = s.E_v
-    col_sum = np.real(np.sum(s.M_X, axis=0))
+    e_v = s.E_v[active]
+    col_sum = np.real(np.sum(s.M_X, axis=0))[active]
     e1, e2 = inverse_mean_moments(M * e_v, 2.0 * col_sum * e_v - s.eps, s.eps)
-    return dataclasses.replace(s, E_mu_inv=e1, E_mu_inv2=e2)
+    E_mu_inv, E_mu_inv2 = s.E_mu_inv.copy(), s.E_mu_inv2.copy()
+    E_mu_inv[active], E_mu_inv2[active] = e1, e2
+    return dataclasses.replace(s, E_mu_inv=E_mu_inv, E_mu_inv2=E_mu_inv2)
 
 
 def update_qv(s: PosteriorState, active: np.ndarray | None = None) -> PosteriorState:
@@ -497,9 +497,9 @@ def update_qv(s: PosteriorState, active: np.ndarray | None = None) -> PosteriorS
 
     Only the ``active`` devices' rates move (all K by default); a pruned
     device keeps the rate it was pruned with. Its M_X column and c_diag
-    are 0, so the formula would leave it M E[mu^-2] + eps, which q(mu)
-    makes about eps (1 - 1/(2 E[v])) at its t = -eps: negative for
-    E[v] < 1/2."""
+    are 0, so the formula would leave it M E[mu^-2] + eps, which q(mu) on
+    a pruned device makes about eps (1 - 1/(2 E[v])) at its t = -eps:
+    negative for E[v] < 1/2."""
     active = np.arange(len(s.a_v)) if active is None else active
     M = s.M_X.shape[0]
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
@@ -571,8 +571,8 @@ def run(p: tuple[np.ndarray, ...], Y: np.ndarray, cfg: EngineConfig,
     for the rest, on the path picked at the start: G (cut by index, never
     recomputed) or KR's columns, and Ty's columns, are cut to the active
     devices. A pruned device reports an all-zero column of M_X and
-    c_diag = 0, and its q(v) rate stays frozen; q(mu) still runs over
-    every device. Pruning changes the model, so the ELBO is non-decreasing
+    c_diag = 0, and its q(v) rate and q(mu) moments stay frozen: q(mu)
+    and q(v) run only over the active devices. Pruning changes the model, so the ELBO is non-decreasing
     only between pruning steps, while the active set is fixed. A run where
     no device meets the rule solves for every device on every iteration
     and gives the M_X of the unpruned iteration bit for bit."""
@@ -591,7 +591,7 @@ def run(p: tuple[np.ndarray, ...], Y: np.ndarray, cfg: EngineConfig,
     for it in range(1, cfg.max_iters + 1):
         prev, prev_col_energy = s.M_X, col_energy
         s = update_qX(s, G, kr_a, Ty_a, Y.T, active)
-        s = update_qmu(s)
+        s = update_qmu(s, active)
         s = update_qv(s, active)
         s = update_qbeta(s, kr, Ty, y_energy)
         resid = s.a_beta - s.eps

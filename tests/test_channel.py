@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from leojadce.channel import (BOLTZMANN, HALF_POWER_PHI, RICIAN_FACTOR,
+from leojadce import channel
+from leojadce.channel import (BOLTZMANN, HALF_POWER_PHI, MAX_PHI, RICIAN_FACTOR,
                               DeviceGeometry, LinkBudget, SPEED_OF_LIGHT,
                               _bessel_j1_j3, _gain_kernel, antenna_gain,
                               draw_channels, large_scale_gain,
@@ -165,6 +166,20 @@ def _scalar_miller(n, x):
             norm *= 1e-250
             result *= 1e-250
     return result / (norm + f)
+
+
+def test_antenna_gain_rejects_phi_above_the_bound(monkeypatch):
+    # a 3 dB angle of 1e-9 degrees at theta = 0.4 degrees gives phi near
+    # 8e8, which the recurrence would take hours over; the bound raises
+    # before it starts (the patched recurrence fails if it is reached)
+    def no_recurrence(x):
+        raise AssertionError("the Bessel recurrence started")
+
+    monkeypatch.setattr(channel, "_bessel_j1_j3", no_recurrence)
+    with pytest.raises(ValueError, match="exceeds MAX_PHI"):
+        antenna_gain(np.array([0.0, math.radians(0.4)]), 1e-9)
+    with pytest.raises(ValueError, match="exceeds MAX_PHI"):
+        _gain_kernel(2.0 * MAX_PHI)
 
 
 def test_gain_kernel_is_one_near_zero():

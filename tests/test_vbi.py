@@ -192,14 +192,16 @@ def test_inverse_mean_moments_reports_vanishing_denominator(monkeypatch):
     # so both denominators vanish there
     o, t = np.array([2.0, 3.0, 5.0]), np.array([0.5, 1.5, 2.5])
     x_bad = 1.5 * 1.5 / (4.0 * 3.0)
-    array_1f1 = vbi._hyp1f1_signed_log
+    stacked = vbi._hyp1f1_stacked
 
-    def zero_at_device_1(a, b, x):
-        log_abs, sign = array_1f1(a, b, x)
-        if (a, b) in ((-0.5e-6, 0.5), ((1.0 - 1e-6) / 2.0, 1.5)):
-            log_abs[x == x_bad], sign[x == x_bad] = -math.inf, 0.0
+    def zero_at_device_1(pairs, x, extra=()):
+        log_abs, sign = stacked(pairs, x, extra)
+        for j, pair in enumerate(pairs):
+            if pair in ((-0.5e-6, 0.5), ((1.0 - 1e-6) / 2.0, 1.5)):
+                at = j * len(x) + np.flatnonzero(x == x_bad)
+                log_abs[at], sign[at] = -math.inf, 0.0
         return log_abs, sign
 
-    monkeypatch.setattr(vbi, "_hyp1f1_signed_log", zero_at_device_1)
+    monkeypatch.setattr(vbi, "_hyp1f1_stacked", zero_at_device_1)
     with pytest.raises(vbi.EngineError, match=r"vanishing moment denominator at o=3.0, t=1.5"):
         vbi.inverse_mean_moments(o, t, 1e-6)

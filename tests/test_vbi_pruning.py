@@ -134,14 +134,14 @@ def test_active_set_solve_matches_dense_inverse(dims, sigma_n2):
     assert checked > 0
 
 
-def counting(monkeypatch, name):
-    """Patch vbi.<name> to record the size of each call's third argument
-    (None when it has fewer)."""
+def counting(monkeypatch, name, arg=2):
+    """Patch vbi.<name> to record the size of argument ``arg`` of each call
+    (None when it has fewer arguments)."""
     calls = []
     fn = getattr(vbi, name)
 
     def counted(*args, **kwargs):
-        calls.append(np.size(args[2]) if len(args) > 2 else None)
+        calls.append(np.size(args[arg]) if len(args) > arg else None)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(vbi, name, counted)
@@ -150,20 +150,51 @@ def counting(monkeypatch, name):
 
 @pytest.mark.parametrize("dims, sigma_n2", PRUNING)
 def test_pruning_keeps_the_call_counts(monkeypatch, dims, sigma_n2):
-    # q(mu)'s array series still gets every device, for each of its six
-    # 1F1 pairs, on every iteration, and no Khatri-Rao product is formed
-    # again when K shrinks
+    # q(mu) gets exactly the devices of that iteration's q(X) solve, in one
+    # stacked 1F1 series, and no Khatri-Rao product is formed again when K
+    # shrinks
     p, Y, _ = scene(dims, sigma_n2)
-    hyp = counting(monkeypatch, "_hyp1f1_signed_log")
+    qmu = counting(monkeypatch, "inverse_mean_moments", arg=0)
+    series = counting(monkeypatch, "_hyp1f1_stacked", arg=1)
     kr = counting(monkeypatch, "khatri_rao")
     result = vbi.run(p, Y, vbi.EngineConfig())
-    assert result.trace[-1][3] < K
-    assert hyp == [K] * (6 * result.n_iters)
+    n_active = [row[3] for row in result.trace]
+    assert n_active[-1] < K
+    assert qmu == series == n_active
     pruned_kr = len(kr)
     kr.clear()
     unpruned = vbi.run(p, Y, vbi.EngineConfig(max_iters=4))
     assert unpruned.trace[-1][3] == K
     assert pruned_kr == len(kr)
+
+
+PAPER_TRIAL = ScenarioConfig(K=500, M=8, dims=(20, 20), snr_db=30.0, algos=("vbi",),
+                             trials=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scene(DIRECT, 1e-2)[:2],
+    lambda: scene(WOODBURY, 1e-3)[:2],
+    # the L=400, 30 dB trial of the paper-scale benchmark scene
+    lambda: harness_scene(PAPER_TRIAL),
+], ids=["direct", "woodbury", "L400-30dB"])
+def test_qmu_on_the_active_devices_is_the_all_device_run_bit_for_bit(monkeypatch, make):
+    # q(mu) over the active devices only gives the run in which q(mu) also
+    # updates every pruned device: nothing reads a pruned device's moments
+    p, Y = make()
+    result = vbi.run(p, Y, vbi.EngineConfig())
+    all_devices = vbi.update_qmu
+    monkeypatch.setattr(vbi, "update_qmu", lambda s, active: all_devices(s))
+    ref = vbi.run(p, Y, vbi.EngineConfig())
+    n_active = [row[3] for row in result.trace]
+    assert n_active[-1] < n_active[0]
+    assert result.n_iters == ref.n_iters
+    assert result.trace == ref.trace
+    for field in ("M_X", "c_diag", "a_v"):
+        np.testing.assert_array_equal(getattr(result.state, field),
+                                      getattr(ref.state, field))
+    assert result.state.a_beta == ref.state.a_beta
+    assert result.state.tr_GC == ref.state.tr_GC
 
 
 def test_pruned_device_below_half_unit_precision_keeps_a_positive_rate():
