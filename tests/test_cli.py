@@ -86,8 +86,7 @@ def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
 
 
 def test_run_does_not_import_mpmath(cfg, tmp_path):
-    # mpmath serves only the 1F1 Kummer branch (x > 30), which a tiny
-    # scene never reaches
+    # mpmath is a test dependency only: no leojadce module imports it
     code = textwrap.dedent(f"""
         import sys
         import leojadce.cli

@@ -1,31 +1,32 @@
-"""The variational engine against dense-inverse formulas and a scalar
-q(mu) oracle, and on a noise-free scene."""
+"""The variational engine against dense-inverse formulas, on a noise-free
+scene, and against its evidence lower bound."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import ztrtri
+from scipy.special import digamma, gammaln
 
 from leojadce import vbi
 from leojadce.detection import nmse
 from leojadce.signals import gen_preambles, synthesize_received
-from leojadce.specfun import SignedLogValue, hyp1f1, ln_gamma_signed, signed_log_sum
 from leojadce.tensors import khatri_rao
 
 K, M = 40, 4
 WOODBURY, DIRECT = (4, 4), (8, 8)   # L = 16 < K and L = 64 > K
 
 
-def scene(dims, sigma_n2, seed=0):
+def scene(dims, sigma_n2, scale=1.0, seed=0):
+    """Four active devices of K=40; ``scale`` multiplies X, and the noise
+    with it."""
     rng = np.random.default_rng(seed)
     p = gen_preambles(dims, K, rng)
     X = np.zeros((M, K), dtype=complex)
     active = rng.choice(K, 4, replace=False)
-    X[:, active] = rng.standard_normal((M, 4)) + 1j * rng.standard_normal((M, 4))
-    return p, X, synthesize_received(p, X, sigma_n2, rng)
+    X[:, active] = scale * (rng.standard_normal((M, 4)) + 1j * rng.standard_normal((M, 4)))
+    return p, X, synthesize_received(p, X, sigma_n2 * scale ** 2, rng)
 
 
 def operands(p, Y):
@@ -36,10 +37,9 @@ def operands(p, Y):
     return G, kr, Y.T @ kr.conj(), Y.T, float(np.vdot(Y, Y).real)
 
 
-def state_with(p, Y, e_beta, e_v, e_mu_inv):
+def state_with(p, Y, e_beta, e_v):
     s = vbi.init_posterior(p, Y, vbi.EngineConfig())
-    return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v,
-                               E_mu_inv=e_mu_inv)
+    return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
 
 def test_path_choice_covers_both_test_shapes():
@@ -60,12 +60,12 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     p, _, Y = scene(dims, 0.05)
     rng = np.random.default_rng(1)
     e_v = 10.0 ** rng.uniform(*log_e_v, K)
-    s = state_with(p, Y, e_beta, e_v, rng.standard_normal(K))
+    s = state_with(p, Y, e_beta, e_v)
     G = vbi.precompute_gram(p)
     G_path, kr, Ty, Y_mat, y_energy = operands(p, Y)
 
     C = np.linalg.inv(e_beta * G + np.diag(e_v))
-    M_X = (e_beta * Ty + np.ones((M, 1)) * (s.E_mu_inv * e_v)[None, :]) @ C
+    M_X = e_beta * Ty @ C
     F = (y_energy - 2.0 * np.sum(Ty * M_X.conj()).real
          + np.sum(G * (M_X.conj().T @ M_X + M * C).T).real)
 
@@ -95,7 +95,7 @@ def test_direct_solve_equals_out_of_place_system_bit_for_bit():
 def test_indefinite_system_is_reported(dims, e_beta):
     # negative E[v] makes either factorized system indefinite
     p, _, Y = scene(dims, 0.05)
-    s = state_with(p, Y, e_beta, -np.ones(K), np.zeros(K))
+    s = state_with(p, Y, e_beta, -np.ones(K))
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
         vbi.update_qX(s, *operands(p, Y)[:4])
 
@@ -115,93 +115,52 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
                for v in vars(result.state).values())
 
 
-def scalar_inverse_mean_moments(o, t, eps):
-    """Per-device SignedLogValue evaluation of the q(mu) moments, the
-    reference that the array form must match bit for bit."""
-    g_m = ln_gamma_signed(-eps / 2.0)
-    g_a = ln_gamma_signed((1.0 - eps) / 2.0)
-    g_b = ln_gamma_signed(1.0 - eps / 2.0)
-    g_c = ln_gamma_signed((3.0 - eps) / 2.0)
-    e1 = np.empty_like(o)
-    e2 = np.empty_like(o)
-    for i, (oi, ti) in enumerate(zip(o, t)):
-        x = ti * ti / (4.0 * oi)
-        hy_m_half = hyp1f1(-eps / 2.0, 0.5, x)
-        hy_a_half = hyp1f1((1.0 - eps) / 2.0, 0.5, x)
-        hy_a_three = hyp1f1((1.0 - eps) / 2.0, 1.5, x)
-        hy_b_half = hyp1f1(1.0 - eps / 2.0, 0.5, x)
-        hy_b_three = hyp1f1(1.0 - eps / 2.0, 1.5, x)
-        hy_c_three = hyp1f1((3.0 - eps) / 2.0, 1.5, x)
-        sq_o = math.sqrt(oi)
-        num1 = signed_log_sum([(g_b * hy_b_three).scaled(ti),
-                               (g_a * hy_a_half).scaled(sq_o)])
-        den1 = signed_log_sum([(g_m * hy_m_half).scaled(oi),
-                               (g_a * hy_a_three).scaled(sq_o * ti)])
-        num2 = signed_log_sum([(g_b * hy_b_half).scaled(sq_o),
-                               (g_c * hy_c_three).scaled(ti)])
-        den2 = signed_log_sum([(g_m * hy_m_half).scaled(oi * sq_o),
-                               (g_a * hy_a_three).scaled(oi * ti)])
-        e1[i] = (num1 / den1).value()
-        e2[i] = (num2 / den2).value()
-    return e1, e2
+def gamma_terms(a, b, eps):
+    """E_q[log Gamma(x; eps, eps)] + entropy of q = Gamma(shape b, rate a),
+    summed, up to a constant."""
+    e, e_log = b / a, digamma(b) - np.log(a)
+    return np.sum((eps - 1.0) * e_log - eps * e
+                  + b - np.log(a) + gammaln(b) + (1.0 - b) * digamma(b))
 
 
-def random_qmu_inputs(n, seed):
-    """(o, t) with o in 1e-6..1e8, x = t^2 / (4 o) in 1e-8..30 (the power
-    series of 1F1) and every tenth x in 30..100 (its Kummer branch), both
-    signs of t, and every seventh t exactly zero."""
-    rng = np.random.default_rng(seed)
-    o = 10.0 ** rng.uniform(-6, 8, n)
-    x = 10.0 ** rng.uniform(-8, math.log10(30.0), n)
-    x[::10] = rng.uniform(30.0, 100.0, len(x[::10]))
-    t = rng.choice([-1.0, 1.0], n) * np.sqrt(4.0 * o * x)
-    t[::7] = 0.0
-    return o, t
+def elbo(s, log_det_C, kr, Ty, y_energy):
+    """ELBO of q(X) q(v) q(beta) up to a constant, for circular complex
+    Gaussians; q(X) has M rows that share the column covariance C_X."""
+    L = kr.shape[0]
+    e_log_beta = digamma(s.b_beta) - np.log(s.a_beta)
+    e_log_v = digamma(s.b_v) - np.log(s.a_v)
+    x_energy = np.sum(np.abs(s.M_X) ** 2, axis=0) + M * s.c_diag
+    return (L * M * e_log_beta - s.E_beta * vbi.expected_residual(s, kr, Ty, y_energy)
+            + np.sum(M * e_log_v - s.E_v * x_energy)
+            + M * log_det_C
+            + gamma_terms(s.a_v, s.b_v, s.eps) + gamma_terms(s.a_beta, s.b_beta, s.eps))
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-3])
-def test_inverse_mean_moments_bit_exact_against_scalar_oracle(eps):
-    o, t = random_qmu_inputs(300, seed=int(eps * 1e6))
-    assert np.any(t * t / (4.0 * o) > 30.0) and np.any(t < 0) and np.any(t == 0)
-    e1, e2 = vbi.inverse_mean_moments(o, t, eps)
-    r1, r2 = scalar_inverse_mean_moments(o, t, eps)
-    np.testing.assert_array_equal(e1, r1)
-    np.testing.assert_array_equal(e2, r2)
-
-
-def test_array_signed_log_matches_scalar_encoding():
-    # numpy's SIMD log can differ from libm by an ulp, most often near 1
-    # (the max-shifted sums); the array form must round as math.log does
-    rng = np.random.default_rng(4)
-    c = np.concatenate([10.0 ** rng.uniform(-300, 300, 5000),
-                        1.0 + rng.uniform(-1e-3, 1e-3, 5000), [0.0, -0.0]])
-    c *= rng.choice([-1.0, 1.0], c.size)
-    log_abs, sign = vbi._signed_log(c)
-    ref = [SignedLogValue.from_float(ci) for ci in c.tolist()]
-    np.testing.assert_array_equal(log_abs, [r.log_abs for r in ref])
-    np.testing.assert_array_equal(sign, [r.sign for r in ref])
-
-
-def test_inverse_mean_moments_rejects_nonpositive_o():
-    with pytest.raises(vbi.EngineError, match="strictly positive"):
-        vbi.inverse_mean_moments(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1e-6)
-
-
-def test_inverse_mean_moments_reports_vanishing_denominator(monkeypatch):
-    # Hy(-e/2, 1/2, x) and Hy((1-e)/2, 3/2, x) both zero at device 1 only,
-    # so both denominators vanish there
-    o, t = np.array([2.0, 3.0, 5.0]), np.array([0.5, 1.5, 2.5])
-    x_bad = 1.5 * 1.5 / (4.0 * 3.0)
-    stacked = vbi._hyp1f1_stacked
-
-    def zero_at_device_1(pairs, x, extra=()):
-        log_abs, sign = stacked(pairs, x, extra)
-        for j, pair in enumerate(pairs):
-            if pair in ((-0.5e-6, 0.5), ((1.0 - 1e-6) / 2.0, 1.5)):
-                at = j * len(x) + np.flatnonzero(x == x_bad)
-                log_abs[at], sign[at] = -math.inf, 0.0
-        return log_abs, sign
-
-    monkeypatch.setattr(vbi, "_hyp1f1_stacked", zero_at_device_1)
-    with pytest.raises(vbi.EngineError, match=r"vanishing moment denominator at o=3.0, t=1.5"):
-        vbi.inverse_mean_moments(o, t, 1e-6)
+@pytest.mark.parametrize("scene_args", [
+    (DIRECT, 0.05, 1.0), (WOODBURY, 0.05, 1.0), (DIRECT, 1e-2, 50.0),
+], ids=["direct", "woodbury", "direct-50x"])
+def test_elbo_does_not_decrease_under_any_block(scene_args):
+    # Bishop, PRML section 10.1: with the active set fixed (no pruning), no
+    # block update lowers the ELBO; log det C_X is taken densely from the
+    # E[beta] and E[v] that each q(X) update reads
+    p, _, Y = scene(*scene_args)
+    G_path, kr, Ty, Y_mat, y_energy = operands(p, Y)
+    G = vbi.precompute_gram(p)
+    blocks = (("qX", lambda s: vbi.update_qX(s, G_path, kr, Ty, Y_mat)),
+              ("qv", vbi.update_qv),
+              ("qbeta", lambda s: vbi.update_qbeta(s, kr, Ty, y_energy)))
+    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
+    log_det_C = 0.0                     # the start's C_X is the identity
+    bound = elbo(s, log_det_C, kr, Ty, y_energy)
+    steps = []
+    for _ in range(10):
+        sign, log_det_P = np.linalg.slogdet(s.E_beta * G + np.diag(s.E_v))
+        assert sign.real > 0
+        log_det_C = -log_det_P
+        for name, update in blocks:
+            s = update(s)
+            new = elbo(s, log_det_C, kr, Ty, y_energy)
+            steps.append((name, (new - bound) / abs(bound)))
+            bound = new
+    worst = min(steps, key=lambda step: step[1])
+    assert worst[1] >= -1e-10, worst
