@@ -1,16 +1,13 @@
-"""Special-function numerics of the q(mu) update: signed-log Gamma and the
-confluent hypergeometric function 1F1.
+"""Special-function numerics: signed-log Gamma and the confluent
+hypergeometric function 1F1.
 
-The Gamma/1F1 values feeding the posterior inverse-mean moments span many
-orders of magnitude (Gamma(-eps/2) ~ -2/eps for the near-flat hyperprior)
-while the final ratios are O(1), so every Gamma and 1F1 evaluation here is
-carried as a sign plus log-magnitude and combined with a signed logsumexp.
+Gamma and 1F1 values can span many orders of magnitude (Gamma(-eps/2) ~
+-2/eps for a near-flat hyperprior) while ratios of them are O(1), so every
+Gamma and 1F1 evaluation here is carried as a sign plus log-magnitude and
+combined with a signed logsumexp.
 
-The q(mu) update sums the 1F1 series of all six of its (a, b) pairs as one
-stacked array series over the devices still in the model (see
-:func:`leojadce.vbi.inverse_mean_moments`); :func:`hyp1f1` is the scalar
-reference that series must equal bit for bit, and the q(mu) update still
-calls it, one element at a time, for x > KUMMER_SWITCH_X.
+No leojadce module imports this one: it served the q(mu) block that VBI no
+longer has, and it stays, with its tests, until its own deletion (ROADMAP).
 """
 
 from __future__ import annotations
