@@ -17,10 +17,12 @@ the evidence lower bound does not decrease.
 Memory: the engine holds only the arrays its updates read. :func:`run`
 forms the operands once per call (KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2)
 and picks the q(X) path once, by :func:`woodbury_pays`. On the L x L
-Woodbury path (L << K) no K x K array exists: the solve holds KR and
-L x L / L x K arrays. The direct path adds the K x K Gram G and one K x K
-factor buffer. On both paths q(beta) takes its fit term ||M_X KR^T||_F^2
-from KR, at M L K work.
+Woodbury path (L << K) no K x K array exists: besides KR and its L x L
+factor, the solve holds at most about 1.5 L x K complex arrays, and it
+reads KR as KR^T, a Fortran-ordered K x L view of KR's own memory that the
+BLAS calls take without a copy. The direct path adds the K x K Gram G
+and one K x K factor buffer. On both paths q(beta) takes its fit term
+||M_X KR^T||_F^2 from KR, at M L K work.
 
 Pruning: a device whose prior precision E[v_k] has collapsed (see
 :func:`prune`) leaves the q(X) solve for the rest of the run, as in the
@@ -199,7 +201,8 @@ def init_posterior(p: tuple[np.ndarray, ...], Y: np.ndarray,
 def woodbury_pays(L: int, K: int) -> bool:
     """Whether q(X) is cheaper through the L x L system than the K x K one,
     by flop count: about L^2 K + L^3 / 3 against K^3 / 2. At K=500 the
-    two paths measure equal near L = 290-320; this rule switches at 321."""
+    two solves measure equal near L = 330 (each faster in half of 150
+    paired calls); this rule switches at 321."""
     return L * L * K + L ** 3 / 3 < K ** 3 / 2
 
 
@@ -256,32 +259,43 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
 
       C_X = D^-1 - D^-1 Phi^H S^-1 Phi D^-1.
 
-    With S = R R^H and W = R^-1 Phi, diag C_X = 1/d - |W|^2_col / d^2. The
-    mean uses Phi C_X = (E[beta] S)^-1 Phi D^-1, which gives, with
-    Y_mat = Y_(d+1),
+    With B = KR D^-1/2, Phi D^-1 Phi^H = (B^T)^H B^T; zherk forms only its
+    lower triangle, all that the Cholesky factorization S = R R^H reads.
+    With W = R^-1 Phi,
+    diag C_X = 1/d - |W|^2_col / d^2, and W^T = Phi^T R^-T is one
+    right-side triangular solve on Phi^T = conj(KR^T). The mean uses
+    Phi C_X = (E[beta] S)^-1 Phi D^-1, which gives, with Y_mat = Y_(d+1)
+    and V = R^-1 Y_mat^H,
 
-      M_X = Y_mat S^-1 Phi D^-1.
+      M_X = Y_mat S^-1 Phi D^-1 = (W^T V^*)^T D^-1.
 
     It equals E[beta] Y_mat KR^* C_X, but subtracts no terms of size
     E[beta] that would cancel when E[beta] G dominates D.
 
-    Phi is never formed: Phi D^-1 is conj(KR D^-1), conjugated in place,
-    W is conj(solve(R^*, KR)), and |W|^2 is squared in the buffer of |W|,
-    so besides KR at most about two L x K arrays are live."""
+    KR is C-ordered, so KR^T is a Fortran-ordered K x L view, the layout
+    the BLAS calls take without a copy: B^T is made from it in one pass,
+    and the conjugate of KR^T, made in the same order, is solved in place.
+    B^T is freed before that conjugate is made, and |W|^2 is squared in
+    the buffer of |W|, so besides KR at most about 1.5 L x K complex
+    arrays are live. D^-1/2 needs every E[v] > 0; any other E[v] makes the
+    system indefinite and is reported as such."""
     from scipy.linalg import solve_triangular
+    from scipy.linalg.blas import zherk, ztrsm
 
+    if not np.all(e_v > 0):
+        raise EngineError("preamble-space system not positive-definite: "
+                          f"E[v] = {np.min(e_v)} <= 0")
     inv_d = 1.0 / e_v
-    phi_d = kr * inv_d
-    np.conjugate(phi_d, out=phi_d)
-    S = phi_d @ kr.T + np.eye(kr.shape[0]) / e_beta
-    del phi_d
+    Bt = np.multiply(kr.T, np.sqrt(inv_d)[:, None], order="F")
+    S = zherk(1.0, Bt, trans=2, lower=1)
+    del Bt
+    S.flat[::S.shape[0] + 1] += 1.0 / e_beta
     R = _cholesky(S, "preamble-space system")
-    W = solve_triangular(R.conj(), kr, lower=True, check_finite=False)
-    np.conjugate(W, out=W)
-    w_energy = np.abs(W)
-    c_diag = inv_d - np.sum(np.square(w_energy, out=w_energy), axis=0) * inv_d ** 2
+    Wt = ztrsm(1.0, R, np.conjugate(kr.T), side=1, lower=1, trans_a=1, overwrite_b=1)
+    w_energy = np.abs(Wt)
+    c_diag = inv_d - np.sum(np.square(w_energy, out=w_energy), axis=1) * inv_d ** 2
     V = solve_triangular(R, Y_mat.conj().T, lower=True, check_finite=False)
-    M_X = (V.conj().T @ W) * inv_d
+    M_X = (Wt @ V.conj()).T * inv_d
     return M_X, c_diag
 
 

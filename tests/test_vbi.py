@@ -100,6 +100,22 @@ def test_indefinite_system_is_reported(dims, e_beta):
         vbi.update_qX(s, *operands(p, Y)[:4])
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3])
+def test_woodbury_reports_one_non_positive_precision(bad):
+    # the Woodbury path scales KR by E[v]^-1/2, so one zero or negative
+    # E[v] among positive ones must be reported, not divided by
+    p, _, Y = scene(WOODBURY, 0.05)
+    e_v = 10.0 ** np.random.default_rng(4).uniform(-2, 4, K)
+    e_v[7] = bad
+    with np.errstate(divide="ignore"):     # E[v] = 0 is the rate inf
+        s = state_with(p, Y, 3.0, e_v)
+    assert s.E_v[7] <= 0
+    G_path, kr, Ty, Y_mat, _ = operands(p, Y)
+    assert G_path is None
+    with pytest.raises(vbi.EngineError, match="not positive-definite"):
+        vbi.update_qX(s, G_path, kr, Ty, Y_mat)
+
+
 @pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
 def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     p, X, Y = scene(dims, 0.0)
@@ -142,7 +158,9 @@ def elbo(s, log_det_C, kr, Ty, y_energy):
 def test_elbo_does_not_decrease_under_any_block(scene_args):
     # Bishop, PRML section 10.1: with the active set fixed (no pruning), no
     # block update lowers the ELBO; log det C_X is taken densely from the
-    # E[beta] and E[v] that each q(X) update reads
+    # E[beta] and E[v] that each q(X) update reads. A step that does not
+    # lower the ELBO can still land off the block's optimum, so each q(X)
+    # mean must also be stationary: M_X (E[beta] G + diag E[v]) = E[beta] Ty
     p, _, Y = scene(*scene_args)
     G_path, kr, Ty, Y_mat, y_energy = operands(p, Y)
     G = vbi.precompute_gram(p)
@@ -159,6 +177,10 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
         log_det_C = -log_det_P
         for name, update in blocks:
             s = update(s)
+            if name == "qX":
+                rhs = s.E_beta * Ty
+                gap = rhs - s.M_X @ (s.E_beta * G + np.diag(s.E_v))
+                assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(rhs)
             new = elbo(s, log_det_C, kr, Ty, y_energy)
             steps.append((name, (new - bound) / abs(bound)))
             bound = new
