@@ -10,8 +10,8 @@ from a separate stream and cached per configuration, so a process draws it
 once per configuration; preambles, activity, rain, fading, and noise are
 redrawn per trial.
 
-All three algorithms read the same received samples Y = A X^T + N and are
-scored against the same M x K device-state matrix X.
+All three algorithms read the same samples Y = A X^T + N and the same A,
+formed once per trial, and are scored against the same M x K states X.
 
 Wall-clock timings are never written into trials.csv (its bytes must be
 identical across reruns); they go to a sidecar timings.csv. Why a trial
@@ -93,10 +93,11 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     """Run every requested algorithm on one synthesized scene."""
     rng = trial_rng(cfg.master_seed, axis, value, trial)
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
+    A = assemble_preamble_matrix(preambles)
     geom = scenario_geometry(cfg)
     X_true, alpha = draw_channels(LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db)
-    Y = synthesize_received(preambles, X_true, sigma_n2, rng)
+    Y = synthesize_received(A, X_true, sigma_n2, rng)
     have_active = bool(np.any(alpha == 1))
 
     records: list[TrialRecord] = []
@@ -105,7 +106,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
         t0 = time.perf_counter()
         try:
             if algo == "vbi":
-                result = vbi.run(preambles, Y, ENGINE_CONFIG)
+                result = vbi.run(preambles, A, Y, ENGINE_CONFIG)
                 x_hat = result.M_X
                 alpha_hat = detection.detect(x_hat, detection.THRESHOLD_RATIO)
                 iters = result.n_iters
@@ -115,13 +116,13 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 somp_cfg = baselines.SompConfig(
                     max_support=baselines.default_max_support(cfg.p_a, cfg.K),
                     residual_tol=baselines.somp_residual_tol(Y, sigma_n2))
-                sres = baselines.somp(Y, assemble_preamble_matrix(preambles), somp_cfg)
+                sres = baselines.somp(Y, A, somp_cfg)
                 x_hat = sres.X_hat
                 alpha_hat = np.zeros(cfg.K, dtype=np.int8)
                 alpha_hat[sres.support] = 1
                 iters = len(sres.support)
             elif algo == "amp":
-                ares = baselines.amp_mmv(Y, assemble_preamble_matrix(preambles), cfg.p_a)
+                ares = baselines.amp_mmv(Y, A, cfg.p_a)
                 x_hat = ares.X_hat
                 alpha_hat = detection.detect(x_hat, detection.THRESHOLD_RATIO)
                 iters = ares.n_iters

@@ -4,9 +4,9 @@ Each device's preamble is the vectorization of a rank-1 tensor built from
 per-mode unit-norm Gaussian vectors, so the length-L sequence equals the
 Kronecker product of its factors. The preambles of all K devices are
 carried as the tuple of their d factor arrays A_1..A_d, each l_i x K; their
-Khatri-Rao product (see :mod:`leojadce.tensors`) is the L x K matrix of
-preambles. The receiver sees the noisy superposition of all devices as an
-L x M sample matrix: preamble sample by antenna.
+Khatri-Rao product (see :mod:`leojadce.tensors`) is the L x K matrix A of
+preambles. The receiver sees all devices' noisy superposition as the L x M
+samples Y = A X^T + N, and VBI, SOMP and AMP all read this Y and this A.
 """
 
 from __future__ import annotations
@@ -39,20 +39,22 @@ def gen_preambles(dims: Sequence[int], K: int,
 
 
 def assemble_preamble_matrix(p: tuple[np.ndarray, ...]) -> np.ndarray:
-    """L x K matrix whose column k is the Kronecker fold of device k's
-    factor columns (equals the Khatri-Rao product of the factors)."""
-    return khatri_rao(p)
+    """The read-only L x K preamble matrix, the Khatri-Rao product of the
+    factors; synthesis and every algorithm of a trial share it."""
+    A = khatri_rao(p)
+    A.flags.writeable = False
+    return A
 
 
-def synthesize_received(p: tuple[np.ndarray, ...], X: np.ndarray, sigma_n2: float,
+def synthesize_received(A: np.ndarray, X: np.ndarray, sigma_n2: float,
                         rng: np.random.Generator) -> np.ndarray:
-    """Received samples Y = KR X^T + N, with KR = khatri_rao(p) and N
-    i.i.d. CN(0, sigma_n2): a read-only, C-contiguous L x M array whose
-    row l is preamble sample l and column m is antenna m. Y^T = X KR^T + N^T
-    is the mode-(d+1) unfolding of the received tensor."""
+    """Received samples Y = A X^T + N, with A from assemble_preamble_matrix
+    and N i.i.d. CN(0, sigma_n2): a read-only, C-contiguous L x M array
+    whose row l is preamble sample l and column m is antenna m.
+    Y^T = X A^T + N^T is the mode-(d+1) unfolding of the received tensor."""
     if sigma_n2 < 0:
         raise ValueError("noise variance must be >= 0")
-    Y = np.ascontiguousarray((X @ khatri_rao(p).T).T)
+    Y = np.ascontiguousarray((X @ A.T).T)
     if sigma_n2 != 0.0:
         noise = math.sqrt(sigma_n2 / 2.0) * (
             rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape))

@@ -15,7 +15,7 @@ update below is the optimum of its block with the other blocks fixed, and
 the evidence lower bound does not decrease.
 
 Memory: the engine holds only the arrays its updates read. :func:`run`
-forms the operands once per call (KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2)
+reads KR from its caller, forms Y_(d+1) KR^* and ||Y||^2 once per call,
 and picks the q(X) path once, by :func:`woodbury_pays`. On the L x L
 Woodbury path (L << K) no K x K array exists: besides KR and its L x L
 factor, the solve holds at most about 1.5 L x K complex arrays, and it
@@ -49,8 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .tensors import khatri_rao
 
 
 # Pruning (see :func:`prune`): from this iteration on, a device whose prior
@@ -173,19 +171,17 @@ def _y_kr_conj(Y: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return (Y.T.conj() @ kr).conj()
 
 
-def init_posterior(p: tuple[np.ndarray, ...], Y: np.ndarray,
+def init_posterior(kr: np.ndarray, Ty: np.ndarray, y_energy: float,
                    cfg: EngineConfig) -> PosteriorState:
-    """Deterministic start: matched-filter mean, identity covariance
-    (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means, noise precision
-    from total energy."""
-    L, M = Y.shape
-    K = p[0].shape[1]
-    kr = khatri_rao(p)
-    m_x = _y_kr_conj(Y, kr) / L
+    """Deterministic start from :func:`run`'s Ty and y_energy = ||Y||^2:
+    matched-filter mean Ty / L, identity covariance (so Tr(G C_X) = Tr(G) =
+    ||KR||_F^2), unit v-means, noise precision from total energy."""
+    L, K = kr.shape
+    M = Ty.shape[0]
+    m_x = Ty / L
     b_v = M + cfg.eps
     b_beta = L * M + cfg.eps
-    energy = float(np.vdot(Y, Y).real)
-    a_beta = b_beta * energy / (L * M) if energy > 0 else b_beta
+    a_beta = b_beta * y_energy / (L * M) if y_energy > 0 else b_beta
     return PosteriorState(
         M_X=m_x,
         c_diag=np.ones(K),
@@ -391,14 +387,16 @@ def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
             & (col_energy <= prev_col_energy))
 
 
-def run(p: tuple[np.ndarray, ...], Y: np.ndarray, cfg: EngineConfig,
+def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineConfig,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
     """Iterate qX -> qv -> qbeta until the relative Frobenius change of M_X
     drops below cfg.rel_tol or cfg.max_iters is reached.
 
-    The operands of q(X) and q(beta) are formed once, here. The K x K Gram
-    G is formed only when q(X) takes its direct path; when
+    ``kr`` is KR, formed once by the caller and only read here; ``p`` serves
+    only :func:`precompute_gram` (K^2 (l_1 + ... + l_d) work, against K^2 L
+    for the Gram of KR). Ty and ||Y||^2 are formed once, here. The K x K
+    Gram G is formed only when q(X) takes its direct path; when
     :func:`woodbury_pays`, G is None and no K x K array is formed.
 
     From iteration PRUNE_FROM_ITER on, the devices that :func:`prune`
@@ -411,12 +409,11 @@ def run(p: tuple[np.ndarray, ...], Y: np.ndarray, cfg: EngineConfig,
     active set is fixed. A run where no device meets the rule solves for
     every device on every iteration and gives the M_X of the unpruned
     iteration bit for bit."""
-    L, K = Y.shape[0], p[0].shape[1]
+    L, K = kr.shape
     G = None if woodbury_pays(L, K) else precompute_gram(p)
-    kr = khatri_rao(p)
     Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
-    s = init_posterior(p, Y, cfg)
+    s = init_posterior(kr, Ty, y_energy, cfg)
     # G and the q(X) copies kr_a, Ty_a hold only the rows and columns of
     # the devices in ``active``
     active, kr_a, Ty_a = np.arange(K), kr, Ty
@@ -453,4 +450,4 @@ def run(p: tuple[np.ndarray, ...], Y: np.ndarray, cfg: EngineConfig,
 
 # perfbench/run.py's traced run looks these names up and wraps them; nothing
 # in leojadce calls them.
-update_qmu = hyp1f1 = None
+update_qmu = hyp1f1 = khatri_rao = None

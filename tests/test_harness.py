@@ -10,7 +10,7 @@ import statistics
 import numpy as np
 import pytest
 
-from leojadce import channel, harness, vbi
+from leojadce import channel, harness, signals, tensors, vbi
 from leojadce.config import ScenarioConfig, make_sweep
 from leojadce.harness import (SUMMARY_HEADER, TRACE_HEADER, TRIALS_HEADER, run_sweep,
                               run_trial, write_outputs)
@@ -213,6 +213,25 @@ def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
             n_active = [int(row[4]) for row in mine]
             assert n_active[0] == TINY.K
             assert n_active == sorted(n_active, reverse=True)
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (8, 8)], ids=["woodbury", "direct"])
+def test_trial_forms_the_preamble_matrix_once(monkeypatch, dims):
+    # synthesis, VBI (on either q(X) path), SOMP and AMP read one A
+    formed = []
+
+    def counting(mats):
+        formed.append(len(mats))
+        return tensors.khatri_rao(mats)
+
+    for module in (signals, vbi):
+        monkeypatch.setattr(module, "khatri_rao", counting)
+    cfg = dataclasses.replace(TINY, dims=dims)
+    assert vbi.woodbury_pays(int(np.prod(dims)), cfg.K) == (dims == (4, 4))
+    records, _ = run_trial(cfg, "snr", "10", 0)
+    assert [r.algorithm for r in records] == ["vbi", "somp", "amp"]
+    assert not any(r.failed for r in records), [r.error for r in records]
+    assert formed == [2]
 
 
 def test_geometry_drawn_once_per_configuration(monkeypatch):

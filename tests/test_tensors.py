@@ -79,7 +79,7 @@ def test_khatri_rao_column_count_mismatch():
 
 def received(factors, X):
     """Noise-free L x M received samples KR X^T."""
-    return synthesize_received(factors, X, 0.0, np.random.default_rng(0))
+    return synthesize_received(khatri_rao(factors), X, 0.0, np.random.default_rng(0))
 
 
 def test_kruskal_basis_case():

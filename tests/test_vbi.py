@@ -26,7 +26,7 @@ def scene(dims, sigma_n2, scale=1.0, seed=0):
     X = np.zeros((M, K), dtype=complex)
     active = rng.choice(K, 4, replace=False)
     X[:, active] = scale * (rng.standard_normal((M, 4)) + 1j * rng.standard_normal((M, 4)))
-    return p, X, synthesize_received(p, X, sigma_n2 * scale ** 2, rng)
+    return p, X, synthesize_received(khatri_rao(p), X, sigma_n2 * scale ** 2, rng)
 
 
 def operands(p, Y):
@@ -38,7 +38,8 @@ def operands(p, Y):
 
 
 def state_with(p, Y, e_beta, e_v):
-    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
+    _, kr, Ty, _, y_energy = operands(p, Y)
+    s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
     return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
 
@@ -121,7 +122,7 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     p, X, Y = scene(dims, 0.0)
     _, kr, Ty, _, y_energy = operands(p, Y)
     residuals = []
-    result = vbi.run(p, Y, vbi.EngineConfig(), on_iteration=lambda it, s: residuals.append(
+    result = vbi.run(p, kr, Y, vbi.EngineConfig(), on_iteration=lambda it, s: residuals.append(
         vbi.expected_residual(s, kr, Ty, y_energy)))
     assert len(residuals) == result.n_iters and result.converged
     assert min(residuals) >= 0.0
@@ -167,7 +168,7 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     blocks = (("qX", lambda s: vbi.update_qX(s, G_path, kr, Ty, Y_mat)),
               ("qv", vbi.update_qv),
               ("qbeta", lambda s: vbi.update_qbeta(s, kr, Ty, y_energy)))
-    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
     log_det_C = 0.0                     # the start's C_X is the identity
     bound = elbo(s, log_det_C, kr, Ty, y_energy)
     steps = []

@@ -26,7 +26,7 @@ def scene(dims, K, m=M, sigma_n2=0.05, seed=0):
     X = np.zeros((m, K), dtype=complex)
     active = rng.choice(K, 4, replace=False)
     X[:, active] = rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4))
-    return p, synthesize_received(p, X, sigma_n2, rng)
+    return p, synthesize_received(khatri_rao(p), X, sigma_n2, rng)
 
 
 @pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
@@ -35,13 +35,14 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     K = 40
     p, Y = scene(dims, K)
     rng = np.random.default_rng(1)
-    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
-    s = dataclasses.replace(s, a_beta=s.b_beta / e_beta,
-                            a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K))
     G = vbi.precompute_gram(p)
     kr = khatri_rao(p)
     Y_mat = Y.T
     Ty = Y_mat @ kr.conj()
+    y_energy = float(np.vdot(Y, Y).real)
+    s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
+    s = dataclasses.replace(s, a_beta=s.b_beta / e_beta,
+                            a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K))
     s = vbi.update_qX(s, None if vbi.woodbury_pays(Y.shape[0], K) else G, kr, Ty, Y_mat)
 
     # the Gram form Re sum((M_X G) o conj(M_X)) of the fit term, as the oracle
@@ -51,7 +52,6 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     kr_fit = vbi.expected_residual(bare, kr, np.zeros_like(s.M_X), 0.0)
     assert gram_fit > 0
     assert kr_fit == pytest.approx(gram_fit, rel=1e-12)
-    y_energy = float(np.vdot(Y, Y).real)
     gram_a_beta = (y_energy - 2.0 * float(np.sum(Ty * s.M_X.conj()).real) + gram_fit
                    + M * s.tr_GC + s.eps)
     assert (vbi.update_qbeta(s, kr, Ty, y_energy).a_beta
@@ -74,7 +74,7 @@ def counting_gram(monkeypatch):
 def test_run_forms_the_gram_only_on_the_direct_path(monkeypatch, dims, grams):
     calls = counting_gram(monkeypatch)
     p, Y = scene(dims, 40)
-    result = vbi.run(p, Y, vbi.EngineConfig(max_iters=5))
+    result = vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig(max_iters=5))
     assert result.n_iters >= 1
     assert len(calls) == grams
 
@@ -83,9 +83,10 @@ def test_woodbury_run_peak_memory_below_one_k_by_k_array():
     K = 400
     p, Y = scene(WOODBURY, K)
     assert vbi.woodbury_pays(Y.shape[0], K)
+    kr = khatri_rao(p)
     tracemalloc.start()
     try:
-        vbi.run(p, Y, vbi.EngineConfig(max_iters=3))
+        vbi.run(p, kr, Y, vbi.EngineConfig(max_iters=3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -106,8 +107,9 @@ def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     p, Y = scene(dims, K, m=m, seed=K + m)
     kr = khatri_rao(p)
     ref = Y.T @ kr.conj()
-    np.testing.assert_array_equal(vbi._y_kr_conj(Y, kr), ref)
-    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
+    Ty = vbi._y_kr_conj(Y, kr)
+    np.testing.assert_array_equal(Ty, ref)
+    s = vbi.init_posterior(kr, Ty, float(np.vdot(Y, Y).real), vbi.EngineConfig())
     np.testing.assert_array_equal(s.M_X, ref / Y.shape[0])
 
 
@@ -189,11 +191,11 @@ def test_woodbury_update_qX_matches_dense_inverse_at_benchmark_shape():
     assert vbi.woodbury_pays(Y.shape[0], K)
     rng = np.random.default_rng(3)
     e_beta, e_v = 3.0, 10.0 ** rng.uniform(-2, 4, K)
-    s = vbi.init_posterior(p, Y, vbi.EngineConfig())
-    s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
     G = vbi.precompute_gram(p)
     kr = khatri_rao(p)
     Ty = Y.T @ kr.conj()
+    s = vbi.init_posterior(kr, Ty, float(np.vdot(Y, Y).real), vbi.EngineConfig())
+    s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
     C = np.linalg.inv(e_beta * G + np.diag(e_v))
     M_X = e_beta * Ty @ C

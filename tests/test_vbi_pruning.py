@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from leojadce import harness, vbi
+from leojadce import harness, signals, vbi
 from leojadce.channel import RICIAN_FACTOR, draw_channels
 from leojadce.config import ScenarioConfig
 from leojadce.signals import (gen_preambles, snr_to_noise_variance,
@@ -28,7 +28,7 @@ def scene(dims, sigma_n2, scale=1.0, seed=0):
     X = np.zeros((M, K), dtype=complex)
     active = rng.choice(K, 4, replace=False)
     X[:, active] = scale * (rng.standard_normal((M, 4)) + 1j * rng.standard_normal((M, 4)))
-    return p, synthesize_received(p, X, sigma_n2 * scale ** 2, rng), X
+    return p, synthesize_received(khatri_rao(p), X, sigma_n2 * scale ** 2, rng), X
 
 
 def harness_scene(cfg, trial=0):
@@ -37,7 +37,7 @@ def harness_scene(cfg, trial=0):
     p = gen_preambles(cfg.dims, cfg.K, rng)
     geom = harness.scenario_geometry(cfg)
     X, _ = draw_channels(harness.LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
-    return p, synthesize_received(p, X, snr_to_noise_variance(cfg.snr_db), rng)
+    return p, synthesize_received(khatri_rao(p), X, snr_to_noise_variance(cfg.snr_db), rng)
 
 
 def unpruned_run(p, Y, cfg):
@@ -47,7 +47,7 @@ def unpruned_run(p, Y, cfg):
     G = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
     Ty = vbi._y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
-    s = vbi.init_posterior(p, Y, cfg)
+    s = vbi.init_posterior(kr, Ty, y_energy, cfg)
     trace = []
     for it in range(1, cfg.max_iters + 1):
         prev = s.M_X
@@ -74,7 +74,7 @@ PAPER_SHORT = ScenarioConfig(K=500, M=8, dims=(10, 10), snr_db=10.0, algos=("vbi
 ], ids=["woodbury-4-iters", "direct-4-iters", "L100-10dB"])
 def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
     p, Y = make()
-    result = vbi.run(p, Y, cfg)
+    result = vbi.run(p, khatri_rao(p), Y, cfg)
     M_X, n_iters, trace = unpruned_run(p, Y, cfg)
     assert [row[3] for row in result.trace] == [p[0].shape[1]] * result.n_iters
     assert result.n_iters == n_iters
@@ -87,8 +87,9 @@ PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
 
 
 def states_of(p, Y, cfg=vbi.EngineConfig()):
-    states = [vbi.init_posterior(p, Y, cfg)]
-    result = vbi.run(p, Y, cfg, on_iteration=lambda it, s: states.append(s))
+    kr = khatri_rao(p)
+    states = [vbi.init_posterior(kr, vbi._y_kr_conj(Y, kr), float(np.vdot(Y, Y).real), cfg)]
+    result = vbi.run(p, kr, Y, cfg, on_iteration=lambda it, s: states.append(s))
     return result, states
 
 
@@ -133,39 +134,27 @@ def test_active_set_solve_matches_dense_inverse(dims, sigma_n2):
     assert checked > 0
 
 
-def counting(monkeypatch, name, arg=2):
-    """Patch vbi.<name> to record the size of argument ``arg`` of each call
-    (None when it has fewer arguments)."""
-    calls = []
-    fn = getattr(vbi, name)
-
-    def counted(*args, **kwargs):
-        calls.append(np.size(args[arg]) if len(args) > arg else None)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(vbi, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("dims, sigma_n2", PRUNING)
 def test_pruning_keeps_the_call_counts(monkeypatch, dims, sigma_n2):
-    # no Khatri-Rao product is formed again when K shrinks
+    # vbi.run reads the caller's KR and forms no Khatri-Rao product, with or
+    # without pruning
     p, Y, _ = scene(dims, sigma_n2)
-    kr = counting(monkeypatch, "khatri_rao")
-    result = vbi.run(p, Y, vbi.EngineConfig())
+    kr, formed = khatri_rao(p), []
+    for module in (signals, vbi):
+        monkeypatch.setattr(module, "khatri_rao",
+                            lambda mats: formed.append(len(mats)) or khatri_rao(mats))
+    result = vbi.run(p, kr, Y, vbi.EngineConfig())
     assert result.trace[-1][3] < K
-    pruned_kr = len(kr)
-    kr.clear()
-    unpruned = vbi.run(p, Y, vbi.EngineConfig(max_iters=4))
+    unpruned = vbi.run(p, kr, Y, vbi.EngineConfig(max_iters=4))
     assert unpruned.trace[-1][3] == K
-    assert pruned_kr == len(kr)
+    assert formed == []
 
 
 def test_pruned_device_below_half_unit_precision_keeps_a_positive_rate():
     # a pruned device has a zero column and c_diag = 0, so its rate is eps
     # whatever E[v] it had, also one below 1/2
     p, Y, _ = scene(DIRECT, 1e-2)
-    s = vbi.run(p, Y, vbi.EngineConfig()).state
+    s = vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig()).state
     pruned = np.all(s.M_X == 0, axis=0)
     assert pruned.any()
     a_v = np.where(pruned, s.b_v / 0.1, s.a_v)      # E[v] = 0.1 when pruned
@@ -188,7 +177,7 @@ def test_scaled_scenes_keep_every_true_device(sigma_n2, scale):
     # 16-17 of the second. The third failed with a negative q(v) rate while
     # the prior had a non-conjugate mean block.
     p, Y, X = scene(DIRECT, sigma_n2, scale)
-    result = vbi.run(p, Y, vbi.EngineConfig())
+    result = vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig())
     assert result.trace[-1][3] < K
     true = np.any(X != 0, axis=0)
     assert np.all(np.any(result.M_X[:, true] != 0, axis=0))
