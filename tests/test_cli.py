@@ -86,8 +86,8 @@ def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
 
 
 def test_run_does_not_import_mpmath(cfg, tmp_path):
-    # mpmath is a test dependency only: it serves the beam-gain root of
-    # tests/test_channel.py, and no module of a run imports it
+    # mpmath is a test dependency only: specfun's Kummer branch imports it,
+    # and no module of a run imports specfun
     code = textwrap.dedent(f"""
         import sys
         import leojadce.cli
