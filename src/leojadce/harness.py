@@ -43,7 +43,8 @@ SUMMARY_HEADER = ["axis", "value", "algorithm", "n",
                   "nmse_mean", "nmse_std", "nmse_ci95",
                   "nmse_active_mean", "iters_mean"]
 TIMINGS_HEADER = ["axis", "value", "algorithm", "trial", "wall_ms"]
-TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy", "n_active"]
+TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy", "n_active",
+                "e_beta"]
 FAILURES_HEADER = ["axis", "value", "algorithm", "trial", "error"]
 
 # Every scenario's link budget and VBI engine, at their defaults.
@@ -164,8 +165,9 @@ def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
         # a one-worker sweep never loads the pool and multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if "vbi" in cfg.algos:
-            # forked workers share the pages of what the parent has loaded
+        if "vbi" in cfg.algos and any(vbi.woodbury_pays(t[0].L, t[0].K) for t in tasks):
+            # forked workers share the pages of what the parent has loaded;
+            # only the Woodbury q(X) path reads scipy
             vbi.preload_solvers()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_trial_task, tasks, chunksize=1))
@@ -240,5 +242,5 @@ def write_outputs(out_dir: str | Path, sweep: SweepSpec,
         for value, rows in traces.items():
             if rows:
                 _write_csv(out / f"trace_{sweep.axis}_{value}.csv", TRACE_HEADER,
-                           ([trial, it, _fmt(resid), _fmt(max_col), n_active]
-                            for trial, it, resid, max_col, n_active in rows))
+                           ([trial, it, _fmt(resid), _fmt(max_col), n_active, _fmt(e_beta)]
+                            for trial, it, resid, max_col, n_active, e_beta in rows))

@@ -14,31 +14,51 @@ q(X) q(v) q(beta) is optimized by coordinate ascent in closed form: each
 update below is the optimum of its block with the other blocks fixed, and
 the evidence lower bound does not decrease.
 
+q(X) paths: :func:`run` picks one per call, by :func:`woodbury_pays`.
+- Woodbury path (L << K): q(X) is one Gaussian over all devices, solved
+  through an L x L system at about L^2 K work; it is exact, and it needs
+  scipy.linalg for its Hermitian BLAS and triangular solves.
+- Block path (otherwise): q(X) = prod_B q(X_B) over consecutive blocks B of
+  about BLOCK_SIZE devices (block mean-field, as in space-alternating
+  variational estimation, Thomas & Slock 2018, and inverse-free SBL, Duan,
+  Yang, Fang & Li 2017). Each iteration runs one Gauss-Seidel sweep over the
+  blocks at about 2 M L K work plus b^2 K for the b x b block systems,
+  instead of a K x K factorization at K^3 / 3. It drops the covariance
+  between blocks, so its fixed point is that of the block family, not of the
+  joint q(X); at L=400 and K=500 this cost no accuracy, while at L=100 it
+  did (ROADMAP item 3), which is why the Woodbury path stays there. The
+  blocks are index ranges, so block results depend on the order of the
+  devices, unlike the joint model's. It uses numpy only.
+
 Memory: the engine holds only the arrays its updates read. :func:`run`
-reads KR from its caller, forms Y_(d+1) KR^* and ||Y||^2 once per call,
-and picks the q(X) path once, by :func:`woodbury_pays`. On the L x L
-Woodbury path (L << K) no K x K array exists: besides KR and its L x L
-factor, the solve holds at most about 1.5 L x K complex arrays, and it
-reads KR as KR^T, a Fortran-ordered K x L view of KR's own memory that the
-BLAS calls take without a copy. The direct path adds the K x K Gram G
-and one K x K factor buffer. On both paths q(beta) takes its fit term
-||M_X KR^T||_F^2 from KR, at M L K work.
+reads KR from its caller and forms Y_(d+1) KR^* and ||Y||^2 once per
+call; no K x K array is formed on either path. On the Woodbury path, besides
+KR and its L x L factor, the solve holds at most about 1.5 L x K complex
+arrays, and it reads KR as KR^T, a Fortran-ordered K x L view of KR's own
+memory that the BLAS calls take without a copy; q(beta) takes its fit term
+||M_X KR^T||_F^2 from KR, at M L K work. The block path holds the Gram
+blocks and a few stacks of the same shape, K b entries each, and the M x L
+residual R = Y_(d+1) - M_X KR^T, from which q(beta) reads ||R||_F^2 at M L
+work.
 
 Pruning: a device whose prior precision E[v_k] has collapsed (see
 :func:`prune`) leaves the q(X) solve for the rest of the run, as in the
 fixed-point pruning of sparse Bayesian learning (Tipping & Faul 2003; Wipf
-& Rao 2007). q(X) is the one block that couples the devices and costs K^3;
-it then solves only for the active devices, on the path picked for all K.
-A pruned device reports an all-zero column of M_X and c_diag = 0, adds
+& Rao 2007). q(X) is the one block that couples the devices; it then solves
+only for the active devices, on the path picked for all K, with a copy of
+KR's active columns. The block path re-blocks the devices left, forms
+their Gram blocks again, and forms R afresh from their columns of M_X. A
+pruned device reports an all-zero column of M_X and c_diag = 0, adds
 nothing to Tr(G C_X), and so gets the q(v) rate eps. Each pruning step
 changes the model, so the ELBO is non-decreasing only while the active set
 is fixed.
 
-scipy.linalg is imported inside the q(X) solve helpers, on their first
+scipy.linalg is imported inside the Woodbury solve helpers, on their first
 call, not when this module loads: its package init costs about 28 MB of
 resident memory and a few tenths of a second, which a process that only
-runs the baselines, or only validates a config, never needs. A sweep that
-forks VBI workers calls :func:`preload_solvers` first, so they share the
+runs the baselines, only validates a config, or runs VBI only on the block
+path, never needs. A sweep that forks VBI workers for a task on the
+Woodbury path calls :func:`preload_solvers` first, so they share the
 parent's copy.
 """
 
@@ -72,6 +92,15 @@ PRUNE_FROM_ITER = 5
 PRUNE_PRECISION_RATIO = 200.0
 PRUNE_ENERGY_FRACTION = 3e-3
 
+# Devices per block of the block q(X) path (see :func:`_block_slots`). Picked
+# at K=500, M=8 (master seed 9, 4 trials a scene, one BLAS thread): at
+# L=400, 10 dB a VBI run took 82 ms with b=25, against 94-136 ms with
+# b = 5-16 and 104-223 ms with b = 40-100; at L=400, 30 dB b = 10-40 took
+# 26-30 ms and b=100 62 ms. Larger blocks sweep fewer, larger GEMMs but
+# factor b^3 per block; smaller ones loop more in Python. Pe did not move
+# with b, and mean NMSE rose with it, by under 1% from b=5 to b=25.
+BLOCK_SIZE = 25
+
 
 class EngineError(RuntimeError):
     """Numerical failure inside the update loop (reported, never clamped)."""
@@ -97,24 +126,26 @@ class PosteriorState:
     """The variational statistics the updates read, and nothing else.
 
     The posterior over X is matrix Gaussian with mean M_X and one shared
-    K x K column covariance C_X = (E[beta] G + diag(E[v]))^-1. C_X itself
-    is never stored: q(v) reads only its diagonal c_diag, and q(beta) only
-    the scalar Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta], which
-    follows from (E[beta] G + diag(E[v])) C_X = I. Both hold the E[beta]
-    and E[v] of the q(X) update that produced them. Gamma blocks are
-    parameterized as (rate a, shape b) with E = b / a; b_v and b_beta
-    never change. Every field is a scalar, a length-K vector or the M x K
-    mean: the K x K arrays of the q(X) solve (G and its factor, on the
-    direct path that :func:`run` picks when Woodbury does not pay) live
-    only in :func:`run` and :func:`update_qX`, and the Woodbury path forms
-    none.
+    column covariance C_X. On the Woodbury path C_X is the K x K
+    (E[beta] G + diag(E[v]))^-1; on the block path it is block-diagonal,
+    one block C_B = (E[beta] G_BB + diag(E[v_B]))^-1 per block B of devices
+    (see :func:`update_qX`). C_X itself is never stored: q(v) reads only its
+    diagonal c_diag, and q(beta) only the scalar Tr(G C_X), which is
+    sum_B Tr(G_BB C_B) on the block path. Both hold the E[beta] and E[v] of
+    the q(X) update that produced them. Gamma blocks are parameterized as
+    (rate a, shape b) with E = b / a; b_v and b_beta never change. Every
+    field is a scalar, a length-K vector, the M x K mean or the M x L
+    residual: no K x K array is formed on either path.
+
+    ``resid`` is the residual Y_(d+1) - M_X KR^T that the block sweep keeps.
+    It is None on the Woodbury path, at the start and after a pruning step;
+    the next block sweep then forms it from M_X.
 
     Every vector keeps all K devices. A device pruned from the q(X) solve
-    has an all-zero column of M_X, c_diag = 0 and no share of tr_GC (whose
-    K then counts the active devices only), and so the q(v) rate eps; no
-    update reads a pruned device's E[v]. Pruning changes the model, so the
-    ELBO of these statistics is non-decreasing only while the active set is
-    fixed.
+    has an all-zero column of M_X, c_diag = 0 and no share of tr_GC, and so
+    the q(v) rate eps; no update reads a pruned device's E[v]. Pruning
+    changes the model, so the ELBO of these statistics is non-decreasing
+    only while the active set is fixed.
     """
 
     M_X: np.ndarray          # M x K posterior mean; zero columns for pruned devices
@@ -125,6 +156,7 @@ class PosteriorState:
     a_beta: float            # rate for q(beta)
     b_beta: float            # shape L*M + eps, fixed
     eps: float
+    resid: np.ndarray | None = None   # M x L: Y_(d+1) - M_X KR^T, block path only
 
     @property
     def E_v(self) -> np.ndarray:
@@ -141,27 +173,49 @@ class EngineResult:
     n_iters: int
     converged: bool
     # rows of (iteration, residual F, max column energy of M_X, number of
-    # devices in that iteration's q(X) solve)
-    trace: list[tuple[int, float, float, int]]
+    # devices in that iteration's q(X) solve, E[beta] after its q(beta))
+    trace: list[tuple[int, float, float, int, float]]
 
     @property
     def M_X(self) -> np.ndarray:
         return self.state.M_X
 
 
-def precompute_gram(p: tuple[np.ndarray, ...]) -> np.ndarray:
-    """K x K Gram hadamard_i (A_i^H A_i)^* = KR^T KR^*; since the factors
-    are known constants this is the whole expectation entering the
-    X-covariance.
+def _block_slots(n: int) -> np.ndarray:
+    """The block layout of n devices: an (nB, b) mask of the slots that hold
+    one. The devices are cut, in order, into nB = ceil(n / BLOCK_SIZE)
+    consecutive blocks whose sizes differ by at most one, the larger first
+    (the layout of ``np.array_split``); row i's True slots hold block i.
+    So ``x_pad[slots] = x`` spreads a vector over the blocks, and
+    ``x_pad[slots]`` gathers it back in device order."""
+    n_blocks = -(-n // BLOCK_SIZE)
+    size, extra = divmod(n, n_blocks)
+    sizes = size + (np.arange(n_blocks) < extra)
+    return np.arange(sizes[0]) < sizes[:, None]
 
-    Each conjugated factor Gram is multiplied into the first in place, in
-    factor order, so at most two K x K arrays are live."""
-    first, *rest = p
-    G = first.conj().T @ first
-    np.conjugate(G, out=G)
-    for a in rest:
-        H = a.conj().T @ a
-        G *= np.conjugate(H, out=H)
+
+def precompute_gram(p: tuple[np.ndarray, ...], active: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """The diagonal blocks G_BB of the Gram G = hadamard_i (A_i^H A_i)^* =
+    KR^T KR^* over the devices in ``active`` (sorted indices, all K by
+    default), cut by :func:`_block_slots`: an (nB, b, b) stack, 0 in the
+    rows and columns of the slots a short block leaves empty. Since the
+    factors are known constants, this is the whole expectation entering
+    the X-covariance blocks.
+
+    Each block is the Hadamard product of the factors' block Grams, taken
+    in factor order and conjugated as the K x K form would be, so it is
+    that form's block up to the order in which BLAS sums each entry, at
+    b (l_1 + ... + l_d) work per device instead of K (l_1 + ... + l_d);
+    no K x K array is formed."""
+    slots = _block_slots(p[0].shape[1] if active is None else len(active))
+    G = None
+    for a in p:
+        blocks = np.zeros((len(slots), a.shape[0], slots.shape[1]), dtype=a.dtype)
+        blocks.transpose(0, 2, 1)[slots] = (a if active is None else a[:, active]).T
+        H = blocks.conj().transpose(0, 2, 1) @ blocks
+        np.conjugate(H, out=H)
+        G = H if G is None else np.multiply(G, H, out=G)
     return G
 
 
@@ -195,16 +249,18 @@ def init_posterior(kr: np.ndarray, Ty: np.ndarray, y_energy: float,
 
 
 def woodbury_pays(L: int, K: int) -> bool:
-    """Whether q(X) is cheaper through the L x L system than the K x K one,
-    by flop count: about L^2 K + L^3 / 3 against K^3 / 2. At K=500 the
-    two solves measure equal near L = 330 (each faster in half of 150
-    paired calls); this rule switches at 321."""
+    """Whether q(X) takes the L x L Woodbury path rather than the block
+    path. The rule was set by flop count against the joint K x K solve
+    that the block path replaced: about L^2 K + L^3 / 3 against K^3 / 2.
+    At K=500 it switches at L = 321, where the two joint solves measured
+    equal near L = 330. It stands because block q(X) lost accuracy at
+    L=100 (ROADMAP item 3)."""
     return L * L * K + L ** 3 / 3 < K ** 3 / 2
 
 
 def preload_solvers() -> None:
-    """Import scipy.linalg, which the q(X) solves otherwise import on their
-    first call. A process about to fork VBI workers calls this first, so
+    """Import scipy.linalg, which the Woodbury solve otherwise imports on its
+    first call. A process about to fork VBI workers for it calls this first, so
     the workers share the parent's copy of its pages instead of each
     importing a private one."""
     import scipy.linalg  # noqa: F401
@@ -219,33 +275,54 @@ def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
         raise EngineError(f"{what} not positive-definite: {exc}") from exc
 
 
-_ENERGY_BLOCK = 64
+def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndarray,
+                  M_X: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
+    """One Gauss-Seidel sweep of block q(X), in place on the M x n mean
+    ``M_X`` and the M x L residual ``R`` = Y_(d+1) - M_X KR^T; returns
+    (diag C_X, Tr(G C_X)) of the block-diagonal C_X.
 
+    C_B = (E[beta] G_BB + diag E[v_B])^-1 does not read the means, so every
+    block's C_B comes from one batched Cholesky factorization P_B = F F^H of
+    the stack, as F^-H F^-1; an empty slot of a short block holds 1 on the
+    diagonal and 0 elsewhere, so it does not touch the block's entries.
+    Then, block by block in device order, with N_B the block's columns of
+    M_X,
 
-def _solve_direct(G: np.ndarray, e_beta: float, e_v: np.ndarray, rhs: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(rhs C_X, diag C_X) from the Cholesky factor P = F F^H of the K x K
-    system; C_X = F^-H F^-1, so diag C_X holds the column energies of F^-1.
+      Delta = (E[beta] R KR_B^* - N_B diag E[v_B]) C_B,  N_B += Delta,
+      R -= Delta KR_B^T,
 
-    P is built in Fortran order, so the factorization and the triangular
-    inverse both run in its one buffer, with no K x K copy; the column
-    energies are taken in blocks of _ENERGY_BLOCK columns, so no K x K
-    real array is formed either."""
-    from scipy.linalg import cho_solve
-    from scipy.linalg.lapack import ztrtri
-
-    P = np.multiply(e_beta, G, order="F")
-    P.flat[::len(e_v) + 1] += e_v
-    F = _cholesky(P, "X-covariance system")
-    M_X = cho_solve((F, True), rhs.conj().T, check_finite=False).conj().T
-    F_inv, info = ztrtri(F, lower=1, overwrite_c=1)
-    if info != 0:
-        raise EngineError(f"singular X-covariance factor (ztrtri info={info})")
-    c_diag = np.empty(len(e_v))
-    for j in range(0, len(e_v), _ENERGY_BLOCK):
-        energy = np.abs(F_inv[:, j:j + _ENERGY_BLOCK])
-        c_diag[j:j + _ENERGY_BLOCK] = np.sum(np.square(energy, out=energy), axis=0)
-    return M_X, c_diag
+    which sets N_B to its optimum E[beta] (R + N_B KR_B^T) KR_B^* C_B given
+    the other blocks: exact coordinate ascent on the ELBO of
+    q(X) = prod_B q(X_B). R KR_B^* is taken as (R^* KR_B)^*, so the only
+    conjugate copies made are of the M x L residual."""
+    slots = _block_slots(len(e_v))
+    v = np.ones(slots.shape)
+    v[slots] = e_v
+    P = e_beta * grams
+    P.reshape(len(P), -1)[:, ::P.shape[1] + 1] += v
+    try:
+        F = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError as exc:
+        raise EngineError(f"X-covariance block not positive-definite: {exc}") from exc
+    del P
+    F_inv = np.linalg.inv(F)
+    del F
+    C = F_inv.conj().transpose(0, 2, 1) @ F_inv
+    del F_inv
+    c_diag = C.diagonal(axis1=1, axis2=2).real[slots]
+    tr_GC = float(np.einsum("bij,bji->", grams, C).real)
+    lo = 0
+    for C_B, n in zip(C, slots.sum(axis=1)):
+        hi = lo + n
+        kr_B, N_B = kr[:, lo:hi], M_X[:, lo:hi]
+        delta = np.conjugate(R.conj() @ kr_B)
+        delta *= e_beta
+        delta -= N_B * e_v[lo:hi]
+        delta = delta @ C_B[:n, :n]
+        N_B += delta
+        R -= delta @ kr_B.T
+        lo = hi
+    return c_diag, tr_GC
 
 
 def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.ndarray
@@ -295,39 +372,47 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
     return M_X, c_diag
 
 
-def update_qX(s: PosteriorState, G: np.ndarray | None, kr: np.ndarray, Ty: np.ndarray,
+def update_qX(s: PosteriorState, grams: np.ndarray | None, kr: np.ndarray,
               Y_mat: np.ndarray, active: np.ndarray | None = None) -> PosteriorState:
-    """Refresh (M_X, c_diag, tr_GC) without forming C_X.
+    """Refresh (M_X, c_diag, tr_GC) without forming C_X; Y_mat = Y_(d+1).
 
-    With C_X = (E[beta] G + diag(E[v]))^-1: M_X = E[beta] Ty C_X,
-    c_diag = diag(C_X), and tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta],
-    where Ty = Y_(d+1) KR^* and Y_mat = Y_(d+1). With ``G`` None the solve
-    goes through the L x L Woodbury system, which reads ``kr`` and
-    ``Y_mat``; otherwise through a Cholesky factor of the K x K system,
-    which reads ``G`` and ``Ty``.
+    With ``grams`` None, q(X) is one Gaussian over all devices, solved
+    through the L x L Woodbury system: C_X = (E[beta] G + diag(E[v]))^-1,
+    M_X = E[beta] Y_mat KR^* C_X, c_diag = diag(C_X), and
+    tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta].
+
+    Otherwise q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`,
+    and ``grams`` is their :func:`precompute_gram` stack. One Gauss-Seidel
+    sweep (:func:`_sweep_blocks`) moves each block's mean to its optimum
+    given the others, starting from the current M_X and ``s.resid`` (formed
+    from M_X when None), and returns the residual it keeps. C_X is then
+    block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
 
     ``active`` holds the sorted indices of the devices still in the model
-    (all K by default). G, kr and Ty hold only those devices' rows and
-    columns, and the formulas above run on that subsystem, with K its
-    size. A pruned device gets an all-zero column of M_X and c_diag = 0,
-    and adds nothing to tr_GC.
+    (all K by default). ``kr`` and ``grams`` hold only those devices'
+    columns and blocks, and the formulas above run on that subsystem, with
+    K its size. A pruned device gets an all-zero column of M_X and
+    c_diag = 0, and adds nothing to tr_GC.
     """
     active = np.arange(len(s.a_v)) if active is None else active
     e_beta, e_v = s.E_beta, s.E_v[active]
-    if G is None:
+    if grams is None:
         M_X_a, c_diag_a = _solve_woodbury(kr, e_beta, e_v, Y_mat)
+        tr_GC = (len(e_v) - float(np.dot(e_v, c_diag_a))) / e_beta
+        resid = None
     else:
-        M_X_a, c_diag_a = _solve_direct(G, e_beta, e_v, e_beta * Ty)
+        M_X_a = s.M_X[:, active]
+        resid = Y_mat - M_X_a @ kr.T if s.resid is None else s.resid.copy()
+        c_diag_a, tr_GC = _sweep_blocks(grams, kr, e_beta, e_v, M_X_a, resid)
     if not (np.all(np.isfinite(M_X_a)) and np.all(np.isfinite(c_diag_a))):
         raise EngineError("non-finite entries in q(X) update")
     if np.any(c_diag_a <= 0):
         raise EngineError("non-positive diagonal of the X-covariance")
-    tr_GC = (len(e_v) - float(np.dot(e_v, c_diag_a))) / e_beta
     M_X = np.zeros_like(s.M_X)
     M_X[:, active] = M_X_a
     c_diag = np.zeros(len(s.a_v))
     c_diag[active] = c_diag_a
-    return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC)
+    return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC, resid=resid)
 
 
 def update_qv(s: PosteriorState) -> PosteriorState:
@@ -349,8 +434,13 @@ def expected_residual(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
     E||Y^T - X KR^T||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
     with E[X^H X] = M_X^H M_X + M C_X and G = KR^T KR^*, so
     Tr(G E[X^H X]) = ||M_X KR^T||_F^2 + M Tr(G C_X),
-    the last term being the stored tr_GC. ``y_energy`` is ||Y||^2."""
+    the last term being the stored tr_GC. ``y_energy`` is ||Y||^2.
+
+    Where the block sweep keeps the residual R = Y^T - M_X KR^T, the first
+    three terms are ||R||_F^2, which is read from it at M L work instead."""
     M = s.M_X.shape[0]
+    if s.resid is not None:
+        return float(np.vdot(s.resid, s.resid).real) + M * s.tr_GC
     fitted = s.M_X @ kr.T
     fit = float(np.vdot(fitted, fitted).real) + M * s.tr_GC
     cross = float(np.sum(Ty * s.M_X.conj()).real)
@@ -394,40 +484,41 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
     drops below cfg.rel_tol or cfg.max_iters is reached.
 
     ``kr`` is KR, formed once by the caller and only read here; ``p`` serves
-    only :func:`precompute_gram` (K^2 (l_1 + ... + l_d) work, against K^2 L
-    for the Gram of KR). Ty and ||Y||^2 are formed once, here. The K x K
-    Gram G is formed only when q(X) takes its direct path; when
-    :func:`woodbury_pays`, G is None and no K x K array is formed.
+    only :func:`precompute_gram`. Ty and ||Y||^2 are formed once, here.
+    q(X) takes the Woodbury path when :func:`woodbury_pays`, and the block
+    path otherwise, where the Gram blocks are formed; neither path forms a
+    K x K array.
 
     From iteration PRUNE_FROM_ITER on, the devices that :func:`prune`
     names leave the q(X) solve for good, and later iterations solve only
-    for the rest, on the path picked at the start: G (cut by index, never
-    recomputed) or KR's columns, and Ty's columns, are cut to the active
-    devices. A pruned device reports an all-zero column of M_X and
-    c_diag = 0, so q(v) gives it the rate eps. Pruning changes the model,
-    so the ELBO is non-decreasing only between pruning steps, while the
-    active set is fixed. A run where no device meets the rule solves for
-    every device on every iteration and gives the M_X of the unpruned
-    iteration bit for bit."""
+    for the rest, on the path picked at the start: KR's columns are cut to
+    the active devices. On the block path the Gram blocks are formed again
+    for the devices left, which are blocked afresh, and the residual is
+    dropped, so the next sweep forms it from the kept columns of M_X; the
+    dropped ones are zero in its output. A pruned device reports an
+    all-zero column of M_X and c_diag = 0, so q(v) gives it the rate eps.
+    Pruning changes the model, so the ELBO is non-decreasing only between
+    pruning steps, while the active set is fixed. A run where no device
+    meets the rule solves for every device on every iteration and gives the
+    M_X of the unpruned iteration bit for bit."""
     L, K = kr.shape
-    G = None if woodbury_pays(L, K) else precompute_gram(p)
+    grams = None if woodbury_pays(L, K) else precompute_gram(p)
     Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(kr, Ty, y_energy, cfg)
-    # G and the q(X) copies kr_a, Ty_a hold only the rows and columns of
-    # the devices in ``active``
-    active, kr_a, Ty_a = np.arange(K), kr, Ty
+    # grams and the q(X) copy kr_a hold only the devices in ``active``
+    active, kr_a = np.arange(K), kr
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
-    trace: list[tuple[int, float, float, int]] = []
+    trace: list[tuple[int, float, float, int, float]] = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
         prev, prev_col_energy = s.M_X, col_energy
-        s = update_qX(s, G, kr_a, Ty_a, Y.T, active)
+        s = update_qX(s, grams, kr_a, Y.T, active)
         s = update_qv(s)
         s = update_qbeta(s, kr, Ty, y_energy)
         resid = s.a_beta - s.eps
         col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
-        trace.append((it, resid, float(np.max(col_energy)), len(active)))
+        trace.append((it, resid, float(np.max(col_energy)), len(active), s.E_beta))
         if on_iteration is not None:
             on_iteration(it, s)
         denom = float(np.linalg.norm(prev))
@@ -439,12 +530,12 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
             continue
         drop = prune(s.E_v[active], col_energy[active], prev_col_energy[active])
         if drop.any():
-            keep = np.flatnonzero(~drop)
-            active, Ty_a = active[keep], Ty_a[:, keep]
-            if G is None:
-                kr_a = kr_a[:, keep]
-            else:
-                G = G[np.ix_(keep, keep)]
+            active = active[np.flatnonzero(~drop)]
+            del kr_a        # so that one copy of KR's columns is live at a time
+            kr_a = np.take(kr, active, axis=1)      # C-ordered, as KR is
+            if grams is not None:
+                grams = precompute_gram(p, active)
+                s = dataclasses.replace(s, resid=None)
     return EngineResult(state=s, n_iters=it, converged=converged, trace=trace)
 
 

@@ -211,6 +211,29 @@ def test_forked_vbi_sweep_loads_scipy_before_forking(cfg, tmp_path):
     assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [True]
 
 
+@pytest.fixture
+def block_cfg(tmp_path):
+    # L = 64 > K = 40: VBI takes the block q(X) path, which reads no scipy
+    path = tmp_path / "block.cfg"
+    path.write_text(TINY.replace("dims = 4x4", "dims = 8x8"))
+    assert not vbi.woodbury_pays(64, 40)
+    return path
+
+
+def test_block_path_vbi_run_does_not_import_scipy_linalg(block_cfg, tmp_path):
+    argv = ["run", "--config", str(block_cfg), "--sweep", "snr=10", "--out",
+            str(tmp_path / "out"), "--algos", "vbi", "--trials", "1"]
+    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [False]
+
+
+def test_forked_block_path_vbi_sweep_leaves_scipy_unloaded(block_cfg, tmp_path):
+    # no task takes the Woodbury path, so run_sweep loads nothing before
+    # forking
+    argv = ["run", "--config", str(block_cfg), "--sweep", "snr=10,20", "--out",
+            str(tmp_path / "out"), "--algos", "vbi", "--trials", "1", "--workers", "2"]
+    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [False]
+
+
 def test_process_pool_loads_only_for_a_forked_sweep(cfg, tmp_path):
     modules = ["concurrent.futures.process", "multiprocessing"]
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "one"),

@@ -204,7 +204,7 @@ def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
                   encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == TRACE_HEADER
-        assert header[-1] == "n_active"
+        assert header[4:] == ["n_active", "e_beta"]
         for r in records:
             if r.value != value or r.algorithm != "vbi":
                 continue
@@ -213,6 +213,10 @@ def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
             n_active = [int(row[4]) for row in mine]
             assert n_active[0] == TINY.K
             assert n_active == sorted(n_active, reverse=True)
+            # E[beta] = (L M + eps) / (F + eps), from the residual F beside it
+            for row in mine:
+                e_beta = (TINY.L * TINY.M + 1e-6) / (float(row[2]) + 1e-6)
+                assert float(row[5]) == pytest.approx(e_beta, rel=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(4, 4), (8, 8)], ids=["woodbury", "direct"])

@@ -1,21 +1,23 @@
-"""The variational engine against dense-inverse formulas, on a noise-free
-scene, and against its evidence lower bound."""
+"""The variational engine against dense-inverse formulas (Woodbury path), a
+reference block sweep (block path), on a noise-free scene, and against its
+evidence lower bound."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import ztrtri
 from scipy.special import digamma, gammaln
 
+from block_reference import dense_gram, reference_sweep
 from leojadce import vbi
 from leojadce.detection import nmse
 from leojadce.signals import gen_preambles, synthesize_received
 from leojadce.tensors import khatri_rao
 
 K, M = 40, 4
-WOODBURY, DIRECT = (4, 4), (8, 8)   # L = 16 < K and L = 64 > K
+# L = 16 < K and L = 64 > K; DIRECT, where Woodbury does not pay, takes
+# the block q(X) path
+WOODBURY, DIRECT = (4, 4), (8, 8)
 
 
 def scene(dims, sigma_n2, scale=1.0, seed=0):
@@ -30,11 +32,11 @@ def scene(dims, sigma_n2, scale=1.0, seed=0):
 
 
 def operands(p, Y):
-    """What vbi.run forms once per call: G (None on the Woodbury path), KR,
-    Y_(d+1) KR^*, Y_(d+1) and ||Y||^2."""
+    """What vbi.run forms once per call: the Gram blocks (None on the
+    Woodbury path), KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2."""
     kr = khatri_rao(p)
-    G = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
-    return G, kr, Y.T @ kr.conj(), Y.T, float(np.vdot(Y, Y).real)
+    grams = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
+    return grams, kr, Y.T @ kr.conj(), Y.T, float(np.vdot(Y, Y).real)
 
 
 def state_with(p, Y, e_beta, e_v):
@@ -58,38 +60,28 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     # the dense inverse itself is good to about 1e-12; with E[v] down to
     # 1e-2 the condition number reaches 3e7, and against a 40-digit
     # reference both the engine and np.linalg.inv are off by about 2e-10.
+    # On the block path the oracle is one reference Gauss-Seidel sweep from
+    # the start's mean, with np.linalg.inv per block
     p, _, Y = scene(dims, 0.05)
     rng = np.random.default_rng(1)
     e_v = 10.0 ** rng.uniform(*log_e_v, K)
     s = state_with(p, Y, e_beta, e_v)
-    G = vbi.precompute_gram(p)
-    G_path, kr, Ty, Y_mat, y_energy = operands(p, Y)
+    G = dense_gram(p)
+    grams, kr, Ty, Y_mat, y_energy = operands(p, Y)
 
-    C = np.linalg.inv(e_beta * G + np.diag(e_v))
-    M_X = e_beta * Ty @ C
+    if grams is None:
+        C = np.linalg.inv(e_beta * G + np.diag(e_v))
+        M_X, c_diag, tr_GC = e_beta * Ty @ C, np.diag(C).real, np.trace(G @ C).real
+    else:
+        M_X, c_diag, tr_GC, _ = reference_sweep(G, kr, Y_mat, e_beta, e_v, s.M_X)
     F = (y_energy - 2.0 * np.sum(Ty * M_X.conj()).real
-         + np.sum(G * (M_X.conj().T @ M_X + M * C).T).real)
+         + np.sum(G * (M_X.conj().T @ M_X).T).real + M * tr_GC)
 
-    out = vbi.update_qX(s, G_path, kr, Ty, Y_mat)
+    out = vbi.update_qX(s, grams, kr, Y_mat)
     assert np.linalg.norm(out.M_X - M_X) <= 1e-10 * np.linalg.norm(M_X)
-    np.testing.assert_allclose(out.c_diag, np.diag(C).real, rtol=1e-10, atol=0)
-    assert out.tr_GC == pytest.approx(np.trace(G @ C).real, rel=1e-10)
+    np.testing.assert_allclose(out.c_diag, c_diag, rtol=1e-10, atol=0)
+    assert out.tr_GC == pytest.approx(tr_GC, rel=1e-10)
     assert vbi.expected_residual(out, kr, Ty, y_energy) == pytest.approx(F, rel=1e-10)
-
-
-def test_direct_solve_equals_out_of_place_system_bit_for_bit():
-    # the system is built in place in Fortran order; the factors, and so
-    # M_X and c_diag, must equal those of e_beta G + diag(E[v]) exactly
-    p, _, Y = scene(DIRECT, 0.05)
-    rng = np.random.default_rng(2)
-    e_beta, e_v = 37.0, 10.0 ** rng.uniform(-2, 4, K)
-    G = vbi.precompute_gram(p)
-    rhs = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
-    F = cholesky(e_beta * G + np.diag(e_v.astype(complex)), lower=True)
-    F_inv, _ = ztrtri(F, lower=1)
-    M_X, c_diag = vbi._solve_direct(G, e_beta, e_v, rhs)
-    np.testing.assert_array_equal(M_X, cho_solve((F, True), rhs.conj().T).conj().T)
-    np.testing.assert_array_equal(c_diag, np.sum(np.abs(F_inv) ** 2, axis=0))
 
 
 @pytest.mark.parametrize("dims, e_beta", [(WOODBURY, 1e3), (DIRECT, 1e-3)])
@@ -97,8 +89,9 @@ def test_indefinite_system_is_reported(dims, e_beta):
     # negative E[v] makes either factorized system indefinite
     p, _, Y = scene(dims, 0.05)
     s = state_with(p, Y, e_beta, -np.ones(K))
+    grams, kr, _, Y_mat, _ = operands(p, Y)
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
-        vbi.update_qX(s, *operands(p, Y)[:4])
+        vbi.update_qX(s, grams, kr, Y_mat)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3])
@@ -111,10 +104,10 @@ def test_woodbury_reports_one_non_positive_precision(bad):
     with np.errstate(divide="ignore"):     # E[v] = 0 is the rate inf
         s = state_with(p, Y, 3.0, e_v)
     assert s.E_v[7] <= 0
-    G_path, kr, Ty, Y_mat, _ = operands(p, Y)
-    assert G_path is None
+    grams, kr, _, Y_mat, _ = operands(p, Y)
+    assert grams is None
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
-        vbi.update_qX(s, G_path, kr, Ty, Y_mat)
+        vbi.update_qX(s, grams, kr, Y_mat)
 
 
 @pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
@@ -127,8 +120,9 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     assert len(residuals) == result.n_iters and result.converged
     assert min(residuals) >= 0.0
     assert nmse(result.M_X, X) < 1e-4
-    # the posterior keeps no K x K array
-    assert all(np.ndim(v) <= 1 or np.shape(v) == (M, K)
+    # the posterior keeps no K x K array: besides scalars and vectors, only
+    # the M x K mean and, on the block path, the M x L residual
+    assert all(np.ndim(v) <= 1 or np.shape(v) in {(M, K), (M, Y.shape[0])}
                for v in vars(result.state).values())
 
 
@@ -158,14 +152,18 @@ def elbo(s, log_det_C, kr, Ty, y_energy):
 ], ids=["direct", "woodbury", "direct-50x"])
 def test_elbo_does_not_decrease_under_any_block(scene_args):
     # Bishop, PRML section 10.1: with the active set fixed (no pruning), no
-    # block update lowers the ELBO; log det C_X is taken densely from the
-    # E[beta] and E[v] that each q(X) update reads. A step that does not
-    # lower the ELBO can still land off the block's optimum, so each q(X)
-    # mean must also be stationary: M_X (E[beta] G + diag E[v]) = E[beta] Ty
+    # block update lowers the ELBO. log det C_X is taken from the E[beta]
+    # and E[v] that each q(X) update reads: densely on the Woodbury path,
+    # and as sum_B log det C_B on the block path, whose q(X) family is
+    # prod_B q(X_B). A step that does not lower the ELBO can still land off
+    # the block's optimum, so each q(X) update must also be exact: on the
+    # Woodbury path the mean is stationary,
+    # M_X (E[beta] G + diag E[v]) = E[beta] Ty; on the block path M_X,
+    # c_diag and tr_GC equal those of a reference Gauss-Seidel sweep
     p, _, Y = scene(*scene_args)
-    G_path, kr, Ty, Y_mat, y_energy = operands(p, Y)
-    G = vbi.precompute_gram(p)
-    blocks = (("qX", lambda s: vbi.update_qX(s, G_path, kr, Ty, Y_mat)),
+    grams, kr, Ty, Y_mat, y_energy = operands(p, Y)
+    G = dense_gram(p)
+    blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr, Y_mat)),
               ("qv", vbi.update_qv),
               ("qbeta", lambda s: vbi.update_qbeta(s, kr, Ty, y_energy)))
     s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
@@ -173,15 +171,24 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     bound = elbo(s, log_det_C, kr, Ty, y_energy)
     steps = []
     for _ in range(10):
-        sign, log_det_P = np.linalg.slogdet(s.E_beta * G + np.diag(s.E_v))
-        assert sign.real > 0
-        log_det_C = -log_det_P
+        if grams is None:
+            sign, log_det_P = np.linalg.slogdet(s.E_beta * G + np.diag(s.E_v))
+            assert sign.real > 0
+            log_det_C = -log_det_P
+        else:
+            ref_M_X, ref_c_diag, ref_tr_GC, log_det_C = reference_sweep(
+                G, kr, Y_mat, s.E_beta, s.E_v, s.M_X)
         for name, update in blocks:
             s = update(s)
-            if name == "qX":
+            if name == "qX" and grams is None:
                 rhs = s.E_beta * Ty
                 gap = rhs - s.M_X @ (s.E_beta * G + np.diag(s.E_v))
                 assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(rhs)
+            elif name == "qX":
+                assert (np.linalg.norm(s.M_X - ref_M_X)
+                        <= 1e-10 * np.linalg.norm(ref_M_X))
+                np.testing.assert_allclose(s.c_diag, ref_c_diag, rtol=1e-10, atol=0)
+                assert s.tr_GC == pytest.approx(ref_tr_GC, rel=1e-10)
             new = elbo(s, log_det_C, kr, Ty, y_energy)
             steps.append((name, (new - bound) / abs(bound)))
             bound = new

@@ -1,23 +1,23 @@
-"""The engine at its memory floor: no K x K array on the Woodbury path,
-q(beta)'s fit term from KR, the Gram in one buffer, Y KR^* without a
-conjugate copy of KR, and the direct path's column energies in blocks."""
+"""The engine at its memory floor: no K x K array on either q(X) path,
+q(beta)'s fit term from KR, the Gram as its diagonal blocks, and Y KR^*
+without a conjugate copy of KR."""
 
 import dataclasses
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.blas import zherk, ztrsm
-from scipy.linalg.lapack import ztrtri
 
+from block_reference import blocks, dense_gram, reference_sweep
 from leojadce import vbi
 from leojadce.signals import gen_preambles, synthesize_received
 from leojadce.tensors import khatri_rao
 
 M = 4
-WOODBURY, DIRECT = (4, 4), (8, 8)   # at K=40: L = 16 < K and L = 64 > K
+# at K=40: L = 16 < K and L = 64 > K, where q(X) takes the block path
+WOODBURY, DIRECT = (4, 4), (8, 8)
 
 
 def scene(dims, K, m=M, sigma_n2=0.05, seed=0):
@@ -35,7 +35,7 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     K = 40
     p, Y = scene(dims, K)
     rng = np.random.default_rng(1)
-    G = vbi.precompute_gram(p)
+    G = dense_gram(p)
     kr = khatri_rao(p)
     Y_mat = Y.T
     Ty = Y_mat @ kr.conj()
@@ -43,12 +43,14 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta,
                             a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K))
-    s = vbi.update_qX(s, None if vbi.woodbury_pays(Y.shape[0], K) else G, kr, Ty, Y_mat)
+    grams = None if vbi.woodbury_pays(Y.shape[0], K) else vbi.precompute_gram(p)
+    s = vbi.update_qX(s, grams, kr, Y_mat)
 
     # the Gram form Re sum((M_X G) o conj(M_X)) of the fit term, as the oracle
     gram_fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real)
-    # with Ty = 0, ||Y||^2 = 0 and tr_GC = 0 the residual is the fit term alone
-    bare = dataclasses.replace(s, tr_GC=0.0)
+    # with Ty = 0, ||Y||^2 = 0 and tr_GC = 0 the residual is the fit term
+    # alone; without the block sweep's residual it is taken from KR
+    bare = dataclasses.replace(s, tr_GC=0.0, resid=None)
     kr_fit = vbi.expected_residual(bare, kr, np.zeros_like(s.M_X), 0.0)
     assert gram_fit > 0
     assert kr_fit == pytest.approx(gram_fit, rel=1e-12)
@@ -62,9 +64,9 @@ def counting_gram(monkeypatch):
     calls = []
     gram = vbi.precompute_gram
 
-    def counting(p):
+    def counting(p, *args):
         calls.append(p)
-        return gram(p)
+        return gram(p, *args)
 
     monkeypatch.setattr(vbi, "precompute_gram", counting)
     return calls
@@ -93,11 +95,54 @@ def test_woodbury_run_peak_memory_below_one_k_by_k_array():
     assert peak < K * K * np.dtype(complex).itemsize, peak
 
 
+def test_block_run_holds_no_k_by_k_array():
+    # L=289 > K=400 takes the block path. Once devices are pruned it holds
+    # one copy of KR's active columns, at most L x K; besides that, only
+    # stacks of K / b blocks of b x b (the Gram blocks, the factor, its
+    # inverse and C), the M x L residual and M x K arrays. Eight such
+    # stacks are 8 K b entries, half of the K x K Gram that the joint solve
+    # holds at this K; the run measured 4.8 stacks besides that copy
+    K = 400
+    p, Y = scene((17, 17), K)
+    L = Y.shape[0]
+    assert not vbi.woodbury_pays(L, K)
+    kr = khatri_rao(p)
+    tracemalloc.start()
+    try:
+        result = vbi.run(p, kr, Y, vbi.EngineConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.trace[-1][3] < K
+    assert peak < (L * K + 8 * K * vbi.BLOCK_SIZE) * np.dtype(complex).itemsize, peak
+
+
 @pytest.mark.parametrize("dims", [(6, 7), (3, 4, 3), (2, 3, 2, 3)])
 def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
-    p = gen_preambles(dims, 40, np.random.default_rng(len(dims)))
-    oracle = reduce(np.multiply, [(a.conj().T @ a).conj() for a in p])
-    np.testing.assert_array_equal(vbi.precompute_gram(p), oracle)
+    # each block of the stack is the K x K oracle's diagonal block, bit for
+    # bit (K=40: two blocks of 20), and on 13 of the devices the stack is
+    # their own oracle. With blocks of 19 and 18 (K=37) the block products
+    # and the K x K one tile differently in BLAS and may differ in the last
+    # bit. The slots a short block leaves empty are 0
+    for K, active, rtol in [(40, None, 0.0), (37, None, 1e-14),
+                            (40, [0, 3, 4, 9, 10, 11, 17, 20, 26, 27, 31, 38, 39], 0.0)]:
+        p = gen_preambles(dims, K, np.random.default_rng(len(dims)))
+        if active is None:
+            oracle = dense_gram(p)
+            stack = vbi.precompute_gram(p)
+        else:
+            oracle = dense_gram([a[:, active] for a in p])
+            stack = vbi.precompute_gram(p, np.array(active))
+        index = blocks(len(oracle))
+        assert stack.shape == (len(index), len(index[0]), len(index[0]))
+        for G_BB, B in zip(stack, index):
+            n = len(B)
+            if rtol == 0.0:
+                np.testing.assert_array_equal(G_BB[:n, :n], oracle[np.ix_(B, B)])
+            else:
+                np.testing.assert_allclose(G_BB[:n, :n], oracle[np.ix_(B, B)], rtol=rtol,
+                                           atol=rtol * np.abs(oracle).max())
+            assert not G_BB[n:].any() and not G_BB[:, n:].any()
 
 
 @pytest.mark.parametrize("dims", [(4, 4), (10, 10), (3, 3, 3), (2, 3, 2, 3)])
@@ -111,20 +156,6 @@ def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     np.testing.assert_array_equal(Ty, ref)
     s = vbi.init_posterior(kr, Ty, float(np.vdot(Y, Y).real), vbi.EngineConfig())
     np.testing.assert_array_equal(s.M_X, ref / Y.shape[0])
-
-
-def test_direct_column_energies_in_blocks_bit_equal_to_whole_inverse():
-    # K = 150 spans two full column blocks and a partial one
-    K = 150
-    rng = np.random.default_rng(5)
-    B = rng.standard_normal((200, K)) + 1j * rng.standard_normal((200, K))
-    G = B.conj().T @ B
-    e_beta, e_v = 0.7, 10.0 ** rng.uniform(-2, 4, K)
-    rhs = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
-    F = cholesky(e_beta * G + np.diag(e_v.astype(complex)), lower=True)
-    F_inv, _ = ztrtri(F, lower=1)
-    _, c_diag = vbi._solve_direct(G, e_beta, e_v, rhs)
-    np.testing.assert_array_equal(c_diag, np.sum(np.abs(F_inv) ** 2, axis=0))
 
 
 def woodbury_with_conjugate_kr(kr, e_beta, e_v, Y_mat):
@@ -191,7 +222,7 @@ def test_woodbury_update_qX_matches_dense_inverse_at_benchmark_shape():
     assert vbi.woodbury_pays(Y.shape[0], K)
     rng = np.random.default_rng(3)
     e_beta, e_v = 3.0, 10.0 ** rng.uniform(-2, 4, K)
-    G = vbi.precompute_gram(p)
+    G = dense_gram(p)
     kr = khatri_rao(p)
     Ty = Y.T @ kr.conj()
     s = vbi.init_posterior(kr, Ty, float(np.vdot(Y, Y).real), vbi.EngineConfig())
@@ -199,10 +230,32 @@ def test_woodbury_update_qX_matches_dense_inverse_at_benchmark_shape():
 
     C = np.linalg.inv(e_beta * G + np.diag(e_v))
     M_X = e_beta * Ty @ C
-    out = vbi.update_qX(s, None, kr, Ty, Y.T)
+    out = vbi.update_qX(s, None, kr, Y.T)
     assert np.linalg.norm(out.M_X - M_X) <= 1e-10 * np.linalg.norm(M_X)
     np.testing.assert_allclose(out.c_diag, np.diag(C).real, rtol=1e-10, atol=0)
     assert out.tr_GC == pytest.approx(np.trace(G @ C).real, rel=1e-10)
+
+
+def test_block_update_qX_matches_reference_sweep_at_benchmark_shape():
+    # L=400, K=500: the paper-trial benchmark scene, with E[v] spread over
+    # six decades; one sweep from the start's mean against the reference
+    K = 500
+    p, Y = scene((20, 20), K, m=8)
+    assert not vbi.woodbury_pays(Y.shape[0], K)
+    rng = np.random.default_rng(3)
+    e_beta, e_v = 3.0, 10.0 ** rng.uniform(-2, 4, K)
+    kr = khatri_rao(p)
+    s = vbi.init_posterior(kr, Y.T @ kr.conj(), float(np.vdot(Y, Y).real),
+                           vbi.EngineConfig())
+    s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
+
+    M_X, c_diag, tr_GC, _ = reference_sweep(dense_gram(p), kr, Y.T, e_beta, e_v, s.M_X)
+    out = vbi.update_qX(s, vbi.precompute_gram(p), kr, Y.T)
+    assert np.linalg.norm(out.M_X - M_X) <= 1e-10 * np.linalg.norm(M_X)
+    np.testing.assert_allclose(out.c_diag, c_diag, rtol=1e-10, atol=0)
+    assert out.tr_GC == pytest.approx(tr_GC, rel=1e-10)
+    resid = Y.T - out.M_X @ kr.T
+    assert np.linalg.norm(out.resid - resid) <= 1e-10 * np.linalg.norm(resid)
 
 
 def test_woodbury_solve_peak_memory_below_seven_quarters_of_an_l_by_k_array():

@@ -1,13 +1,15 @@
 """Pruning inside the engine: a run where no device meets the rule is the
 unpruned iteration bit for bit, pruned devices stay out for good, true
 devices whose columns still grow are kept, and the solve on the devices
-left is the dense-inverse q(X) of that subsystem."""
+left is the q(X) of that subsystem: the dense inverse on the Woodbury path,
+a reference block sweep on the block path."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from block_reference import dense_gram, reference_sweep
 from leojadce import harness, signals, vbi
 from leojadce.channel import RICIAN_FACTOR, draw_channels
 from leojadce.config import ScenarioConfig
@@ -16,7 +18,9 @@ from leojadce.signals import (gen_preambles, snr_to_noise_variance,
 from leojadce.tensors import khatri_rao
 
 K, M = 40, 4
-WOODBURY, DIRECT = (4, 4), (8, 8)   # L = 16 < K and L = 64 > K
+# L = 16 < K and L = 64 > K; DIRECT, where Woodbury does not pay, takes
+# the block q(X) path
+WOODBURY, DIRECT = (4, 4), (8, 8)
 
 
 def scene(dims, sigma_n2, scale=1.0, seed=0):
@@ -44,14 +48,14 @@ def unpruned_run(p, Y, cfg):
     """The iteration without pruning, as it stood before pruning was added:
     every device stays in the q(X) solve. Returns (M_X, n_iters, trace)."""
     kr = khatri_rao(p)
-    G = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
+    grams = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
     Ty = vbi._y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
     s = vbi.init_posterior(kr, Ty, y_energy, cfg)
     trace = []
     for it in range(1, cfg.max_iters + 1):
         prev = s.M_X
-        s = vbi.update_qX(s, G, kr, Ty, Y.T)
+        s = vbi.update_qX(s, grams, kr, Y.T)
         s = vbi.update_qv(s)
         s = vbi.update_qbeta(s, kr, Ty, y_energy)
         trace.append((it, s.a_beta - s.eps,
@@ -82,7 +86,7 @@ def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
     np.testing.assert_array_equal(result.M_X, M_X)
 
 
-# both prune; DIRECT cuts G, WOODBURY stays on the Woodbury path and cuts KR
+# both prune and cut KR's columns; DIRECT blocks the devices left afresh
 PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
 
 
@@ -115,21 +119,29 @@ def test_pruned_devices_stay_out(dims, sigma_n2):
 @pytest.mark.parametrize("dims, sigma_n2", PRUNING)
 def test_active_set_solve_matches_dense_inverse(dims, sigma_n2):
     # each iteration's q(X) from the previous iteration's E[beta] and E[v],
-    # on the devices whose columns it left nonzero
+    # on the devices whose columns it left nonzero: the dense inverse of
+    # that subsystem on the Woodbury path; on the block path one reference
+    # sweep from the previous mean of those devices, blocked afresh
     p, Y, _ = scene(dims, sigma_n2)
     _, states = states_of(p, Y)
-    G = vbi.precompute_gram(p)
-    Ty = Y.T @ khatri_rao(p).conj()
+    G = dense_gram(p)
+    kr = khatri_rao(p)
+    Ty = Y.T @ kr.conj()
+    block_path = not vbi.woodbury_pays(*kr.shape)
     checked = 0
     for before, s in zip(states, states[1:]):
         a = np.flatnonzero(np.any(s.M_X != 0, axis=0))
         e_beta, e_v = before.E_beta, before.E_v[a]
         G_a = G[np.ix_(a, a)]
-        C = np.linalg.inv(e_beta * G_a + np.diag(e_v))
-        M_X = e_beta * Ty[:, a] @ C
+        if block_path:
+            M_X, c_diag, tr_GC, _ = reference_sweep(G_a, kr[:, a], Y.T, e_beta, e_v,
+                                                    before.M_X[:, a])
+        else:
+            C = np.linalg.inv(e_beta * G_a + np.diag(e_v))
+            M_X, c_diag, tr_GC = e_beta * Ty[:, a] @ C, np.diag(C).real, np.trace(G_a @ C).real
         assert np.linalg.norm(s.M_X[:, a] - M_X) <= 1e-9 * np.linalg.norm(M_X)
-        np.testing.assert_allclose(s.c_diag[a], np.diag(C).real, rtol=1e-9, atol=0)
-        assert s.tr_GC == pytest.approx(np.trace(G_a @ C).real, rel=1e-9)
+        np.testing.assert_allclose(s.c_diag[a], c_diag, rtol=1e-9, atol=0)
+        assert s.tr_GC == pytest.approx(tr_GC, rel=1e-9)
         checked += len(a) < K
     assert checked > 0
 
