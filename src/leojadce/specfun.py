@@ -1,9 +1,7 @@
-"""Special-function numerics: signed-log Gamma and the confluent
-hypergeometric function 1F1.
+"""Special-function numerics: the confluent hypergeometric function 1F1.
 
-Gamma and 1F1 values can span many orders of magnitude (Gamma(-eps/2) ~
--2/eps for a near-flat hyperprior) while ratios of them are O(1), so every
-Gamma and 1F1 evaluation here is carried as a sign plus log-magnitude and
+1F1 values can span many orders of magnitude while ratios of them are O(1),
+so every 1F1 evaluation here is carried as a sign plus log-magnitude and
 combined with a signed logsumexp.
 
 No leojadce module imports this one: it served the q(mu) block that VBI no
@@ -73,35 +71,6 @@ def signed_log_sum(values: Iterable[SignedLogValue]) -> SignedLogValue:
     if acc == 0.0:
         return SignedLogValue(-math.inf, 0)
     return SignedLogValue(m + math.log(abs(acc)), 1 if acc > 0 else -1)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) reduced to |r| <= 1/2 so precision survives near integers."""
-    n = round(x)
-    r = x - n
-    if r == 0.0:
-        return 0.0
-    s = math.sin(math.pi * r)
-    # sin(pi*(n+r)) = (-1)^n sin(pi*r)
-    if int(n) % 2:
-        s = -s
-    return s
-
-
-def ln_gamma_signed(x: float) -> SignedLogValue:
-    """Sign and log|Gamma(x)| for real non-pole x.
-
-    Positive arguments go through lgamma directly; negative non-integer
-    arguments use the reflection formula Gamma(x)Gamma(1-x) = pi/sin(pi*x),
-    whose right-hand side only needs the positive-argument branch.
-    """
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"Gamma pole at x={x}")
-    if x > 0.0:
-        return SignedLogValue(math.lgamma(x), 1)
-    s = _sinpi(x)
-    log_abs = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
-    return SignedLogValue(log_abs, 1 if s > 0 else -1)
 
 
 def _hyp1f1_series(a: float, b: float, x: float) -> SignedLogValue:

@@ -31,15 +31,15 @@ q(X) paths: :func:`run` picks one per call, by :func:`woodbury_pays`.
   devices, unlike the joint model's. It uses numpy only.
 
 Memory: the engine holds only the arrays its updates read. :func:`run`
-reads KR from its caller and forms Y_(d+1) KR^* and ||Y||^2 once per
-call; no K x K array is formed on either path. On the Woodbury path, besides
-KR and its L x L factor, the solve holds at most about 1.5 L x K complex
-arrays, and it reads KR as KR^T, a Fortran-ordered K x L view of KR's own
-memory that the BLAS calls take without a copy; q(beta) takes its fit term
-||M_X KR^T||_F^2 from KR, at M L K work. The block path holds the Gram
-blocks and a few stacks of the same shape, K b entries each, and the M x L
-residual R = Y_(d+1) - M_X KR^T, from which q(beta) reads ||R||_F^2 at M L
-work.
+reads KR from its caller and forms ||Y||^2 once per call, and the start
+forms Y_(d+1) KR^*; no K x K array is formed on either path. Both paths keep
+the M x L residual R = Y_(d+1) - M_X KR^T, from which q(beta) reads
+||R||_F^2 at M L work. The Woodbury path forms R from each new mean, at
+M L K work; the block sweep updates it block by block. On the Woodbury path,
+besides KR and its L x L factor, the solve holds at most about 1.5 L x K
+complex arrays, and it reads KR as KR^T, a Fortran-ordered K x L view of
+KR's own memory that the BLAS calls take without a copy. The block path
+holds the Gram blocks and a few stacks of the same shape, K b entries each.
 
 Pruning: a device whose prior precision E[v_k] has collapsed (see
 :func:`prune`) leaves the q(X) solve for the rest of the run, as in the
@@ -137,9 +137,9 @@ class PosteriorState:
     field is a scalar, a length-K vector, the M x K mean or the M x L
     residual: no K x K array is formed on either path.
 
-    ``resid`` is the residual Y_(d+1) - M_X KR^T that the block sweep keeps.
-    It is None on the Woodbury path, at the start and after a pruning step;
-    the next block sweep then forms it from M_X.
+    ``resid`` is the residual R = Y_(d+1) - M_X KR^T over the devices in the
+    q(X) solve, held on both paths: the start and each q(X) update set it,
+    and q(beta) reads ||R||_F^2 from it.
 
     Every vector keeps all K devices. A device pruned from the q(X) solve
     has an all-zero column of M_X, c_diag = 0 and no share of tr_GC, and so
@@ -156,7 +156,7 @@ class PosteriorState:
     a_beta: float            # rate for q(beta)
     b_beta: float            # shape L*M + eps, fixed
     eps: float
-    resid: np.ndarray | None = None   # M x L: Y_(d+1) - M_X KR^T, block path only
+    resid: np.ndarray        # M x L: Y_(d+1) - M_X KR^T
 
     @property
     def E_v(self) -> np.ndarray:
@@ -225,14 +225,15 @@ def _y_kr_conj(Y: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return (Y.T.conj() @ kr).conj()
 
 
-def init_posterior(kr: np.ndarray, Ty: np.ndarray, y_energy: float,
+def init_posterior(kr: np.ndarray, Y: np.ndarray, y_energy: float,
                    cfg: EngineConfig) -> PosteriorState:
-    """Deterministic start from :func:`run`'s Ty and y_energy = ||Y||^2:
-    matched-filter mean Ty / L, identity covariance (so Tr(G C_X) = Tr(G) =
-    ||KR||_F^2), unit v-means, noise precision from total energy."""
+    """Deterministic start from the L x M samples Y and y_energy = ||Y||^2:
+    matched-filter mean Ty / L with Ty = Y_(d+1) KR^*, its residual,
+    identity covariance (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means,
+    noise precision from total energy."""
     L, K = kr.shape
-    M = Ty.shape[0]
-    m_x = Ty / L
+    M = Y.shape[1]
+    m_x = _y_kr_conj(Y, kr) / L
     b_v = M + cfg.eps
     b_beta = L * M + cfg.eps
     a_beta = b_beta * y_energy / (L * M) if y_energy > 0 else b_beta
@@ -245,6 +246,7 @@ def init_posterior(kr: np.ndarray, Ty: np.ndarray, y_energy: float,
         a_beta=a_beta,
         b_beta=b_beta,
         eps=cfg.eps,
+        resid=Y.T - m_x @ kr.T,
     )
 
 
@@ -381,12 +383,14 @@ def update_qX(s: PosteriorState, grams: np.ndarray | None, kr: np.ndarray,
     M_X = E[beta] Y_mat KR^* C_X, c_diag = diag(C_X), and
     tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta].
 
+    The residual R = Y_mat - M_X KR^T is then formed from the new mean.
+
     Otherwise q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`,
     and ``grams`` is their :func:`precompute_gram` stack. One Gauss-Seidel
     sweep (:func:`_sweep_blocks`) moves each block's mean to its optimum
-    given the others, starting from the current M_X and ``s.resid`` (formed
-    from M_X when None), and returns the residual it keeps. C_X is then
-    block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
+    given the others, starting from the current M_X and ``s.resid``, and
+    updates a copy of R as it goes. C_X is then block-diagonal, and
+    tr_GC = sum_B Tr(G_BB C_B).
 
     ``active`` holds the sorted indices of the devices still in the model
     (all K by default). ``kr`` and ``grams`` hold only those devices'
@@ -399,10 +403,9 @@ def update_qX(s: PosteriorState, grams: np.ndarray | None, kr: np.ndarray,
     if grams is None:
         M_X_a, c_diag_a = _solve_woodbury(kr, e_beta, e_v, Y_mat)
         tr_GC = (len(e_v) - float(np.dot(e_v, c_diag_a))) / e_beta
-        resid = None
+        resid = Y_mat - M_X_a @ kr.T
     else:
-        M_X_a = s.M_X[:, active]
-        resid = Y_mat - M_X_a @ kr.T if s.resid is None else s.resid.copy()
+        M_X_a, resid = s.M_X[:, active], s.resid.copy()
         c_diag_a, tr_GC = _sweep_blocks(grams, kr, e_beta, e_v, M_X_a, resid)
     if not (np.all(np.isfinite(M_X_a)) and np.all(np.isfinite(c_diag_a))):
         raise EngineError("non-finite entries in q(X) update")
@@ -428,35 +431,23 @@ def update_qv(s: PosteriorState) -> PosteriorState:
     return dataclasses.replace(s, a_v=a_v)
 
 
-def expected_residual(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
-                      y_energy: float) -> float:
+def expected_residual(s: PosteriorState) -> float:
     """Posterior-expected squared residual of the L x M samples
-    E||Y^T - X KR^T||_F^2 = ||Y||^2 - 2 Re Tr(Ty M_X^H) + Tr(G E[X^H X]),
-    with E[X^H X] = M_X^H M_X + M C_X and G = KR^T KR^*, so
-    Tr(G E[X^H X]) = ||M_X KR^T||_F^2 + M Tr(G C_X),
-    the last term being the stored tr_GC. ``y_energy`` is ||Y||^2.
-
-    Where the block sweep keeps the residual R = Y^T - M_X KR^T, the first
-    three terms are ||R||_F^2, which is read from it at M L work instead."""
-    M = s.M_X.shape[0]
-    if s.resid is not None:
-        return float(np.vdot(s.resid, s.resid).real) + M * s.tr_GC
-    fitted = s.M_X @ kr.T
-    fit = float(np.vdot(fitted, fitted).real) + M * s.tr_GC
-    cross = float(np.sum(Ty * s.M_X.conj()).real)
-    return y_energy - 2.0 * cross + fit
+    F = E||Y^T - X KR^T||_F^2 = ||R||_F^2 + M Tr(G C_X), with R = Y^T - M_X KR^T
+    the kept residual and Tr(G C_X) the stored tr_GC; E[X^H X] =
+    M_X^H M_X + M C_X gives the second term."""
+    return float(np.vdot(s.resid, s.resid).real) + s.M_X.shape[0] * s.tr_GC
 
 
-def update_qbeta(s: PosteriorState, kr: np.ndarray, Ty: np.ndarray,
-                 y_energy: float) -> PosteriorState:
+def update_qbeta(s: PosteriorState, y_energy: float) -> PosteriorState:
     """Refresh the noise-precision rate a_beta = F + eps, with F from
     :func:`expected_residual`.
 
     F is mathematically >= 0; anything below -1e-8 (relative to the
-    observation energy) is reported as numerical failure, and mere roundoff
-    below zero is truncated before adding eps.
+    observation energy y_energy = ||Y||^2) is reported as numerical failure,
+    and mere roundoff below zero is truncated before adding eps.
     """
-    F = expected_residual(s, kr, Ty, y_energy)
+    F = expected_residual(s)
     if F < -1e-8 * (1.0 + y_energy):
         raise EngineError(f"negative expected residual F={F}")
     return dataclasses.replace(s, a_beta=max(F, 0.0) + s.eps)
@@ -484,7 +475,7 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
     drops below cfg.rel_tol or cfg.max_iters is reached.
 
     ``kr`` is KR, formed once by the caller and only read here; ``p`` serves
-    only :func:`precompute_gram`. Ty and ||Y||^2 are formed once, here.
+    only :func:`precompute_gram`. ||Y||^2 is formed once, here.
     q(X) takes the Woodbury path when :func:`woodbury_pays`, and the block
     path otherwise, where the Gram blocks are formed; neither path forms a
     K x K array.
@@ -494,18 +485,17 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
     for the rest, on the path picked at the start: KR's columns are cut to
     the active devices. On the block path the Gram blocks are formed again
     for the devices left, which are blocked afresh, and the residual is
-    dropped, so the next sweep forms it from the kept columns of M_X; the
-    dropped ones are zero in its output. A pruned device reports an
-    all-zero column of M_X and c_diag = 0, so q(v) gives it the rate eps.
+    formed again from their columns of M_X; the dropped ones are zero in the
+    next sweep's output. A pruned device reports an all-zero column of M_X
+    and c_diag = 0, so q(v) gives it the rate eps.
     Pruning changes the model, so the ELBO is non-decreasing only between
     pruning steps, while the active set is fixed. A run where no device
     meets the rule solves for every device on every iteration and gives the
     M_X of the unpruned iteration bit for bit."""
     L, K = kr.shape
     grams = None if woodbury_pays(L, K) else precompute_gram(p)
-    Ty = _y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
-    s = init_posterior(kr, Ty, y_energy, cfg)
+    s = init_posterior(kr, Y, y_energy, cfg)
     # grams and the q(X) copy kr_a hold only the devices in ``active``
     active, kr_a = np.arange(K), kr
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
@@ -515,10 +505,10 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
         prev, prev_col_energy = s.M_X, col_energy
         s = update_qX(s, grams, kr_a, Y.T, active)
         s = update_qv(s)
-        s = update_qbeta(s, kr, Ty, y_energy)
-        resid = s.a_beta - s.eps
+        s = update_qbeta(s, y_energy)
+        F = s.a_beta - s.eps
         col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
-        trace.append((it, resid, float(np.max(col_energy)), len(active), s.E_beta))
+        trace.append((it, F, float(np.max(col_energy)), len(active), s.E_beta))
         if on_iteration is not None:
             on_iteration(it, s)
         denom = float(np.linalg.norm(prev))
@@ -535,7 +525,7 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
             kr_a = np.take(kr, active, axis=1)      # C-ordered, as KR is
             if grams is not None:
                 grams = precompute_gram(p, active)
-                s = dataclasses.replace(s, resid=None)
+                s = dataclasses.replace(s, resid=Y.T - s.M_X[:, active] @ kr_a.T)
     return EngineResult(state=s, n_iters=it, converged=converged, trace=trace)
 
 

@@ -1,4 +1,5 @@
-"""Special functions against series/reflection oracles and scipy."""
+"""The 1F1 numerics against series oracles and scipy, and the signed-log
+values they return."""
 
 import math
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from leojadce import specfun
 from leojadce.specfun import (ConvergenceError, SignedLogValue, _hyp1f1_kummer,
-                              _hyp1f1_series, hyp1f1, ln_gamma_signed, signed_log_sum)
+                              _hyp1f1_series, hyp1f1, signed_log_sum)
 
 
 # ---------------------------------------------------------------- signed log
@@ -25,10 +27,17 @@ def test_signed_log_mul_div():
     b = SignedLogValue.from_float(0.5)
     assert (a * b).value() == pytest.approx(-1.5)
     assert (a / b).value() == pytest.approx(-6.0)
+    assert a.scaled(-3.0).value() == pytest.approx(9.0, rel=1e-15)
     zero = SignedLogValue.from_float(0.0)
-    assert (a * zero).sign == 0
+    assert (a * zero).sign == 0 and (zero / a).sign == 0
     with pytest.raises(ZeroDivisionError):
         a / zero
+    with pytest.raises(AttributeError):
+        a.sign = 1
+    # a named tuple: it unpacks, and equals the plain tuple of its fields
+    log_abs, sign = a
+    assert (log_abs, sign) == a == (math.log(3.0), -1)
+    assert SignedLogValue(0.0, 1) == hyp1f1(0.5, 1.5, 0.0)
 
 
 def test_signed_log_sum_matches_direct():
@@ -51,50 +60,6 @@ def test_signed_log_sum_cancellation_and_zero():
     assert out.log_abs == pytest.approx(1000.0 + math.log(0.5), rel=1e-12)
 
 
-# ---------------------------------------------------------------- log-gamma
-
-def test_gamma_at_one_and_half():
-    v1 = ln_gamma_signed(1.0)
-    assert v1.sign == 1 and v1.log_abs == pytest.approx(0.0, abs=1e-15)
-    vh = ln_gamma_signed(0.5)
-    assert vh.sign == 1
-    assert vh.log_abs == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-
-def test_gamma_reflection_oracle_negative_argument():
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x), with Gamma(1-x) on the positive branch
-    x = -0.3
-    got = ln_gamma_signed(x)
-    rhs = math.pi / math.sin(math.pi * x)
-    expected = rhs / math.gamma(1.0 - x)
-    assert got.value() == pytest.approx(expected, rel=1e-13)
-    assert got.sign == -1  # Gamma is negative on (-1, 0)
-
-
-def test_gamma_recurrence_over_grid():
-    # Gamma(x+1) = x Gamma(x) in log form to 1e-12 over [-5, 10] off poles
-    for x in np.arange(-4.85, 10.0, 0.2):
-        if abs(x - round(x)) < 1e-9 and x <= 0:
-            continue
-        lhs = ln_gamma_signed(x + 1.0)
-        rhs = ln_gamma_signed(x) * SignedLogValue.from_float(x)
-        assert lhs.sign == rhs.sign
-        assert lhs.log_abs == pytest.approx(rhs.log_abs, abs=1e-12)
-
-
-def test_gamma_pole_raises():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(ValueError):
-            ln_gamma_signed(x)
-
-
-def test_gamma_against_scipy():
-    for x in (-4.3, -0.7, 0.1, 2.5, 30.0, -1e-6 / 2):
-        v = ln_gamma_signed(x)
-        assert v.sign == sp.gammasgn(x)
-        assert v.log_abs == pytest.approx(float(sp.gammaln(x)), rel=1e-12)
-
-
 # ---------------------------------------------------------------- 1F1
 
 def test_hyp1f1_at_zero_is_one():
@@ -105,6 +70,7 @@ def test_hyp1f1_at_zero_is_one():
 
 def test_hyp1f1_exponential_identity():
     v = hyp1f1(1.0, 1.0, 2.5)
+    assert type(v) is SignedLogValue and type(v.sign) is int
     assert v.value() == pytest.approx(math.exp(2.5), rel=1e-12)
 
 
@@ -139,12 +105,24 @@ def test_hyp1f1_against_scipy():
 
 
 def test_hyp1f1_domain_and_poles():
-    with pytest.raises(ValueError):
-        hyp1f1(0.5, 0.5, -1.0)
+    for x in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="domain restricted to finite x >= 0"):
+            hyp1f1(0.5, 0.5, x)
     with pytest.raises(ValueError):
         hyp1f1(0.5, -2.0, 1.0)
 
 
-def test_hyp1f1_nonconvergence_flag():
-    with pytest.raises(ConvergenceError):
+def test_hyp1f1_nonconvergence_flag(monkeypatch):
+    with pytest.raises(ConvergenceError, match="overflowed double precision"):
         _hyp1f1_series(0.5, 1.5, 5000.0)
+    # a NaN term never meets the stopping rule, so the series runs on to
+    # MAX_SERIES_TERMS
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        hyp1f1(math.nan, 1.5, 1.0)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _hyp1f1_series(0.5, 1.5, math.nan)
+    # x = 30 converges under the default cap, and needs more than 74 terms
+    assert hyp1f1(0.5, 1.5, 30.0).sign == 1
+    monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", 74)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        hyp1f1(0.5, 1.5, 30.0)

@@ -40,9 +40,15 @@ def operands(p, Y):
 
 
 def state_with(p, Y, e_beta, e_v):
-    _, kr, Ty, _, y_energy = operands(p, Y)
-    s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
+    _, kr, _, _, y_energy = operands(p, Y)
+    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
     return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
+
+
+def assert_kept_residual(s, kr, Y_mat):
+    """The state's R equals Y_(d+1) - M_X KR^T formed afresh from KR."""
+    R = Y_mat - s.M_X @ kr.T
+    assert np.linalg.norm(s.resid - R) <= 1e-12 * np.linalg.norm(R)
 
 
 def test_path_choice_covers_both_test_shapes():
@@ -67,21 +73,22 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     e_v = 10.0 ** rng.uniform(*log_e_v, K)
     s = state_with(p, Y, e_beta, e_v)
     G = dense_gram(p)
-    grams, kr, Ty, Y_mat, y_energy = operands(p, Y)
+    grams, kr, Ty, Y_mat, _ = operands(p, Y)
 
     if grams is None:
         C = np.linalg.inv(e_beta * G + np.diag(e_v))
         M_X, c_diag, tr_GC = e_beta * Ty @ C, np.diag(C).real, np.trace(G @ C).real
     else:
         M_X, c_diag, tr_GC, _ = reference_sweep(G, kr, Y_mat, e_beta, e_v, s.M_X)
-    F = (y_energy - 2.0 * np.sum(Ty * M_X.conj()).real
-         + np.sum(G * (M_X.conj().T @ M_X).T).real + M * tr_GC)
+    R = Y_mat - M_X @ kr.T
+    F = np.vdot(R, R).real + M * tr_GC
 
     out = vbi.update_qX(s, grams, kr, Y_mat)
     assert np.linalg.norm(out.M_X - M_X) <= 1e-10 * np.linalg.norm(M_X)
     np.testing.assert_allclose(out.c_diag, c_diag, rtol=1e-10, atol=0)
     assert out.tr_GC == pytest.approx(tr_GC, rel=1e-10)
-    assert vbi.expected_residual(out, kr, Ty, y_energy) == pytest.approx(F, rel=1e-10)
+    assert_kept_residual(out, kr, Y_mat)
+    assert vbi.expected_residual(out) == pytest.approx(F, rel=1e-10)
 
 
 @pytest.mark.parametrize("dims, e_beta", [(WOODBURY, 1e3), (DIRECT, 1e-3)])
@@ -113,17 +120,33 @@ def test_woodbury_reports_one_non_positive_precision(bad):
 @pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
 def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     p, X, Y = scene(dims, 0.0)
-    _, kr, Ty, _, y_energy = operands(p, Y)
+    kr = khatri_rao(p)
     residuals = []
     result = vbi.run(p, kr, Y, vbi.EngineConfig(), on_iteration=lambda it, s: residuals.append(
-        vbi.expected_residual(s, kr, Ty, y_energy)))
+        vbi.expected_residual(s)))
     assert len(residuals) == result.n_iters and result.converged
     assert min(residuals) >= 0.0
     assert nmse(result.M_X, X) < 1e-4
     # the posterior keeps no K x K array: besides scalars and vectors, only
-    # the M x K mean and, on the block path, the M x L residual
+    # the M x K mean and the M x L residual
     assert all(np.ndim(v) <= 1 or np.shape(v) in {(M, K), (M, Y.shape[0])}
                for v in vars(result.state).values())
+
+
+def test_negative_expected_residual_is_reported():
+    # F = ||R||^2 + M tr_GC below -1e-8 (1 + ||Y||^2) is a numerical failure;
+    # roundoff above that floor is truncated to zero before eps is added
+    p, _, Y = scene(WOODBURY, 0.05)
+    _, kr, _, _, y_energy = operands(p, Y)
+    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
+    floor = -1e-8 * (1.0 + y_energy)
+    r_energy = np.vdot(s.resid, s.resid).real
+    below = dataclasses.replace(s, tr_GC=(2.0 * floor - r_energy) / M)
+    with pytest.raises(vbi.EngineError, match="negative expected residual F=-"):
+        vbi.update_qbeta(below, y_energy)
+    within = dataclasses.replace(s, tr_GC=(0.5 * floor - r_energy) / M)
+    assert vbi.expected_residual(within) < 0
+    assert vbi.update_qbeta(within, y_energy).a_beta == s.eps
 
 
 def gamma_terms(a, b, eps):
@@ -134,14 +157,17 @@ def gamma_terms(a, b, eps):
                   + b - np.log(a) + gammaln(b) + (1.0 - b) * digamma(b))
 
 
-def elbo(s, log_det_C, kr, Ty, y_energy):
+def elbo(s, log_det_C, kr, Y_mat):
     """ELBO of q(X) q(v) q(beta) up to a constant, for circular complex
-    Gaussians; q(X) has M rows that share the column covariance C_X."""
+    Gaussians; q(X) has M rows that share the column covariance C_X. The
+    expected residual is formed here from KR, not read from the state."""
     L = kr.shape[0]
     e_log_beta = digamma(s.b_beta) - np.log(s.a_beta)
     e_log_v = digamma(s.b_v) - np.log(s.a_v)
     x_energy = np.sum(np.abs(s.M_X) ** 2, axis=0) + M * s.c_diag
-    return (L * M * e_log_beta - s.E_beta * vbi.expected_residual(s, kr, Ty, y_energy)
+    R = Y_mat - s.M_X @ kr.T
+    F = np.vdot(R, R).real + M * s.tr_GC
+    return (L * M * e_log_beta - s.E_beta * F
             + np.sum(M * e_log_v - s.E_v * x_energy)
             + M * log_det_C
             + gamma_terms(s.a_v, s.b_v, s.eps) + gamma_terms(s.a_beta, s.b_beta, s.eps))
@@ -165,10 +191,11 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     G = dense_gram(p)
     blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr, Y_mat)),
               ("qv", vbi.update_qv),
-              ("qbeta", lambda s: vbi.update_qbeta(s, kr, Ty, y_energy)))
-    s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
+              ("qbeta", lambda s: vbi.update_qbeta(s, y_energy)))
+    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
+    assert_kept_residual(s, kr, Y_mat)
     log_det_C = 0.0                     # the start's C_X is the identity
-    bound = elbo(s, log_det_C, kr, Ty, y_energy)
+    bound = elbo(s, log_det_C, kr, Y_mat)
     steps = []
     for _ in range(10):
         if grams is None:
@@ -189,7 +216,8 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
                         <= 1e-10 * np.linalg.norm(ref_M_X))
                 np.testing.assert_allclose(s.c_diag, ref_c_diag, rtol=1e-10, atol=0)
                 assert s.tr_GC == pytest.approx(ref_tr_GC, rel=1e-10)
-            new = elbo(s, log_det_C, kr, Ty, y_energy)
+            assert_kept_residual(s, kr, Y_mat)
+            new = elbo(s, log_det_C, kr, Y_mat)
             steps.append((name, (new - bound) / abs(bound)))
             bound = new
     worst = min(steps, key=lambda step: step[1])

@@ -1,6 +1,6 @@
 """The engine at its memory floor: no K x K array on either q(X) path,
-q(beta)'s fit term from KR, the Gram as its diagonal blocks, and Y KR^*
-without a conjugate copy of KR."""
+q(beta)'s residual from the kept M x L residual, the Gram as its diagonal
+blocks, and Y KR^* without a conjugate copy of KR."""
 
 import dataclasses
 import tracemalloc
@@ -40,24 +40,22 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     Y_mat = Y.T
     Ty = Y_mat @ kr.conj()
     y_energy = float(np.vdot(Y, Y).real)
-    s = vbi.init_posterior(kr, Ty, y_energy, vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta,
                             a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K))
     grams = None if vbi.woodbury_pays(Y.shape[0], K) else vbi.precompute_gram(p)
     s = vbi.update_qX(s, grams, kr, Y_mat)
 
-    # the Gram form Re sum((M_X G) o conj(M_X)) of the fit term, as the oracle
+    # the Gram form ||Y||^2 - 2 Re Tr(Ty M_X^H) + Re sum((M_X G) o conj(M_X))
+    # of ||R||^2, as the oracle of the kept residual's energy
     gram_fit = float(np.sum((s.M_X @ G) * s.M_X.conj()).real)
-    # with Ty = 0, ||Y||^2 = 0 and tr_GC = 0 the residual is the fit term
-    # alone; without the block sweep's residual it is taken from KR
-    bare = dataclasses.replace(s, tr_GC=0.0, resid=None)
-    kr_fit = vbi.expected_residual(bare, kr, np.zeros_like(s.M_X), 0.0)
     assert gram_fit > 0
-    assert kr_fit == pytest.approx(gram_fit, rel=1e-12)
-    gram_a_beta = (y_energy - 2.0 * float(np.sum(Ty * s.M_X.conj()).real) + gram_fit
-                   + M * s.tr_GC + s.eps)
-    assert (vbi.update_qbeta(s, kr, Ty, y_energy).a_beta
-            == pytest.approx(gram_a_beta, rel=1e-10))
+    gram_r_energy = y_energy - 2.0 * float(np.sum(Ty * s.M_X.conj()).real) + gram_fit
+    # with tr_GC = 0 the expected residual is ||R||^2 alone
+    kept = vbi.expected_residual(dataclasses.replace(s, tr_GC=0.0))
+    assert kept == pytest.approx(gram_r_energy, rel=1e-10)
+    assert (vbi.update_qbeta(s, y_energy).a_beta
+            == pytest.approx(gram_r_energy + M * s.tr_GC + s.eps, rel=1e-10))
 
 
 def counting_gram(monkeypatch):
@@ -154,7 +152,7 @@ def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     ref = Y.T @ kr.conj()
     Ty = vbi._y_kr_conj(Y, kr)
     np.testing.assert_array_equal(Ty, ref)
-    s = vbi.init_posterior(kr, Ty, float(np.vdot(Y, Y).real), vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), vbi.EngineConfig())
     np.testing.assert_array_equal(s.M_X, ref / Y.shape[0])
 
 
@@ -225,7 +223,7 @@ def test_woodbury_update_qX_matches_dense_inverse_at_benchmark_shape():
     G = dense_gram(p)
     kr = khatri_rao(p)
     Ty = Y.T @ kr.conj()
-    s = vbi.init_posterior(kr, Ty, float(np.vdot(Y, Y).real), vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), vbi.EngineConfig())
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
     C = np.linalg.inv(e_beta * G + np.diag(e_v))
@@ -245,8 +243,7 @@ def test_block_update_qX_matches_reference_sweep_at_benchmark_shape():
     rng = np.random.default_rng(3)
     e_beta, e_v = 3.0, 10.0 ** rng.uniform(-2, 4, K)
     kr = khatri_rao(p)
-    s = vbi.init_posterior(kr, Y.T @ kr.conj(), float(np.vdot(Y, Y).real),
-                           vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), vbi.EngineConfig())
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
     M_X, c_diag, tr_GC, _ = reference_sweep(dense_gram(p), kr, Y.T, e_beta, e_v, s.M_X)

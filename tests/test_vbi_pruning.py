@@ -49,15 +49,14 @@ def unpruned_run(p, Y, cfg):
     every device stays in the q(X) solve. Returns (M_X, n_iters, trace)."""
     kr = khatri_rao(p)
     grams = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
-    Ty = vbi._y_kr_conj(Y, kr)
     y_energy = float(np.vdot(Y, Y).real)
-    s = vbi.init_posterior(kr, Ty, y_energy, cfg)
+    s = vbi.init_posterior(kr, Y, y_energy, cfg)
     trace = []
     for it in range(1, cfg.max_iters + 1):
         prev = s.M_X
         s = vbi.update_qX(s, grams, kr, Y.T)
         s = vbi.update_qv(s)
-        s = vbi.update_qbeta(s, kr, Ty, y_energy)
+        s = vbi.update_qbeta(s, y_energy)
         trace.append((it, s.a_beta - s.eps,
                       float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))))
         denom = float(np.linalg.norm(prev))
@@ -92,7 +91,7 @@ PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
 
 def states_of(p, Y, cfg=vbi.EngineConfig()):
     kr = khatri_rao(p)
-    states = [vbi.init_posterior(kr, vbi._y_kr_conj(Y, kr), float(np.vdot(Y, Y).real), cfg)]
+    states = [vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), cfg)]
     result = vbi.run(p, kr, Y, cfg, on_iteration=lambda it, s: states.append(s))
     return result, states
 
@@ -101,6 +100,7 @@ def states_of(p, Y, cfg=vbi.EngineConfig()):
 def test_pruned_devices_stay_out(dims, sigma_n2):
     p, Y, _ = scene(dims, sigma_n2)
     result, states = states_of(p, Y)
+    kr = khatri_rao(p)
     n_active = [row[3] for row in result.trace]
     assert n_active[-1] < K
     assert n_active == sorted(n_active, reverse=True)
@@ -112,6 +112,9 @@ def test_pruned_devices_stay_out(dims, sigma_n2):
         np.testing.assert_array_equal(s.c_diag == 0, zero)
         # a pruned device has a zero column and c_diag = 0: its rate is eps
         assert np.all(s.a_v[zero] == s.eps)
+        # the kept residual is that of the devices left, formed afresh
+        R = Y.T - s.M_X @ kr.T
+        assert np.linalg.norm(s.resid - R) <= 1e-12 * np.linalg.norm(R)
         pruned = zero
     assert pruned.any()
 
