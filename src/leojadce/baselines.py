@@ -48,11 +48,9 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     the stored Q^H Y rows, and R_res -= q (q^H R_res). One solve of
     R C = Q^H Y gives the coefficients at the end. It runs through
     ``np.linalg.solve``: the LU factorization of an upper-triangular R
-    makes no row swaps, so this is a back-substitution, and a
-    baselines-only run need not load scipy (about 28 MB of resident
-    memory) for one s x s system. Its coefficients agree with a triangular
-    solve to roundoff; the support, chosen before the solve, does not
-    depend on it. The K x M correlation A^T R_res^* (whose magnitudes are
+    makes no row swaps, so this is a back-substitution with numpy alone.
+    Its coefficients agree with a triangular solve to roundoff; the
+    support, chosen before the solve, does not depend on it. The K x M correlation A^T R_res^* (whose magnitudes are
     those of A^H R_res) is formed once, on a transposed view of A (L K M
     multiply-adds; no L x K adjoint of A is formed). As R_res loses
     q (q^H R_res), the correlation loses the rank-1 term

@@ -165,10 +165,6 @@ def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
         # a one-worker sweep never loads the pool and multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if "vbi" in cfg.algos and any(vbi.woodbury_pays(t[0].L, t[0].K) for t in tasks):
-            # forked workers share the pages of what the parent has loaded;
-            # only the Woodbury q(X) path reads scipy
-            vbi.preload_solvers()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_trial_task, tasks, chunksize=1))
     else:

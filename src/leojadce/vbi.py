@@ -16,8 +16,9 @@ the evidence lower bound does not decrease.
 
 q(X) paths: :func:`run` picks one per call, by :func:`woodbury_pays`.
 - Woodbury path (L << K): q(X) is one Gaussian over all devices, solved
-  through an L x L system at about L^2 K work; it is exact, and it needs
-  scipy.linalg for its Hermitian BLAS and triangular solves.
+  through an L x L system at about L^2 K work; it is exact. S comes from
+  one real symmetric product, and the triangular solves run as a recursion
+  on GEMM (see :func:`_solve_woodbury`), so it too uses numpy only.
 - Block path (otherwise): q(X) = prod_B q(X_B) over consecutive blocks B of
   about BLOCK_SIZE devices (block mean-field, as in space-alternating
   variational estimation, Thomas & Slock 2018, and inverse-free SBL, Duan,
@@ -37,8 +38,9 @@ the M x L residual R = Y_(d+1) - M_X KR^T, from which q(beta) reads
 ||R||_F^2 at M L work. The Woodbury path forms R from each new mean, at
 M L K work; the block sweep updates it block by block. On the Woodbury path,
 besides KR and its L x L factor, the solve holds at most about 1.5 L x K
-complex arrays, and it reads KR as KR^T, a Fortran-ordered K x L view of
-KR's own memory that the BLAS calls take without a copy. The block path
+complex arrays: the 2L x K real scaled copy of KR that forms S is freed
+before the conjugate copy of KR is solved in place, and the triangular
+solve's largest temporary is half of that copy. The block path
 holds the Gram blocks and a few stacks of the same shape, K b entries each.
 
 Pruning: a device whose prior precision E[v_k] has collapsed (see
@@ -52,14 +54,6 @@ pruned device reports an all-zero column of M_X and c_diag = 0, adds
 nothing to Tr(G C_X), and so gets the q(v) rate eps. Each pruning step
 changes the model, so the ELBO is non-decreasing only while the active set
 is fixed.
-
-scipy.linalg is imported inside the Woodbury solve helpers, on their first
-call, not when this module loads: its package init costs about 28 MB of
-resident memory and a few tenths of a second, which a process that only
-runs the baselines, only validates a config, or runs VBI only on the block
-path, never needs. A sweep that forks VBI workers for a task on the
-Woodbury path calls :func:`preload_solvers` first, so they share the
-parent's copy.
 """
 
 from __future__ import annotations
@@ -100,6 +94,17 @@ PRUNE_ENERGY_FRACTION = 3e-3
 # factor b^3 per block; smaller ones loop more in Python. Pe did not move
 # with b, and mean NMSE rose with it, by under 1% from b=5 to b=25.
 BLOCK_SIZE = 25
+
+# Rows of the largest diagonal block that :func:`_solve_lower` inverts
+# outright; a larger one is halved. Picked at K=500 (one BLAS thread,
+# interleaved calls on W = R^-1 conj(KR)): at L = 64-320 a base of 32 took
+# 0.81 ms at L=100, 2.96 at L=196 and 4.26 at L=289, within 3% of the best
+# base of 24-56 at every L but 64 (5%), against 0.86, 2.80 and 4.51 ms for
+# the right-side BLAS triangular solve (ztrsm, with its conjugate copy of
+# KR^T) that it replaced. Below 32 the recursion makes more, smaller calls;
+# above 48 more of the work falls in the base blocks' GEMMs, which take
+# twice the flops of a triangular solve.
+SOLVE_BASE = 32
 
 
 class EngineError(RuntimeError):
@@ -255,26 +260,15 @@ def woodbury_pays(L: int, K: int) -> bool:
     path. The rule was set by flop count against the joint K x K solve
     that the block path replaced: about L^2 K + L^3 / 3 against K^3 / 2.
     At K=500 it switches at L = 321, where the two joint solves measured
-    equal near L = 330. It stands because block q(X) lost accuracy at
+    equal near L = 330 when the Woodbury solve ran on the BLAS triangular
+    solve. With the numpy solve (:func:`_solve_woodbury`), a call measured
+    2.3, 6.4, 11.9 and 13.6 ms at L = 100, 196, 289 and 324, against
+    12-14 ms for that K x K solve, so the per-call crossover moved to near
+    L = 300; the block sweep took 1.9-2.2 ms at all four (one BLAS thread,
+    M=8). The rule stays where it was, so that no output moves for L
+    between the two crossovers, and because block q(X) lost accuracy at
     L=100 (ROADMAP item 3)."""
     return L * L * K + L ** 3 / 3 < K ** 3 / 2
-
-
-def preload_solvers() -> None:
-    """Import scipy.linalg, which the Woodbury solve otherwise imports on its
-    first call. A process about to fork VBI workers for it calls this first, so
-    the workers share the parent's copy of its pages instead of each
-    importing a private one."""
-    import scipy.linalg  # noqa: F401
-
-
-def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
-    from scipy.linalg import cholesky
-
-    try:
-        return cholesky(A, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise EngineError(f"{what} not positive-definite: {exc}") from exc
 
 
 def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndarray,
@@ -327,6 +321,28 @@ def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndar
     return c_diag, tr_GC
 
 
+def _solve_lower(R: np.ndarray, *B: np.ndarray) -> None:
+    """Overwrite each B with R^-1 B, for lower-triangular R, by recursive
+    blocking (Elmroth, Gustavson, Jonsson & Kagstrom 2004): solve the top
+    half of the rows, take its share out of the bottom half with one GEMM,
+    then solve the bottom half. A diagonal block of at most SOLVE_BASE rows
+    is solved as one GEMM with its inverse, which is formed once for all
+    the B, so nearly all of the work runs in matrix products. Each B must
+    be C-ordered, so that each half of its rows is one contiguous array;
+    the largest temporary is the bottom half's update, about half of B."""
+    n = len(R)
+    if n <= SOLVE_BASE:
+        R_inv = np.linalg.inv(R)
+        for b in B:
+            b[...] = R_inv @ b
+        return
+    h = n // 2
+    _solve_lower(R[:h, :h], *(b[:h] for b in B))
+    for b in B:
+        b[h:] -= R[h:, :h] @ b[:h]
+    _solve_lower(R[h:, h:], *(b[h:] for b in B))
+
+
 def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(M_X, diag C_X) by the matrix-inversion lemma, with Phi = KR^* (so
@@ -334,43 +350,53 @@ def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.nd
 
       C_X = D^-1 - D^-1 Phi^H S^-1 Phi D^-1.
 
-    With B = KR D^-1/2, Phi D^-1 Phi^H = (B^T)^H B^T; zherk forms only its
-    lower triangle, all that the Cholesky factorization S = R R^H reads.
-    With W = R^-1 Phi,
-    diag C_X = 1/d - |W|^2_col / d^2, and W^T = Phi^T R^-T is one
-    right-side triangular solve on Phi^T = conj(KR^T). The mean uses
-    Phi C_X = (E[beta] S)^-1 Phi D^-1, which gives, with Y_mat = Y_(d+1)
-    and V = R^-1 Y_mat^H,
+    With KR D^-1/2 = P + iQ, Phi D^-1 Phi^H = (P P^T + Q Q^T) + i (P Q^T - Q P^T),
+    and all four blocks come from one real product E E^T of the 2L x K real
+    E = [P; Q], which numpy hands to a symmetric rank-k update (dsyrk) at
+    the flop count of the complex one (zherk). With the Cholesky
+    factorization S = R R^H and W = R^-1 Phi, diag C_X =
+    1/d - |W|^2_col / d^2. The mean uses Phi C_X = (E[beta] S)^-1 Phi D^-1,
+    which gives, with Y_mat = Y_(d+1) and V = R^-1 Y_mat^H,
 
-      M_X = Y_mat S^-1 Phi D^-1 = (W^T V^*)^T D^-1.
+      M_X = Y_mat S^-1 Phi D^-1 = V^H W D^-1.
 
     It equals E[beta] Y_mat KR^* C_X, but subtracts no terms of size
     E[beta] that would cancel when E[beta] G dominates D.
 
-    KR is C-ordered, so KR^T is a Fortran-ordered K x L view, the layout
-    the BLAS calls take without a copy: B^T is made from it in one pass,
-    and the conjugate of KR^T, made in the same order, is solved in place.
-    B^T is freed before that conjugate is made, and |W|^2 is squared in
-    the buffer of |W|, so besides KR at most about 1.5 L x K complex
-    arrays are live. D^-1/2 needs every E[v] > 0; any other E[v] makes the
-    system indefinite and is reported as such."""
-    from scipy.linalg import solve_triangular
-    from scipy.linalg.blas import zherk, ztrsm
-
+    One call of :func:`_solve_lower` solves W in place on a conjugate copy
+    of KR and V on its own L x M copy of Y_mat^H, so W stays one contiguous
+    array and each base block is inverted once. E, and then S, are freed
+    before W is made, and |W|^2 is squared in the buffer of |W|, which is
+    freed before the mean is formed; besides KR, at most about 1.5 L x K
+    complex arrays are live. D^-1/2 needs every E[v] > 0; any other E[v]
+    makes the system indefinite and is reported as such."""
     if not np.all(e_v > 0):
         raise EngineError("preamble-space system not positive-definite: "
                           f"E[v] = {np.min(e_v)} <= 0")
+    L = kr.shape[0]
     inv_d = 1.0 / e_v
-    Bt = np.multiply(kr.T, np.sqrt(inv_d)[:, None], order="F")
-    S = zherk(1.0, Bt, trans=2, lower=1)
-    del Bt
-    S.flat[::S.shape[0] + 1] += 1.0 / e_beta
-    R = _cholesky(S, "preamble-space system")
-    Wt = ztrsm(1.0, R, np.conjugate(kr.T), side=1, lower=1, trans_a=1, overwrite_b=1)
-    w_energy = np.abs(Wt)
-    c_diag = inv_d - np.sum(np.square(w_energy, out=w_energy), axis=1) * inv_d ** 2
-    V = solve_triangular(R, Y_mat.conj().T, lower=True, check_finite=False)
-    M_X = (Wt @ V.conj()).T * inv_d
+    scale = np.sqrt(inv_d)
+    E = np.empty((2 * L, kr.shape[1]))
+    np.multiply(kr.real, scale, out=E[:L])
+    np.multiply(kr.imag, scale, out=E[L:])
+    P = E @ E.T
+    del E
+    S = np.empty((L, L), dtype=complex)
+    np.add(P[:L, :L], P[L:, L:], out=S.real)
+    np.subtract(P[:L, L:], P[L:, :L], out=S.imag)
+    del P
+    S.flat[::L + 1] += 1.0 / e_beta
+    try:
+        R = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise EngineError(f"preamble-space system not positive-definite: {exc}") from exc
+    del S
+    W, V = np.conjugate(kr), Y_mat.conj().T.copy()
+    _solve_lower(R, W, V)
+    w_energy = np.abs(W)
+    c_diag = inv_d - np.sum(np.square(w_energy, out=w_energy), axis=0) * inv_d ** 2
+    del w_energy
+    M_X = (V.conj().T @ W) * inv_d
     return M_X, c_diag
 
 

@@ -86,8 +86,7 @@ def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
 
 
 def test_run_does_not_import_mpmath(cfg, tmp_path):
-    # mpmath is a test dependency only: specfun's Kummer branch imports it,
-    # and no module of a run imports specfun
+    # mpmath is a test dependency only
     code = textwrap.dedent(f"""
         import sys
         import leojadce.cli
@@ -171,11 +170,16 @@ def test_repeated_algos_exit_1_on_validate_and_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def loaded_in_fresh_interpreter(argv: list[str], modules: list[str]) -> list[bool]:
+def loaded_in_fresh_interpreter(argv: list[str], modules: list[str],
+                                blocked: tuple[str, ...] = ()) -> list[bool]:
     """Run ``leojadce.cli.main(argv)`` in a new interpreter, require exit 0,
-    and report which of ``modules`` that process had loaded by the end."""
+    and report which of ``modules`` that process had loaded by the end.
+    Each package in ``blocked`` is set to None in ``sys.modules`` first, so
+    that importing it, or anything in it, raises ImportError."""
     code = textwrap.dedent(f"""
         import sys
+        for name in {blocked!r}:
+            sys.modules[name] = None
         import leojadce.cli
         assert leojadce.cli.main({argv!r}) == 0
         print([name in sys.modules for name in {modules!r}])
@@ -189,31 +193,40 @@ def loaded_in_fresh_interpreter(argv: list[str], modules: list[str]) -> list[boo
 
 
 def test_validate_and_baselines_run_do_not_import_scipy(cfg, tmp_path):
-    # scipy.linalg serves only VBI's q(X) factorizations; SOMP solves its
-    # triangular system with numpy
+    # SOMP solves its triangular system with numpy
     assert loaded_in_fresh_interpreter(["validate", "--config", str(cfg)], ["scipy"]) == [False]
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
             "--algos", "somp,amp"]
     assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
 
 
-def test_vbi_run_imports_scipy_linalg(cfg, tmp_path):
+def test_vbi_run_does_not_import_scipy(cfg, tmp_path):
+    # L = 16 < K = 40: the Woodbury q(X) path, which solves with numpy only
+    assert vbi.woodbury_pays(16, 40)
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
             "--algos", "vbi", "--trials", "1"]
-    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [True]
+    assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
 
 
-def test_forked_vbi_sweep_loads_scipy_before_forking(cfg, tmp_path):
-    # the parent runs no trial itself: scipy.linalg is there only because
-    # run_sweep loaded it before forking, so the workers share its pages
+def test_forked_vbi_sweep_leaves_scipy_unloaded(cfg, tmp_path):
+    # the parent runs no trial itself, and loads nothing for its workers
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "out"),
             "--algos", "vbi", "--trials", "1", "--workers", "2"]
-    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [True]
+    assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
+
+
+def test_woodbury_path_sweep_runs_where_scipy_cannot_be_imported(cfg, tmp_path):
+    # every algorithm, two trials at two SNRs on the Woodbury path, in a
+    # process where any import of scipy raises: a failed trial exits 2
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10,30", "--out", str(tmp_path / "out")]
+    assert loaded_in_fresh_interpreter(argv, ["leojadce.vbi"], blocked=("scipy",)) == [True]
+    with open(tmp_path / "out" / "trials.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 2 * 2 * 3
 
 
 @pytest.fixture
 def block_cfg(tmp_path):
-    # L = 64 > K = 40: VBI takes the block q(X) path, which reads no scipy
+    # L = 64 > K = 40: VBI takes the block q(X) path
     path = tmp_path / "block.cfg"
     path.write_text(TINY.replace("dims = 4x4", "dims = 8x8"))
     assert not vbi.woodbury_pays(64, 40)
@@ -227,8 +240,7 @@ def test_block_path_vbi_run_does_not_import_scipy_linalg(block_cfg, tmp_path):
 
 
 def test_forked_block_path_vbi_sweep_leaves_scipy_unloaded(block_cfg, tmp_path):
-    # no task takes the Woodbury path, so run_sweep loads nothing before
-    # forking
+    # run_sweep loads nothing for its workers before forking
     argv = ["run", "--config", str(block_cfg), "--sweep", "snr=10,20", "--out",
             str(tmp_path / "out"), "--algos", "vbi", "--trials", "1", "--workers", "2"]
     assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [False]

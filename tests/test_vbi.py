@@ -117,6 +117,23 @@ def test_woodbury_reports_one_non_positive_precision(bad):
         vbi.update_qX(s, grams, kr, Y_mat)
 
 
+def test_woodbury_reports_an_indefinite_preamble_space_system():
+    # every E[v] > 0 passes the precision check, but a small negative
+    # E[beta] puts 1 / E[beta] = -1e3 on the diagonal of S, beyond the
+    # eigenvalues of Phi D^-1 Phi^H, so its Cholesky factorization fails
+    p, _, Y = scene(WOODBURY, 0.05)
+    e_v = 10.0 ** np.random.default_rng(4).uniform(-2, 4, K)
+    s = state_with(p, Y, -1e-3, e_v)
+    assert s.E_beta < 0 and np.all(s.E_v > 0)
+    grams, kr, _, Y_mat, _ = operands(p, Y)
+    assert grams is None
+    with pytest.raises(vbi.EngineError, match="preamble-space system not positive-definite: "
+                       ) as excinfo:
+        vbi.update_qX(s, grams, kr, Y_mat)
+    assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+    assert "E[v]" not in str(excinfo.value)
+
+
 @pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
 def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     p, X, Y = scene(dims, 0.0)

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.blas import zherk, ztrsm
 
 from block_reference import blocks, dense_gram, reference_sweep
 from leojadce import vbi
@@ -156,19 +155,33 @@ def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     np.testing.assert_array_equal(s.M_X, ref / Y.shape[0])
 
 
-def woodbury_with_conjugate_kr(kr, e_beta, e_v, Y_mat):
-    """The Woodbury solve's kernel sequence on fresh copies: B^T =
-    (KR D^-1/2)^T from a copy of KR^T, a conjugate copy of KR that ztrsm
-    copies again, and |W|^2 through two real temporaries, the oracle of the
-    in-place form."""
+def lower_solve_on_copies(R, B):
+    """The recursion of vbi._solve_lower, out of place: each half of R and
+    B is a fresh array, and the halves are stacked at the end."""
+    n = len(R)
+    if n <= vbi.SOLVE_BASE:
+        return np.linalg.inv(R) @ B
+    h = n // 2
+    top = lower_solve_on_copies(R[:h, :h].copy(), B[:h].copy())
+    bottom = B[h:] - R[h:, :h].copy() @ top
+    return np.vstack([top, lower_solve_on_copies(R[h:, h:].copy(), bottom)])
+
+
+def woodbury_on_fresh_copies(kr, e_beta, e_v, Y_mat):
+    """The Woodbury solve's kernel sequence on fresh copies: E stacked from
+    two scaled copies, S with an added identity, the triangular solves out
+    of place on a conjugate copy of KR and on Y_mat^H, and |W|^2 through
+    two real temporaries, the oracle of the in-place form."""
+    L = kr.shape[0]
     inv_d = 1.0 / e_v
-    Bt = kr.T.copy() * np.sqrt(inv_d)[:, None]
-    S = zherk(1.0, Bt, trans=2, lower=1) + np.eye(kr.shape[0]) / e_beta
-    R = cholesky(S, lower=True, check_finite=False)
-    Wt = ztrsm(1.0, R, np.conjugate(kr).T, side=1, lower=1, trans_a=1)
-    c_diag = inv_d - np.sum(np.abs(Wt) ** 2, axis=1) * inv_d ** 2
-    V = solve_triangular(R, Y_mat.conj().T, lower=True, check_finite=False)
-    M_X = (Wt @ V.conj()).T * inv_d
+    E = np.vstack([kr.real * np.sqrt(inv_d), kr.imag * np.sqrt(inv_d)])
+    P = E @ E.T
+    S = (P[:L, :L] + P[L:, L:]) + 1j * (P[:L, L:] - P[L:, :L]) + np.eye(L) / e_beta
+    R = np.linalg.cholesky(S)
+    W = lower_solve_on_copies(R, kr.conj())
+    c_diag = inv_d - np.sum(np.abs(W) ** 2, axis=0) * inv_d ** 2
+    V = lower_solve_on_copies(R, Y_mat.conj().T)
+    M_X = (V.conj().T @ W) * inv_d
     return M_X, c_diag
 
 
@@ -201,15 +214,56 @@ def test_woodbury_solve_bit_equal_to_conjugate_kr_form(L, K, seeds):
     for seed in range(seeds):
         args = woodbury_inputs(L, K, seed)
         M_X, c_diag = vbi._solve_woodbury(*args)
-        ref_M_X, ref_c_diag = woodbury_with_conjugate_kr(*args)
+        ref_M_X, ref_c_diag = woodbury_on_fresh_copies(*args)
         np.testing.assert_array_equal(M_X, ref_M_X)
         np.testing.assert_array_equal(c_diag, ref_c_diag)
         # the GEMM form sums in another order; over these 14 inputs the
-        # largest gaps measured 1.2e-13 (M_X, Frobenius) and 4.4e-13
+        # largest gaps measured 2.1e-13 (M_X, Frobenius) and 4.1e-13
         # (c_diag, per entry), both at L=64, K=130
         gemm_M_X, gemm_c_diag = woodbury_gemm_form(*args)
         assert np.linalg.norm(M_X - gemm_M_X) <= 1e-12 * np.linalg.norm(gemm_M_X)
         np.testing.assert_allclose(c_diag, gemm_c_diag, rtol=1e-12, atol=0)
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_lower_solve_matches_triangular_solve(R, B, rtol):
+    X = B.copy()
+    vbi._solve_lower(R, X)
+    ref = solve_triangular(R, B, lower=True, check_finite=False)
+    assert np.linalg.norm(X - ref) <= rtol * np.linalg.norm(ref)
+    # and a small residual, backward error near roundoff
+    assert np.linalg.norm(R @ X - B) <= 1e-15 * np.linalg.norm(R, 2) * np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("L", [1, vbi.SOLVE_BASE - 1, vbi.SOLVE_BASE, vbi.SOLVE_BASE + 1,
+                               100, 289])
+def test_lower_solve_matches_triangular_solve(L):
+    # R is the Cholesky factor of a Woodbury-like S = A A^H / 2L + I, with
+    # cond(R) about 2.3; at these L the gap measured at most 1.9e-16, the
+    # scaled residual at most 1.1e-16. L = 1 and the base itself are
+    # solved by one inverse, base + 1 by one split
+    rng = np.random.default_rng(L)
+    A = crandn(rng, L, 2 * L)
+    R = np.linalg.cholesky(A @ A.conj().T / (2 * L) + np.eye(L))
+    assert_lower_solve_matches_triangular_solve(R, crandn(rng, L, 500), rtol=1e-14)
+
+
+@pytest.mark.parametrize("L", [100, 289])
+def test_lower_solve_matches_triangular_solve_on_an_ill_conditioned_factor(L):
+    # the Cholesky factor of an S whose eigenvalues span 16 decades, so
+    # cond(R) is about 1e8. Forward errors of either solve can reach
+    # cond(R) eps; the two measured at most 4.7e-15 apart, with scaled
+    # residuals of at most 3.1e-22 (this solve) and 1.2e-22 (the
+    # substitution)
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(crandn(rng, L, L))
+    S = (Q * 10.0 ** np.linspace(0, -16, L)) @ Q.conj().T
+    R = np.linalg.cholesky((S + S.conj().T) / 2)
+    assert np.linalg.cond(R) > 1e7
+    assert_lower_solve_matches_triangular_solve(R, crandn(rng, L, 500), rtol=1e-13)
 
 
 def test_woodbury_update_qX_matches_dense_inverse_at_benchmark_shape():
@@ -256,9 +310,10 @@ def test_block_update_qX_matches_reference_sweep_at_benchmark_shape():
 
 
 def test_woodbury_solve_peak_memory_below_seven_quarters_of_an_l_by_k_array():
-    # W^T and the real |W| are about 1.5 L x K complex arrays, and B^T is
-    # freed before W^T is made: this measured 1.61. A left-side solve that
-    # takes a Fortran-ordered copy of KR measured 1.79
+    # W and the real |W|, or W and the triangular solve's update of its
+    # bottom half, are about 1.5 L x K complex arrays; the real 2L x K copy
+    # that forms S, and S itself, are freed before W is made: this measured
+    # 1.62
     L, K = 144, 1500
     args = woodbury_inputs(L, K, seed=0)
     tracemalloc.start()
