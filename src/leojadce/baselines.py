@@ -128,11 +128,12 @@ def somp_residual_tol(Y: np.ndarray, sigma_n2: float) -> float:
     return floor / y_norm
 
 
-@dataclass(frozen=True)
-class AmpConfig:
-    max_iters: int = 50
-    damping: float = 0.5
-    tol: float = 1e-4
+# AMP's fixed settings: the iteration cap of :func:`amp_mmv`, the weight of
+# each new iterate in the damped update, and the stop on the relative
+# residual ||Y - A X|| / ||Y||.
+AMP_MAX_ITERS = 50
+AMP_DAMPING = 0.5
+AMP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ class AmpResult:
     diverged: bool
 
 
-def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float,
-            cfg: AmpConfig = AmpConfig()) -> AmpResult:
+def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float) -> AmpResult:
     """Soft-threshold AMP with a row-wise (MMV) group threshold.
 
     Standard iteration with an Onsager term; rows of the pseudo-data are
@@ -156,8 +156,8 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float,
 
     An iteration does two L x K products: the adjoint A^H Z, taken as
     (A^T Z^*)^* on a transposed view of A so no conjugate copy of A is held
-    (bit-equal to ``A.conj().T @ Z``), and A X_new. The product
-    A X that the stop test ||Y - A X|| <= tol ||Y|| reads is carried through
+    (bit-equal to ``A.conj().T @ Z``), and A X_new. The product A X that
+    the stop test ||Y - A X|| <= AMP_TOL ||Y|| reads is carried through
     the same damping as X, so it matches A applied to the damped X up to
     roundoff; the iterates X and Z do not depend on it.
     """
@@ -172,7 +172,7 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float,
     y_norm = float(np.linalg.norm(Y))
     diverged = False
     n_done = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, AMP_MAX_ITERS + 1):
         n_done = it
         pseudo = X + (A.T @ Z.conj()).conj()
         tau = np.linalg.norm(Z) / math.sqrt(L * M)
@@ -184,13 +184,13 @@ def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float,
         onsager = Z * (active_frac / delta)
         AX_new = A @ X_new
         Z_new = Y - AX_new + onsager
-        X = cfg.damping * X_new + (1.0 - cfg.damping) * X
-        AX = cfg.damping * AX_new + (1.0 - cfg.damping) * AX
-        Z = cfg.damping * Z_new + (1.0 - cfg.damping) * Z
+        X = AMP_DAMPING * X_new + (1.0 - AMP_DAMPING) * X
+        AX = AMP_DAMPING * AX_new + (1.0 - AMP_DAMPING) * AX
+        Z = AMP_DAMPING * Z_new + (1.0 - AMP_DAMPING) * Z
         if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
             diverged = True
             break
-        if np.linalg.norm(Y - AX) <= cfg.tol * y_norm:
+        if np.linalg.norm(Y - AX) <= AMP_TOL * y_norm:
             break
     return AmpResult(X_hat=X.T if not diverged else np.zeros((M, K), dtype=complex),
                      n_iters=n_done, diverged=diverged)

@@ -37,30 +37,14 @@ HLOS_NORM_SQ_RANGE = (0.6, 0.7)
 V_NLOS_RANGE = (0.2, 0.25)
 RICIAN_FACTOR = 8.0
 
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Physical link parameters (Ka-band uplink to a LEO satellite)."""
-
-    f_hz: float = 30e9                 # carrier frequency
-    d0_m: float = 1000e3               # orbit altitude / slant distance
-    bandwidth_hz: float = 25e6
-    g_over_t_db: float = 34.0          # transmit gain to noise temperature, dB/K
-    three_db_angle_deg: float = 0.4    # half-power off-axis angle of the receive beam
-    rain_mean_db: float = -2.6         # mean dB power gain (negative)
-    rain_std_db: float = 1.63
-
-    def __post_init__(self):
-        for name in ("f_hz", "d0_m", "bandwidth_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not 0.0 < self.three_db_angle_deg <= 90.0:
-            raise ValueError("three_db_angle_deg must lie in (0, 90]")
-        if self.rain_mean_db >= 0:
-            raise ValueError("rain_mean_db is the mean dB power gain of rain "
-                             "attenuation, must be < 0")
-        if self.rain_std_db < 0:
-            raise ValueError("rain_std_db must be >= 0")
+# The link budget (Ka-band uplink to a LEO satellite).
+F_HZ = 30e9                 # carrier frequency
+D0_M = 1000e3               # orbit altitude / slant distance
+BANDWIDTH_HZ = 25e6
+G_OVER_T_DB = 34.0          # transmit gain to noise temperature, dB/K
+THREE_DB_ANGLE_DEG = 0.4    # half-power off-axis angle of the receive beam
+RAIN_MEAN_DB = -2.6         # mean dB power gain of rain attenuation (negative)
+RAIN_STD_DB = 1.63
 
 
 @dataclass(frozen=True)
@@ -83,11 +67,10 @@ class DeviceGeometry:
         return self.theta_rad.size
 
 
-def sample_device_geometry(K: int, M: int, lb: LinkBudget,
-                           rng: np.random.Generator) -> DeviceGeometry:
+def sample_device_geometry(K: int, M: int, rng: np.random.Generator) -> DeviceGeometry:
     """Draw the frozen per-device geometry for a scenario over the ranges
-    above, with the antenna gain of ``lb``'s receive beam at each device's
-    off-axis angle."""
+    above, with the antenna gain of the THREE_DB_ANGLE_DEG receive beam at
+    each device's off-axis angle."""
     theta = rng.uniform(0.0, math.radians(THETA_MAX_DEG), size=K)
     norms = rng.uniform(*HLOS_NORM_SQ_RANGE, size=K)
     v_nlos = rng.uniform(*V_NLOS_RANGE, size=K)
@@ -95,14 +78,14 @@ def sample_device_geometry(K: int, M: int, lb: LinkBudget,
     hlos_dir = np.exp(1j * phases) / math.sqrt(M)  # unit norm per column
     return DeviceGeometry(
         theta_rad=theta,
-        omega=antenna_gain(theta, lb.three_db_angle_deg),
+        omega=antenna_gain(theta, THREE_DB_ANGLE_DEG),
         hlos_norm_sq=norms,
         v_nlos=v_nlos,
         hlos_dir=hlos_dir,
     )
 
 
-def large_scale_gain(lb: LinkBudget, r_db: np.ndarray) -> np.ndarray:
+def large_scale_gain(r_db: np.ndarray) -> np.ndarray:
     """Linear large-scale power gain for each rain gain in r_db <= 0.
 
     g = (c / (4 pi f d0))^2 * 10^(G/T_dB / 10) / (kappa B) * 10^(r_dB / 10)
@@ -110,8 +93,8 @@ def large_scale_gain(lb: LinkBudget, r_db: np.ndarray) -> np.ndarray:
     r_db = np.asarray(r_db, dtype=float)
     if np.any(r_db > 0):
         raise ValueError("rain gains r_db must be <= 0 dB")
-    fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * lb.f_hz * lb.d0_m)) ** 2
-    budget = 10.0 ** (lb.g_over_t_db / 10.0) / (BOLTZMANN * lb.bandwidth_hz)
+    fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * F_HZ * D0_M)) ** 2
+    budget = 10.0 ** (G_OVER_T_DB / 10.0) / (BOLTZMANN * BANDWIDTH_HZ)
     return fpl * budget * 10.0 ** (r_db / 10.0)
 
 
@@ -186,8 +169,7 @@ def _bessel_j1_j3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j1 / norm, j3 / norm
 
 
-def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
-                  rician_factor: float, rng: np.random.Generator
+def draw_channels(geom: DeviceGeometry, M: int, p_a: float, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Draw activity, rain, and small-scale fading for one trial.
 
@@ -201,10 +183,10 @@ def draw_channels(lb: LinkBudget, geom: DeviceGeometry, M: int, p_a: float,
     """
     K = geom.K
     alpha = (rng.random(K) < p_a).astype(np.int8)
-    r_db = sample_rain_db(lb.rain_mean_db, lb.rain_std_db, rng, size=K)
-    g = large_scale_gain(lb, r_db)
+    r_db = sample_rain_db(RAIN_MEAN_DB, RAIN_STD_DB, rng, size=K)
+    g = large_scale_gain(r_db)
 
-    lam = rician_factor
+    lam = RICIAN_FACTOR
     los = geom.hlos_dir * np.sqrt(geom.hlos_norm_sq)[None, :]
     nlos = math.sqrt(0.5) * (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K)))
     nlos *= np.sqrt(geom.v_nlos)[None, :]

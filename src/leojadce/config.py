@@ -25,11 +25,11 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """The knobs a sweep axis or the command line sets. The rest of the
-    scene is fixed where it is used: the link budget in
-    :class:`~leojadce.channel.LinkBudget`, the device geometry in the
-    :mod:`~leojadce.channel` constants, the engine in
-    :class:`~leojadce.vbi.EngineConfig` and the detection threshold in
-    :data:`~leojadce.detection.THRESHOLD_RATIO`."""
+    scene is fixed in module constants where it is used: the link budget,
+    the device geometry and the Rician factor in :mod:`~leojadce.channel`,
+    the engine in :mod:`~leojadce.vbi` (EPS, MAX_ITERS, REL_TOL), AMP in
+    :mod:`~leojadce.baselines` (AMP_MAX_ITERS, AMP_DAMPING, AMP_TOL) and the
+    detection threshold in :data:`~leojadce.detection.THRESHOLD_RATIO`."""
 
     K: int = 500
     M: int = 8

@@ -4,25 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
-# The ratio r of the activity rule in :func:`detect` that the experiments use.
+# The ratio r of the activity rule in :func:`detect`, in (0, 1): a device is
+# active when its column energy reaches M (r max|M_X|)^2.
 THRESHOLD_RATIO = 0.3
 
 
-def detect(M_X: np.ndarray, r: float) -> np.ndarray:
-    """Threshold rule: theta = M (r * max|M_X|)^2, device k active iff its
-    column energy reaches theta. Returns the int8 activity bit per device.
+def detect(M_X: np.ndarray) -> np.ndarray:
+    """Threshold rule: theta = M (THRESHOLD_RATIO * max|M_X|)^2, device k
+    active iff its column energy reaches theta. Returns the int8 activity
+    bit per device.
 
     An all-zero M_X yields no detections (theta = 0 degenerate case).
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError("threshold ratio r must lie in (0, 1)")
     M_X = np.asarray(M_X)
     M, K = M_X.shape
     peak = float(np.max(np.abs(M_X))) if M_X.size else 0.0
     if peak == 0.0:
         return np.zeros(K, dtype=np.int8)
     col_energy = np.sum(np.abs(M_X) ** 2, axis=0)
-    return (col_energy >= M * (r * peak) ** 2).astype(np.int8)
+    return (col_energy >= M * (THRESHOLD_RATIO * peak) ** 2).astype(np.int8)
 
 
 def error_probability(alpha_hat: np.ndarray, alpha_true: np.ndarray) -> float:

@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, detection, vbi
-from .channel import (RICIAN_FACTOR, DeviceGeometry, LinkBudget, draw_channels,
-                      sample_device_geometry)
+from .channel import DeviceGeometry, draw_channels, sample_device_geometry
 from .config import ScenarioConfig, SweepSpec, apply_axis
 from .signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
                       synthesize_received)
@@ -46,10 +45,6 @@ TIMINGS_HEADER = ["axis", "value", "algorithm", "trial", "wall_ms"]
 TRACE_HEADER = ["trial", "iteration", "residual", "max_col_energy", "n_active",
                 "e_beta"]
 FAILURES_HEADER = ["axis", "value", "algorithm", "trial", "error"]
-
-# Every scenario's link budget and VBI engine, at their defaults.
-LINK_BUDGET = LinkBudget()
-ENGINE_CONFIG = vbi.EngineConfig()
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ def geometry_rng(cfg: ScenarioConfig) -> np.random.Generator:
 def scenario_geometry(cfg: ScenarioConfig) -> DeviceGeometry:
     """The frozen device geometry of ``cfg``'s scenario, drawn once per
     configuration; its arrays are read-only because every trial shares them."""
-    return sample_device_geometry(cfg.K, cfg.M, LINK_BUDGET, geometry_rng(cfg))
+    return sample_device_geometry(cfg.K, cfg.M, geometry_rng(cfg))
 
 
 def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
@@ -96,7 +91,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
     A = assemble_preamble_matrix(preambles)
     geom = scenario_geometry(cfg)
-    X_true, alpha = draw_channels(LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
+    X_true, alpha = draw_channels(geom, cfg.M, cfg.p_a, rng)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db)
     Y = synthesize_received(A, X_true, sigma_n2, rng)
     have_active = bool(np.any(alpha == 1))
@@ -107,9 +102,9 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
         t0 = time.perf_counter()
         try:
             if algo == "vbi":
-                result = vbi.run(preambles, A, Y, ENGINE_CONFIG)
+                result = vbi.run(preambles, A, Y)
                 x_hat = result.M_X
-                alpha_hat = detection.detect(x_hat, detection.THRESHOLD_RATIO)
+                alpha_hat = detection.detect(x_hat)
                 iters = result.n_iters
                 if collect_traces:
                     trace_rows.extend((trial, *row) for row in result.trace)
@@ -125,7 +120,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
             elif algo == "amp":
                 ares = baselines.amp_mmv(Y, A, cfg.p_a)
                 x_hat = ares.X_hat
-                alpha_hat = detection.detect(x_hat, detection.THRESHOLD_RATIO)
+                alpha_hat = detection.detect(x_hat)
                 iters = ares.n_iters
             else:
                 raise ValueError(f"unknown algorithm {algo!r}")

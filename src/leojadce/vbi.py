@@ -6,7 +6,7 @@ p = (A_1, ..., A_d) of l_i x K arrays, and N is white
 circular complex Gaussian noise; the updates read Y through
 Y_(d+1) = Y^T = X KR^T + N^T, the mode-(d+1) unfolding of the received
 tensor. Each column of X has a zero-mean circular complex Gaussian prior
-CN(0, v_k^-1 I_M), with near-flat Gamma(eps, eps) hyperpriors on the
+CN(0, v_k^-1 I_M), with near-flat Gamma(EPS, EPS) hyperpriors on the
 precisions v_k and the noise precision beta: the multiple-measurement
 sparse Bayesian learning model (M-SBL; Tipping 2001, Wipf & Rao 2007).
 Every block is conjugate, so the factorized posterior
@@ -51,7 +51,7 @@ only for the active devices, on the path picked for all K, with a copy of
 KR's active columns. The block path re-blocks the devices left, forms
 their Gram blocks again, and forms R afresh from their columns of M_X. A
 pruned device reports an all-zero column of M_X and c_diag = 0, adds
-nothing to Tr(G C_X), and so gets the q(v) rate eps. Each pruning step
+nothing to Tr(G C_X), and so gets the q(v) rate EPS. Each pruning step
 changes the model, so the ELBO is non-decreasing only while the active set
 is fixed.
 """
@@ -106,24 +106,16 @@ BLOCK_SIZE = 25
 # twice the flops of a triangular solve.
 SOLVE_BASE = 32
 
+# The engine's fixed settings: the shape and rate of the Gamma hyperpriors,
+# the iteration cap of :func:`run`, and its stop on the relative Frobenius
+# change of M_X.
+EPS = 1e-6
+MAX_ITERS = 35
+REL_TOL = 1e-3
+
 
 class EngineError(RuntimeError):
     """Numerical failure inside the update loop (reported, never clamped)."""
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    eps: float = 1e-6           # Gamma hyperprior shape/rate
-    max_iters: int = 35
-    rel_tol: float = 1e-3       # on the relative Frobenius change of M_X
-
-    def __post_init__(self):
-        if not (0.0 < self.eps <= 1e-2):
-            raise ValueError("eps must lie in (0, 1e-2]")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -140,7 +132,8 @@ class PosteriorState:
     the q(X) update that produced them. Gamma blocks are parameterized as
     (rate a, shape b) with E = b / a; b_v and b_beta never change. Every
     field is a scalar, a length-K vector, the M x K mean or the M x L
-    residual: no K x K array is formed on either path.
+    residual: no K x K array is formed on either path. The hyperprior
+    constant EPS is not held here; the updates read it from the module.
 
     ``resid`` is the residual R = Y_(d+1) - M_X KR^T over the devices in the
     q(X) solve, held on both paths: the start and each q(X) update set it,
@@ -148,7 +141,7 @@ class PosteriorState:
 
     Every vector keeps all K devices. A device pruned from the q(X) solve
     has an all-zero column of M_X, c_diag = 0 and no share of tr_GC, and so
-    the q(v) rate eps; no update reads a pruned device's E[v]. Pruning
+    the q(v) rate EPS; no update reads a pruned device's E[v]. Pruning
     changes the model, so the ELBO of these statistics is non-decreasing
     only while the active set is fixed.
     """
@@ -157,10 +150,9 @@ class PosteriorState:
     c_diag: np.ndarray       # K real: diag(C_X), positive; 0 for pruned devices
     tr_GC: float             # Tr(G C_X)
     a_v: np.ndarray          # K rates for q(v_k)
-    b_v: float               # shape M + eps, fixed
+    b_v: float               # shape M + EPS, fixed
     a_beta: float            # rate for q(beta)
-    b_beta: float            # shape L*M + eps, fixed
-    eps: float
+    b_beta: float            # shape L*M + EPS, fixed
     resid: np.ndarray        # M x L: Y_(d+1) - M_X KR^T
 
     @property
@@ -230,17 +222,17 @@ def _y_kr_conj(Y: np.ndarray, kr: np.ndarray) -> np.ndarray:
     return (Y.T.conj() @ kr).conj()
 
 
-def init_posterior(kr: np.ndarray, Y: np.ndarray, y_energy: float,
-                   cfg: EngineConfig) -> PosteriorState:
+def init_posterior(kr: np.ndarray, Y: np.ndarray, y_energy: float) -> PosteriorState:
     """Deterministic start from the L x M samples Y and y_energy = ||Y||^2:
     matched-filter mean Ty / L with Ty = Y_(d+1) KR^*, its residual,
     identity covariance (so Tr(G C_X) = Tr(G) = ||KR||_F^2), unit v-means,
-    noise precision from total energy."""
+    noise precision from total energy, and the Gamma shapes M + EPS and
+    L M + EPS."""
     L, K = kr.shape
     M = Y.shape[1]
     m_x = _y_kr_conj(Y, kr) / L
-    b_v = M + cfg.eps
-    b_beta = L * M + cfg.eps
+    b_v = M + EPS
+    b_beta = L * M + EPS
     a_beta = b_beta * y_energy / (L * M) if y_energy > 0 else b_beta
     return PosteriorState(
         M_X=m_x,
@@ -250,7 +242,6 @@ def init_posterior(kr: np.ndarray, Y: np.ndarray, y_energy: float,
         b_v=b_v,
         a_beta=a_beta,
         b_beta=b_beta,
-        eps=cfg.eps,
         resid=Y.T - m_x @ kr.T,
     )
 
@@ -446,12 +437,12 @@ def update_qX(s: PosteriorState, grams: np.ndarray | None, kr: np.ndarray,
 
 def update_qv(s: PosteriorState) -> PosteriorState:
     """Refresh the column-precision rates
-    a_v[k] = ||M_X(:,k)||^2 + M c_diag[k] + eps, with c_diag = diag(C_X)
+    a_v[k] = ||M_X(:,k)||^2 + M c_diag[k] + EPS, with c_diag = diag(C_X)
     from q(X). A pruned device has a zero column and c_diag = 0, so its
-    rate is eps."""
+    rate is EPS."""
     M = s.M_X.shape[0]
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
-    a_v = col_energy + M * s.c_diag + s.eps
+    a_v = col_energy + M * s.c_diag + EPS
     if np.any(a_v <= 0) or not np.all(np.isfinite(a_v)):
         raise EngineError("non-positive or non-finite q(v) rate")
     return dataclasses.replace(s, a_v=a_v)
@@ -466,17 +457,17 @@ def expected_residual(s: PosteriorState) -> float:
 
 
 def update_qbeta(s: PosteriorState, y_energy: float) -> PosteriorState:
-    """Refresh the noise-precision rate a_beta = F + eps, with F from
+    """Refresh the noise-precision rate a_beta = F + EPS, with F from
     :func:`expected_residual`.
 
     F is mathematically >= 0; anything below -1e-8 (relative to the
     observation energy y_energy = ||Y||^2) is reported as numerical failure,
-    and mere roundoff below zero is truncated before adding eps.
+    and mere roundoff below zero is truncated before adding EPS.
     """
     F = expected_residual(s)
     if F < -1e-8 * (1.0 + y_energy):
         raise EngineError(f"negative expected residual F={F}")
-    return dataclasses.replace(s, a_beta=max(F, 0.0) + s.eps)
+    return dataclasses.replace(s, a_beta=max(F, 0.0) + EPS)
 
 
 def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
@@ -494,11 +485,11 @@ def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
             & (col_energy <= prev_col_energy))
 
 
-def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineConfig,
+def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray,
         on_iteration: Callable[[int, PosteriorState], None] | None = None
         ) -> EngineResult:
     """Iterate qX -> qv -> qbeta until the relative Frobenius change of M_X
-    drops below cfg.rel_tol or cfg.max_iters is reached.
+    drops below REL_TOL or MAX_ITERS is reached.
 
     ``kr`` is KR, formed once by the caller and only read here; ``p`` serves
     only :func:`precompute_gram`. ||Y||^2 is formed once, here.
@@ -513,7 +504,7 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
     for the devices left, which are blocked afresh, and the residual is
     formed again from their columns of M_X; the dropped ones are zero in the
     next sweep's output. A pruned device reports an all-zero column of M_X
-    and c_diag = 0, so q(v) gives it the rate eps.
+    and c_diag = 0, so q(v) gives it the rate EPS.
     Pruning changes the model, so the ELBO is non-decreasing only between
     pruning steps, while the active set is fixed. A run where no device
     meets the rule solves for every device on every iteration and gives the
@@ -521,28 +512,28 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray, cfg: EngineCon
     L, K = kr.shape
     grams = None if woodbury_pays(L, K) else precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
-    s = init_posterior(kr, Y, y_energy, cfg)
+    s = init_posterior(kr, Y, y_energy)
     # grams and the q(X) copy kr_a hold only the devices in ``active``
     active, kr_a = np.arange(K), kr
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     trace: list[tuple[int, float, float, int, float]] = []
     converged = False
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         prev, prev_col_energy = s.M_X, col_energy
         s = update_qX(s, grams, kr_a, Y.T, active)
         s = update_qv(s)
         s = update_qbeta(s, y_energy)
-        F = s.a_beta - s.eps
+        F = s.a_beta - EPS
         col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
         trace.append((it, F, float(np.max(col_energy)), len(active), s.E_beta))
         if on_iteration is not None:
             on_iteration(it, s)
         denom = float(np.linalg.norm(prev))
         delta = float(np.linalg.norm(s.M_X - prev))
-        if denom > 0 and delta / denom < cfg.rel_tol:
+        if denom > 0 and delta / denom < REL_TOL:
             converged = True
             break
-        if not PRUNE_FROM_ITER <= it < cfg.max_iters:
+        if not PRUNE_FROM_ITER <= it < MAX_ITERS:
             continue
         drop = prune(s.E_v[active], col_energy[active], prev_col_energy[active])
         if drop.any():

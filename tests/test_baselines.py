@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from leojadce.baselines import (AmpConfig, AmpResult, SompConfig, SompResult,
-                                amp_mmv, default_max_support, somp)
+from leojadce import baselines
+from leojadce.baselines import (AmpResult, SompConfig, SompResult, amp_mmv,
+                                default_max_support, somp)
 
 
 def crandn(rng, *shape):
@@ -112,14 +113,16 @@ def test_amp_zero_input():
     assert not res.diverged
 
 
-def test_amp_one_sparse_recovery():
+def test_amp_one_sparse_recovery(monkeypatch):
+    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", 200)
+    monkeypatch.setattr(baselines, "AMP_TOL", 1e-6)
     rng = np.random.default_rng(7)
     L, K, M = 32, 8, 4
     A = unit_columns(rng, L, K)
     X = np.zeros((M, K), dtype=complex)
     X[:, 3] = 3.0 * crandn(rng, M)
     Y = A @ X.T
-    res = amp_mmv(Y, A, 1.0 / K, AmpConfig(max_iters=200, tol=1e-6))
+    res = amp_mmv(Y, A, 1.0 / K)
     assert not res.diverged
     energies = np.sum(np.abs(res.X_hat) ** 2, axis=0)
     assert np.argmax(energies) == 3
@@ -129,12 +132,13 @@ def test_amp_one_sparse_recovery():
     assert np.real(np.vdot(x, x_hat)) / (np.linalg.norm(x) * np.linalg.norm(x_hat)) > 0.99
 
 
-def test_amp_iterates_bounded_on_random_instance():
+def test_amp_iterates_bounded_on_random_instance(monkeypatch):
+    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", 100)
     rng = np.random.default_rng(8)
     L, K, M = 40, 60, 4
     A = unit_columns(rng, L, K)
     Y = crandn(rng, L, M)
-    res = amp_mmv(Y, A, 0.1, AmpConfig(max_iters=100))
+    res = amp_mmv(Y, A, 0.1)
     assert not res.diverged
     assert np.all(np.isfinite(res.X_hat))
 
@@ -166,9 +170,11 @@ def lstsq_somp(Y, A, cfg):
     return SompResult(support, X_hat)
 
 
-def three_product_amp(Y, A, p_a, cfg=AmpConfig()):
+def three_product_amp(Y, A, p_a):
     """AMP with an explicit adjoint copy and a fresh A X product for the
-    stop test: the reference that :func:`amp_mmv` must match bit for bit."""
+    stop test: the reference that :func:`amp_mmv` must match bit for bit.
+    It reads AMP's settings from :mod:`leojadce.baselines` when called."""
+    damping = baselines.AMP_DAMPING
     L, M = Y.shape
     K = A.shape[1]
     delta = L / K
@@ -177,7 +183,7 @@ def three_product_amp(Y, A, p_a, cfg=AmpConfig()):
     y_norm = float(np.linalg.norm(Y))
     A_H = A.conj().T
     diverged, n_done = False, 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, baselines.AMP_MAX_ITERS + 1):
         n_done = it
         pseudo = X + A_H @ Z
         tau = np.linalg.norm(Z) / math.sqrt(L * M)
@@ -187,12 +193,12 @@ def three_product_amp(Y, A, p_a, cfg=AmpConfig()):
         X_new = pseudo * shrink[:, None]
         onsager = Z * (float(np.mean(shrink > 0)) / delta)
         Z_new = Y - A @ X_new + onsager
-        X = cfg.damping * X_new + (1.0 - cfg.damping) * X
-        Z = cfg.damping * Z_new + (1.0 - cfg.damping) * Z
+        X = damping * X_new + (1.0 - damping) * X
+        Z = damping * Z_new + (1.0 - damping) * Z
         if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
             diverged = True
             break
-        if np.linalg.norm(Y - A @ X) <= cfg.tol * y_norm:
+        if np.linalg.norm(Y - A @ X) <= baselines.AMP_TOL * y_norm:
             break
     X_hat = X.T if not diverged else np.zeros((M, K), dtype=complex)
     return AmpResult(X_hat, n_done, diverged)
@@ -269,11 +275,11 @@ def test_somp_matches_lstsq_refit_on_duplicated_atom():
     (30, 150, 8, 15, 0.3, 50, "diverges"),
 ])
 def test_amp_matches_three_product_form_bit_for_bit(L, K, M, n_active, noise,
-                                                    max_iters, expect):
+                                                    max_iters, expect, monkeypatch):
+    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", max_iters)
     A, Y = sparse_scene(40, L, K, M, n_active, noise)
-    cfg = AmpConfig(max_iters=max_iters)
     p_a = n_active / K
-    got, ref = amp_mmv(Y, A, p_a, cfg), three_product_amp(Y, A, p_a, cfg)
+    got, ref = amp_mmv(Y, A, p_a), three_product_amp(Y, A, p_a)
     np.testing.assert_array_equal(got.X_hat, ref.X_hat)
     assert (got.n_iters, got.diverged) == (ref.n_iters, ref.diverged)
     assert ref.diverged == (expect == "diverges")

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from leojadce import channel
-from leojadce.channel import (BOLTZMANN, HALF_POWER_PHI, MAX_PHI, RICIAN_FACTOR,
-                              DeviceGeometry, LinkBudget, SPEED_OF_LIGHT,
+from leojadce.channel import (BANDWIDTH_HZ, BOLTZMANN, D0_M, F_HZ, G_OVER_T_DB,
+                              HALF_POWER_PHI, MAX_PHI, RAIN_MEAN_DB, RAIN_STD_DB,
+                              SPEED_OF_LIGHT, THREE_DB_ANGLE_DEG, DeviceGeometry,
                               _bessel_j1_j3, _gain_kernel, antenna_gain,
                               draw_channels, large_scale_gain,
                               rain_lognormal_params, sample_device_geometry,
                               sample_rain_db)
-
-
-def default_budget(**kw):
-    return LinkBudget(**kw)
 
 
 # ---------------------------------------------------------------- large-scale gain
@@ -30,38 +27,34 @@ def test_free_space_loss_factor():
 
 
 def test_gain_no_rain_is_exact_budget():
-    lb = default_budget()
-    g0 = large_scale_gain(lb, 0.0)
-    fpl = (SPEED_OF_LIGHT / (4 * math.pi * lb.f_hz * lb.d0_m)) ** 2
-    budget = 10 ** (lb.g_over_t_db / 10) / (BOLTZMANN * lb.bandwidth_hz)
+    g0 = large_scale_gain(0.0)
+    fpl = (SPEED_OF_LIGHT / (4 * math.pi * F_HZ * D0_M)) ** 2
+    budget = 10 ** (G_OVER_T_DB / 10) / (BOLTZMANN * BANDWIDTH_HZ)
     assert g0 == fpl * budget
 
 
 def test_gain_db_arithmetic():
-    lb = default_budget()
-    g0 = large_scale_gain(lb, 0.0)
-    g3 = large_scale_gain(lb, -3.01)
+    g0 = large_scale_gain(0.0)
+    g3 = large_scale_gain(-3.01)
     assert g3 / g0 == pytest.approx(0.5, rel=1e-3)
 
 
 def test_gain_of_rain_array_matches_per_draw_loop():
     # numpy's vectorised 10 ** x may differ from the scalar pow by 1 ulp,
     # and the product rounds once more
-    lb = default_budget()
-    r_db = sample_rain_db(lb.rain_mean_db, lb.rain_std_db, np.random.default_rng(10),
-                          size=1000)
-    fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * lb.f_hz * lb.d0_m)) ** 2
-    budget = 10.0 ** (lb.g_over_t_db / 10.0) / (BOLTZMANN * lb.bandwidth_hz)
+    r_db = sample_rain_db(RAIN_MEAN_DB, RAIN_STD_DB, np.random.default_rng(10), size=1000)
+    fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * F_HZ * D0_M)) ** 2
+    budget = 10.0 ** (G_OVER_T_DB / 10.0) / (BOLTZMANN * BANDWIDTH_HZ)
     loop = [fpl * budget * 10.0 ** (float(r) / 10.0) for r in r_db]
-    np.testing.assert_allclose(large_scale_gain(lb, r_db), loop,
+    np.testing.assert_allclose(large_scale_gain(r_db), loop,
                                rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_gain_rejects_positive_rain():
     with pytest.raises(ValueError):
-        large_scale_gain(default_budget(), 0.5)
+        large_scale_gain(0.5)
     with pytest.raises(ValueError):
-        large_scale_gain(default_budget(), np.array([-1.0, 0.0, 0.5, -2.0]))
+        large_scale_gain(np.array([-1.0, 0.0, 0.5, -2.0]))
 
 
 # ---------------------------------------------------------------- rain fading
@@ -253,20 +246,20 @@ def _uniform_geometry(K, M, norm_sq=0.65, v=0.225):
 
 def test_draw_channels_zero_activity():
     rng = np.random.default_rng(3)
-    lb = default_budget()
-    geom = sample_device_geometry(50, 4, lb, rng)
-    X, alpha = draw_channels(lb, geom, 4, 0.0, 8.0, rng)
+    geom = sample_device_geometry(50, 4, rng)
+    X, alpha = draw_channels(geom, 4, 0.0, rng)
     assert alpha.dtype == np.int8 and np.all(alpha == 0)
     assert X.shape == (4, 50)
 
 
-def test_draw_channels_infinite_rician_limit():
+def test_draw_channels_infinite_rician_limit(monkeypatch):
     rng = np.random.default_rng(4)
-    lb = default_budget(rain_std_db=0.0)
+    monkeypatch.setattr(channel, "RAIN_STD_DB", 0.0)
+    monkeypatch.setattr(channel, "RICIAN_FACTOR", 1e12)
     K, M = 20_000, 4
     geom = _uniform_geometry(K, M)
-    X, _ = draw_channels(lb, geom, M, 1.0, 1e12, rng)  # every device active
-    g = large_scale_gain(lb, lb.rain_mean_db)  # rain_std_db = 0: rain at its mean
+    X, _ = draw_channels(geom, M, 1.0, rng)  # every device active
+    g = large_scale_gain(RAIN_MEAN_DB)  # RAIN_STD_DB = 0: rain at its mean
     expected_mean = geom.omega[0] * math.sqrt(g) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     sample_mean = np.mean(X, axis=1)
     sample_var = np.var(X, axis=1)
@@ -274,13 +267,13 @@ def test_draw_channels_infinite_rician_limit():
     assert np.all(sample_var < 1e-9)
 
 
-def test_draw_channels_rician_moment_oracle():
+def test_draw_channels_rician_moment_oracle(monkeypatch):
     rng = np.random.default_rng(5)
-    lb = default_budget(rain_std_db=0.0)  # freeze g so moments are clean
-    K, M, lam, v = 100_000, 4, 8.0, 0.225
+    monkeypatch.setattr(channel, "RAIN_STD_DB", 0.0)  # freeze g so moments are clean
+    K, M, lam, v = 100_000, 4, channel.RICIAN_FACTOR, 0.225
     geom = _uniform_geometry(K, M, v=v)
-    X, _ = draw_channels(lb, geom, M, 1.0, lam, rng)  # every device active
-    g, w = large_scale_gain(lb, lb.rain_mean_db), geom.omega[0]
+    X, _ = draw_channels(geom, M, 1.0, rng)  # every device active
+    g, w = large_scale_gain(RAIN_MEAN_DB), geom.omega[0]
     mean_true = w * math.sqrt(lam * g / (lam + 1)) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     var_true = w**2 * g * v / (lam + 1)
     sample_mean = np.mean(X, axis=1)
@@ -294,10 +287,8 @@ def test_draw_channels_rician_moment_oracle():
 
 def test_geometry_sampling_ranges():
     rng = np.random.default_rng(6)
-    lb = default_budget()
-    geom = sample_device_geometry(1000, 4, lb, rng)
-    np.testing.assert_array_equal(geom.omega,
-                                  antenna_gain(geom.theta_rad, lb.three_db_angle_deg))
+    geom = sample_device_geometry(1000, 4, rng)
+    np.testing.assert_array_equal(geom.omega, antenna_gain(geom.theta_rad, THREE_DB_ANGLE_DEG))
     assert np.all((geom.hlos_norm_sq >= 0.6) & (geom.hlos_norm_sq <= 0.7))
     assert np.all((geom.v_nlos >= 0.2) & (geom.v_nlos <= 0.25))
     assert np.all((geom.theta_rad >= 0) & (geom.theta_rad <= math.radians(0.4)))
@@ -310,10 +301,9 @@ def _draws(seed, p_a, K=12, M=3):
     """``draw_channels`` at ``p_a``, and at p_a = 1 from the same seed: the
     draw takes the same random numbers at any p_a, so the second X holds
     every device's channel. Returns (X, alpha, H)."""
-    lb = default_budget()
-    geom = sample_device_geometry(K, M, lb, np.random.default_rng(seed))
-    X, alpha = draw_channels(lb, geom, M, p_a, RICIAN_FACTOR, np.random.default_rng([seed, 1]))
-    H, every = draw_channels(lb, geom, M, 1.0, RICIAN_FACTOR, np.random.default_rng([seed, 1]))
+    geom = sample_device_geometry(K, M, np.random.default_rng(seed))
+    X, alpha = draw_channels(geom, M, p_a, np.random.default_rng([seed, 1]))
+    H, every = draw_channels(geom, M, 1.0, np.random.default_rng([seed, 1]))
     assert np.all(every == 1) and np.count_nonzero(H) == H.size
     return X, alpha, H
 
@@ -345,15 +335,3 @@ def test_device_state_loop_oracle_and_exact_zeros():
             # bitwise zero, enabling exact activity accounting
             assert np.all(X[:, k] == 0.0)
 
-
-def test_link_budget_validation():
-    with pytest.raises(ValueError):
-        LinkBudget(f_hz=-1.0)
-    with pytest.raises(ValueError):
-        LinkBudget(rain_mean_db=1.0)
-    # at 180 degrees phi is ~1e13 and the Bessel recurrence would take as
-    # many steps; above it sin(theta_3dB) <= 0 and every gain would read 1
-    for angle in (0.0, -1.0, 90.0 + 1e-9, 180.0, 200.0, 360.0):
-        with pytest.raises(ValueError, match="three_db_angle_deg"):
-            LinkBudget(three_db_angle_deg=angle)
-    assert LinkBudget(three_db_angle_deg=90.0).three_db_angle_deg == 90.0

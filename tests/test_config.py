@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from leojadce import baselines, channel, detection, vbi
 from leojadce.config import (ConfigError, ScenarioConfig, apply_axis, load_config,
                              parse_config, parse_sweep)
 
@@ -19,14 +20,38 @@ def test_parse_config_reads_known_keys():
 
 
 # The fixed scene (README, "Fixed scene"): the link budget, the device
-# geometry and transmit power, and the engine and detection settings live
+# geometry and transmit power, and the VBI, AMP and detection settings live
 # in the modules that use them, so a config naming one, even at its value
 # there, names an unknown key.
 FIXED_SCENE = ["f_hz = 30e9", "d0_m = 1000e3", "bandwidth_hz = 25e6", "g_over_t_db = 34",
                "three_db_angle_deg = 0.4", "rain_mean_db = -2.6", "rain_std_db = 1.63",
                "rician_factor = 8", "hlos_norm_sq_low = 0.6", "hlos_norm_sq_high = 0.7",
                "v_nlos_low = 0.2", "v_nlos_high = 0.25", "theta_max_deg = 0.4", "xi = 1",
-               "eps = 1e-6", "max_iters = 35", "rel_tol = 1e-3", "threshold_ratio = 0.3"]
+               "eps = 1e-6", "max_iters = 35", "rel_tol = 1e-3", "threshold_ratio = 0.3",
+               "amp_max_iters = 50", "amp_damping = 0.5", "amp_tol = 1e-4"]
+
+
+def test_fixed_scene_values_are_the_module_constants():
+    # every FIXED_SCENE entry but xi states the value of a module constant;
+    # xi, the transmit power, is 1 because the channels are drawn at unit
+    # power, and has no constant
+    constants = {
+        "f_hz": channel.F_HZ, "d0_m": channel.D0_M, "bandwidth_hz": channel.BANDWIDTH_HZ,
+        "g_over_t_db": channel.G_OVER_T_DB, "three_db_angle_deg": channel.THREE_DB_ANGLE_DEG,
+        "rain_mean_db": channel.RAIN_MEAN_DB, "rain_std_db": channel.RAIN_STD_DB,
+        "rician_factor": channel.RICIAN_FACTOR,
+        "hlos_norm_sq_low": channel.HLOS_NORM_SQ_RANGE[0],
+        "hlos_norm_sq_high": channel.HLOS_NORM_SQ_RANGE[1],
+        "v_nlos_low": channel.V_NLOS_RANGE[0], "v_nlos_high": channel.V_NLOS_RANGE[1],
+        "theta_max_deg": channel.THETA_MAX_DEG,
+        "eps": vbi.EPS, "max_iters": vbi.MAX_ITERS, "rel_tol": vbi.REL_TOL,
+        "threshold_ratio": detection.THRESHOLD_RATIO,
+        "amp_max_iters": baselines.AMP_MAX_ITERS, "amp_damping": baselines.AMP_DAMPING,
+        "amp_tol": baselines.AMP_TOL,
+    }
+    entries = dict(line.split(" = ") for line in FIXED_SCENE)
+    assert set(entries) - set(constants) == {"xi"}
+    assert {key: float(entries[key]) for key in constants} == constants
 
 
 @pytest.mark.parametrize("text", ["noise_temperature_k = 290", "boltzmann = 1.38e-23",

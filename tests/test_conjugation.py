@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from leojadce import baselines, harness, vbi
-from leojadce.channel import RICIAN_FACTOR, draw_channels
+from leojadce.channel import draw_channels
 from leojadce.config import ScenarioConfig
 from leojadce.signals import (assemble_preamble_matrix, gen_preambles,
                               snr_to_noise_variance, synthesize_received)
@@ -21,8 +21,7 @@ def trial_scene(K, dims, snr_db, seed):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), 0)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     A = assemble_preamble_matrix(p)
-    X, _ = draw_channels(harness.LINK_BUDGET, harness.scenario_geometry(cfg), cfg.M,
-                         cfg.p_a, RICIAN_FACTOR, rng)
+    X, _ = draw_channels(harness.scenario_geometry(cfg), cfg.M, cfg.p_a, rng)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db)
     return p, A, synthesize_received(A, X, sigma_n2, rng), sigma_n2
 
@@ -36,8 +35,8 @@ IDS = ["K40-woodbury", "K40-block", "K500-block"]
 def test_vbi_returns_the_conjugate_estimate(scene):
     p, A, Y, _ = trial_scene(*scene)
     assert vbi.woodbury_pays(*A.shape) == (scene[1] == (4, 4))
-    plain = vbi.run(p, A, Y, vbi.EngineConfig())
-    conj = vbi.run(tuple(a.conj() for a in p), A.conj(), Y.conj(), vbi.EngineConfig())
+    plain = vbi.run(p, A, Y)
+    conj = vbi.run(tuple(a.conj() for a in p), A.conj(), Y.conj())
     assert conj.n_iters == plain.n_iters
     np.testing.assert_array_equal(conj.M_X, plain.M_X.conj())
     np.testing.assert_array_equal(conj.state.c_diag, plain.state.c_diag)

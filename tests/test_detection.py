@@ -3,30 +3,33 @@
 import numpy as np
 import pytest
 
-from leojadce.detection import detect, error_probability, nmse, nmse_active
+from leojadce.detection import (THRESHOLD_RATIO, detect, error_probability, nmse,
+                                 nmse_active)
 
 
 def test_detect_all_zero_means_no_detections():
-    alpha_hat = detect(np.zeros((4, 6), dtype=complex), r=0.3)
+    alpha_hat = detect(np.zeros((4, 6), dtype=complex))
     np.testing.assert_array_equal(alpha_hat, np.zeros(6, dtype=np.int8))
     assert alpha_hat.dtype == np.int8
 
 
 def test_detect_hand_evaluated_threshold():
-    # column of ones: max element 1, so theta = M (r * 1)^2 = 1 at M = 4,
-    # r = 0.5; a column of 0.5s has energy exactly theta, one of 0.49s less
+    # column of 10s: max element 10, so theta = M (r * 10)^2 = 36 at M = 4,
+    # r = THRESHOLD_RATIO = 0.3; a column of 3s has energy exactly theta, one
+    # of 2.99s less
+    assert THRESHOLD_RATIO == 0.3
     M_X = np.zeros((4, 5), dtype=complex)
-    M_X[:, 1] = 1.0
-    M_X[:, 2] = 0.5
-    M_X[:, 3] = 0.49
-    np.testing.assert_array_equal(detect(M_X, r=0.5), [0, 1, 1, 0, 0])
+    M_X[:, 1] = 10.0
+    M_X[:, 2] = 3.0
+    M_X[:, 3] = 2.99
+    np.testing.assert_array_equal(detect(M_X), [0, 1, 1, 0, 0])
 
 
 def test_detect_duplicate_columns_tie_symmetry():
     rng = np.random.default_rng(0)
     col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     M_X = np.stack([col, col, 0.01 * col], axis=1)
-    alpha_hat = detect(M_X, r=0.3)
+    alpha_hat = detect(M_X)
     assert alpha_hat[0] == alpha_hat[1] == 1
 
 
@@ -34,14 +37,9 @@ def test_detect_scale_invariance():
     rng = np.random.default_rng(1)
     M_X = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
     M_X[:, 5:] *= 0.05
-    base = detect(M_X, r=0.3)
+    base = detect(M_X)
     for c in (1e-6, 3.7, 1e8):
-        np.testing.assert_array_equal(detect(c * M_X, r=0.3), base)
-
-
-def test_detect_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        detect(np.ones((2, 2), dtype=complex), r=1.5)
+        np.testing.assert_array_equal(detect(c * M_X), base)
 
 
 def test_error_probability_trivials():

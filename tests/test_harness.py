@@ -10,7 +10,7 @@ import statistics
 import numpy as np
 import pytest
 
-from leojadce import channel, harness, signals, tensors, vbi
+from leojadce import baselines, channel, harness, signals, tensors, vbi
 from leojadce.config import ScenarioConfig, make_sweep
 from leojadce.harness import (SUMMARY_HEADER, TRACE_HEADER, TRIALS_HEADER, run_sweep,
                               run_trial, write_outputs)
@@ -259,7 +259,20 @@ def test_geometry_drawn_once_per_configuration(monkeypatch):
         assert not records[0].failed
     assert sorted(calls) == ["antenna_gain", "sample_device_geometry"]
     geom = harness.scenario_geometry(cfg)
-    three_db = channel.LinkBudget().three_db_angle_deg
-    np.testing.assert_array_equal(geom.omega, channel.antenna_gain(geom.theta_rad, three_db))
+    np.testing.assert_array_equal(geom.omega,
+                                  channel.antenna_gain(geom.theta_rad, channel.THREE_DB_ANGLE_DEG))
     for f in dataclasses.fields(geom):
         assert not getattr(geom, f.name).flags.writeable, f.name
+
+
+def test_trial_reads_the_iteration_caps_when_it_runs(monkeypatch):
+    # the fixed settings are module constants that each call reads: a copy
+    # taken at import, as a default argument or a module-level settings
+    # object would take it, would keep the caps of 35 and 50
+    monkeypatch.setattr(vbi, "MAX_ITERS", 2)
+    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", 3)
+    cfg = ScenarioConfig(K=40, M=4, dims=(8, 8), snr_db=10.0, algos=("vbi", "amp"),
+                         trials=1)
+    records, _ = run_trial(cfg, "snr", "10", 0)
+    assert [(r.algorithm, r.failed, r.iters) for r in records] == [("vbi", False, 2),
+                                                                  ("amp", False, 3)]

@@ -155,9 +155,9 @@ def test_every_algorithm_reads_the_read_only_preamble_matrix(dims, woodbury):
     Y = synthesize_received(A, X, 1e-3, rng)
     assert vbi.woodbury_pays(*A.shape) == woodbury
 
-    result = vbi.run(p, A, Y, vbi.EngineConfig())
+    result = vbi.run(p, A, Y)
     np.testing.assert_array_equal(
-        result.M_X, vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig()).M_X)
+        result.M_X, vbi.run(p, khatri_rao(p), Y).M_X)
     sres = baselines.somp(Y, A, baselines.SompConfig(max_support=6))
     ares = baselines.amp_mmv(Y, A, 0.1)
     assert result.trace[-1][3] < K and len(sres.support) >= 4 and not ares.diverged

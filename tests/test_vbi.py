@@ -41,7 +41,7 @@ def operands(p, Y):
 
 def state_with(p, Y, e_beta, e_v):
     _, kr, _, _, y_energy = operands(p, Y)
-    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, y_energy)
     return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
 
@@ -139,7 +139,7 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
     p, X, Y = scene(dims, 0.0)
     kr = khatri_rao(p)
     residuals = []
-    result = vbi.run(p, kr, Y, vbi.EngineConfig(), on_iteration=lambda it, s: residuals.append(
+    result = vbi.run(p, kr, Y, on_iteration=lambda it, s: residuals.append(
         vbi.expected_residual(s)))
     assert len(residuals) == result.n_iters and result.converged
     assert min(residuals) >= 0.0
@@ -152,10 +152,10 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims):
 
 def test_negative_expected_residual_is_reported():
     # F = ||R||^2 + M tr_GC below -1e-8 (1 + ||Y||^2) is a numerical failure;
-    # roundoff above that floor is truncated to zero before eps is added
+    # roundoff above that floor is truncated to zero before EPS is added
     p, _, Y = scene(WOODBURY, 0.05)
     _, kr, _, _, y_energy = operands(p, Y)
-    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, y_energy)
     floor = -1e-8 * (1.0 + y_energy)
     r_energy = np.vdot(s.resid, s.resid).real
     below = dataclasses.replace(s, tr_GC=(2.0 * floor - r_energy) / M)
@@ -163,7 +163,7 @@ def test_negative_expected_residual_is_reported():
         vbi.update_qbeta(below, y_energy)
     within = dataclasses.replace(s, tr_GC=(0.5 * floor - r_energy) / M)
     assert vbi.expected_residual(within) < 0
-    assert vbi.update_qbeta(within, y_energy).a_beta == s.eps
+    assert vbi.update_qbeta(within, y_energy).a_beta == vbi.EPS
 
 
 def gamma_terms(a, b, eps):
@@ -187,7 +187,7 @@ def elbo(s, log_det_C, kr, Y_mat):
     return (L * M * e_log_beta - s.E_beta * F
             + np.sum(M * e_log_v - s.E_v * x_energy)
             + M * log_det_C
-            + gamma_terms(s.a_v, s.b_v, s.eps) + gamma_terms(s.a_beta, s.b_beta, s.eps))
+            + gamma_terms(s.a_v, s.b_v, vbi.EPS) + gamma_terms(s.a_beta, s.b_beta, vbi.EPS))
 
 
 @pytest.mark.parametrize("scene_args", [
@@ -209,7 +209,7 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr, Y_mat)),
               ("qv", vbi.update_qv),
               ("qbeta", lambda s: vbi.update_qbeta(s, y_energy)))
-    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, y_energy)
     assert_kept_residual(s, kr, Y_mat)
     log_det_C = 0.0                     # the start's C_X is the identity
     bound = elbo(s, log_det_C, kr, Y_mat)

@@ -39,7 +39,7 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     Y_mat = Y.T
     Ty = Y_mat @ kr.conj()
     y_energy = float(np.vdot(Y, Y).real)
-    s = vbi.init_posterior(kr, Y, y_energy, vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, y_energy)
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta,
                             a_v=s.b_v / 10.0 ** rng.uniform(*log_e_v, K))
     grams = None if vbi.woodbury_pays(Y.shape[0], K) else vbi.precompute_gram(p)
@@ -54,7 +54,7 @@ def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     kept = vbi.expected_residual(dataclasses.replace(s, tr_GC=0.0))
     assert kept == pytest.approx(gram_r_energy, rel=1e-10)
     assert (vbi.update_qbeta(s, y_energy).a_beta
-            == pytest.approx(gram_r_energy + M * s.tr_GC + s.eps, rel=1e-10))
+            == pytest.approx(gram_r_energy + M * s.tr_GC + vbi.EPS, rel=1e-10))
 
 
 def counting_gram(monkeypatch):
@@ -72,20 +72,22 @@ def counting_gram(monkeypatch):
 @pytest.mark.parametrize("dims, grams", [(WOODBURY, 0), (DIRECT, 1)])
 def test_run_forms_the_gram_only_on_the_direct_path(monkeypatch, dims, grams):
     calls = counting_gram(monkeypatch)
+    monkeypatch.setattr(vbi, "MAX_ITERS", 5)
     p, Y = scene(dims, 40)
-    result = vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig(max_iters=5))
+    result = vbi.run(p, khatri_rao(p), Y)
     assert result.n_iters >= 1
     assert len(calls) == grams
 
 
-def test_woodbury_run_peak_memory_below_one_k_by_k_array():
+def test_woodbury_run_peak_memory_below_one_k_by_k_array(monkeypatch):
+    monkeypatch.setattr(vbi, "MAX_ITERS", 3)
     K = 400
     p, Y = scene(WOODBURY, K)
     assert vbi.woodbury_pays(Y.shape[0], K)
     kr = khatri_rao(p)
     tracemalloc.start()
     try:
-        vbi.run(p, kr, Y, vbi.EngineConfig(max_iters=3))
+        vbi.run(p, kr, Y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -106,7 +108,7 @@ def test_block_run_holds_no_k_by_k_array():
     kr = khatri_rao(p)
     tracemalloc.start()
     try:
-        result = vbi.run(p, kr, Y, vbi.EngineConfig())
+        result = vbi.run(p, kr, Y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -151,7 +153,7 @@ def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
     ref = Y.T @ kr.conj()
     Ty = vbi._y_kr_conj(Y, kr)
     np.testing.assert_array_equal(Ty, ref)
-    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real))
     np.testing.assert_array_equal(s.M_X, ref / Y.shape[0])
 
 
@@ -277,7 +279,7 @@ def test_woodbury_update_qX_matches_dense_inverse_at_benchmark_shape():
     G = dense_gram(p)
     kr = khatri_rao(p)
     Ty = Y.T @ kr.conj()
-    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real))
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
     C = np.linalg.inv(e_beta * G + np.diag(e_v))
@@ -297,7 +299,7 @@ def test_block_update_qX_matches_reference_sweep_at_benchmark_shape():
     rng = np.random.default_rng(3)
     e_beta, e_v = 3.0, 10.0 ** rng.uniform(-2, 4, K)
     kr = khatri_rao(p)
-    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), vbi.EngineConfig())
+    s = vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real))
     s = dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
     M_X, c_diag, tr_GC, _ = reference_sweep(dense_gram(p), kr, Y.T, e_beta, e_v, s.M_X)

@@ -11,7 +11,7 @@ import pytest
 
 from block_reference import dense_gram, reference_sweep
 from leojadce import harness, signals, vbi
-from leojadce.channel import RICIAN_FACTOR, draw_channels
+from leojadce.channel import draw_channels
 from leojadce.config import ScenarioConfig
 from leojadce.signals import (gen_preambles, snr_to_noise_variance,
                               synthesize_received)
@@ -40,27 +40,28 @@ def harness_scene(cfg, trial=0):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     geom = harness.scenario_geometry(cfg)
-    X, _ = draw_channels(harness.LINK_BUDGET, geom, cfg.M, cfg.p_a, RICIAN_FACTOR, rng)
+    X, _ = draw_channels(geom, cfg.M, cfg.p_a, rng)
     return p, synthesize_received(khatri_rao(p), X, snr_to_noise_variance(cfg.snr_db), rng)
 
 
-def unpruned_run(p, Y, cfg):
+def unpruned_run(p, Y):
     """The iteration without pruning, as it stood before pruning was added:
-    every device stays in the q(X) solve. Returns (M_X, n_iters, trace)."""
+    every device stays in the q(X) solve. It reads the engine's settings
+    from :mod:`leojadce.vbi` when called. Returns (M_X, n_iters, trace)."""
     kr = khatri_rao(p)
     grams = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
-    s = vbi.init_posterior(kr, Y, y_energy, cfg)
+    s = vbi.init_posterior(kr, Y, y_energy)
     trace = []
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, vbi.MAX_ITERS + 1):
         prev = s.M_X
         s = vbi.update_qX(s, grams, kr, Y.T)
         s = vbi.update_qv(s)
         s = vbi.update_qbeta(s, y_energy)
-        trace.append((it, s.a_beta - s.eps,
+        trace.append((it, s.a_beta - vbi.EPS,
                       float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))))
         denom = float(np.linalg.norm(prev))
-        if denom > 0 and float(np.linalg.norm(s.M_X - prev)) / denom < cfg.rel_tol:
+        if denom > 0 and float(np.linalg.norm(s.M_X - prev)) / denom < vbi.REL_TOL:
             break
     return s.M_X, it, trace
 
@@ -69,16 +70,20 @@ PAPER_SHORT = ScenarioConfig(K=500, M=8, dims=(10, 10), snr_db=10.0, algos=("vbi
                              trials=1)
 
 
-@pytest.mark.parametrize("make, cfg", [
-    (lambda: scene(WOODBURY, 0.05)[:2], vbi.EngineConfig(max_iters=4)),
-    (lambda: scene(DIRECT, 0.05)[:2], vbi.EngineConfig(max_iters=4)),
-    # the L=100, 10 dB trial of the short-preamble benchmark scene
-    (lambda: harness_scene(PAPER_SHORT), vbi.EngineConfig()),
+@pytest.mark.parametrize("make, max_iters", [
+    (lambda: scene(WOODBURY, 0.05)[:2], 4),
+    (lambda: scene(DIRECT, 0.05)[:2], 4),
+    # the L=100, 10 dB trial of the short-preamble benchmark scene, at the cap
+    # of the engine
+    (lambda: harness_scene(PAPER_SHORT), None),
 ], ids=["woodbury-4-iters", "direct-4-iters", "L100-10dB"])
-def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
+def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, max_iters,
+                                                                   monkeypatch):
+    if max_iters is not None:
+        monkeypatch.setattr(vbi, "MAX_ITERS", max_iters)
     p, Y = make()
-    result = vbi.run(p, khatri_rao(p), Y, cfg)
-    M_X, n_iters, trace = unpruned_run(p, Y, cfg)
+    result = vbi.run(p, khatri_rao(p), Y)
+    M_X, n_iters, trace = unpruned_run(p, Y)
     assert [row[3] for row in result.trace] == [p[0].shape[1]] * result.n_iters
     assert result.n_iters == n_iters
     assert [row[:3] for row in result.trace] == trace
@@ -89,10 +94,10 @@ def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, cfg):
 PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
 
 
-def states_of(p, Y, cfg=vbi.EngineConfig()):
+def states_of(p, Y):
     kr = khatri_rao(p)
-    states = [vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real), cfg)]
-    result = vbi.run(p, kr, Y, cfg, on_iteration=lambda it, s: states.append(s))
+    states = [vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real))]
+    result = vbi.run(p, kr, Y, on_iteration=lambda it, s: states.append(s))
     return result, states
 
 
@@ -110,8 +115,8 @@ def test_pruned_devices_stay_out(dims, sigma_n2):
         assert np.all(zero[pruned]), f"a pruned column came back at iteration {it}"
         assert np.count_nonzero(~zero) == n_active[it - 1]
         np.testing.assert_array_equal(s.c_diag == 0, zero)
-        # a pruned device has a zero column and c_diag = 0: its rate is eps
-        assert np.all(s.a_v[zero] == s.eps)
+        # a pruned device has a zero column and c_diag = 0: its rate is EPS
+        assert np.all(s.a_v[zero] == vbi.EPS)
         # the kept residual is that of the devices left, formed afresh
         R = Y.T - s.M_X @ kr.T
         assert np.linalg.norm(s.resid - R) <= 1e-12 * np.linalg.norm(R)
@@ -158,23 +163,24 @@ def test_pruning_keeps_the_call_counts(monkeypatch, dims, sigma_n2):
     for module in (signals, vbi):
         monkeypatch.setattr(module, "khatri_rao",
                             lambda mats: formed.append(len(mats)) or khatri_rao(mats))
-    result = vbi.run(p, kr, Y, vbi.EngineConfig())
+    result = vbi.run(p, kr, Y)
     assert result.trace[-1][3] < K
-    unpruned = vbi.run(p, kr, Y, vbi.EngineConfig(max_iters=4))
+    monkeypatch.setattr(vbi, "MAX_ITERS", 4)
+    unpruned = vbi.run(p, kr, Y)
     assert unpruned.trace[-1][3] == K
     assert formed == []
 
 
 def test_pruned_device_below_half_unit_precision_keeps_a_positive_rate():
-    # a pruned device has a zero column and c_diag = 0, so its rate is eps
+    # a pruned device has a zero column and c_diag = 0, so its rate is EPS
     # whatever E[v] it had, also one below 1/2
     p, Y, _ = scene(DIRECT, 1e-2)
-    s = vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig()).state
+    s = vbi.run(p, khatri_rao(p), Y).state
     pruned = np.all(s.M_X == 0, axis=0)
     assert pruned.any()
     a_v = np.where(pruned, s.b_v / 0.1, s.a_v)      # E[v] = 0.1 when pruned
     out = vbi.update_qv(dataclasses.replace(s, a_v=a_v))
-    assert np.all(out.a_v[pruned] == s.eps)
+    assert np.all(out.a_v[pruned] == vbi.EPS)
     assert np.all(out.a_v > 0)
 
 
@@ -192,12 +198,12 @@ def test_scaled_scenes_keep_every_true_device(sigma_n2, scale):
     # 16-17 of the second. The third failed with a negative q(v) rate while
     # the prior had a non-conjugate mean block.
     p, Y, X = scene(DIRECT, sigma_n2, scale)
-    result = vbi.run(p, khatri_rao(p), Y, vbi.EngineConfig())
+    result = vbi.run(p, khatri_rao(p), Y)
     assert result.trace[-1][3] < K
     true = np.any(X != 0, axis=0)
     assert np.all(np.any(result.M_X[:, true] != 0, axis=0))
     # and the estimate is no worse than the unpruned iteration's
-    assert nmse(result.M_X, X) <= nmse(unpruned_run(p, Y, vbi.EngineConfig())[0], X)
+    assert nmse(result.M_X, X) <= nmse(unpruned_run(p, Y)[0], X)
 
 
 def test_paper_scale_trial_converges_within_twenty_iterations():
