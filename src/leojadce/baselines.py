@@ -20,21 +20,17 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class SompConfig:
-    max_support: int
-    residual_tol: float = 0.0   # stop when ||R||_F / ||Y||_F falls below
-
-
-@dataclass(frozen=True)
 class SompResult:
     support: list[int]
     X_hat: np.ndarray           # M x K, zero off-support
 
 
-def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
+def somp(Y: np.ndarray, A: np.ndarray, max_support: int, residual_tol: float
+         ) -> SompResult:
     """Simultaneous OMP: greedily add the column with the largest summed
     correlation magnitude against the residual, least-squares refit on the
-    support, repeat until the residual tolerance or the support cap.
+    support, repeat until ||R_res||_F / ||Y||_F <= ``residual_tol`` or the
+    support holds ``max_support`` atoms.
 
     ``Y`` (L x M) is read as ``A X^T`` plus noise; ``X_hat`` estimates the
     M x K matrix X, so it holds the transpose of the fitted coefficient
@@ -67,7 +63,7 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     A = np.asarray(A, dtype=complex)
     L, M = Y.shape
     K = A.shape[1]
-    if cfg.max_support > K:
+    if max_support > K:
         raise ValueError("max_support cannot exceed the dictionary size")
     y_norm = float(np.linalg.norm(Y))
     support: list[int] = []
@@ -76,14 +72,13 @@ def somp(Y: np.ndarray, A: np.ndarray, cfg: SompConfig) -> SompResult:
     X_hat = np.zeros((M, K), dtype=complex)
     if y_norm == 0.0:
         return SompResult(support=[], X_hat=X_hat)
-    cap = cfg.max_support
-    Q_H = np.zeros((cap, L), dtype=complex)     # row j holds q_j^H
-    R = np.zeros((cap, cap), dtype=complex)     # A_S = Q R, upper triangular
-    QhY = np.zeros((cap, M), dtype=complex)     # row j holds q_j^H Y
+    Q_H = np.zeros((max_support, L), dtype=complex)           # row j holds q_j^H
+    R = np.zeros((max_support, max_support), dtype=complex)   # A_S = Q R, upper triangular
+    QhY = np.zeros((max_support, M), dtype=complex)           # row j holds q_j^H Y
     eps = np.finfo(float).eps
     corr = A.T @ R_res.conj()                   # (A^H R_res)^*
-    while len(support) < cap:
-        if res_norm / y_norm <= cfg.residual_tol:
+    while len(support) < max_support:
+        if res_norm / y_norm <= residual_tol:
             break
         score = np.sum(np.abs(corr), axis=1)
         score[support] = -1.0

@@ -62,10 +62,6 @@ class DeviceGeometry:
         for f in fields(self):
             getattr(self, f.name).flags.writeable = False
 
-    @property
-    def K(self) -> int:
-        return self.theta_rad.size
-
 
 def sample_device_geometry(K: int, M: int, rng: np.random.Generator) -> DeviceGeometry:
     """Draw the frozen per-device geometry for a scenario over the ranges
@@ -169,19 +165,20 @@ def _bessel_j1_j3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j1 / norm, j3 / norm
 
 
-def draw_channels(geom: DeviceGeometry, M: int, p_a: float, rng: np.random.Generator
+def draw_channels(geom: DeviceGeometry, p_a: float, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Draw activity, rain, and small-scale fading for one trial.
 
     Returns the M x K device-state matrix X at unit transmit power, whose
     column k is device k's conjugated channel if it is active and exactly
-    zero if not, and the int8 activity bits. The draw takes the same random
+    zero if not, and the int8 activity bits. M and K are read from the
+    M x K LOS directions of ``geom``. The draw takes the same random
     numbers at any ``p_a``.
 
     Circular complex Gaussian convention: variance v splits evenly, i.e.
     real and imaginary parts are each N(0, v/2).
     """
-    K = geom.K
+    M, K = geom.hlos_dir.shape
     alpha = (rng.random(K) < p_a).astype(np.int8)
     r_db = sample_rain_db(RAIN_MEAN_DB, RAIN_STD_DB, rng, size=K)
     g = large_scale_gain(r_db)

@@ -4,8 +4,8 @@
         [--trials N] [--seed S] [--algos vbi,somp] [--traces] [--workers W]
     leojadce validate --config cfg.txt
 
-Exit codes: 0 success, 1 configuration error (a --workers below 1 among
-them) or an --out that cannot be a directory, 2 at least one trial failed.
+Exit codes: 0 success, 1 usage or configuration error (a --workers below 1
+among them) or an --out that cannot be a directory, 2 a trial failed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, apply_axis, load_config, parse_sweep
+from .config import ConfigError, apply_axis, load_config, parse_algos, parse_sweep
 from .harness import run_sweep, write_outputs
 
 
@@ -28,9 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="scenario config file")
     run_p.add_argument("--sweep", required=True, help="axis=v1,v2,... (axes: snr,L,p_a,K,d,M)")
     run_p.add_argument("--out", required=True, help="output directory for CSV files")
-    run_p.add_argument("--trials", type=int, default=None, help="override config trial count")
-    run_p.add_argument("--seed", type=int, default=None, help="override config master seed")
-    run_p.add_argument("--algos", default=None, help="override algorithms, e.g. vbi,somp")
+    run_p.add_argument("--trials", type=int, help="override config trial count")
+    run_p.add_argument("--seed", type=int, help="override config master seed")
+    run_p.add_argument("--algos", type=parse_algos, help="override algorithms, e.g. vbi,somp")
     run_p.add_argument("--traces", action="store_true", help="emit per-iteration residual CSVs")
     run_p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
@@ -40,7 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a failed trial here
+        return 1 if exc.code else 0
     try:
         cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
@@ -53,15 +57,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.algos is not None:
-            overrides["algos"] = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        overrides = {"trials": args.trials, "master_seed": args.seed, "algos": args.algos}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         sweep = parse_sweep(args.sweep)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")

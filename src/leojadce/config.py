@@ -73,6 +73,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse dims from {text!r}") from exc
 
 
+def parse_algos(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated algorithm list, blanks dropped."""
+    return tuple(a.strip() for a in text.split(",") if a.strip())
+
+
 def _parse_value(name: str, text: str, ftype):
     text = text.strip()
     if ftype is int:
@@ -88,7 +93,7 @@ def _parse_value(name: str, text: str, ftype):
     if name == "dims":
         return _parse_dims(text)
     if name == "algos":
-        return tuple(a.strip() for a in text.split(",") if a.strip())
+        return parse_algos(text)
     raise ConfigError(f"unsupported field type for {name}")
 
 

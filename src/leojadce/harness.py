@@ -91,7 +91,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
     A = assemble_preamble_matrix(preambles)
     geom = scenario_geometry(cfg)
-    X_true, alpha = draw_channels(geom, cfg.M, cfg.p_a, rng)
+    X_true, alpha = draw_channels(geom, cfg.p_a, rng)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db)
     Y = synthesize_received(A, X_true, sigma_n2, rng)
     have_active = bool(np.any(alpha == 1))
@@ -109,10 +109,8 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 if collect_traces:
                     trace_rows.extend((trial, *row) for row in result.trace)
             elif algo == "somp":
-                somp_cfg = baselines.SompConfig(
-                    max_support=baselines.default_max_support(cfg.p_a, cfg.K),
-                    residual_tol=baselines.somp_residual_tol(Y, sigma_n2))
-                sres = baselines.somp(Y, A, somp_cfg)
+                sres = baselines.somp(Y, A, baselines.default_max_support(cfg.p_a, cfg.K),
+                                      baselines.somp_residual_tol(Y, sigma_n2))
                 x_hat = sres.X_hat
                 alpha_hat = np.zeros(cfg.K, dtype=np.int8)
                 alpha_hat[sres.support] = 1

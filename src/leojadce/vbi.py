@@ -43,24 +43,23 @@ before the conjugate copy of KR is solved in place, and the triangular
 solve's largest temporary is half of that copy. The block path
 holds the Gram blocks and a few stacks of the same shape, K b entries each.
 
-Pruning: a device whose prior precision E[v_k] has collapsed (see
-:func:`prune`) leaves the q(X) solve for the rest of the run, as in the
-fixed-point pruning of sparse Bayesian learning (Tipping & Faul 2003; Wipf
-& Rao 2007). q(X) is the one block that couples the devices; it then solves
-only for the active devices, on the path picked for all K, with a copy of
-KR's active columns. The block path re-blocks the devices left, forms
-their Gram blocks again, and forms R afresh from their columns of M_X. A
-pruned device reports an all-zero column of M_X and c_diag = 0, adds
-nothing to Tr(G C_X), and so gets the q(v) rate EPS. Each pruning step
-changes the model, so the ELBO is non-decreasing only while the active set
-is fixed.
+Pruning: after an iteration other than the last, a device whose prior
+precision E[v_k] has collapsed (see :func:`prune`) leaves the q(X) solve
+for the rest of the run, as in the fixed-point pruning of sparse Bayesian
+learning (Tipping & Faul 2003; Wipf & Rao 2007). q(X) is the one block
+that couples the devices; it then solves only for the active devices, on
+the path picked for all K, with a copy of KR's active columns. The block
+path re-blocks the devices left, forms their Gram blocks again, and forms R
+afresh from their columns of M_X. A pruned device reports an all-zero
+column of M_X and c_diag = 0, adds nothing to Tr(G C_X), and so gets the
+q(v) rate EPS. Each pruning step changes the model, so the ELBO is
+non-decreasing only while the active set is fixed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -99,11 +98,9 @@ BLOCK_SIZE = 25
 # outright; a larger one is halved. Picked at K=500 (one BLAS thread,
 # interleaved calls on W = R^-1 conj(KR)): at L = 64-320 a base of 32 took
 # 0.81 ms at L=100, 2.96 at L=196 and 4.26 at L=289, within 3% of the best
-# base of 24-56 at every L but 64 (5%), against 0.86, 2.80 and 4.51 ms for
-# the right-side BLAS triangular solve (ztrsm, with its conjugate copy of
-# KR^T) that it replaced. Below 32 the recursion makes more, smaller calls;
-# above 48 more of the work falls in the base blocks' GEMMs, which take
-# twice the flops of a triangular solve.
+# base of 24-56 at every L but 64 (5%). Below 32 the recursion makes more,
+# smaller calls; above 48 more of the work falls in the base blocks' GEMMs,
+# which take twice the flops of a triangular solve.
 SOLVE_BASE = 32
 
 # The engine's fixed settings: the shape and rate of the Gamma hyperpriors,
@@ -132,8 +129,7 @@ class PosteriorState:
     the q(X) update that produced them. Gamma blocks are parameterized as
     (rate a, shape b) with E = b / a; b_v and b_beta never change. Every
     field is a scalar, a length-K vector, the M x K mean or the M x L
-    residual: no K x K array is formed on either path. The hyperprior
-    constant EPS is not held here; the updates read it from the module.
+    residual: no K x K array is formed on either path.
 
     ``resid`` is the residual R = Y_(d+1) - M_X KR^T over the devices in the
     q(X) solve, held on both paths: the start and each q(X) update set it,
@@ -485,9 +481,7 @@ def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
             & (col_energy <= prev_col_energy))
 
 
-def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray,
-        on_iteration: Callable[[int, PosteriorState], None] | None = None
-        ) -> EngineResult:
+def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResult:
     """Iterate qX -> qv -> qbeta until the relative Frobenius change of M_X
     drops below REL_TOL or MAX_ITERS is reached.
 
@@ -508,7 +502,11 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray,
     Pruning changes the model, so the ELBO is non-decreasing only between
     pruning steps, while the active set is fixed. A run where no device
     meets the rule solves for every device on every iteration and gives the
-    M_X of the unpruned iteration bit for bit."""
+    M_X of the unpruned iteration bit for bit.
+
+    No pruning step follows the last iteration, so a run with MAX_ITERS = n
+    returns the first n trace rows of any longer run, and as its state the
+    state that run held after iteration n, before it pruned."""
     L, K = kr.shape
     grams = None if woodbury_pays(L, K) else precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
@@ -526,8 +524,6 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray,
         F = s.a_beta - EPS
         col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
         trace.append((it, F, float(np.max(col_energy)), len(active), s.E_beta))
-        if on_iteration is not None:
-            on_iteration(it, s)
         denom = float(np.linalg.norm(prev))
         delta = float(np.linalg.norm(s.M_X - prev))
         if denom > 0 and delta / denom < REL_TOL:

@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from leojadce import baselines
-from leojadce.baselines import (AmpResult, SompConfig, SompResult, amp_mmv,
-                                default_max_support, somp)
+from leojadce.baselines import (AmpResult, SompResult, amp_mmv, default_max_support,
+                                somp)
 
 
 def crandn(rng, *shape):
@@ -33,7 +33,7 @@ def test_somp_single_active_noise_free():
     A = unit_columns(rng, L, K)
     x = crandn(rng, M, 1)
     Y = A[:, [4]] @ x.T
-    res = somp(Y, A, SompConfig(max_support=5, residual_tol=1e-10))
+    res = somp(Y, A, 5, 1e-10)
     assert res.support == [4]
     np.testing.assert_allclose(res.X_hat[:, 4], x[:, 0], atol=1e-10)
     # the residual tolerance, not a rank-deficient atom, ended the search
@@ -43,7 +43,7 @@ def test_somp_single_active_noise_free():
 def test_somp_zero_signal_empty_support():
     rng = np.random.default_rng(1)
     A = unit_columns(rng, 8, 5)
-    res = somp(np.zeros((8, 2), dtype=complex), A, SompConfig(max_support=3))
+    res = somp(np.zeros((8, 2), dtype=complex), A, 3, 0.0)
     assert res.support == []
     assert np.count_nonzero(res.X_hat) == 0
 
@@ -57,7 +57,7 @@ def test_somp_orthonormal_dictionary_exact_recovery():
     active = rng.choice(K, size=s, replace=False)
     X[:, active] = crandn(rng, M, s)
     Y = A @ X.T
-    res = somp(Y, A, SompConfig(max_support=s, residual_tol=0.0))
+    res = somp(Y, A, s, 0.0)
     assert sorted(res.support) == sorted(active.tolist())
     np.testing.assert_allclose(res.X_hat, X, atol=1e-10)
 
@@ -69,7 +69,7 @@ def test_somp_residual_non_increasing():
     Y = crandn(rng, L, M)
     support, norms = [], []
     for cap in range(1, 16):
-        res = somp(Y, A, SompConfig(max_support=cap, residual_tol=0.0))
+        res = somp(Y, A, cap, 0.0)
         # a larger cap only adds atoms, in the same order
         assert res.support[:-1] == support and len(res.support) == cap
         support = res.support
@@ -85,7 +85,7 @@ def test_somp_stops_on_a_linearly_dependent_atom():
     col /= np.linalg.norm(col)
     A = np.hstack([col, col, unit_columns(rng, L, 2)])  # duplicated atom
     Y = col @ crandn(rng, M, 1).T
-    res = somp(Y, A, SompConfig(max_support=3, residual_tol=-1.0))
+    res = somp(Y, A, 3, -1.0)
     # no residual stop: only a rank-deficient atom ends the search below
     # the cap, and the duplicate never joins its twin
     assert 1 <= len(res.support) < 3
@@ -96,7 +96,7 @@ def test_somp_rejects_oversized_support():
     rng = np.random.default_rng(5)
     A = unit_columns(rng, 8, 4)
     with pytest.raises(ValueError):
-        somp(np.zeros((8, 2), dtype=complex), A, SompConfig(max_support=5))
+        somp(np.zeros((8, 2), dtype=complex), A, 5, 0.0)
 
 
 def test_default_max_support():
@@ -143,7 +143,7 @@ def test_amp_iterates_bounded_on_random_instance(monkeypatch):
     assert np.all(np.isfinite(res.X_hat))
 
 
-def lstsq_somp(Y, A, cfg):
+def lstsq_somp(Y, A, max_support, residual_tol):
     """SOMP with an SVD least-squares refit of the whole support after each
     atom: the reference for the QR-updating :func:`somp`."""
     L, M = Y.shape
@@ -152,8 +152,8 @@ def lstsq_somp(Y, A, cfg):
     support, coef, R = [], np.zeros((0, M), dtype=complex), Y.copy()
     if y_norm == 0.0:
         return SompResult([], np.zeros((M, K), dtype=complex))
-    while len(support) < cfg.max_support:
-        if np.linalg.norm(R) / y_norm <= cfg.residual_tol:
+    while len(support) < max_support:
+        if np.linalg.norm(R) / y_norm <= residual_tol:
             break
         score = np.sum(np.abs(A.conj().T @ R), axis=1)
         score[support] = -1.0
@@ -216,8 +216,9 @@ def Y_of(A, X, noise, rng):
     return A @ X.T + noise * crandn(rng, A.shape[0], X.shape[0])
 
 
-def assert_matches_lstsq_somp(Y, A, cfg):
-    got, ref = somp(Y, A, cfg), lstsq_somp(Y, A, cfg)
+def assert_matches_lstsq_somp(Y, A, max_support, residual_tol):
+    got = somp(Y, A, max_support, residual_tol)
+    ref = lstsq_somp(Y, A, max_support, residual_tol)
     assert got.support == ref.support
     assert np.linalg.norm(got.X_hat - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
     np.testing.assert_allclose(residual_norm(Y, A, got), residual_norm(Y, A, ref),
@@ -231,7 +232,7 @@ def test_somp_matches_lstsq_refit_at_residual_tolerance(seed):
     noise = 0.05
     A, Y = sparse_scene(seed, 32, 80, 4, 6, noise)
     tol = noise * math.sqrt(Y.size) / np.linalg.norm(Y)
-    got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=20, residual_tol=tol))
+    got = assert_matches_lstsq_somp(Y, A, 20, tol)
     assert 1 <= len(got.support) < 20
     assert residual_norm(Y, A, got) <= tol * np.linalg.norm(Y)
 
@@ -239,7 +240,7 @@ def test_somp_matches_lstsq_refit_at_residual_tolerance(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_somp_matches_lstsq_refit_up_to_support_cap(seed):
     A, Y = sparse_scene(10 + seed, 40, 100, 3, 8, 0.3)
-    got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=25, residual_tol=0.0))
+    got = assert_matches_lstsq_somp(Y, A, 25, 0.0)
     assert len(got.support) == 25
 
 
@@ -254,7 +255,7 @@ def test_somp_matches_lstsq_refit_on_near_collinear_atoms(seed):
     A = np.repeat(unit_columns(rng, L, K // 2), 2, axis=1) + 1e-4 * unit_columns(rng, L, K)
     A /= np.linalg.norm(A, axis=0, keepdims=True)
     Y = Y_of(A, crandn(rng, M, K), 1e-4, rng)
-    assert_matches_lstsq_somp(Y, A, SompConfig(max_support=K, residual_tol=0.0))
+    assert_matches_lstsq_somp(Y, A, K, 0.0)
 
 
 def test_somp_matches_lstsq_refit_on_duplicated_atom():
@@ -264,7 +265,7 @@ def test_somp_matches_lstsq_refit_on_duplicated_atom():
     A = unit_columns(rng, L, 3)
     A[:, 2] = A[:, 0]
     Y = A[:, :2] @ crandn(rng, 2, M) + 1e-3 * crandn(rng, L, M)
-    got = assert_matches_lstsq_somp(Y, A, SompConfig(max_support=3, residual_tol=0.0))
+    got = assert_matches_lstsq_somp(Y, A, 3, 0.0)
     # the search stopped below the cap, on the duplicate of atom 0
     assert sorted(got.support) == [0, 1]
 
@@ -301,7 +302,7 @@ def test_somp_coefficients_match_triangular_solve(M, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     for s in (1, 2, 5, 17, 40, 80):
         A, Y = sparse_scene(100 * M + s, 96, 120, M, min(s, 30), 0.1)
-        somp(Y, A, SompConfig(max_support=s, residual_tol=0.0))
+        somp(Y, A, s, 0.0)
     assert [len(a) for a, _, _ in seen] == [1, 2, 5, 17, 40, 80]
     for R, QhY, coef in seen:
         assert np.array_equal(R, np.triu(R))

@@ -247,9 +247,19 @@ def _uniform_geometry(K, M, norm_sq=0.65, v=0.225):
 def test_draw_channels_zero_activity():
     rng = np.random.default_rng(3)
     geom = sample_device_geometry(50, 4, rng)
-    X, alpha = draw_channels(geom, 4, 0.0, rng)
+    X, alpha = draw_channels(geom, 0.0, rng)
     assert alpha.dtype == np.int8 and np.all(alpha == 0)
     assert X.shape == (4, 50)
+
+
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_draw_channels_takes_M_from_the_geometry(M):
+    K = 30
+    geom = sample_device_geometry(K, M, np.random.default_rng(11))
+    X, _ = draw_channels(geom, 1.0, np.random.default_rng(12))
+    assert X.shape == (M, K)
+    # each antenna draws its own fading: no row repeats another
+    assert len({row.tobytes() for row in X}) == M
 
 
 def test_draw_channels_infinite_rician_limit(monkeypatch):
@@ -258,7 +268,7 @@ def test_draw_channels_infinite_rician_limit(monkeypatch):
     monkeypatch.setattr(channel, "RICIAN_FACTOR", 1e12)
     K, M = 20_000, 4
     geom = _uniform_geometry(K, M)
-    X, _ = draw_channels(geom, M, 1.0, rng)  # every device active
+    X, _ = draw_channels(geom, 1.0, rng)  # every device active
     g = large_scale_gain(RAIN_MEAN_DB)  # RAIN_STD_DB = 0: rain at its mean
     expected_mean = geom.omega[0] * math.sqrt(g) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     sample_mean = np.mean(X, axis=1)
@@ -272,7 +282,7 @@ def test_draw_channels_rician_moment_oracle(monkeypatch):
     monkeypatch.setattr(channel, "RAIN_STD_DB", 0.0)  # freeze g so moments are clean
     K, M, lam, v = 100_000, 4, channel.RICIAN_FACTOR, 0.225
     geom = _uniform_geometry(K, M, v=v)
-    X, _ = draw_channels(geom, M, 1.0, rng)  # every device active
+    X, _ = draw_channels(geom, 1.0, rng)  # every device active
     g, w = large_scale_gain(RAIN_MEAN_DB), geom.omega[0]
     mean_true = w * math.sqrt(lam * g / (lam + 1)) * geom.hlos_dir[:, 0] * math.sqrt(0.65)
     var_true = w**2 * g * v / (lam + 1)
@@ -302,8 +312,8 @@ def _draws(seed, p_a, K=12, M=3):
     draw takes the same random numbers at any p_a, so the second X holds
     every device's channel. Returns (X, alpha, H)."""
     geom = sample_device_geometry(K, M, np.random.default_rng(seed))
-    X, alpha = draw_channels(geom, M, p_a, np.random.default_rng([seed, 1]))
-    H, every = draw_channels(geom, M, 1.0, np.random.default_rng([seed, 1]))
+    X, alpha = draw_channels(geom, p_a, np.random.default_rng([seed, 1]))
+    H, every = draw_channels(geom, 1.0, np.random.default_rng([seed, 1]))
     assert np.all(every == 1) and np.count_nonzero(H) == H.size
     return X, alpha, H
 

@@ -76,6 +76,24 @@ def test_out_that_cannot_be_a_directory_exits_1_before_any_trial(cfg, tmp_path, 
     assert (tmp_path / "taken").read_text() == "kept"
 
 
+@pytest.mark.parametrize("extra, out", [
+    (["--trials", "abc"], True),
+    (["--workers", "x"], True),
+    ([], False),                    # no --out
+], ids=["trials-abc", "workers-x", "missing-out"])
+def test_usage_errors_exit_1_without_making_out(cfg, tmp_path, capsys, extra, out):
+    # argparse alone would exit 2, which the run keeps for a failed trial
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", *extra]
+    assert cli.main(argv + (["--out", str(tmp_path / "out")] if out else [])) == 1
+    assert capsys.readouterr().err.startswith("usage: leojadce run ")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: leojadce run ")
+
+
 def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
     def failing_run(*args, **kwargs):
         raise vbi.EngineError("negative expected residual F=-1.0")

@@ -21,7 +21,7 @@ def trial_scene(K, dims, snr_db, seed):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), 0)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     A = assemble_preamble_matrix(p)
-    X, _ = draw_channels(harness.scenario_geometry(cfg), cfg.M, cfg.p_a, rng)
+    X, _ = draw_channels(harness.scenario_geometry(cfg), cfg.p_a, rng)
     sigma_n2 = snr_to_noise_variance(cfg.snr_db)
     return p, A, synthesize_received(A, X, sigma_n2, rng), sigma_n2
 
@@ -45,11 +45,10 @@ def test_vbi_returns_the_conjugate_estimate(scene):
 @pytest.mark.parametrize("scene", SCENES, ids=IDS)
 def test_somp_returns_the_conjugate_estimate(scene):
     _, A, Y, sigma_n2 = trial_scene(*scene)
-    cfg = baselines.SompConfig(
-        max_support=baselines.default_max_support(0.1, A.shape[1]),
-        residual_tol=baselines.somp_residual_tol(Y, sigma_n2))
-    plain = baselines.somp(Y, A, cfg)
-    conj = baselines.somp(Y.conj(), A.conj(), cfg)
+    max_support = baselines.default_max_support(0.1, A.shape[1])
+    residual_tol = baselines.somp_residual_tol(Y, sigma_n2)
+    plain = baselines.somp(Y, A, max_support, residual_tol)
+    conj = baselines.somp(Y.conj(), A.conj(), max_support, residual_tol)
     assert plain.support and conj.support == plain.support
     np.testing.assert_array_equal(conj.X_hat, plain.X_hat.conj())
 

@@ -40,7 +40,7 @@ def harness_scene(cfg, trial=0):
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
     p = gen_preambles(cfg.dims, cfg.K, rng)
     geom = harness.scenario_geometry(cfg)
-    X, _ = draw_channels(geom, cfg.M, cfg.p_a, rng)
+    X, _ = draw_channels(geom, cfg.p_a, rng)
     return p, synthesize_received(khatri_rao(p), X, snr_to_noise_variance(cfg.snr_db), rng)
 
 
@@ -95,10 +95,42 @@ PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
 
 
 def states_of(p, Y):
+    """The run on (p, Y), and its start followed by its state after each
+    iteration n, taken from a run with MAX_ITERS = n: no pruning step
+    follows a run's last iteration, so that run ends in the state the full
+    run held after iteration n, before it pruned."""
     kr = khatri_rao(p)
+    result = vbi.run(p, kr, Y)
     states = [vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real))]
-    result = vbi.run(p, kr, Y, on_iteration=lambda it, s: states.append(s))
+    with pytest.MonkeyPatch.context() as mp:
+        for n in range(1, result.n_iters + 1):
+            mp.setattr(vbi, "MAX_ITERS", n)
+            states.append(vbi.run(p, kr, Y).state)
     return result, states
+
+
+@pytest.mark.parametrize("make, prunes", [
+    (lambda: scene(WOODBURY, 0.05)[:2], True),     # pruning, runs to the cap
+    (lambda: scene(DIRECT, 0.05)[:2], True),       # pruning, converges
+    (lambda: harness_scene(PAPER_SHORT), False),
+], ids=["woodbury", "direct", "L100-10dB"])
+def test_capped_run_replays_the_uncapped_run(make, prunes, monkeypatch):
+    # what states_of relies on: a run with MAX_ITERS = n repeats the first
+    # n iterations of the uncapped run bit for bit, pruning steps included
+    p, Y = make()
+    kr = khatri_rao(p)
+    full = vbi.run(p, kr, Y)
+    assert (full.trace[-1][3] < kr.shape[1]) == prunes
+    for n in range(1, full.n_iters + 1):
+        monkeypatch.setattr(vbi, "MAX_ITERS", n)
+        capped = vbi.run(p, kr, Y)
+        assert capped.n_iters == n
+        assert capped.trace == full.trace[:n]
+        assert capped.converged == (full.converged and n == full.n_iters)
+    # at the uncapped run's length, both runs end in the same state
+    for field in dataclasses.fields(full.state):
+        np.testing.assert_array_equal(getattr(capped.state, field.name),
+                                      getattr(full.state, field.name))
 
 
 @pytest.mark.parametrize("dims, sigma_n2", PRUNING)
