@@ -124,11 +124,12 @@ def somp_residual_tol(Y: np.ndarray, sigma_n2: float) -> float:
 
 
 # AMP's fixed settings: the iteration cap of :func:`amp_mmv`, the weight of
-# each new iterate in the damped update, and the stop on the relative
-# residual ||Y - A X|| / ||Y||.
+# each new iterate in the damped update, and the stop on the relative change
+# of the damped estimate, ||X - X_prev|| <= AMP_TOL ||X_prev|| (the rule of
+# ``vbi.REL_TOL``).
 AMP_MAX_ITERS = 50
-AMP_DAMPING = 0.5
-AMP_TOL = 1e-4
+AMP_DAMPING = 0.8
+AMP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -139,53 +140,84 @@ class AmpResult:
 
 
 def amp_mmv(Y: np.ndarray, A: np.ndarray, p_a: float) -> AmpResult:
-    """Soft-threshold AMP with a row-wise (MMV) group threshold.
-
-    Standard iteration with an Onsager term; rows of the pseudo-data are
-    shrunk jointly via block soft thresholding. Kept simple: it is a
-    comparison baseline, not a tuned state-evolution implementation. The
-    threshold follows the residual's own scale, so it reads no noise variance.
+    """MMV AMP with a Bernoulli-Gaussian MMSE row denoiser (Liu & Yu 2018;
+    Chen, Sohrabi & Yu 2018).
 
     ``Y`` (L x M) is read as ``A X^T`` plus noise, like :func:`somp`; the
     returned ``X_hat`` estimates the M x K matrix X (zeros if it diverged).
+    Inside, device k's channel is row x_k of a K x M matrix X.
 
-    An iteration does two L x K products: the adjoint A^H Z, taken as
-    (A^T Z^*)^* on a transposed view of A so no conjugate copy of A is held
-    (bit-equal to ``A.conj().T @ Z``), and A X_new. The product A X that
-    the stop test ||Y - A X|| <= AMP_TOL ||Y|| reads is carried through
-    the same damping as X, so it matches A applied to the damped X up to
-    roundoff; the iterates X and Z do not depend on it.
+    Prior: each row x_k is 0 with probability 1 - ``p_a`` and CN(0, gamma I)
+    otherwise. The pseudo-data R = X + A^H Z is taken as X plus white noise
+    of variance tau^2 = ||Z||_F^2 / (L M), estimated from the residual Z at
+    every iteration, so AMP reads no noise variance. gamma starts at
+    ||Y||_F^2 / (M p_a K), the energy of an active row when the columns of A
+    have unit norm, and each iteration re-estimates it by EM from the
+    posterior of the rows. With g = gamma / (gamma + tau^2) and
+    c = 1 / tau^2 - 1 / (gamma + tau^2), row r_k of R is active with
+    posterior probability
+
+        pi_k = sigmoid(log(p_a / (1 - p_a)) + M log(tau^2 / (gamma + tau^2))
+                       + c ||r_k||^2),
+
+    and the denoiser returns its posterior mean pi_k g r_k. The Onsager
+    term multiplies Z by (1 / (L M)) sum_k [M pi_k g + g pi_k (1 - pi_k) c
+    ||r_k||^2], the mean divergence of the denoiser times K / L. X and Z
+    move by ``AMP_DAMPING`` of each step. The run stops when the damped X
+    moves by at most ``AMP_TOL`` of its norm; when ||Z|| falls to the
+    roundoff of ||Y||, as it does on noise-free samples, since R = X + A^H Z
+    can then move X by roundoff alone and tau^2 would head for 0; or after
+    ``AMP_MAX_ITERS`` iterations. It reports divergence when ||Z|| grows
+    non-finite or beyond 1e6 (||Y|| + 1). ``p_a`` = 0 gives the zero
+    estimate without iterating, and ``p_a`` = 1 the Gaussian (linear MMSE)
+    denoiser.
+
+    One iteration costs two L x K x M products, L K M complex
+    multiply-adds each, plus O(K M) for the denoiser and the stop test:
+    the adjoint A^H Z, taken as (A^T Z^*)^* on a transposed view of A so no
+    conjugate copy of A is held (bit-equal to ``A.conj().T @ Z``), and
+    A X_new.
     """
     Y = np.asarray(Y, dtype=complex)
     A = np.asarray(A, dtype=complex)
     L, M = Y.shape
     K = A.shape[1]
-    delta = L / K
-    X = np.zeros((K, M), dtype=complex)   # row-per-device layout internally
-    AX = np.zeros((L, M), dtype=complex)
+    X = np.zeros((K, M), dtype=complex)
+    if p_a == 0.0:
+        return AmpResult(X_hat=X.T, n_iters=0, diverged=False)
+    log_odds = math.inf if p_a == 1.0 else math.log(p_a / (1.0 - p_a))
     Z = Y.copy()
-    y_norm = float(np.linalg.norm(Y))
+    y_norm = z_norm = float(np.linalg.norm(Y))
+    gamma = y_norm ** 2 / (M * p_a * K)
+    eps = np.finfo(float).eps
     diverged = False
     n_done = 0
     for it in range(1, AMP_MAX_ITERS + 1):
         n_done = it
-        pseudo = X + (A.T @ Z.conj()).conj()
-        tau = np.linalg.norm(Z) / math.sqrt(L * M)
-        lam = tau * math.sqrt(2.0 * math.log(max(K / max(p_a * K, 1.0), math.e)))
-        row_norms = np.linalg.norm(pseudo, axis=1)
-        shrink = np.maximum(1.0 - lam / np.maximum(row_norms, 1e-300), 0.0)
-        X_new = pseudo * shrink[:, None]
-        active_frac = float(np.mean(shrink > 0))
-        onsager = Z * (active_frac / delta)
-        AX_new = A @ X_new
-        Z_new = Y - AX_new + onsager
+        if z_norm <= eps * y_norm:
+            break
+        tau2 = z_norm ** 2 / (L * M)
+        R = X + (A.T @ Z.conj()).conj()
+        r2 = np.sum(np.abs(R) ** 2, axis=1)
+        g = gamma / (gamma + tau2)
+        c = 1.0 / tau2 - 1.0 / (gamma + tau2)
+        logit = log_odds + M * math.log(tau2 / (gamma + tau2)) + c * r2
+        pi = np.exp(-np.logaddexp(0.0, -logit))       # sigmoid, overflow-free
+        X_new = (pi * g)[:, None] * R
+        pi_sum = float(np.sum(pi))
+        onsager = (M * g * pi_sum + g * c * float(np.dot(pi * (1.0 - pi), r2))) / (L * M)
+        Z_new = Y - A @ X_new + onsager * Z
+        if pi_sum > 0.0:
+            # EM: the posterior mean of ||x_k||^2 / M over the active rows
+            gamma = (g * g * float(np.dot(pi, r2)) + M * g * tau2 * pi_sum) / (M * pi_sum)
+        X_prev = X
         X = AMP_DAMPING * X_new + (1.0 - AMP_DAMPING) * X
-        AX = AMP_DAMPING * AX_new + (1.0 - AMP_DAMPING) * AX
         Z = AMP_DAMPING * Z_new + (1.0 - AMP_DAMPING) * Z
-        if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
+        z_norm = float(np.linalg.norm(Z))
+        if not math.isfinite(z_norm) or z_norm > 1e6 * (y_norm + 1.0):
             diverged = True
             break
-        if np.linalg.norm(Y - AX) <= AMP_TOL * y_norm:
+        if np.linalg.norm(X - X_prev) <= AMP_TOL * np.linalg.norm(X_prev):
             break
     return AmpResult(X_hat=X.T if not diverged else np.zeros((M, K), dtype=complex),
                      n_iters=n_done, diverged=diverged)

@@ -29,7 +29,11 @@ class ScenarioConfig:
     the device geometry and the Rician factor in :mod:`~leojadce.channel`,
     the engine in :mod:`~leojadce.vbi` (EPS, MAX_ITERS, REL_TOL), AMP in
     :mod:`~leojadce.baselines` (AMP_MAX_ITERS, AMP_DAMPING, AMP_TOL) and the
-    detection threshold in :data:`~leojadce.detection.THRESHOLD_RATIO`."""
+    detection threshold in :data:`~leojadce.detection.THRESHOLD_RATIO`.
+
+    ``p_a`` is the activity probability of the draw. SOMP reads it for its
+    support cap and AMP as its prior activity probability; VBI does not
+    read it."""
 
     K: int = 500
     M: int = 8

@@ -27,7 +27,8 @@ q(X) paths: :func:`run` picks one per call, by :func:`woodbury_pays`.
   instead of a K x K factorization at K^3 / 3. It drops the covariance
   between blocks, so its fixed point is that of the block family, not of the
   joint q(X); at L=400 and K=500 this cost no accuracy, while at L=100 it
-  did (ROADMAP item 3), which is why the Woodbury path stays there. The
+  did at the cap of 35 iterations, which is why the Woodbury path stays
+  there (ROADMAP item 1 traces that loss to the cap). The
   blocks are index ranges, so block results depend on the order of the
   devices, unlike the joint model's. It uses numpy only.
 
@@ -254,7 +255,7 @@ def woodbury_pays(L: int, K: int) -> bool:
     L = 300; the block sweep took 1.9-2.2 ms at all four (one BLAS thread,
     M=8). The rule stays where it was, so that no output moves for L
     between the two crossovers, and because block q(X) lost accuracy at
-    L=100 (ROADMAP item 3)."""
+    L=100 when measured at the cap of 35 iterations (ROADMAP item 1)."""
     return L * L * K + L ** 3 / 3 < K ** 3 / 2
 
 

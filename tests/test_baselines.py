@@ -1,6 +1,6 @@
-"""SOMP and AMP baselines on constructed instances, and against the
-straightforward forms they replace (an lstsq refit per atom, three
-products per AMP iteration)."""
+"""SOMP and AMP baselines on constructed instances and on the benchmark's
+scenes, and against straightforward forms of the same iterations (an
+lstsq refit per atom; AMP with an explicit adjoint)."""
 
 import math
 
@@ -11,14 +11,17 @@ from scipy.linalg import solve_triangular
 from leojadce import baselines
 from leojadce.baselines import (AmpResult, SompResult, amp_mmv, default_max_support,
                                 somp)
+from leojadce.detection import nmse
+from trial_scene import trial_scene
 
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def unit_columns(rng, L, K):
-    A = crandn(rng, L, K)
+def unit_columns(rng, L, K, mean=0.0):
+    """Unit-norm columns of i.i.d. CN(mean, 2) entries."""
+    A = crandn(rng, L, K) + mean
     return A / np.linalg.norm(A, axis=0, keepdims=True)
 
 
@@ -170,43 +173,56 @@ def lstsq_somp(Y, A, max_support, residual_tol):
     return SompResult(support, X_hat)
 
 
-def three_product_amp(Y, A, p_a):
-    """AMP with an explicit adjoint copy and a fresh A X product for the
-    stop test: the reference that :func:`amp_mmv` must match bit for bit.
-    It reads AMP's settings from :mod:`leojadce.baselines` when called."""
+def plain_amp(Y, A, p_a):
+    """The iteration of :func:`amp_mmv` with an explicit adjoint A^H, formed
+    on every iteration, and ||Z|| taken afresh wherever it is read: the
+    reference that :func:`amp_mmv` must match bit for bit. It reads AMP's
+    settings from :mod:`leojadce.baselines` when called."""
     damping = baselines.AMP_DAMPING
     L, M = Y.shape
     K = A.shape[1]
-    delta = L / K
     X = np.zeros((K, M), dtype=complex)
+    if p_a == 0.0:
+        return AmpResult(X.T, 0, False)
+    log_odds = math.inf if p_a == 1.0 else math.log(p_a / (1.0 - p_a))
     Z = Y.copy()
     y_norm = float(np.linalg.norm(Y))
-    A_H = A.conj().T
+    gamma = y_norm ** 2 / (M * p_a * K)
     diverged, n_done = False, 0
     for it in range(1, baselines.AMP_MAX_ITERS + 1):
         n_done = it
-        pseudo = X + A_H @ Z
-        tau = np.linalg.norm(Z) / math.sqrt(L * M)
-        lam = tau * math.sqrt(2.0 * math.log(max(K / max(p_a * K, 1.0), math.e)))
-        row_norms = np.linalg.norm(pseudo, axis=1)
-        shrink = np.maximum(1.0 - lam / np.maximum(row_norms, 1e-300), 0.0)
-        X_new = pseudo * shrink[:, None]
-        onsager = Z * (float(np.mean(shrink > 0)) / delta)
-        Z_new = Y - A @ X_new + onsager
+        if np.linalg.norm(Z) <= np.finfo(float).eps * y_norm:
+            break
+        tau2 = float(np.linalg.norm(Z)) ** 2 / (L * M)
+        A_H = A.conj().T
+        R = X + A_H @ Z
+        r2 = np.sum(np.abs(R) ** 2, axis=1)
+        g = gamma / (gamma + tau2)
+        c = 1.0 / tau2 - 1.0 / (gamma + tau2)
+        logit = log_odds + M * math.log(tau2 / (gamma + tau2)) + c * r2
+        pi = np.exp(-np.logaddexp(0.0, -logit))
+        X_new = (pi * g)[:, None] * R
+        onsager = (M * g * float(np.sum(pi))
+                   + g * c * float(np.dot(pi * (1.0 - pi), r2))) / (L * M)
+        Z_new = Y - A @ X_new + onsager * Z
+        if np.sum(pi) > 0.0:
+            gamma = ((g * g * float(np.dot(pi, r2)) + M * g * tau2 * float(np.sum(pi)))
+                     / (M * float(np.sum(pi))))
+        X_prev = X
         X = damping * X_new + (1.0 - damping) * X
         Z = damping * Z_new + (1.0 - damping) * Z
         if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
             diverged = True
             break
-        if np.linalg.norm(Y - A @ X) <= baselines.AMP_TOL * y_norm:
+        if np.linalg.norm(X - X_prev) <= baselines.AMP_TOL * np.linalg.norm(X_prev):
             break
     X_hat = X.T if not diverged else np.zeros((M, K), dtype=complex)
     return AmpResult(X_hat, n_done, diverged)
 
 
-def sparse_scene(seed, L, K, M, n_active, noise):
+def sparse_scene(seed, L, K, M, n_active, noise, mean=0.0):
     rng = np.random.default_rng(seed)
-    A = unit_columns(rng, L, K)
+    A = unit_columns(rng, L, K, mean)
     X = np.zeros((M, K), dtype=complex)
     X[:, rng.choice(K, n_active, replace=False)] = crandn(rng, M, n_active)
     return A, Y_of(A, X, noise, rng)
@@ -270,21 +286,92 @@ def test_somp_matches_lstsq_refit_on_duplicated_atom():
     assert sorted(got.support) == [0, 1]
 
 
-@pytest.mark.parametrize("L, K, M, n_active, noise, max_iters, expect", [
-    (48, 100, 3, 5, 0.05, 50, "runs"),   # odd M: (Z^H A)^H rounds unlike A^H Z
-    (64, 80, 4, 4, 0.0, 500, "tolerance stop"),
-    (30, 150, 8, 15, 0.3, 50, "diverges"),
-])
-def test_amp_matches_three_product_form_bit_for_bit(L, K, M, n_active, noise,
-                                                    max_iters, expect, monkeypatch):
-    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", max_iters)
-    A, Y = sparse_scene(40, L, K, M, n_active, noise)
-    p_a = n_active / K
-    got, ref = amp_mmv(Y, A, p_a), three_product_amp(Y, A, p_a)
+@pytest.mark.parametrize("scene, settings, expect", [
+    # odd M: (Z^H A)^H rounds unlike A^H Z
+    ((48, 100, 3, 5, 0.05), {"AMP_MAX_ITERS": 5}, "cap"),
+    ((48, 100, 3, 5, 0.05), {}, "tolerance stop"),
+    # noise-free, and no tolerance: only ||Z|| at the roundoff of ||Y|| ends it
+    ((64, 80, 4, 4, 0.0), {"AMP_TOL": 0.0, "AMP_MAX_ITERS": 500}, "roundoff stop"),
+    # a common component in every column, on which AMP is known to fail
+    ((30, 150, 8, 15, 0.1, 2.0), {}, "diverges"),
+], ids=["cap", "tolerance stop", "roundoff stop", "diverges"])
+def test_amp_matches_plain_form_bit_for_bit(scene, settings, expect, monkeypatch):
+    for name, value in settings.items():
+        monkeypatch.setattr(baselines, name, value)
+    A, Y = sparse_scene(40, *scene)
+    p_a = scene[3] / scene[1]
+    got, ref = amp_mmv(Y, A, p_a), plain_amp(Y, A, p_a)
     np.testing.assert_array_equal(got.X_hat, ref.X_hat)
     assert (got.n_iters, got.diverged) == (ref.n_iters, ref.diverged)
     assert ref.diverged == (expect == "diverges")
-    assert (ref.n_iters < max_iters) == (expect != "runs")
+    assert (ref.n_iters == baselines.AMP_MAX_ITERS) == (expect == "cap")
+
+
+def test_amp_first_iterate_is_the_damped_mixture_posterior_mean(monkeypatch):
+    # from X = 0 and Z = Y the pseudo-data is R = A^H Y, tau^2 = ||Y||^2 / (L M)
+    # and gamma = ||Y||^2 / (M p_a K); each row's posterior mean under the
+    # prior (1 - p_a) delta_0 + p_a CN(0, gamma I) follows from the two CN
+    # densities of r_k, CN(0, tau^2 I) and CN(0, (gamma + tau^2) I)
+    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", 1)
+    A, Y = sparse_scene(41, 48, 100, 3, 5, 0.05)
+    L, M = Y.shape
+    K, p_a = A.shape[1], 0.05
+    R = A.conj().T @ Y
+    tau2 = np.linalg.norm(Y) ** 2 / (L * M)
+    gamma = np.linalg.norm(Y) ** 2 / (M * p_a * K)
+
+    def log_cn(var):
+        return -M * np.log(np.pi * var) - np.sum(np.abs(R) ** 2, axis=1) / var
+
+    log_active = np.log(p_a) + log_cn(gamma + tau2)
+    log_inactive = np.log(1.0 - p_a) + log_cn(tau2)
+    pi = np.exp(log_active - np.logaddexp(log_active, log_inactive))
+    assert pi.min() < 1e-3 and pi.max() > 0.999
+    mean = (pi * gamma / (gamma + tau2))[:, None] * R
+    res = amp_mmv(Y, A, p_a)
+    assert res.n_iters == 1
+    np.testing.assert_allclose(res.X_hat, baselines.AMP_DAMPING * mean.T, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p_a", [0.0, 1.0])
+def test_amp_takes_every_activity_probability_the_config_accepts(p_a):
+    # a RuntimeWarning from log(p_a / (1 - p_a)) or the sigmoid fails the test
+    A, Y = sparse_scene(42, 48, 100, 3, 5, 0.05)
+    res = amp_mmv(Y, A, p_a)
+    assert not res.diverged and np.all(np.isfinite(res.X_hat))
+    assert np.any(res.X_hat != 0) == (p_a == 1.0)
+
+
+def test_amp_stops_on_noise_free_samples(monkeypatch):
+    # L < K and no noise: ||Z|| falls to the roundoff of ||Y||, where tau^2
+    # would head for 0 and 1 / tau^2 overflow; with no tolerance, that stop
+    # alone ends the run before the cap
+    monkeypatch.setattr(baselines, "AMP_TOL", 0.0)
+    monkeypatch.setattr(baselines, "AMP_MAX_ITERS", 500)
+    A, Y = sparse_scene(43, 40, 100, 4, 4, 0.0)
+    res = amp_mmv(Y, A, 0.04)
+    assert not res.diverged and res.n_iters < 500
+    assert np.linalg.norm(Y - A @ res.X_hat.T) <= 1e-12 * np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_amp_estimates_on_the_short_preamble_scene(seed):
+    # K=500, L=100, 10 dB, trial 0: AMP neither diverges nor returns zeros
+    s = trial_scene(500, (10, 10), 10.0, seed)
+    res = amp_mmv(s.Y, s.A, 0.1)
+    assert not res.diverged and np.any(res.X_hat != 0)
+
+
+def test_amp_converges_on_the_paper_scene():
+    # K=500, L=400, 30 dB, trials 0-2 at master seed 23: AMP stops before
+    # its cap, at a mean NMSE of at most 0.0142
+    nmses = []
+    for trial in range(3):
+        s = trial_scene(500, (20, 20), 30.0, 23, trial)
+        res = amp_mmv(s.Y, s.A, 0.1)
+        assert res.n_iters < baselines.AMP_MAX_ITERS
+        nmses.append(nmse(res.X_hat, s.X))
+    assert np.mean(nmses) <= 0.0142
 
 
 @pytest.mark.parametrize("M", [1, 3, 8])
