@@ -14,47 +14,34 @@ q(X) q(v) q(beta) is optimized by coordinate ascent in closed form: each
 update below is the optimum of its block with the other blocks fixed, and
 the evidence lower bound does not decrease.
 
-q(X) paths: :func:`run` picks one per call, by :func:`woodbury_pays`.
-- Woodbury path (L << K): q(X) is one Gaussian over all devices, solved
-  through an L x L system at about L^2 K work; it is exact. S comes from
-  one real symmetric product, and the triangular solves run as a recursion
-  on GEMM (see :func:`_solve_woodbury`), so it too uses numpy only.
-- Block path (otherwise): q(X) = prod_B q(X_B) over consecutive blocks B of
-  about BLOCK_SIZE devices (block mean-field, as in space-alternating
-  variational estimation, Thomas & Slock 2018, and inverse-free SBL, Duan,
-  Yang, Fang & Li 2017). Each iteration runs one Gauss-Seidel sweep over the
-  blocks at about 2 M L K work plus b^2 K for the b x b block systems,
-  instead of a K x K factorization at K^3 / 3. It drops the covariance
-  between blocks, so its fixed point is that of the block family, not of the
-  joint q(X); at L=400 and K=500 this cost no accuracy, while at L=100 it
-  did at the cap of 35 iterations, which is why the Woodbury path stays
-  there (ROADMAP item 1 traces that loss to the cap). The
-  blocks are index ranges, so block results depend on the order of the
-  devices, unlike the joint model's. It uses numpy only.
+q(X) is block mean-field: q(X) = prod_B q(X_B) over consecutive blocks B
+of about BLOCK_SIZE devices, as in space-alternating variational
+estimation (Thomas & Slock 2018) and inverse-free SBL (Duan, Yang, Fang &
+Li 2017). Each iteration runs one Gauss-Seidel sweep over the blocks at
+about 2 M L K work plus b^2 K for the b x b block systems, instead of a
+K x K factorization at K^3 / 3 or an L x L one at L^2 K, and uses numpy
+only. It drops the covariance between blocks, so its fixed point is that of
+the block family, not of the joint q(X). The blocks are index ranges, so
+the results depend on the order of the devices, at every L.
 
 Memory: the engine holds only the arrays its updates read. :func:`run`
 reads KR from its caller and forms ||Y||^2 once per call, and the start
-forms Y_(d+1) KR^*; no K x K array is formed on either path. Both paths keep
-the M x L residual R = Y_(d+1) - M_X KR^T, from which q(beta) reads
-||R||_F^2 at M L work. The Woodbury path forms R from each new mean, at
-M L K work; the block sweep updates it block by block. On the Woodbury path,
-besides KR and its L x L factor, the solve holds at most about 1.5 L x K
-complex arrays: the 2L x K real scaled copy of KR that forms S is freed
-before the conjugate copy of KR is solved in place, and the triangular
-solve's largest temporary is half of that copy. The block path
-holds the Gram blocks and a few stacks of the same shape, K b entries each.
+forms Y_(d+1) KR^*; no K x K array is formed. The M x L residual
+R = Y_(d+1) - M_X KR^T is kept and updated block by block, so q(beta) reads
+||R||_F^2 at M L work. Besides KR, the engine holds the Gram blocks and a
+few stacks of the same shape, K b entries each.
 
 Pruning: after an iteration other than the last, a device whose prior
 precision E[v_k] has collapsed (see :func:`prune`) leaves the q(X) solve
 for the rest of the run, as in the fixed-point pruning of sparse Bayesian
 learning (Tipping & Faul 2003; Wipf & Rao 2007). q(X) is the one block
-that couples the devices; it then solves only for the active devices, on
-the path picked for all K, with a copy of KR's active columns. The block
-path re-blocks the devices left, forms their Gram blocks again, and forms R
-afresh from their columns of M_X. A pruned device reports an all-zero
-column of M_X and c_diag = 0, adds nothing to Tr(G C_X), and so gets the
-q(v) rate EPS. Each pruning step changes the model, so the ELBO is
-non-decreasing only while the active set is fixed.
+that couples the devices; it then solves only for the active devices,
+with a copy of KR's active columns: it re-blocks the devices left, forms
+their Gram blocks again, and forms R afresh from their columns of M_X. A
+pruned device reports an all-zero column of M_X and c_diag = 0, adds
+nothing to Tr(G C_X), and so gets the q(v) rate EPS. Each pruning step
+changes the model, so the ELBO is non-decreasing only while the active set
+is fixed.
 """
 
 from __future__ import annotations
@@ -74,8 +61,10 @@ import numpy as np
 # r = detection.THRESHOLD_RATIO, so a device pruned at that iteration would
 # not be detected there. Both were picked on master seeds 7 and 1234 at
 # K=500: at L=400, 30 dB the run then stops after 15-18 iterations instead
-# of 30-32, and at L=100 or at 10 dB no device is pruned. A fraction of
-# 1e-2 pruned the same devices; one of 1e-3 pruned them over more
+# of 30-32. At the cap of 50 (master seed 314, 4 trials a scene) no device
+# is pruned at 0 dB, nor at L=100, 10 dB; at 10 dB and L = 196-400 runs end
+# with 374-500 of the 500 devices, and at 20-30 dB with 39-360. A fraction
+# of 1e-2 pruned the same devices; one of 1e-3 pruned them over more
 # iterations, and the run stopped after 16-25. The growth test keeps a true
 # device whose column the iteration has not yet picked up: with X 20 times
 # larger (a transmit power of 400), the unit E[v] start holds such a column
@@ -86,29 +75,24 @@ PRUNE_FROM_ITER = 5
 PRUNE_PRECISION_RATIO = 200.0
 PRUNE_ENERGY_FRACTION = 3e-3
 
-# Devices per block of the block q(X) path (see :func:`_block_slots`). Picked
-# at K=500, M=8 (master seed 9, 4 trials a scene, one BLAS thread): at
-# L=400, 10 dB a VBI run took 82 ms with b=25, against 94-136 ms with
-# b = 5-16 and 104-223 ms with b = 40-100; at L=400, 30 dB b = 10-40 took
-# 26-30 ms and b=100 62 ms. Larger blocks sweep fewer, larger GEMMs but
+# Devices per block of q(X) (see :func:`_block_slots`). Picked at K=500,
+# M=8 (master seed 9, 4 trials a scene, one BLAS thread): at L=400, 10 dB a
+# VBI run took 82 ms with b=25, against 94-136 ms with b = 5-16 and
+# 104-223 ms with b = 40-100; at L=400, 30 dB b = 10-40 took 26-30 ms and
+# b=100 62 ms. Larger blocks sweep fewer, larger GEMMs but
 # factor b^3 per block; smaller ones loop more in Python. Pe did not move
 # with b, and mean NMSE rose with it, by under 1% from b=5 to b=25.
 BLOCK_SIZE = 25
 
-# Rows of the largest diagonal block that :func:`_solve_lower` inverts
-# outright; a larger one is halved. Picked at K=500 (one BLAS thread,
-# interleaved calls on W = R^-1 conj(KR)): at L = 64-320 a base of 32 took
-# 0.81 ms at L=100, 2.96 at L=196 and 4.26 at L=289, within 3% of the best
-# base of 24-56 at every L but 64 (5%). Below 32 the recursion makes more,
-# smaller calls; above 48 more of the work falls in the base blocks' GEMMs,
-# which take twice the flops of a triangular solve.
-SOLVE_BASE = 32
-
 # The engine's fixed settings: the shape and rate of the Gamma hyperpriors,
 # the iteration cap of :func:`run`, and its stop on the relative Frobenius
-# change of M_X.
+# change of M_X. Where K / L >= 4 the block sweep needs 50-100 iterations to
+# settle. At K=500, L=100 (master seed 314, 4 trials a scene) a cap of 35
+# left NMSE at .39 (20 dB) and .23 (30 dB), against .18 and .063 at 50 and
+# .089 and .009 at 70; a run at 10 dB took 94 ms at 50, 127 ms at 70 and
+# 182 ms at 100 (one BLAS thread). At L=400, 30 dB runs stop after 13-16.
 EPS = 1e-6
-MAX_ITERS = 35
+MAX_ITERS = 50
 REL_TOL = 1e-3
 
 
@@ -121,20 +105,19 @@ class PosteriorState:
     """The variational statistics the updates read, and nothing else.
 
     The posterior over X is matrix Gaussian with mean M_X and one shared
-    column covariance C_X. On the Woodbury path C_X is the K x K
-    (E[beta] G + diag(E[v]))^-1; on the block path it is block-diagonal,
-    one block C_B = (E[beta] G_BB + diag(E[v_B]))^-1 per block B of devices
-    (see :func:`update_qX`). C_X itself is never stored: q(v) reads only its
-    diagonal c_diag, and q(beta) only the scalar Tr(G C_X), which is
-    sum_B Tr(G_BB C_B) on the block path. Both hold the E[beta] and E[v] of
-    the q(X) update that produced them. Gamma blocks are parameterized as
+    column covariance C_X, block-diagonal with one block
+    C_B = (E[beta] G_BB + diag(E[v_B]))^-1 per block B of devices (see
+    :func:`update_qX`). C_X itself is never stored: q(v) reads only its
+    diagonal c_diag, and q(beta) only the scalar
+    Tr(G C_X) = sum_B Tr(G_BB C_B). Both hold the E[beta] and E[v] of the
+    q(X) update that produced them. Gamma blocks are parameterized as
     (rate a, shape b) with E = b / a; b_v and b_beta never change. Every
     field is a scalar, a length-K vector, the M x K mean or the M x L
-    residual: no K x K array is formed on either path.
+    residual: no K x K array is formed.
 
     ``resid`` is the residual R = Y_(d+1) - M_X KR^T over the devices in the
-    q(X) solve, held on both paths: the start and each q(X) update set it,
-    and q(beta) reads ||R||_F^2 from it.
+    q(X) solve: the start and each q(X) update set it, and q(beta) reads
+    ||R||_F^2 from it.
 
     Every vector keeps all K devices. A device pruned from the q(X) solve
     has an all-zero column of M_X, c_diag = 0 and no share of tr_GC, and so
@@ -243,22 +226,6 @@ def init_posterior(kr: np.ndarray, Y: np.ndarray, y_energy: float) -> PosteriorS
     )
 
 
-def woodbury_pays(L: int, K: int) -> bool:
-    """Whether q(X) takes the L x L Woodbury path rather than the block
-    path. The rule was set by flop count against the joint K x K solve
-    that the block path replaced: about L^2 K + L^3 / 3 against K^3 / 2.
-    At K=500 it switches at L = 321, where the two joint solves measured
-    equal near L = 330 when the Woodbury solve ran on the BLAS triangular
-    solve. With the numpy solve (:func:`_solve_woodbury`), a call measured
-    2.3, 6.4, 11.9 and 13.6 ms at L = 100, 196, 289 and 324, against
-    12-14 ms for that K x K solve, so the per-call crossover moved to near
-    L = 300; the block sweep took 1.9-2.2 ms at all four (one BLAS thread,
-    M=8). The rule stays where it was, so that no output moves for L
-    between the two crossovers, and because block q(X) lost accuracy at
-    L=100 when measured at the cap of 35 iterations (ROADMAP item 1)."""
-    return L * L * K + L ** 3 / 3 < K ** 3 / 2
-
-
 def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndarray,
                   M_X: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
     """One Gauss-Seidel sweep of block q(X), in place on the M x n mean
@@ -309,118 +276,26 @@ def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndar
     return c_diag, tr_GC
 
 
-def _solve_lower(R: np.ndarray, *B: np.ndarray) -> None:
-    """Overwrite each B with R^-1 B, for lower-triangular R, by recursive
-    blocking (Elmroth, Gustavson, Jonsson & Kagstrom 2004): solve the top
-    half of the rows, take its share out of the bottom half with one GEMM,
-    then solve the bottom half. A diagonal block of at most SOLVE_BASE rows
-    is solved as one GEMM with its inverse, which is formed once for all
-    the B, so nearly all of the work runs in matrix products. Each B must
-    be C-ordered, so that each half of its rows is one contiguous array;
-    the largest temporary is the bottom half's update, about half of B."""
-    n = len(R)
-    if n <= SOLVE_BASE:
-        R_inv = np.linalg.inv(R)
-        for b in B:
-            b[...] = R_inv @ b
-        return
-    h = n // 2
-    _solve_lower(R[:h, :h], *(b[:h] for b in B))
-    for b in B:
-        b[h:] -= R[h:, :h] @ b[:h]
-    _solve_lower(R[h:, h:], *(b[h:] for b in B))
+def update_qX(s: PosteriorState, grams: np.ndarray, kr: np.ndarray,
+              active: np.ndarray | None = None) -> PosteriorState:
+    """Refresh (M_X, c_diag, tr_GC, resid) without forming C_X.
 
-
-def _solve_woodbury(kr: np.ndarray, e_beta: float, e_v: np.ndarray, Y_mat: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(M_X, diag C_X) by the matrix-inversion lemma, with Phi = KR^* (so
-    G = Phi^H Phi), D = diag(E[v]) and S = Phi D^-1 Phi^H + E[beta]^-1 I_L:
-
-      C_X = D^-1 - D^-1 Phi^H S^-1 Phi D^-1.
-
-    With KR D^-1/2 = P + iQ, Phi D^-1 Phi^H = (P P^T + Q Q^T) + i (P Q^T - Q P^T),
-    and all four blocks come from one real product E E^T of the 2L x K real
-    E = [P; Q], which numpy hands to a symmetric rank-k update (dsyrk) at
-    the flop count of the complex one (zherk). With the Cholesky
-    factorization S = R R^H and W = R^-1 Phi, diag C_X =
-    1/d - |W|^2_col / d^2. The mean uses Phi C_X = (E[beta] S)^-1 Phi D^-1,
-    which gives, with Y_mat = Y_(d+1) and V = R^-1 Y_mat^H,
-
-      M_X = Y_mat S^-1 Phi D^-1 = V^H W D^-1.
-
-    It equals E[beta] Y_mat KR^* C_X, but subtracts no terms of size
-    E[beta] that would cancel when E[beta] G dominates D.
-
-    One call of :func:`_solve_lower` solves W in place on a conjugate copy
-    of KR and V on its own L x M copy of Y_mat^H, so W stays one contiguous
-    array and each base block is inverted once. E, and then S, are freed
-    before W is made, and |W|^2 is squared in the buffer of |W|, which is
-    freed before the mean is formed; besides KR, at most about 1.5 L x K
-    complex arrays are live. D^-1/2 needs every E[v] > 0; any other E[v]
-    makes the system indefinite and is reported as such."""
-    if not np.all(e_v > 0):
-        raise EngineError("preamble-space system not positive-definite: "
-                          f"E[v] = {np.min(e_v)} <= 0")
-    L = kr.shape[0]
-    inv_d = 1.0 / e_v
-    scale = np.sqrt(inv_d)
-    E = np.empty((2 * L, kr.shape[1]))
-    np.multiply(kr.real, scale, out=E[:L])
-    np.multiply(kr.imag, scale, out=E[L:])
-    P = E @ E.T
-    del E
-    S = np.empty((L, L), dtype=complex)
-    np.add(P[:L, :L], P[L:, L:], out=S.real)
-    np.subtract(P[:L, L:], P[L:, :L], out=S.imag)
-    del P
-    S.flat[::L + 1] += 1.0 / e_beta
-    try:
-        R = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise EngineError(f"preamble-space system not positive-definite: {exc}") from exc
-    del S
-    W, V = np.conjugate(kr), Y_mat.conj().T.copy()
-    _solve_lower(R, W, V)
-    w_energy = np.abs(W)
-    c_diag = inv_d - np.sum(np.square(w_energy, out=w_energy), axis=0) * inv_d ** 2
-    del w_energy
-    M_X = (V.conj().T @ W) * inv_d
-    return M_X, c_diag
-
-
-def update_qX(s: PosteriorState, grams: np.ndarray | None, kr: np.ndarray,
-              Y_mat: np.ndarray, active: np.ndarray | None = None) -> PosteriorState:
-    """Refresh (M_X, c_diag, tr_GC) without forming C_X; Y_mat = Y_(d+1).
-
-    With ``grams`` None, q(X) is one Gaussian over all devices, solved
-    through the L x L Woodbury system: C_X = (E[beta] G + diag(E[v]))^-1,
-    M_X = E[beta] Y_mat KR^* C_X, c_diag = diag(C_X), and
-    tr_GC = Tr(G C_X) = (K - sum_k E[v_k] c_diag[k]) / E[beta].
-
-    The residual R = Y_mat - M_X KR^T is then formed from the new mean.
-
-    Otherwise q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`,
-    and ``grams`` is their :func:`precompute_gram` stack. One Gauss-Seidel
+    q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`, and
+    ``grams`` is their :func:`precompute_gram` stack. One Gauss-Seidel
     sweep (:func:`_sweep_blocks`) moves each block's mean to its optimum
     given the others, starting from the current M_X and ``s.resid``, and
-    updates a copy of R as it goes. C_X is then block-diagonal, and
-    tr_GC = sum_B Tr(G_BB C_B).
+    updates a copy of R = Y_(d+1) - M_X KR^T as it goes. C_X is then
+    block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
 
     ``active`` holds the sorted indices of the devices still in the model
     (all K by default). ``kr`` and ``grams`` hold only those devices'
-    columns and blocks, and the formulas above run on that subsystem, with
-    K its size. A pruned device gets an all-zero column of M_X and
-    c_diag = 0, and adds nothing to tr_GC.
+    columns and blocks, and the sweep runs on that subsystem. A pruned
+    device gets an all-zero column of M_X and c_diag = 0, and adds nothing
+    to tr_GC.
     """
     active = np.arange(len(s.a_v)) if active is None else active
-    e_beta, e_v = s.E_beta, s.E_v[active]
-    if grams is None:
-        M_X_a, c_diag_a = _solve_woodbury(kr, e_beta, e_v, Y_mat)
-        tr_GC = (len(e_v) - float(np.dot(e_v, c_diag_a))) / e_beta
-        resid = Y_mat - M_X_a @ kr.T
-    else:
-        M_X_a, resid = s.M_X[:, active], s.resid.copy()
-        c_diag_a, tr_GC = _sweep_blocks(grams, kr, e_beta, e_v, M_X_a, resid)
+    M_X_a, resid = s.M_X[:, active], s.resid.copy()
+    c_diag_a, tr_GC = _sweep_blocks(grams, kr, s.E_beta, s.E_v[active], M_X_a, resid)
     if not (np.all(np.isfinite(M_X_a)) and np.all(np.isfinite(c_diag_a))):
         raise EngineError("non-finite entries in q(X) update")
     if np.any(c_diag_a <= 0):
@@ -487,19 +362,16 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
     drops below REL_TOL or MAX_ITERS is reached.
 
     ``kr`` is KR, formed once by the caller and only read here; ``p`` serves
-    only :func:`precompute_gram`. ||Y||^2 is formed once, here.
-    q(X) takes the Woodbury path when :func:`woodbury_pays`, and the block
-    path otherwise, where the Gram blocks are formed; neither path forms a
-    K x K array.
+    only :func:`precompute_gram`. ||Y||^2 and the Gram blocks are formed
+    once, here; no K x K array is formed.
 
     From iteration PRUNE_FROM_ITER on, the devices that :func:`prune`
     names leave the q(X) solve for good, and later iterations solve only
-    for the rest, on the path picked at the start: KR's columns are cut to
-    the active devices. On the block path the Gram blocks are formed again
-    for the devices left, which are blocked afresh, and the residual is
-    formed again from their columns of M_X; the dropped ones are zero in the
-    next sweep's output. A pruned device reports an all-zero column of M_X
-    and c_diag = 0, so q(v) gives it the rate EPS.
+    for the rest: KR's columns are cut to the active devices, the Gram
+    blocks are formed again for the devices left, which are blocked afresh,
+    and the residual is formed again from their columns of M_X; the dropped
+    ones are zero in the next sweep's output. A pruned device reports an
+    all-zero column of M_X and c_diag = 0, so q(v) gives it the rate EPS.
     Pruning changes the model, so the ELBO is non-decreasing only between
     pruning steps, while the active set is fixed. A run where no device
     meets the rule solves for every device on every iteration and gives the
@@ -508,8 +380,8 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
     No pruning step follows the last iteration, so a run with MAX_ITERS = n
     returns the first n trace rows of any longer run, and as its state the
     state that run held after iteration n, before it pruned."""
-    L, K = kr.shape
-    grams = None if woodbury_pays(L, K) else precompute_gram(p)
+    K = kr.shape[1]
+    grams = precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(kr, Y, y_energy)
     # grams and the q(X) copy kr_a hold only the devices in ``active``
@@ -519,7 +391,7 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
     converged = False
     for it in range(1, MAX_ITERS + 1):
         prev, prev_col_energy = s.M_X, col_energy
-        s = update_qX(s, grams, kr_a, Y.T, active)
+        s = update_qX(s, grams, kr_a, active)
         s = update_qv(s)
         s = update_qbeta(s, y_energy)
         F = s.a_beta - EPS
@@ -537,9 +409,8 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
             active = active[np.flatnonzero(~drop)]
             del kr_a        # so that one copy of KR's columns is live at a time
             kr_a = np.take(kr, active, axis=1)      # C-ordered, as KR is
-            if grams is not None:
-                grams = precompute_gram(p, active)
-                s = dataclasses.replace(s, resid=Y.T - s.M_X[:, active] @ kr_a.T)
+            grams = precompute_gram(p, active)
+            s = dataclasses.replace(s, resid=Y.T - s.M_X[:, active] @ kr_a.T)
     return EngineResult(state=s, n_iters=it, converged=converged, trace=trace)
 
 

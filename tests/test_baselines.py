@@ -211,7 +211,8 @@ def plain_amp(Y, A, p_a):
         X_prev = X
         X = damping * X_new + (1.0 - damping) * X
         Z = damping * Z_new + (1.0 - damping) * Z
-        if not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0):
+        if (not np.all(np.isfinite(Z)) or np.linalg.norm(Z) > 1e6 * (y_norm + 1.0)
+                or np.linalg.norm(X) > 1e3 * (y_norm + 1.0)):
             diverged = True
             break
         if np.linalg.norm(X - X_prev) <= baselines.AMP_TOL * np.linalg.norm(X_prev):
@@ -372,6 +373,26 @@ def test_amp_converges_on_the_paper_scene():
         assert res.n_iters < baselines.AMP_MAX_ITERS
         nmses.append(nmse(res.X_hat, s.X))
     assert np.mean(nmses) <= 0.0142
+
+
+def test_amp_reports_an_estimate_that_blows_up_as_diverged(monkeypatch):
+    # K=500, L=100, 30 dB without damping, master seeds 0-2, trials 0-2: on
+    # four runs X blows up to 2.6e4-6.8e4 ||Y|| while ||Z|| stays under its
+    # bound, so a guard on ||Z|| alone would return them at the cap, not
+    # diverged, with NMSE 7e8-5e9. The other five converge
+    monkeypatch.setattr(baselines, "AMP_DAMPING", 1.0)
+    blown = []
+    for seed in range(3):
+        for trial in range(3):
+            s = trial_scene(500, (10, 10), 30.0, seed, trial)
+            res = amp_mmv(s.Y, s.A, 0.1)
+            if res.diverged:
+                blown.append((seed, trial))
+                assert not np.any(res.X_hat)
+            else:
+                assert nmse(res.X_hat, s.X) < 0.02
+                assert res.n_iters < baselines.AMP_MAX_ITERS
+    assert blown == [(0, 2), (1, 0), (1, 2), (2, 2)]
 
 
 @pytest.mark.parametrize("M", [1, 3, 8])

@@ -219,8 +219,7 @@ def test_validate_and_baselines_run_do_not_import_scipy(cfg, tmp_path):
 
 
 def test_vbi_run_does_not_import_scipy(cfg, tmp_path):
-    # L = 16 < K = 40: the Woodbury q(X) path, which solves with numpy only
-    assert vbi.woodbury_pays(16, 40)
+    # VBI's q(X) solves with numpy only
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
             "--algos", "vbi", "--trials", "1"]
     assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
@@ -233,35 +232,13 @@ def test_forked_vbi_sweep_leaves_scipy_unloaded(cfg, tmp_path):
     assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
 
 
-def test_woodbury_path_sweep_runs_where_scipy_cannot_be_imported(cfg, tmp_path):
-    # every algorithm, two trials at two SNRs on the Woodbury path, in a
-    # process where any import of scipy raises: a failed trial exits 2
+def test_sweep_runs_where_scipy_cannot_be_imported(cfg, tmp_path):
+    # every algorithm, two trials at two SNRs, in a process where any
+    # import of scipy raises: a failed trial exits 2
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10,30", "--out", str(tmp_path / "out")]
     assert loaded_in_fresh_interpreter(argv, ["leojadce.vbi"], blocked=("scipy",)) == [True]
     with open(tmp_path / "out" / "trials.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.reader(fh))) == 1 + 2 * 2 * 3
-
-
-@pytest.fixture
-def block_cfg(tmp_path):
-    # L = 64 > K = 40: VBI takes the block q(X) path
-    path = tmp_path / "block.cfg"
-    path.write_text(TINY.replace("dims = 4x4", "dims = 8x8"))
-    assert not vbi.woodbury_pays(64, 40)
-    return path
-
-
-def test_block_path_vbi_run_does_not_import_scipy_linalg(block_cfg, tmp_path):
-    argv = ["run", "--config", str(block_cfg), "--sweep", "snr=10", "--out",
-            str(tmp_path / "out"), "--algos", "vbi", "--trials", "1"]
-    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [False]
-
-
-def test_forked_block_path_vbi_sweep_leaves_scipy_unloaded(block_cfg, tmp_path):
-    # run_sweep loads nothing for its workers before forking
-    argv = ["run", "--config", str(block_cfg), "--sweep", "snr=10,20", "--out",
-            str(tmp_path / "out"), "--algos", "vbi", "--trials", "1", "--workers", "2"]
-    assert loaded_in_fresh_interpreter(argv, ["scipy.linalg"]) == [False]
 
 
 def test_process_pool_loads_only_for_a_forked_sweep(cfg, tmp_path):

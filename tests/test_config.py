@@ -27,7 +27,7 @@ FIXED_SCENE = ["f_hz = 30e9", "d0_m = 1000e3", "bandwidth_hz = 25e6", "g_over_t_
                "three_db_angle_deg = 0.4", "rain_mean_db = -2.6", "rain_std_db = 1.63",
                "rician_factor = 8", "hlos_norm_sq_low = 0.6", "hlos_norm_sq_high = 0.7",
                "v_nlos_low = 0.2", "v_nlos_high = 0.25", "theta_max_deg = 0.4", "xi = 1",
-               "eps = 1e-6", "max_iters = 35", "rel_tol = 1e-3", "threshold_ratio = 0.3",
+               "eps = 1e-6", "max_iters = 50", "rel_tol = 1e-3", "threshold_ratio = 0.3",
                "amp_max_iters = 50", "amp_damping = 0.8", "amp_tol = 1e-3"]
 
 

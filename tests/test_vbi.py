@@ -1,6 +1,6 @@
-"""The variational engine against dense-inverse formulas (Woodbury path), a
-reference block sweep (block path), on a noise-free scene, and against its
-evidence lower bound."""
+"""The variational engine against a reference block sweep written from its
+definition, on a noise-free scene, against its evidence lower bound, and
+on its noise estimate at the short-preamble scene."""
 
 import dataclasses
 
@@ -13,11 +13,11 @@ from leojadce import vbi
 from leojadce.detection import nmse
 from leojadce.signals import gen_preambles, synthesize_received
 from leojadce.tensors import khatri_rao
+from trial_scene import trial_scene
 
 K, M = 40, 4
-# L = 16 < K and L = 64 > K; DIRECT, where Woodbury does not pay, takes
-# the block q(X) path
-WOODBURY, DIRECT = (4, 4), (8, 8)
+# L = 16 < K and L = 64 > K
+SHORT, LONG = (4, 4), (8, 8)
 
 
 def scene(dims, sigma_n2, scale=1.0, seed=0):
@@ -32,15 +32,14 @@ def scene(dims, sigma_n2, scale=1.0, seed=0):
 
 
 def operands(p, Y):
-    """What vbi.run forms once per call: the Gram blocks (None on the
-    Woodbury path), KR, Y_(d+1) KR^*, Y_(d+1) and ||Y||^2."""
+    """What vbi.run forms once per call: the Gram blocks, KR, Y_(d+1) and
+    ||Y||^2."""
     kr = khatri_rao(p)
-    grams = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
-    return grams, kr, Y.T @ kr.conj(), Y.T, float(np.vdot(Y, Y).real)
+    return vbi.precompute_gram(p), kr, Y.T, float(np.vdot(Y, Y).real)
 
 
 def state_with(p, Y, e_beta, e_v):
-    _, kr, _, _, y_energy = operands(p, Y)
+    _, kr, _, y_energy = operands(p, Y)
     s = vbi.init_posterior(kr, Y, y_energy)
     return dataclasses.replace(s, a_beta=s.b_beta / e_beta, a_v=s.b_v / e_v)
 
@@ -51,39 +50,21 @@ def assert_kept_residual(s, kr, Y_mat):
     assert np.linalg.norm(s.resid - R) <= 1e-12 * np.linalg.norm(R)
 
 
-def test_path_choice_covers_both_test_shapes():
-    assert vbi.woodbury_pays(16, K)
-    assert not vbi.woodbury_pays(64, K)
-    # K=500: the benchmark's L=100 and L=400 scenes sit on either side
-    assert vbi.woodbury_pays(100, 500)
-    assert not vbi.woodbury_pays(400, 500)
-
-
-@pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
+@pytest.mark.parametrize("dims", [SHORT, LONG])
 @pytest.mark.parametrize("e_beta, log_e_v", [(3.0, (-2, 4)), (2e6, (2, 6))])
 def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
-    # At E[beta] = 2e6, E[v] >= 1e2 keeps cond(E[beta] G + D) near 1e4, so
-    # the dense inverse itself is good to about 1e-12; with E[v] down to
-    # 1e-2 the condition number reaches 3e7, and against a 40-digit
-    # reference both the engine and np.linalg.inv are off by about 2e-10.
-    # On the block path the oracle is one reference Gauss-Seidel sweep from
-    # the start's mean, with np.linalg.inv per block
+    # the oracle is one reference Gauss-Seidel sweep from the start's mean,
+    # with the dense inverse np.linalg.inv of each block's system
     p, _, Y = scene(dims, 0.05)
     rng = np.random.default_rng(1)
     e_v = 10.0 ** rng.uniform(*log_e_v, K)
     s = state_with(p, Y, e_beta, e_v)
-    G = dense_gram(p)
-    grams, kr, Ty, Y_mat, _ = operands(p, Y)
-
-    if grams is None:
-        C = np.linalg.inv(e_beta * G + np.diag(e_v))
-        M_X, c_diag, tr_GC = e_beta * Ty @ C, np.diag(C).real, np.trace(G @ C).real
-    else:
-        M_X, c_diag, tr_GC, _ = reference_sweep(G, kr, Y_mat, e_beta, e_v, s.M_X)
+    grams, kr, Y_mat, _ = operands(p, Y)
+    M_X, c_diag, tr_GC, _ = reference_sweep(dense_gram(p), kr, Y_mat, e_beta, e_v, s.M_X)
     R = Y_mat - M_X @ kr.T
     F = np.vdot(R, R).real + M * tr_GC
 
-    out = vbi.update_qX(s, grams, kr, Y_mat)
+    out = vbi.update_qX(s, grams, kr)
     assert np.linalg.norm(out.M_X - M_X) <= 1e-10 * np.linalg.norm(M_X)
     np.testing.assert_allclose(out.c_diag, c_diag, rtol=1e-10, atol=0)
     assert out.tr_GC == pytest.approx(tr_GC, rel=1e-10)
@@ -91,50 +72,18 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     assert vbi.expected_residual(out) == pytest.approx(F, rel=1e-10)
 
 
-@pytest.mark.parametrize("dims, e_beta", [(WOODBURY, 1e3), (DIRECT, 1e-3)])
+@pytest.mark.parametrize("dims, e_beta", [(SHORT, 1e3), (LONG, 1e-3)])
 def test_indefinite_system_is_reported(dims, e_beta):
-    # negative E[v] makes either factorized system indefinite
+    # negative E[v] makes the block systems indefinite: at L=16 each block
+    # Gram of 20 devices is singular, and at E[beta] = 1e-3 the -1 dominates
     p, _, Y = scene(dims, 0.05)
     s = state_with(p, Y, e_beta, -np.ones(K))
-    grams, kr, _, Y_mat, _ = operands(p, Y)
+    grams, kr, _, _ = operands(p, Y)
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
-        vbi.update_qX(s, grams, kr, Y_mat)
+        vbi.update_qX(s, grams, kr)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-3])
-def test_woodbury_reports_one_non_positive_precision(bad):
-    # the Woodbury path scales KR by E[v]^-1/2, so one zero or negative
-    # E[v] among positive ones must be reported, not divided by
-    p, _, Y = scene(WOODBURY, 0.05)
-    e_v = 10.0 ** np.random.default_rng(4).uniform(-2, 4, K)
-    e_v[7] = bad
-    with np.errstate(divide="ignore"):     # E[v] = 0 is the rate inf
-        s = state_with(p, Y, 3.0, e_v)
-    assert s.E_v[7] <= 0
-    grams, kr, _, Y_mat, _ = operands(p, Y)
-    assert grams is None
-    with pytest.raises(vbi.EngineError, match="not positive-definite"):
-        vbi.update_qX(s, grams, kr, Y_mat)
-
-
-def test_woodbury_reports_an_indefinite_preamble_space_system():
-    # every E[v] > 0 passes the precision check, but a small negative
-    # E[beta] puts 1 / E[beta] = -1e3 on the diagonal of S, beyond the
-    # eigenvalues of Phi D^-1 Phi^H, so its Cholesky factorization fails
-    p, _, Y = scene(WOODBURY, 0.05)
-    e_v = 10.0 ** np.random.default_rng(4).uniform(-2, 4, K)
-    s = state_with(p, Y, -1e-3, e_v)
-    assert s.E_beta < 0 and np.all(s.E_v > 0)
-    grams, kr, _, Y_mat, _ = operands(p, Y)
-    assert grams is None
-    with pytest.raises(vbi.EngineError, match="preamble-space system not positive-definite: "
-                       ) as excinfo:
-        vbi.update_qX(s, grams, kr, Y_mat)
-    assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
-    assert "E[v]" not in str(excinfo.value)
-
-
-@pytest.mark.parametrize("dims", [WOODBURY, DIRECT])
+@pytest.mark.parametrize("dims", [SHORT, LONG])
 def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims, monkeypatch):
     p, X, Y = scene(dims, 0.0)
     kr = khatri_rao(p)
@@ -156,8 +105,8 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims, monkeypatc
 def test_negative_expected_residual_is_reported():
     # F = ||R||^2 + M tr_GC below -1e-8 (1 + ||Y||^2) is a numerical failure;
     # roundoff above that floor is truncated to zero before EPS is added
-    p, _, Y = scene(WOODBURY, 0.05)
-    _, kr, _, _, y_energy = operands(p, Y)
+    p, _, Y = scene(SHORT, 0.05)
+    _, kr, _, y_energy = operands(p, Y)
     s = vbi.init_posterior(kr, Y, y_energy)
     floor = -1e-8 * (1.0 + y_energy)
     r_energy = np.vdot(s.resid, s.resid).real
@@ -194,22 +143,20 @@ def elbo(s, log_det_C, kr, Y_mat):
 
 
 @pytest.mark.parametrize("scene_args", [
-    (DIRECT, 0.05, 1.0), (WOODBURY, 0.05, 1.0), (DIRECT, 1e-2, 50.0),
-], ids=["direct", "woodbury", "direct-50x"])
+    (LONG, 0.05, 1.0), (SHORT, 0.05, 1.0), (LONG, 1e-2, 50.0),
+], ids=["direct", "L16", "direct-50x"])
 def test_elbo_does_not_decrease_under_any_block(scene_args):
     # Bishop, PRML section 10.1: with the active set fixed (no pruning), no
     # block update lowers the ELBO. log det C_X is taken from the E[beta]
-    # and E[v] that each q(X) update reads: densely on the Woodbury path,
-    # and as sum_B log det C_B on the block path, whose q(X) family is
-    # prod_B q(X_B). A step that does not lower the ELBO can still land off
-    # the block's optimum, so each q(X) update must also be exact: on the
-    # Woodbury path the mean is stationary,
-    # M_X (E[beta] G + diag E[v]) = E[beta] Ty; on the block path M_X,
-    # c_diag and tr_GC equal those of a reference Gauss-Seidel sweep
+    # and E[v] that each q(X) update reads, as sum_B log det C_B, since the
+    # q(X) family is prod_B q(X_B). A step that does not lower the ELBO can
+    # still land off the block's optimum, so each q(X) update must also be
+    # exact: M_X, c_diag and tr_GC equal those of a reference Gauss-Seidel
+    # sweep
     p, _, Y = scene(*scene_args)
-    grams, kr, Ty, Y_mat, y_energy = operands(p, Y)
+    grams, kr, Y_mat, y_energy = operands(p, Y)
     G = dense_gram(p)
-    blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr, Y_mat)),
+    blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr)),
               ("qv", vbi.update_qv),
               ("qbeta", lambda s: vbi.update_qbeta(s, y_energy)))
     s = vbi.init_posterior(kr, Y, y_energy)
@@ -218,20 +165,11 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     bound = elbo(s, log_det_C, kr, Y_mat)
     steps = []
     for _ in range(10):
-        if grams is None:
-            sign, log_det_P = np.linalg.slogdet(s.E_beta * G + np.diag(s.E_v))
-            assert sign.real > 0
-            log_det_C = -log_det_P
-        else:
-            ref_M_X, ref_c_diag, ref_tr_GC, log_det_C = reference_sweep(
-                G, kr, Y_mat, s.E_beta, s.E_v, s.M_X)
+        ref_M_X, ref_c_diag, ref_tr_GC, log_det_C = reference_sweep(
+            G, kr, Y_mat, s.E_beta, s.E_v, s.M_X)
         for name, update in blocks:
             s = update(s)
-            if name == "qX" and grams is None:
-                rhs = s.E_beta * Ty
-                gap = rhs - s.M_X @ (s.E_beta * G + np.diag(s.E_v))
-                assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(rhs)
-            elif name == "qX":
+            if name == "qX":
                 assert (np.linalg.norm(s.M_X - ref_M_X)
                         <= 1e-10 * np.linalg.norm(ref_M_X))
                 np.testing.assert_allclose(s.c_diag, ref_c_diag, rtol=1e-10, atol=0)
@@ -242,3 +180,15 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
             bound = new
     worst = min(steps, key=lambda step: step[1])
     assert worst[1] >= -1e-10, worst
+
+
+@pytest.mark.parametrize("dims", [(10, 10), (14, 14)], ids=["L100", "L196"])
+def test_noise_estimate_is_calibrated_where_devices_outnumber_samples(dims):
+    # E[beta] sigma^2 near 1: the run has neither overfit nor underfit the
+    # noise; well above 1, it stopped while still fitting noise. At K=500,
+    # 10 dB (master seed 0) this read 0.89-0.91 at L=100 and 1.06-1.13 at
+    # L=196
+    for trial in range(3):
+        s = trial_scene(500, dims, 10.0, 0, trial)
+        result = vbi.run(s.p, s.A, s.Y)
+        assert 0.5 <= result.state.E_beta * s.sigma_n2 <= 2.0, trial

@@ -1,8 +1,8 @@
 """Pruning inside the engine: a run where no device meets the rule is the
 unpruned iteration bit for bit, pruned devices stay out for good, true
 devices whose columns still grow are kept, and the solve on the devices
-left is the q(X) of that subsystem: the dense inverse on the Woodbury path,
-a reference block sweep on the block path."""
+left is the q(X) of that subsystem: a reference block sweep on the devices
+left, blocked afresh."""
 
 import dataclasses
 
@@ -18,9 +18,8 @@ from leojadce.signals import (gen_preambles, snr_to_noise_variance,
 from leojadce.tensors import khatri_rao
 
 K, M = 40, 4
-# L = 16 < K and L = 64 > K; DIRECT, where Woodbury does not pay, takes
-# the block q(X) path
-WOODBURY, DIRECT = (4, 4), (8, 8)
+# L = 16 < K and L = 64 > K
+SHORT, LONG = (4, 4), (8, 8)
 
 
 def scene(dims, sigma_n2, scale=1.0, seed=0):
@@ -49,13 +48,13 @@ def unpruned_run(p, Y):
     every device stays in the q(X) solve. It reads the engine's settings
     from :mod:`leojadce.vbi` when called. Returns (M_X, n_iters, trace)."""
     kr = khatri_rao(p)
-    grams = None if vbi.woodbury_pays(*kr.shape) else vbi.precompute_gram(p)
+    grams = vbi.precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
     s = vbi.init_posterior(kr, Y, y_energy)
     trace = []
     for it in range(1, vbi.MAX_ITERS + 1):
         prev = s.M_X
-        s = vbi.update_qX(s, grams, kr, Y.T)
+        s = vbi.update_qX(s, grams, kr)
         s = vbi.update_qv(s)
         s = vbi.update_qbeta(s, y_energy)
         trace.append((it, s.a_beta - vbi.EPS,
@@ -71,12 +70,12 @@ PAPER_SHORT = ScenarioConfig(K=500, M=8, dims=(10, 10), snr_db=10.0, algos=("vbi
 
 
 @pytest.mark.parametrize("make, max_iters", [
-    (lambda: scene(WOODBURY, 0.05)[:2], 4),
-    (lambda: scene(DIRECT, 0.05)[:2], 4),
+    (lambda: scene(SHORT, 0.05)[:2], 4),
+    (lambda: scene(LONG, 0.05)[:2], 4),
     # the L=100, 10 dB trial of the short-preamble benchmark scene, at the cap
     # of the engine
     (lambda: harness_scene(PAPER_SHORT), None),
-], ids=["woodbury-4-iters", "direct-4-iters", "L100-10dB"])
+], ids=["L16-4-iters", "direct-4-iters", "L100-10dB"])
 def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, max_iters,
                                                                    monkeypatch):
     if max_iters is not None:
@@ -90,8 +89,8 @@ def test_run_without_pruning_is_the_unpruned_iteration_bit_for_bit(make, max_ite
     np.testing.assert_array_equal(result.M_X, M_X)
 
 
-# both prune and cut KR's columns; DIRECT blocks the devices left afresh
-PRUNING = [(DIRECT, 1e-2), (WOODBURY, 1e-3)]
+# both prune, cut KR's columns and block the devices left afresh
+PRUNING = [(LONG, 1e-2), (SHORT, 1e-3)]
 
 
 def states_of(p, Y):
@@ -110,10 +109,10 @@ def states_of(p, Y):
 
 
 @pytest.mark.parametrize("make, prunes", [
-    (lambda: scene(WOODBURY, 0.05)[:2], True),     # pruning, runs to the cap
-    (lambda: scene(DIRECT, 0.05)[:2], True),       # pruning, converges
+    (lambda: scene(SHORT, 0.05)[:2], True),
+    (lambda: scene(LONG, 0.05)[:2], True),
     (lambda: harness_scene(PAPER_SHORT), False),
-], ids=["woodbury", "direct", "L100-10dB"])
+], ids=["L16", "direct", "L100-10dB"])
 def test_capped_run_replays_the_uncapped_run(make, prunes, monkeypatch):
     # what states_of relies on: a run with MAX_ITERS = n repeats the first
     # n iterations of the uncapped run bit for bit, pruning steps included
@@ -159,26 +158,18 @@ def test_pruned_devices_stay_out(dims, sigma_n2):
 @pytest.mark.parametrize("dims, sigma_n2", PRUNING)
 def test_active_set_solve_matches_dense_inverse(dims, sigma_n2):
     # each iteration's q(X) from the previous iteration's E[beta] and E[v],
-    # on the devices whose columns it left nonzero: the dense inverse of
-    # that subsystem on the Woodbury path; on the block path one reference
-    # sweep from the previous mean of those devices, blocked afresh
+    # on the devices whose columns it left nonzero: one reference sweep from
+    # the previous mean of those devices, blocked afresh, with the dense
+    # inverse of each block's system
     p, Y, _ = scene(dims, sigma_n2)
     _, states = states_of(p, Y)
     G = dense_gram(p)
     kr = khatri_rao(p)
-    Ty = Y.T @ kr.conj()
-    block_path = not vbi.woodbury_pays(*kr.shape)
     checked = 0
     for before, s in zip(states, states[1:]):
         a = np.flatnonzero(np.any(s.M_X != 0, axis=0))
-        e_beta, e_v = before.E_beta, before.E_v[a]
-        G_a = G[np.ix_(a, a)]
-        if block_path:
-            M_X, c_diag, tr_GC, _ = reference_sweep(G_a, kr[:, a], Y.T, e_beta, e_v,
-                                                    before.M_X[:, a])
-        else:
-            C = np.linalg.inv(e_beta * G_a + np.diag(e_v))
-            M_X, c_diag, tr_GC = e_beta * Ty[:, a] @ C, np.diag(C).real, np.trace(G_a @ C).real
+        M_X, c_diag, tr_GC, _ = reference_sweep(G[np.ix_(a, a)], kr[:, a], Y.T, before.E_beta,
+                                                before.E_v[a], before.M_X[:, a])
         assert np.linalg.norm(s.M_X[:, a] - M_X) <= 1e-9 * np.linalg.norm(M_X)
         np.testing.assert_allclose(s.c_diag[a], c_diag, rtol=1e-9, atol=0)
         assert s.tr_GC == pytest.approx(tr_GC, rel=1e-9)
@@ -206,7 +197,7 @@ def test_pruning_keeps_the_call_counts(monkeypatch, dims, sigma_n2):
 def test_pruned_device_below_half_unit_precision_keeps_a_positive_rate():
     # a pruned device has a zero column and c_diag = 0, so its rate is EPS
     # whatever E[v] it had, also one below 1/2
-    p, Y, _ = scene(DIRECT, 1e-2)
+    p, Y, _ = scene(LONG, 1e-2)
     s = vbi.run(p, khatri_rao(p), Y).state
     pruned = np.all(s.M_X == 0, axis=0)
     assert pruned.any()
@@ -229,7 +220,7 @@ def test_scaled_scenes_keep_every_true_device(sigma_n2, scale):
     # at iteration 9 of the first scene, and devices 21 and 0 at iterations
     # 16-17 of the second. The third failed with a negative q(v) rate while
     # the prior had a non-conjugate mean block.
-    p, Y, X = scene(DIRECT, sigma_n2, scale)
+    p, Y, X = scene(LONG, sigma_n2, scale)
     result = vbi.run(p, khatri_rao(p), Y)
     assert result.trace[-1][3] < K
     true = np.any(X != 0, axis=0)
