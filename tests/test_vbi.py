@@ -10,7 +10,7 @@ from scipy.special import digamma, gammaln
 
 from block_reference import dense_gram, reference_sweep
 from leojadce import vbi
-from leojadce.detection import nmse
+from leojadce.detection import detect, nmse
 from leojadce.signals import gen_preambles, synthesize_received
 from leojadce.tensors import khatri_rao
 from trial_scene import trial_scene
@@ -81,6 +81,72 @@ def test_indefinite_system_is_reported(dims, e_beta):
     grams, kr, _, _ = operands(p, Y)
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
         vbi.update_qX(s, grams, kr)
+
+
+def cholesky_stack(grams, e_beta, e_v):
+    """The lower-triangular factors of the block systems
+    E[beta] G_BB + diag E[v_B], with 1 on the diagonal of an empty slot, as
+    the q(X) sweep forms them."""
+    slots = vbi._block_slots(len(e_v))
+    v = np.ones(slots.shape)
+    v[slots] = e_v
+    P = e_beta * grams
+    P.reshape(len(P), -1)[:, ::P.shape[1] + 1] += v
+    return np.linalg.cholesky(P)
+
+
+def short_preamble_stack():
+    # the K=500, L=100, 10 dB scene at the E[beta] and E[v] its run ends with
+    s = trial_scene(500, (10, 10), 10.0, 0)
+    state = vbi.run(s.p, s.A, s.Y).state
+    return cholesky_stack(vbi.precompute_gram(s.p), state.E_beta, state.E_v)
+
+
+def padded_stack():
+    # K=37 cuts into blocks of 19 and 18 devices, so the last slot of the
+    # second block is empty
+    s = trial_scene(37, (6, 6), 10.0, 0)
+    e_v = 10.0 ** np.random.default_rng(2).uniform(-1, 2, 37)
+    return cholesky_stack(vbi.precompute_gram(s.p), 1.0 / s.sigma_n2, e_v)
+
+
+def spread_stack():
+    # E[v] spread over 8 decades on the K=500, L=100 Gram blocks
+    s = trial_scene(500, (10, 10), 10.0, 0)
+    e_v = 10.0 ** np.random.default_rng(3).uniform(-4, 4, 500)
+    return cholesky_stack(vbi.precompute_gram(s.p), 1.0 / s.sigma_n2, e_v)
+
+
+@pytest.mark.parametrize("stack", [short_preamble_stack, padded_stack, spread_stack],
+                         ids=["K500-L100", "K37-padded", "E_v-8-decades"])
+def test_lower_inverse_matches_dense_inverse(stack):
+    # substitution and LU each invert a triangular F_B with error of order
+    # b u kappa_2(F_B) relative (Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 8 and 14), so they differ by at most that much per
+    # block; these stacks read under 1e-3 of it
+    F = stack()
+    X, ref = vbi._lower_inverse(F), np.linalg.inv(F)
+    b, u = F.shape[-1], np.finfo(float).eps
+    err = np.linalg.norm(X - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert np.all(err <= b * u * np.linalg.cond(F)), err
+    assert np.array_equal(X, np.tril(X))
+    if stack is padded_stack:
+        assert F.shape[:2] == (2, 19)
+        e = np.eye(19)[-1]
+        assert np.array_equal(X[1, -1], e) and np.array_equal(X[1, :, -1], e)
+
+
+def test_substitution_moves_run_within_tolerance_of_lu_inverse(monkeypatch):
+    # the inverse's roundoff moves a K=500, L=100, 10 dB run (50 iterations,
+    # no device pruned) by at most 1e-12 relative in M_X, and moves neither
+    # its iteration count nor its detected devices
+    s = trial_scene(500, (10, 10), 10.0, 0)
+    result = vbi.run(s.p, s.A, s.Y)
+    monkeypatch.setattr(vbi, "_lower_inverse", np.linalg.inv)
+    lu = vbi.run(s.p, s.A, s.Y)
+    assert result.n_iters == lu.n_iters
+    assert np.array_equal(detect(result.M_X), detect(lu.M_X))
+    assert np.linalg.norm(result.M_X - lu.M_X) <= 1e-12 * np.linalg.norm(lu.M_X)
 
 
 @pytest.mark.parametrize("dims", [SHORT, LONG])
@@ -157,7 +223,7 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     grams, kr, Y_mat, y_energy = operands(p, Y)
     G = dense_gram(p)
     blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr)),
-              ("qv", vbi.update_qv),
+              ("qv", lambda s: vbi.update_qv(s, np.sum(np.abs(s.M_X) ** 2, axis=0))),
               ("qbeta", lambda s: vbi.update_qbeta(s, y_energy)))
     s = vbi.init_posterior(kr, Y, y_energy)
     assert_kept_residual(s, kr, Y_mat)

@@ -55,10 +55,10 @@ def unpruned_run(p, Y):
     for it in range(1, vbi.MAX_ITERS + 1):
         prev = s.M_X
         s = vbi.update_qX(s, grams, kr)
-        s = vbi.update_qv(s)
+        col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
+        s = vbi.update_qv(s, col_energy)
         s = vbi.update_qbeta(s, y_energy)
-        trace.append((it, s.a_beta - vbi.EPS,
-                      float(np.max(np.sum(np.abs(s.M_X) ** 2, axis=0)))))
+        trace.append((it, s.a_beta - vbi.EPS, float(np.max(col_energy))))
         denom = float(np.linalg.norm(prev))
         if denom > 0 and float(np.linalg.norm(s.M_X - prev)) / denom < vbi.REL_TOL:
             break
@@ -202,7 +202,8 @@ def test_pruned_device_below_half_unit_precision_keeps_a_positive_rate():
     pruned = np.all(s.M_X == 0, axis=0)
     assert pruned.any()
     a_v = np.where(pruned, s.b_v / 0.1, s.a_v)      # E[v] = 0.1 when pruned
-    out = vbi.update_qv(dataclasses.replace(s, a_v=a_v))
+    out = vbi.update_qv(dataclasses.replace(s, a_v=a_v),
+                        np.sum(np.abs(s.M_X) ** 2, axis=0))
     assert np.all(out.a_v[pruned] == vbi.EPS)
     assert np.all(out.a_v > 0)
 
