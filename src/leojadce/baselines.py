@@ -46,8 +46,10 @@ def somp(Y: np.ndarray, A: np.ndarray, max_support: int, residual_tol: float
     ``np.linalg.solve``: the LU factorization of an upper-triangular R
     makes no row swaps, so this is a back-substitution with numpy alone.
     Its coefficients agree with a triangular solve to roundoff; the
-    support, chosen before the solve, does not depend on it. The K x M correlation A^T R_res^* (whose magnitudes are
-    those of A^H R_res) is formed once, on a transposed view of A (L K M
+    support, chosen before the solve, does not depend on it.
+
+    The K x M correlation A^T R_res^* (whose magnitudes are those of
+    A^H R_res) is formed once, on a transposed view of A (L K M
     multiply-adds; no L x K adjoint of A is formed). As R_res loses
     q (q^H R_res), the correlation loses the rank-1 term
     (A^T q^*) (q^H R_res)^*, so each atom costs L K multiply-adds for it,

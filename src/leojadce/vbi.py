@@ -37,19 +37,20 @@ reads KR from its caller and forms ||Y||^2 once per call, and the start
 forms Y_(d+1) KR^*; no K x K array is formed. The M x L residual
 R = Y_(d+1) - M_X KR^T is kept and updated block by block, so q(beta) reads
 ||R||_F^2 at M L work. Besides KR, the engine holds the Gram blocks and a
-few stacks of the same shape, K b entries each.
+few stacks of the same shape, n b entries each for the n devices in the
+solve.
 
 Pruning: after an iteration other than the last, a device whose prior
 precision E[v_k] has collapsed (see :func:`prune`) leaves the q(X) solve
 for the rest of the run, as in the fixed-point pruning of sparse Bayesian
-learning (Tipping & Faul 2003; Wipf & Rao 2007). q(X) is the one block
-that couples the devices; it then solves only for the active devices,
-with a copy of KR's active columns: it re-blocks the devices left, forms
-their Gram blocks again, and forms R afresh from their columns of M_X. A
-pruned device reports an all-zero column of M_X and c_diag = 0, adds
-nothing to Tr(G C_X), and so gets the q(v) rate EPS. Each pruning step
-changes the model, so the ELBO is non-decreasing only while the active set
-is fixed.
+learning (Tipping & Faul 2003; Wipf & Rao 2007). From then on the state
+holds only the devices left: one index compacts its vectors and its M_X,
+and every update runs on those devices, with a copy of KR's columns and
+Gram blocks formed again for them, blocked afresh. :func:`run` maps the
+state back to all K devices once, at return: a pruned device reports an
+all-zero column of M_X, c_diag = 0 and the q(v) rate EPS that a zero
+column with no variance gets. Each pruning step changes the model, so the
+ELBO is non-decreasing only while the active set is fixed.
 """
 
 from __future__ import annotations
@@ -122,25 +123,20 @@ class PosteriorState:
     diagonal c_diag, and q(beta) only the scalar
     Tr(G C_X) = sum_B Tr(G_BB C_B). Both hold the E[beta] and E[v] of the
     q(X) update that produced them. Gamma blocks are parameterized as
-    (rate a, shape b) with E = b / a; b_v and b_beta never change. Every
-    field is a scalar, a length-K vector, the M x K mean or the M x L
-    residual: no K x K array is formed.
+    (rate a, shape b) with E = b / a; b_v and b_beta never change.
 
-    ``resid`` is the residual R = Y_(d+1) - M_X KR^T over the devices in the
-    q(X) solve: the start and each q(X) update set it, and q(beta) reads
-    ||R||_F^2 from it.
-
-    Every vector keeps all K devices. A device pruned from the q(X) solve
-    has an all-zero column of M_X, c_diag = 0 and no share of tr_GC, and so
-    the q(v) rate EPS; no update reads a pruned device's E[v]. Pruning
-    changes the model, so the ELBO of these statistics is non-decreasing
-    only while the active set is fixed.
+    Inside :func:`run` the state holds only the n devices still in the q(X)
+    solve: every field is a scalar, a length-n vector, the M x n mean or the
+    M x L residual R = Y_(d+1) - M_X KR^T over those devices, which the
+    start and each q(X) update set and q(beta) reads. No n x n array is
+    formed. The state that :func:`run` returns holds all K devices, with an
+    all-zero column of M_X, c_diag = 0 and a_v = EPS for a pruned one.
     """
 
-    M_X: np.ndarray          # M x K posterior mean; zero columns for pruned devices
-    c_diag: np.ndarray       # K real: diag(C_X), positive; 0 for pruned devices
+    M_X: np.ndarray          # M x n posterior mean
+    c_diag: np.ndarray       # n real: diag(C_X), positive
     tr_GC: float             # Tr(G C_X)
-    a_v: np.ndarray          # K rates for q(v_k)
+    a_v: np.ndarray          # n rates for q(v_k)
     b_v: float               # shape M + EPS, fixed
     a_beta: float            # rate for q(beta)
     b_beta: float            # shape L*M + EPS, fixed
@@ -182,25 +178,24 @@ def _block_slots(n: int) -> np.ndarray:
     return np.arange(sizes[0]) < sizes[:, None]
 
 
-def precompute_gram(p: tuple[np.ndarray, ...], active: np.ndarray | None = None
-                    ) -> np.ndarray:
+def precompute_gram(p: tuple[np.ndarray, ...]) -> np.ndarray:
     """The diagonal blocks G_BB of the Gram G = hadamard_i (A_i^H A_i)^* =
-    KR^T KR^* over the devices in ``active`` (sorted indices, all K by
-    default), cut by :func:`_block_slots`: an (nB, b, b) stack, 0 in the
-    rows and columns of the slots a short block leaves empty. Since the
-    factors are known constants, this is the whole expectation entering
-    the X-covariance blocks.
+    KR^T KR^* over the devices of the factors ``p``, cut by
+    :func:`_block_slots`: an (nB, b, b) stack, 0 in the rows and columns of
+    the slots a short block leaves empty. Since the factors are known
+    constants, this is the whole expectation entering the X-covariance
+    blocks.
 
     Each block is the Hadamard product of the factors' block Grams, taken
     in factor order and conjugated as the K x K form would be, so it is
     that form's block up to the order in which BLAS sums each entry, at
     b (l_1 + ... + l_d) work per device instead of K (l_1 + ... + l_d);
     no K x K array is formed."""
-    slots = _block_slots(p[0].shape[1] if active is None else len(active))
+    slots = _block_slots(p[0].shape[1])
     G = None
     for a in p:
         blocks = np.zeros((len(slots), a.shape[0], slots.shape[1]), dtype=a.dtype)
-        blocks.transpose(0, 2, 1)[slots] = (a if active is None else a[:, active]).T
+        blocks.transpose(0, 2, 1)[slots] = a.T
         H = blocks.conj().transpose(0, 2, 1) @ blocks
         np.conjugate(H, out=H)
         G = H if G is None else np.multiply(G, H, out=G)
@@ -318,34 +313,23 @@ def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndar
     return c_diag, tr_GC
 
 
-def update_qX(s: PosteriorState, grams: np.ndarray, kr: np.ndarray,
-              active: np.ndarray | None = None) -> PosteriorState:
+def update_qX(s: PosteriorState, grams: np.ndarray, kr: np.ndarray) -> PosteriorState:
     """Refresh (M_X, c_diag, tr_GC, resid) without forming C_X.
 
     q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`, and
-    ``grams`` is their :func:`precompute_gram` stack. One Gauss-Seidel
-    sweep (:func:`_sweep_blocks`) moves each block's mean to its optimum
-    given the others, starting from the current M_X and ``s.resid``, and
-    updates a copy of R = Y_(d+1) - M_X KR^T as it goes. C_X is then
-    block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
-
-    ``active`` holds the sorted indices of the devices still in the model
-    (all K by default). ``kr`` and ``grams`` hold only those devices'
-    columns and blocks, and the sweep runs on that subsystem. A pruned
-    device gets an all-zero column of M_X and c_diag = 0, and adds nothing
-    to tr_GC.
+    ``grams`` is their :func:`precompute_gram` stack. ``kr`` and ``grams``
+    hold the columns and blocks of the devices in the state. One
+    Gauss-Seidel sweep (:func:`_sweep_blocks`) moves each block's mean to
+    its optimum given the others, starting from the current M_X and
+    ``s.resid``, and updates copies of M_X and of R = Y_(d+1) - M_X KR^T as
+    it goes. C_X is then block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
     """
-    active = np.arange(len(s.a_v)) if active is None else active
-    M_X_a, resid = s.M_X[:, active], s.resid.copy()
-    c_diag_a, tr_GC = _sweep_blocks(grams, kr, s.E_beta, s.E_v[active], M_X_a, resid)
-    if not (np.all(np.isfinite(M_X_a)) and np.all(np.isfinite(c_diag_a))):
+    M_X, resid = s.M_X.copy(), s.resid.copy()
+    c_diag, tr_GC = _sweep_blocks(grams, kr, s.E_beta, s.E_v, M_X, resid)
+    if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
         raise EngineError("non-finite entries in q(X) update")
-    if np.any(c_diag_a <= 0):
+    if np.any(c_diag <= 0):
         raise EngineError("non-positive diagonal of the X-covariance")
-    M_X = np.zeros_like(s.M_X)
-    M_X[:, active] = M_X_a
-    c_diag = np.zeros(len(s.a_v))
-    c_diag[active] = c_diag_a
     return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC, resid=resid)
 
 
@@ -353,8 +337,7 @@ def update_qv(s: PosteriorState, col_energy: np.ndarray) -> PosteriorState:
     """Refresh the column-precision rates
     a_v[k] = ||M_X(:,k)||^2 + M c_diag[k] + EPS, with c_diag = diag(C_X)
     from q(X) and ``col_energy`` the column energies ||M_X(:,k)||^2 of
-    ``s.M_X``, which :func:`run` also reads. A pruned device has a zero
-    column and c_diag = 0, so its rate is EPS."""
+    ``s.M_X``, which :func:`run` also reads."""
     M = s.M_X.shape[0]
     a_v = col_energy + M * s.c_diag + EPS
     if np.any(a_v <= 0) or not np.all(np.isfinite(a_v)):
@@ -408,16 +391,16 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
     once, here; no K x K array is formed.
 
     From iteration PRUNE_FROM_ITER on, the devices that :func:`prune`
-    names leave the q(X) solve for good, and later iterations solve only
-    for the rest: KR's columns are cut to the active devices, the Gram
-    blocks are formed again for the devices left, which are blocked afresh,
-    and the residual is formed again from their columns of M_X; the dropped
-    ones are zero in the next sweep's output. A pruned device reports an
-    all-zero column of M_X and c_diag = 0, so q(v) gives it the rate EPS.
-    Pruning changes the model, so the ELBO is non-decreasing only between
-    pruning steps, while the active set is fixed. A run where no device
-    meets the rule solves for every device on every iteration and gives the
-    M_X of the unpruned iteration bit for bit.
+    names leave the q(X) solve for good: one index compacts the state to
+    the devices left, and their columns of KR, their Gram blocks (blocked
+    afresh) and the residual are formed again. The stop rule measures the
+    change of all K columns of the mean, so the columns that a pruning step
+    drops count as moving to zero in the next iteration's test. At return
+    the state is mapped back to all K devices, a pruned one with an
+    all-zero column of M_X, c_diag = 0 and the q(v) rate EPS. Pruning
+    changes the model, so the ELBO is non-decreasing only between pruning
+    steps. A run where no device meets the rule gives the M_X of the
+    unpruned iteration bit for bit.
 
     No pruning step follows the last iteration, so a run with MAX_ITERS = n
     returns the first n trace rows of any longer run, and as its state the
@@ -426,33 +409,44 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
     grams = precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(kr, Y, y_energy)
-    # grams and the q(X) copy kr_a hold only the devices in ``active``
-    active, kr_a = np.arange(K), kr
+    # s, col_energy, grams and the q(X) copy kr_a hold only the devices in
+    # ``active``; dropped is the norm of the columns that last left them
+    active, kr_a, dropped = np.arange(K), kr, 0.0
     col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     trace: list[tuple[int, float, float, int, float]] = []
     converged = False
     for it in range(1, MAX_ITERS + 1):
         prev, prev_col_energy = s.M_X, col_energy
-        s = update_qX(s, grams, kr_a, active)
+        s = update_qX(s, grams, kr_a)
         col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
         s = update_qv(s, col_energy)
         s = update_qbeta(s, y_energy)
         F = s.a_beta - EPS
         trace.append((it, F, float(np.max(col_energy)), len(active), s.E_beta))
-        denom = float(np.linalg.norm(prev))
-        delta = float(np.linalg.norm(s.M_X - prev))
+        denom = float(np.hypot(np.linalg.norm(prev), dropped))
+        delta = float(np.hypot(np.linalg.norm(s.M_X - prev), dropped))
         if denom > 0 and delta / denom < REL_TOL:
             converged = True
             break
         if not PRUNE_FROM_ITER <= it < MAX_ITERS:
             continue
-        drop = prune(s.E_v[active], col_energy[active], prev_col_energy[active])
+        drop = prune(s.E_v, col_energy, prev_col_energy)
+        dropped = float(np.linalg.norm(s.M_X[:, drop]))
         if drop.any():
-            active = active[np.flatnonzero(~drop)]
-            del kr_a        # so that one copy of KR's columns is live at a time
+            keep = np.flatnonzero(~drop)
+            active, col_energy = active[keep], col_energy[keep]
+            # one copy of KR's columns is live at a time, and none while the
+            # Gram blocks are formed
+            del kr_a
+            grams = precompute_gram(tuple(a[:, active] for a in p))
             kr_a = np.take(kr, active, axis=1)      # C-ordered, as KR is
-            grams = precompute_gram(p, active)
-            s = dataclasses.replace(s, resid=Y.T - s.M_X[:, active] @ kr_a.T)
+            M_X = s.M_X[:, keep]
+            s = dataclasses.replace(s, M_X=M_X, c_diag=s.c_diag[keep], a_v=s.a_v[keep],
+                                    resid=Y.T - M_X @ kr_a.T)
+    M_X = np.zeros((s.M_X.shape[0], K), dtype=s.M_X.dtype)
+    c_diag, a_v = np.zeros(K), np.full(K, EPS)
+    M_X[:, active], c_diag[active], a_v[active] = s.M_X, s.c_diag, s.a_v
+    s = dataclasses.replace(s, M_X=M_X, c_diag=c_diag, a_v=a_v)
     return EngineResult(state=s, n_iters=it, converged=converged, trace=trace)
 
 

@@ -11,24 +11,12 @@ from scipy.special import digamma, gammaln
 from block_reference import dense_gram, reference_sweep
 from leojadce import vbi
 from leojadce.detection import detect, nmse
-from leojadce.signals import gen_preambles, synthesize_received
 from leojadce.tensors import khatri_rao
-from trial_scene import trial_scene
+from trial_scene import four_device_scene, trial_scene
 
 K, M = 40, 4
 # L = 16 < K and L = 64 > K
 SHORT, LONG = (4, 4), (8, 8)
-
-
-def scene(dims, sigma_n2, scale=1.0, seed=0):
-    """Four active devices of K=40; ``scale`` multiplies X, and the noise
-    with it."""
-    rng = np.random.default_rng(seed)
-    p = gen_preambles(dims, K, rng)
-    X = np.zeros((M, K), dtype=complex)
-    active = rng.choice(K, 4, replace=False)
-    X[:, active] = scale * (rng.standard_normal((M, 4)) + 1j * rng.standard_normal((M, 4)))
-    return p, X, synthesize_received(khatri_rao(p), X, sigma_n2 * scale ** 2, rng)
 
 
 def operands(p, Y):
@@ -55,7 +43,7 @@ def assert_kept_residual(s, kr, Y_mat):
 def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
     # the oracle is one reference Gauss-Seidel sweep from the start's mean,
     # with the dense inverse np.linalg.inv of each block's system
-    p, _, Y = scene(dims, 0.05)
+    p, Y, _ = four_device_scene(dims, 0.05)
     rng = np.random.default_rng(1)
     e_v = 10.0 ** rng.uniform(*log_e_v, K)
     s = state_with(p, Y, e_beta, e_v)
@@ -76,7 +64,7 @@ def test_update_qX_matches_dense_inverse(dims, e_beta, log_e_v):
 def test_indefinite_system_is_reported(dims, e_beta):
     # negative E[v] makes the block systems indefinite: at L=16 each block
     # Gram of 20 devices is singular, and at E[beta] = 1e-3 the -1 dominates
-    p, _, Y = scene(dims, 0.05)
+    p, Y, _ = four_device_scene(dims, 0.05)
     s = state_with(p, Y, e_beta, -np.ones(K))
     grams, kr, _, _ = operands(p, Y)
     with pytest.raises(vbi.EngineError, match="not positive-definite"):
@@ -151,7 +139,7 @@ def test_substitution_moves_run_within_tolerance_of_lu_inverse(monkeypatch):
 
 @pytest.mark.parametrize("dims", [SHORT, LONG])
 def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims, monkeypatch):
-    p, X, Y = scene(dims, 0.0)
+    p, Y, X = four_device_scene(dims, 0.0)
     kr = khatri_rao(p)
     result = vbi.run(p, kr, Y)
     assert result.converged
@@ -171,7 +159,7 @@ def test_noise_free_run_keeps_residual_nonnegative_and_recovers(dims, monkeypatc
 def test_negative_expected_residual_is_reported():
     # F = ||R||^2 + M tr_GC below -1e-8 (1 + ||Y||^2) is a numerical failure;
     # roundoff above that floor is truncated to zero before EPS is added
-    p, _, Y = scene(SHORT, 0.05)
+    p, Y, _ = four_device_scene(SHORT, 0.05)
     _, kr, _, y_energy = operands(p, Y)
     s = vbi.init_posterior(kr, Y, y_energy)
     floor = -1e-8 * (1.0 + y_energy)
@@ -219,7 +207,7 @@ def test_elbo_does_not_decrease_under_any_block(scene_args):
     # still land off the block's optimum, so each q(X) update must also be
     # exact: M_X, c_diag and tr_GC equal those of a reference Gauss-Seidel
     # sweep
-    p, _, Y = scene(*scene_args)
+    p, Y, _ = four_device_scene(*scene_args)
     grams, kr, Y_mat, y_energy = operands(p, Y)
     G = dense_gram(p)
     blocks = (("qX", lambda s: vbi.update_qX(s, grams, kr)),

@@ -10,28 +10,20 @@ import pytest
 
 from block_reference import blocks, dense_gram, reference_sweep
 from leojadce import vbi
-from leojadce.signals import gen_preambles, synthesize_received
+from leojadce.signals import gen_preambles
 from leojadce.tensors import khatri_rao
+from trial_scene import four_device_scene
 
 M = 4
 # at K=40: L = 16 < K and L = 64 > K
 SHORT, LONG = (4, 4), (8, 8)
 
 
-def scene(dims, K, m=M, sigma_n2=0.05, seed=0):
-    rng = np.random.default_rng(seed)
-    p = gen_preambles(dims, K, rng)
-    X = np.zeros((m, K), dtype=complex)
-    active = rng.choice(K, 4, replace=False)
-    X[:, active] = rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4))
-    return p, synthesize_received(khatri_rao(p), X, sigma_n2, rng)
-
-
 @pytest.mark.parametrize("dims", [SHORT, LONG])
 @pytest.mark.parametrize("e_beta, log_e_v", [(3.0, (-2, 4)), (2e6, (2, 6))])
 def test_kr_fit_term_equals_gram_form(dims, e_beta, log_e_v):
     K = 40
-    p, Y = scene(dims, K)
+    p, Y, _ = four_device_scene(dims, K=K)
     rng = np.random.default_rng(1)
     G = dense_gram(p)
     kr = khatri_rao(p)
@@ -59,9 +51,9 @@ def counting_gram(monkeypatch):
     calls = []
     gram = vbi.precompute_gram
 
-    def counting(p, *args):
+    def counting(p):
         calls.append(p)
-        return gram(p, *args)
+        return gram(p)
 
     monkeypatch.setattr(vbi, "precompute_gram", counting)
     return calls
@@ -72,7 +64,7 @@ def test_run_forms_the_gram_once_before_pruning(monkeypatch, dims):
     # no device is pruned before iteration PRUNE_FROM_ITER
     calls = counting_gram(monkeypatch)
     monkeypatch.setattr(vbi, "MAX_ITERS", vbi.PRUNE_FROM_ITER)
-    p, Y = scene(dims, 40)
+    p, Y, _ = four_device_scene(dims)
     result = vbi.run(p, khatri_rao(p), Y)
     assert result.n_iters >= 1
     assert len(calls) == 1
@@ -86,7 +78,7 @@ def test_block_run_holds_no_k_by_k_array():
     # half of the K x K Gram that a joint solve would hold at this K; the
     # run measured 4.8 stacks besides that copy
     K = 400
-    p, Y = scene((17, 17), K)
+    p, Y, _ = four_device_scene((17, 17), K=K)
     L = Y.shape[0]
     kr = khatri_rao(p)
     tracemalloc.start()
@@ -114,7 +106,7 @@ def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
             stack = vbi.precompute_gram(p)
         else:
             oracle = dense_gram([a[:, active] for a in p])
-            stack = vbi.precompute_gram(p, np.array(active))
+            stack = vbi.precompute_gram(tuple(a[:, active] for a in p))
         index = blocks(len(oracle))
         assert stack.shape == (len(index), len(index[0]), len(index[0]))
         for G_BB, B in zip(stack, index):
@@ -131,7 +123,7 @@ def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
 @pytest.mark.parametrize("K", [7, 40, 130])
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_y_kr_conj_bit_equal_to_product_with_conjugate_kr(dims, K, m):
-    p, Y = scene(dims, K, m=m, seed=K + m)
+    p, Y, _ = four_device_scene(dims, K=K, m=m, seed=K + m)
     kr = khatri_rao(p)
     ref = Y.T @ kr.conj()
     Ty = vbi._y_kr_conj(Y, kr)
@@ -144,7 +136,7 @@ def test_block_update_qX_matches_reference_sweep_at_benchmark_shape():
     # L=400, K=500: the paper-trial benchmark scene, with E[v] spread over
     # six decades; one sweep from the start's mean against the reference
     K = 500
-    p, Y = scene((20, 20), K, m=8)
+    p, Y, _ = four_device_scene((20, 20), K=K, m=8)
     rng = np.random.default_rng(3)
     e_beta, e_v = 3.0, 10.0 ** rng.uniform(-2, 4, K)
     kr = khatri_rao(p)
