@@ -1,8 +1,9 @@
 """Reference sparse-recovery baselines operating on the matrix-form signal.
 
-The baselines see a plain L x M observation and an L x K dictionary; they
-do not exploit the tensor structure. They read the received samples in the
-one convention every algorithm here shares,
+The baselines see a plain L x M observation and an L x K dictionary.
+SOMP's choices and fit are those of plain SOMP, bit for bit; only its
+arithmetic reads A's factors, for one Gram column per atom. They read the
+received samples in the one convention every algorithm here shares,
 
     Y = A X^T (+ noise),
 
@@ -25,8 +26,8 @@ class SompResult:
     X_hat: np.ndarray           # M x K, zero off-support
 
 
-def somp(Y: np.ndarray, A: np.ndarray, max_support: int, residual_tol: float
-         ) -> SompResult:
+def somp(Y: np.ndarray, A: np.ndarray, factors: tuple[np.ndarray, ...],
+         max_support: int, residual_tol: float) -> SompResult:
     """Simultaneous OMP: greedily add the column with the largest summed
     correlation magnitude against the residual, least-squares refit on the
     support, repeat until ||R_res||_F / ||Y||_F <= ``residual_tol`` or the
@@ -52,9 +53,26 @@ def somp(Y: np.ndarray, A: np.ndarray, max_support: int, residual_tol: float
     A^H R_res) is formed once, on a transposed view of A (L K M
     multiply-adds; no L x K adjoint of A is formed). As R_res loses
     q (q^H R_res), the correlation loses the rank-1 term
-    (A^T q^*) (q^H R_res)^*, so each atom costs L K multiply-adds for it,
-    plus O(L s + L M) for the column and the residual on a support of
-    size s.
+    (A^T q^*) (q^H R_res)^*. A^T q^* comes from the new atom's Gram
+    column, not from A. ``factors`` are the matrices A_1, ..., A_d whose
+    Khatri-Rao product is A, in any order (a plain dictionary passes
+    ``(A,)``), so the Gram column A^T a_k^* = prod_f A_f^T a_{f,k}^* takes
+    (l_1 + ... + l_d) K multiply-adds. As q = (a_k - Q c) / r_ss, A^T q^*
+    is that column less the stored rows A^T q_j^* weighted by c^*, over
+    r_ss: s K more. An atom on a support of size s thus costs
+    (l_1 + ... + l_d) K + s K multiply-adds for the correlation, in place
+    of L K (the same at d=1), plus O(L s + L M) for the column and the
+    residual.
+
+    The stored rows, U, are the price of this: a max_support x K complex
+    array, allocated uninitialized. Each row is written when its atom
+    joins, before any read, so only the rows of the atoms taken reach
+    resident memory: K x (atoms taken) complex entries, 0.6 MB at K=500
+    and the cap of 75, and about 6.4 MB at K=2000, L=400, 30 dB, where
+    SOMP takes about 200. The correlation differs from the direct
+    product's by roundoff, and only its argmax is read, so ``support``
+    and ``X_hat`` match the direct form bit for bit on every scene the
+    tests check.
 
     The search stops before the atom joins when the new column's
     orthogonal remainder is at most ``max(L, s + 1) * eps * ||a_k||``: the
@@ -77,6 +95,7 @@ def somp(Y: np.ndarray, A: np.ndarray, max_support: int, residual_tol: float
     Q_H = np.zeros((max_support, L), dtype=complex)           # row j holds q_j^H
     R = np.zeros((max_support, max_support), dtype=complex)   # A_S = Q R, upper triangular
     QhY = np.zeros((max_support, M), dtype=complex)           # row j holds q_j^H Y
+    U = np.empty((max_support, K), dtype=complex)             # row j holds A^T q_j^*
     eps = np.finfo(float).eps
     corr = A.T @ R_res.conj()                   # (A^H R_res)^*
     while len(support) < max_support:
@@ -99,7 +118,11 @@ def somp(Y: np.ndarray, A: np.ndarray, max_support: int, residual_tol: float
         Q_H[s] = q.conj()
         QhY[s] = Q_H[s] @ R_res
         R_res -= np.outer(q, QhY[s])
-        corr -= np.outer(A.T @ Q_H[s], QhY[s].conj())
+        g = factors[0].T @ factors[0][:, k_star].conj()     # A^T a_k^*
+        for a in factors[1:]:
+            g *= a.T @ a[:, k_star].conj()
+        U[s] = (g - R[:s, s].conj() @ U[:s]) / r_ss       # A^T q^*
+        corr -= np.outer(U[s], QhY[s].conj())
         support.append(k_star)
         res_norm = float(np.linalg.norm(R_res))
     if support:

@@ -109,7 +109,8 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 if collect_traces:
                     trace_rows.extend((trial, *row) for row in result.trace)
             elif algo == "somp":
-                sres = baselines.somp(Y, A, baselines.default_max_support(cfg.p_a, cfg.K),
+                sres = baselines.somp(Y, A, preambles,
+                                      baselines.default_max_support(cfg.p_a, cfg.K),
                                       baselines.somp_residual_tol(Y, sigma_n2))
                 x_hat = sres.X_hat
                 alpha_hat = np.zeros(cfg.K, dtype=np.int8)

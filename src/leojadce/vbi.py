@@ -90,10 +90,12 @@ PRUNE_ENERGY_FRACTION = 3e-3
 # 104-223 ms with b = 40-100; at L=400, 30 dB b = 10-40 took 26-30 ms and
 # b=100 62 ms. Larger blocks sweep fewer, larger GEMMs but
 # factor b^3 per block; smaller ones loop more in Python. Pe did not move
-# with b, and mean NMSE rose with it, by under 1% from b=5 to b=25. These
-# timings were taken while F^-1 came from np.linalg.inv, a pivoted LU, and
-# not again since :func:`_lower_inverse` forms it by forward substitution
-# in b - 1 numpy steps; b was kept, since changing it moves the outputs.
+# with b, and mean NMSE rose with it, by under 1% from b=5 to b=25.
+# Measured again with F^-1 from :func:`_lower_inverse` (master seed 9, 2
+# trials a scene, best of 3 calls, at L=100, 10 dB, at L=400, 10 and
+# 30 dB, and at K=2000): b=16 and b=25 were within noise of each other,
+# and on most scenes b=10 was 10-18% slower, b=40 9-25% slower and b=60
+# 21-58% slower. b was kept, since changing it moves the outputs.
 BLOCK_SIZE = 25
 
 # The engine's fixed settings: the shape and rate of the Gamma hyperpriors,

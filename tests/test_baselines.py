@@ -1,8 +1,10 @@
 """SOMP and AMP baselines on constructed instances and on the benchmark's
 scenes, and against straightforward forms of the same iterations (an
-lstsq refit per atom; AMP with an explicit adjoint)."""
+lstsq refit per atom; SOMP's correlation update formed from A; AMP with an
+explicit adjoint)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def test_somp_single_active_noise_free():
     A = unit_columns(rng, L, K)
     x = crandn(rng, M, 1)
     Y = A[:, [4]] @ x.T
-    res = somp(Y, A, 5, 1e-10)
+    res = somp(Y, A, (A,), 5, 1e-10)
     assert res.support == [4]
     np.testing.assert_allclose(res.X_hat[:, 4], x[:, 0], atol=1e-10)
     # the residual tolerance, not a rank-deficient atom, ended the search
@@ -46,7 +48,7 @@ def test_somp_single_active_noise_free():
 def test_somp_zero_signal_empty_support():
     rng = np.random.default_rng(1)
     A = unit_columns(rng, 8, 5)
-    res = somp(np.zeros((8, 2), dtype=complex), A, 3, 0.0)
+    res = somp(np.zeros((8, 2), dtype=complex), A, (A,), 3, 0.0)
     assert res.support == []
     assert np.count_nonzero(res.X_hat) == 0
 
@@ -60,7 +62,7 @@ def test_somp_orthonormal_dictionary_exact_recovery():
     active = rng.choice(K, size=s, replace=False)
     X[:, active] = crandn(rng, M, s)
     Y = A @ X.T
-    res = somp(Y, A, s, 0.0)
+    res = somp(Y, A, (A,), s, 0.0)
     assert sorted(res.support) == sorted(active.tolist())
     np.testing.assert_allclose(res.X_hat, X, atol=1e-10)
 
@@ -72,7 +74,7 @@ def test_somp_residual_non_increasing():
     Y = crandn(rng, L, M)
     support, norms = [], []
     for cap in range(1, 16):
-        res = somp(Y, A, cap, 0.0)
+        res = somp(Y, A, (A,), cap, 0.0)
         # a larger cap only adds atoms, in the same order
         assert res.support[:-1] == support and len(res.support) == cap
         support = res.support
@@ -88,7 +90,7 @@ def test_somp_stops_on_a_linearly_dependent_atom():
     col /= np.linalg.norm(col)
     A = np.hstack([col, col, unit_columns(rng, L, 2)])  # duplicated atom
     Y = col @ crandn(rng, M, 1).T
-    res = somp(Y, A, 3, -1.0)
+    res = assert_somp_matches_direct_form(Y, A, (A,), 3, -1.0)
     # no residual stop: only a rank-deficient atom ends the search below
     # the cap, and the duplicate never joins its twin
     assert 1 <= len(res.support) < 3
@@ -99,7 +101,7 @@ def test_somp_rejects_oversized_support():
     rng = np.random.default_rng(5)
     A = unit_columns(rng, 8, 4)
     with pytest.raises(ValueError):
-        somp(np.zeros((8, 2), dtype=complex), A, 5, 0.0)
+        somp(np.zeros((8, 2), dtype=complex), A, (A,), 5, 0.0)
 
 
 def test_default_max_support():
@@ -173,6 +175,51 @@ def lstsq_somp(Y, A, max_support, residual_tol):
     return SompResult(support, X_hat)
 
 
+def direct_somp(Y, A, max_support, residual_tol):
+    """The loop of :func:`somp` with the correlation update formed from A,
+    as A^T q^* for each new unit column q: the reference that :func:`somp`,
+    which forms it from the new atom's Gram column, must match bit for bit."""
+    L, M = Y.shape
+    K = A.shape[1]
+    y_norm = float(np.linalg.norm(Y))
+    support, R_res, res_norm = [], Y.copy(), y_norm
+    X_hat = np.zeros((M, K), dtype=complex)
+    if y_norm == 0.0:
+        return SompResult([], X_hat)
+    Q_H = np.zeros((max_support, L), dtype=complex)
+    R = np.zeros((max_support, max_support), dtype=complex)
+    QhY = np.zeros((max_support, M), dtype=complex)
+    eps = np.finfo(float).eps
+    corr = A.T @ R_res.conj()
+    while len(support) < max_support:
+        if res_norm / y_norm <= residual_tol:
+            break
+        score = np.sum(np.abs(corr), axis=1)
+        score[support] = -1.0
+        k_star = int(np.argmax(score))
+        s = len(support)
+        w = A[:, k_star].copy()
+        for _ in range(2):
+            c = Q_H[:s] @ w
+            w -= (c.conj() @ Q_H[:s]).conj()
+            R[:s, s] += c
+        r_ss = float(np.linalg.norm(w))
+        if r_ss <= max(L, s + 1) * eps * float(np.linalg.norm(A[:, k_star])):
+            break
+        R[s, s] = r_ss
+        q = w / r_ss
+        Q_H[s] = q.conj()
+        QhY[s] = Q_H[s] @ R_res
+        R_res -= np.outer(q, QhY[s])
+        corr -= np.outer(A.T @ Q_H[s], QhY[s].conj())
+        support.append(k_star)
+        res_norm = float(np.linalg.norm(R_res))
+    if support:
+        n = len(support)
+        X_hat[:, support] = np.linalg.solve(R[:n, :n], QhY[:n]).T
+    return SompResult(support, X_hat)
+
+
 def plain_amp(Y, A, p_a):
     """The iteration of :func:`amp_mmv` with an explicit adjoint A^H, formed
     on every iteration, and ||Z|| taken afresh wherever it is read: the
@@ -233,8 +280,17 @@ def Y_of(A, X, noise, rng):
     return A @ X.T + noise * crandn(rng, A.shape[0], X.shape[0])
 
 
+def assert_somp_matches_direct_form(Y, A, factors, max_support, residual_tol):
+    got = somp(Y, A, factors, max_support, residual_tol)
+    ref = direct_somp(Y, A, max_support, residual_tol)
+    assert got.support == ref.support
+    np.testing.assert_array_equal(got.X_hat, ref.X_hat)
+    return got
+
+
 def assert_matches_lstsq_somp(Y, A, max_support, residual_tol):
-    got = somp(Y, A, max_support, residual_tol)
+    # on a plain dictionary, passed as its one factor
+    got = assert_somp_matches_direct_form(Y, A, (A,), max_support, residual_tol)
     ref = lstsq_somp(Y, A, max_support, residual_tol)
     assert got.support == ref.support
     assert np.linalg.norm(got.X_hat - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
@@ -410,9 +466,54 @@ def test_somp_coefficients_match_triangular_solve(M, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     for s in (1, 2, 5, 17, 40, 80):
         A, Y = sparse_scene(100 * M + s, 96, 120, M, min(s, 30), 0.1)
-        somp(Y, A, s, 0.0)
+        somp(Y, A, (A,), s, 0.0)
     assert [len(a) for a, _, _ in seen] == [1, 2, 5, 17, 40, 80]
     for R, QhY, coef in seen:
         assert np.array_equal(R, np.triu(R))
         ref = solve_triangular(R, QhY, lower=False)
         assert np.linalg.norm(coef - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("K, dims, snr_db, as_one_factor", [
+    (500, (20, 20), 0.0, False),
+    (500, (20, 20), 30.0, False),
+    (500, (20, 20), 30.0, True),
+    (500, (10, 10), 10.0, False),
+    (500, (9, 5, 5), 20.0, False),
+    (500, (5, 5, 3, 3), 20.0, False),
+    (2000, (20, 20), 30.0, False),
+], ids=["L400-0dB", "L400-30dB", "L400-30dB-d1", "L100-10dB", "L225-d3", "L225-d4",
+        "K2000-L400-30dB"])
+def test_somp_matches_direct_form_bit_for_bit_on_trial_scenes(K, dims, snr_db, as_one_factor):
+    # the Gram column from the factors (or from A itself, at d=1) gives the
+    # correlation update of the direct form to roundoff, and the same support
+    s = trial_scene(K, dims, snr_db, 0)
+    got = assert_somp_matches_direct_form(
+        s.Y, s.A, (s.A,) if as_one_factor else s.p, default_max_support(0.1, K),
+        baselines.somp_residual_tol(s.Y, s.sigma_n2))
+    assert got.support
+
+
+@pytest.mark.parametrize("dims", [(20, 20), (10, 10)], ids=["L400", "L100"])
+def test_somp_holds_no_l_by_k_array(dims):
+    # K=500, M=8, L=400 and L=100 at 30 dB: besides the max_support
+    # (L + K + max_support + M) entries of Q_H, U, R and Q^H Y, the run
+    # holds the K x M correlation and estimate, the K x M rank-1 term with
+    # numpy's two ufunc buffers (K x M each, up to 8192 entries), and the
+    # L x M residual. So 8 K x M and 2 L x M entries cover the rest, and no
+    # L x K temporary (a conjugate copy of A, say) fits. The peaks read
+    # 98966 and 73304 entries, against bounds of 112125 and 84825
+    K, M = 500, 8
+    s = trial_scene(K, dims, 30.0, 0)
+    L = s.A.shape[0]
+    cap = default_max_support(0.1, K)
+    tol = baselines.somp_residual_tol(s.Y, s.sigma_n2)
+    tracemalloc.start()
+    try:
+        res = somp(s.Y, s.A, s.p, cap, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.support) > cap // 2
+    bound = cap * (L + K + cap + M) + 8 * K * M + 2 * L * M
+    assert peak < bound * np.dtype(complex).itemsize, peak

@@ -1,5 +1,5 @@
 """Conjugation symmetry of every algorithm: run on conj(Y) and conj(A)
-(VBI also on the conjugated tensor factors), each returns the conjugate of
+(VBI and SOMP also on the conjugated tensor factors), each returns the conjugate of
 its estimate, bit for bit, with the same iteration count and, for SOMP, the
 same support."""
 
@@ -30,8 +30,9 @@ def test_somp_returns_the_conjugate_estimate(scene):
     s = trial_scene(*scene)
     max_support = baselines.default_max_support(0.1, s.A.shape[1])
     residual_tol = baselines.somp_residual_tol(s.Y, s.sigma_n2)
-    plain = baselines.somp(s.Y, s.A, max_support, residual_tol)
-    conj = baselines.somp(s.Y.conj(), s.A.conj(), max_support, residual_tol)
+    plain = baselines.somp(s.Y, s.A, s.p, max_support, residual_tol)
+    conj = baselines.somp(s.Y.conj(), s.A.conj(), tuple(a.conj() for a in s.p),
+                          max_support, residual_tol)
     assert plain.support and conj.support == plain.support
     np.testing.assert_array_equal(conj.X_hat, plain.X_hat.conj())
 

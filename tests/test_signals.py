@@ -156,7 +156,7 @@ def test_every_algorithm_reads_the_read_only_preamble_matrix(dims):
     result = vbi.run(p, A, Y)
     np.testing.assert_array_equal(
         result.M_X, vbi.run(p, khatri_rao(p), Y).M_X)
-    sres = baselines.somp(Y, A, 6, 0.0)
+    sres = baselines.somp(Y, A, p, 6, 0.0)
     ares = baselines.amp_mmv(Y, A, 0.1)
     assert result.trace[-1][3] < K and len(sres.support) >= 4 and not ares.diverged
     for x_hat in (result.M_X, sres.X_hat, ares.X_hat):
