@@ -24,10 +24,15 @@ BOLTZMANN = 1.38e-23             # J/K
 # first half-power point of the beam-gain kernel: _gain_kernel(phi) = 2^-1/2
 # (the correctly rounded root, 2.07123117842185782...)
 HALF_POWER_PHI = 2.0712311784218578
-# largest beam-gain argument phi taken: the Miller recurrence of
-# _bessel_j1_j3 runs about phi steps (0.1 s for 500 devices at 1e4), and
-# the fixed scene stays below HALF_POWER_PHI (theta <= the 3 dB angle)
-MAX_PHI = 1e4
+# Maclaurin coefficients of the beam-gain kernel in q = -(phi/2)^2, from the
+# series of J1 and J3 (Abramowitz & Stegun 9.1.10):
+# J1(phi)/(2 phi) + 36 J3(phi)/phi^3 = sum_k c_k q^k,
+# c_k = (1/(4 (k+1)!) + 9/(2 (k+3)!)) / k! = ((k+2)(k+3) + 18) / (4 (k+3)! k!),
+# each rounded once by the integer division, so c_0 = 1. On the main lobe,
+# phi <= HALF_POWER_PHI, |q| < 1.08 and the last term kept (k = 13) is below
+# 1.2e-21: the truncation is far below the rounding of the sum.
+_GAIN_SERIES = tuple(((k + 2) * (k + 3) + 18) / (4 * math.factorial(k + 3) * math.factorial(k))
+                     for k in range(14))
 
 # The device population of every scenario: off-axis angles uniform on
 # [0, THETA_MAX_DEG], squared LOS norms and NLOS variances uniform over
@@ -52,8 +57,7 @@ class DeviceGeometry:
     """Slowly-varying per-device quantities, frozen for a whole scenario.
     The arrays are made read-only, so that trials can share one geometry."""
 
-    theta_rad: np.ndarray       # off-axis angle per device
-    omega: np.ndarray           # receive antenna gain at theta_rad
+    omega: np.ndarray           # receive antenna gain at the device's off-axis angle
     hlos_norm_sq: np.ndarray    # squared LOS norm, drawn uniformly over its range
     v_nlos: np.ndarray          # NLOS variance, drawn uniformly over its range
     hlos_dir: np.ndarray        # M x K unit-norm phase directions
@@ -65,16 +69,15 @@ class DeviceGeometry:
 
 def sample_device_geometry(K: int, M: int, rng: np.random.Generator) -> DeviceGeometry:
     """Draw the frozen per-device geometry for a scenario over the ranges
-    above, with the antenna gain of the THREE_DB_ANGLE_DEG receive beam at
-    each device's off-axis angle."""
+    above. The off-axis angles are the first draw; only their antenna gains
+    are kept."""
     theta = rng.uniform(0.0, math.radians(THETA_MAX_DEG), size=K)
     norms = rng.uniform(*HLOS_NORM_SQ_RANGE, size=K)
     v_nlos = rng.uniform(*V_NLOS_RANGE, size=K)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(M, K))
     hlos_dir = np.exp(1j * phases) / math.sqrt(M)  # unit norm per column
     return DeviceGeometry(
-        theta_rad=theta,
-        omega=antenna_gain(theta, THREE_DB_ANGLE_DEG),
+        omega=antenna_gain(theta),
         hlos_norm_sq=norms,
         v_nlos=v_nlos,
         hlos_dir=hlos_dir,
@@ -94,75 +97,44 @@ def large_scale_gain(r_db: np.ndarray) -> np.ndarray:
     return fpl * budget * 10.0 ** (r_db / 10.0)
 
 
-def rain_lognormal_params(mu_r_db: float, sigma_r_db: float) -> tuple[float, float]:
-    """(m, s) of the normal in z such that -exp(z) has mean mu_r_db and
-    standard deviation sigma_r_db (moment-matched lognormal attenuation)."""
-    if mu_r_db >= 0:
-        raise ValueError("mu_r_db must be negative (attenuation)")
-    mean_mag = -mu_r_db
-    s2 = math.log1p((sigma_r_db / mean_mag) ** 2)
+def sample_rain_db(rng: np.random.Generator, size=None) -> float | np.ndarray:
+    """Draw non-positive dB power gains -exp(z) with mean RAIN_MEAN_DB and
+    standard deviation RAIN_STD_DB: z is normal with the moment-matched
+    (m, s) of that lognormal attenuation."""
+    if RAIN_MEAN_DB >= 0:
+        raise ValueError("RAIN_MEAN_DB must be negative (attenuation)")
+    mean_mag = -RAIN_MEAN_DB
+    s2 = math.log1p((RAIN_STD_DB / mean_mag) ** 2)
     m = math.log(mean_mag) - 0.5 * s2
-    return m, math.sqrt(s2)
-
-
-def sample_rain_db(mu_r_db: float, sigma_r_db: float,
-                   rng: np.random.Generator, size=None) -> float | np.ndarray:
-    """Draw non-positive dB power gains whose mean/std match (mu, sigma)."""
-    m, s = rain_lognormal_params(mu_r_db, sigma_r_db)
-    z = rng.normal(m, s, size=size)
+    z = rng.normal(m, math.sqrt(s2), size=size)
     return -np.exp(z)
 
 
-def antenna_gain(theta_rad: float | np.ndarray,
-                 three_db_angle_deg: float) -> float | np.ndarray:
+def antenna_gain(theta_rad: float | np.ndarray) -> float | np.ndarray:
     """Circular-aperture receive gain J1(phi)/(2 phi) + 36 J3(phi)/phi^3
-    with phi = HALF_POWER_PHI sin(theta) / sin(theta_3dB), so the gain is
-    2^-1/2 at the 3 dB angle; continuous limit 1 at boresight. (This is
-    phi = pi d f / c * sin(theta) for the dish of diameter d whose
-    half-power point sits at theta_3dB.) A phi above MAX_PHI, an angle
-    more than about 4800 times the 3 dB angle, is a ValueError."""
-    return _gain_kernel(HALF_POWER_PHI * np.sin(np.abs(theta_rad))
-                        / math.sin(math.radians(three_db_angle_deg)))
+    with phi = HALF_POWER_PHI sin(theta) / sin(theta_3dB), theta_3dB being
+    THREE_DB_ANGLE_DEG, so the gain is 2^-1/2 at the 3 dB angle and 1 at
+    boresight. (This is phi = pi d f / c * sin(theta) for the dish of
+    diameter d whose half-power point sits at theta_3dB.) The gain is
+    evaluated on the main lobe only: an angle beyond the 3 dB angle, or a
+    NaN, is a ValueError."""
+    three_db = math.radians(THREE_DB_ANGLE_DEG)
+    theta = np.abs(theta_rad)
+    if not np.all(theta <= three_db):
+        raise ValueError(f"off-axis angle {math.degrees(np.max(theta)):g} degrees is beyond "
+                         f"the 3 dB angle THREE_DB_ANGLE_DEG = {THREE_DB_ANGLE_DEG:g}")
+    return _gain_kernel(HALF_POWER_PHI * np.sin(theta) / math.sin(three_db))
 
 
 def _gain_kernel(phi):
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    if np.any(phi_arr > MAX_PHI):
-        raise ValueError(f"beam-gain argument phi = {np.max(phi_arr):g} exceeds "
-                         f"MAX_PHI = {MAX_PHI:g}: the 3 dB angle is too small "
-                         "for the off-axis angles")
-    out = np.ones_like(phi_arr)
-    nz = phi_arr > 1e-8
-    p = phi_arr[nz]
-    j1, j3 = _bessel_j1_j3(p)
-    out[nz] = j1 / (2.0 * p) + 36.0 * j3 / p**3
-    return out if np.ndim(phi) else float(out[0])
-
-
-def _bessel_j1_j3(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J1(x) and J3(x) for a 1-d array of x >= 1e-8, by Miller's downward
-    recurrence J_(k-1) = (2k/x) J_k - J_(k+1), normalised by
-    J0 + 2 (J2 + J4 + ...) = 1.
-
-    Entry i starts from J_(m+1) = 0, J_m = 1e-30 at its own even
-    m >= x_i + 20 + 10 x_i^(1/3) and stays exactly 0 before that, so each
-    entry gets the same bits as when computed alone. No iterate exceeds
-    3e154 for x >= 1e-8, so none needs rescaling."""
-    start = (x + 20.0 + 10.0 * x ** (1.0 / 3.0)).astype(int)
-    start += start % 2
-    fp, f, norm, j1, j3 = (np.zeros_like(x) for _ in range(5))
-    for k in range(int(start.max(initial=0)), 0, -1):
-        f[start == k] = 1e-30
-        fp, f = f, (2.0 * k / x) * f - fp
-        # f is now J_(k-1), up to the common scale
-        if k % 2 and k > 1:
-            norm += 2.0 * f
-        elif k == 2:
-            j1 = f
-        elif k == 4:
-            j3 = f
-    norm += f
-    return j1 / norm, j3 / norm
+    """J1(phi)/(2 phi) + 36 J3(phi)/phi^3 for 0 <= phi <= HALF_POWER_PHI, by
+    Horner's rule on its series (_GAIN_SERIES); a float for a float, else
+    an array, whose entries each get the bits they get alone."""
+    q = -np.square(0.5 * np.asarray(phi, dtype=float))
+    g = _GAIN_SERIES[-1]
+    for c in _GAIN_SERIES[-2::-1]:
+        g = g * q + c
+    return g if np.ndim(phi) else float(g)
 
 
 def draw_channels(geom: DeviceGeometry, p_a: float, rng: np.random.Generator
@@ -180,7 +152,7 @@ def draw_channels(geom: DeviceGeometry, p_a: float, rng: np.random.Generator
     """
     M, K = geom.hlos_dir.shape
     alpha = (rng.random(K) < p_a).astype(np.int8)
-    r_db = sample_rain_db(RAIN_MEAN_DB, RAIN_STD_DB, rng, size=K)
+    r_db = sample_rain_db(rng, size=K)
     g = large_scale_gain(r_db)
 
     lam = RICIAN_FACTOR

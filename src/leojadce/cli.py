@@ -71,8 +71,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    records, traces = run_sweep(cfg, sweep, workers=args.workers,
-                                collect_traces=args.traces)
+    records, traces = run_sweep(cfg, sweep, workers=args.workers)
     write_outputs(args.out, sweep, records, traces if args.traces else None)
     n_failed = sum(1 for r in records if r.failed)
     print(f"wrote {len(records)} trial records to {args.out} "

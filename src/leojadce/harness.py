@@ -83,10 +83,10 @@ def scenario_geometry(cfg: ScenarioConfig) -> DeviceGeometry:
     return sample_device_geometry(cfg.K, cfg.M, geometry_rng(cfg))
 
 
-def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
-              collect_traces: bool = False
+def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int
               ) -> tuple[list[TrialRecord], list[tuple]]:
-    """Run every requested algorithm on one synthesized scene."""
+    """Run every requested algorithm on one synthesized scene; returns its
+    records and VBI's per-iteration trace rows, each led by the trial index."""
     rng = trial_rng(cfg.master_seed, axis, value, trial)
     preambles = gen_preambles(cfg.dims, cfg.K, rng)
     A = assemble_preamble_matrix(preambles)
@@ -106,8 +106,7 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
                 x_hat = result.M_X
                 alpha_hat = detection.detect(x_hat)
                 iters = result.n_iters
-                if collect_traces:
-                    trace_rows.extend((trial, *row) for row in result.trace)
+                trace_rows.extend((trial, *row) for row in result.trace)
             elif algo == "somp":
                 sres = baselines.somp(Y, A, preambles,
                                       baselines.default_max_support(cfg.p_a, cfg.K),
@@ -140,19 +139,18 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int,
 
 
 def _trial_task(args):
-    cfg, axis, value, trial, collect = args
-    return run_trial(cfg, axis, value, trial, collect)
+    return run_trial(*args)
 
 
-def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
-              collect_traces: bool = False
+def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1
               ) -> tuple[list[TrialRecord], dict[str, list[tuple]]]:
-    """All (axis value, trial) combinations; canonical output order."""
+    """All (axis value, trial) combinations; canonical output order. The
+    trace rows of each axis value come back with the records."""
     tasks = []
     for value in sweep.values:
         cfg_v = apply_axis(cfg, sweep.axis, value)
         for trial in range(cfg.trials):
-            tasks.append((cfg_v, sweep.axis, value, trial, collect_traces))
+            tasks.append((cfg_v, sweep.axis, value, trial))
     # the pool starts all its workers at once: no more than there are trials
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -165,7 +163,7 @@ def run_sweep(cfg: ScenarioConfig, sweep: SweepSpec, workers: int = 1,
         outputs = [_trial_task(t) for t in tasks]
     records: list[TrialRecord] = []
     traces: dict[str, list[tuple]] = {v: [] for v in sweep.values}
-    for (cfg_v, axis, value, trial, _), (recs, rows) in zip(tasks, outputs):
+    for (_, _, value, _), (recs, rows) in zip(tasks, outputs):
         records.extend(recs)
         traces[value].extend(rows)
     records.sort(key=lambda r: (r.axis, sweep.values.index(r.value), r.algorithm, r.trial))

@@ -262,11 +262,14 @@ def _lower_inverse(F: np.ndarray) -> np.ndarray:
     return X
 
 
-def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndarray,
-                  M_X: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:
-    """One Gauss-Seidel sweep of block q(X), in place on the M x n mean
-    ``M_X`` and the M x L residual ``R`` = Y_(d+1) - M_X KR^T; returns
-    (diag C_X, Tr(G C_X)) of the block-diagonal C_X.
+def update_qX(s: PosteriorState, grams: np.ndarray, kr: np.ndarray) -> PosteriorState:
+    """Refresh (M_X, c_diag, tr_GC, resid) by one Gauss-Seidel sweep of
+    block q(X), without forming C_X.
+
+    q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`, and
+    ``grams`` is their :func:`precompute_gram` stack. ``kr`` and ``grams``
+    hold the columns and blocks of the devices in the state. C_X is
+    block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
 
     C_B = (E[beta] G_BB + diag E[v_B])^-1 does not read the means, so every
     block's C_B comes from one batched Cholesky factorization P_B = F F^H of
@@ -275,8 +278,9 @@ def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndar
     (:func:`_lower_inverse`). An empty slot of a short block holds 1 on the
     diagonal and 0 elsewhere, in P, F and F^-1 alike, so it does not touch
     the block's entries.
-    Then, block by block in device order, with N_B the block's columns of
-    M_X,
+    Then, block by block in device order, starting from copies of the
+    current M_X and of R = ``s.resid`` = Y_(d+1) - M_X KR^T, with N_B the
+    block's columns of M_X,
 
       Delta = (E[beta] R KR_B^* - N_B diag E[v_B]) C_B,  N_B += Delta,
       R -= Delta KR_B^T,
@@ -285,6 +289,8 @@ def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndar
     the other blocks: exact coordinate ascent on the ELBO of
     q(X) = prod_B q(X_B). R KR_B^* is taken as (R^* KR_B)^*, so the only
     conjugate copies made are of the M x L residual."""
+    e_beta, e_v = s.E_beta, s.E_v
+    M_X, R = s.M_X.copy(), s.resid.copy()
     slots = _block_slots(len(e_v))
     v = np.ones(slots.shape)
     v[slots] = e_v
@@ -312,27 +318,11 @@ def _sweep_blocks(grams: np.ndarray, kr: np.ndarray, e_beta: float, e_v: np.ndar
         N_B += delta
         R -= delta @ kr_B.T
         lo = hi
-    return c_diag, tr_GC
-
-
-def update_qX(s: PosteriorState, grams: np.ndarray, kr: np.ndarray) -> PosteriorState:
-    """Refresh (M_X, c_diag, tr_GC, resid) without forming C_X.
-
-    q(X) = prod_B q(X_B) over the blocks of :func:`_block_slots`, and
-    ``grams`` is their :func:`precompute_gram` stack. ``kr`` and ``grams``
-    hold the columns and blocks of the devices in the state. One
-    Gauss-Seidel sweep (:func:`_sweep_blocks`) moves each block's mean to
-    its optimum given the others, starting from the current M_X and
-    ``s.resid``, and updates copies of M_X and of R = Y_(d+1) - M_X KR^T as
-    it goes. C_X is then block-diagonal, and tr_GC = sum_B Tr(G_BB C_B).
-    """
-    M_X, resid = s.M_X.copy(), s.resid.copy()
-    c_diag, tr_GC = _sweep_blocks(grams, kr, s.E_beta, s.E_v, M_X, resid)
     if not (np.all(np.isfinite(M_X)) and np.all(np.isfinite(c_diag))):
         raise EngineError("non-finite entries in q(X) update")
     if np.any(c_diag <= 0):
         raise EngineError("non-positive diagonal of the X-covariance")
-    return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC, resid=resid)
+    return dataclasses.replace(s, M_X=M_X, c_diag=c_diag, tr_GC=tr_GC, resid=R)
 
 
 def update_qv(s: PosteriorState, col_energy: np.ndarray) -> PosteriorState:

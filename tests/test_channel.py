@@ -8,12 +8,10 @@ import pytest
 
 from leojadce import channel
 from leojadce.channel import (BANDWIDTH_HZ, BOLTZMANN, D0_M, F_HZ, G_OVER_T_DB,
-                              HALF_POWER_PHI, MAX_PHI, RAIN_MEAN_DB, RAIN_STD_DB,
-                              SPEED_OF_LIGHT, THREE_DB_ANGLE_DEG, DeviceGeometry,
-                              _bessel_j1_j3, _gain_kernel, antenna_gain,
-                              draw_channels, large_scale_gain,
-                              rain_lognormal_params, sample_device_geometry,
-                              sample_rain_db)
+                              HALF_POWER_PHI, RAIN_MEAN_DB, RAIN_STD_DB, SPEED_OF_LIGHT,
+                              THETA_MAX_DEG, THREE_DB_ANGLE_DEG, DeviceGeometry,
+                              _gain_kernel, antenna_gain, draw_channels,
+                              large_scale_gain, sample_device_geometry, sample_rain_db)
 
 
 # ---------------------------------------------------------------- large-scale gain
@@ -42,7 +40,7 @@ def test_gain_db_arithmetic():
 def test_gain_of_rain_array_matches_per_draw_loop():
     # numpy's vectorised 10 ** x may differ from the scalar pow by 1 ulp,
     # and the product rounds once more
-    r_db = sample_rain_db(RAIN_MEAN_DB, RAIN_STD_DB, np.random.default_rng(10), size=1000)
+    r_db = sample_rain_db(np.random.default_rng(10), size=1000)
     fpl = (SPEED_OF_LIGHT / (4.0 * math.pi * F_HZ * D0_M)) ** 2
     budget = 10.0 ** (G_OVER_T_DB / 10.0) / (BOLTZMANN * BANDWIDTH_HZ)
     loop = [fpl * budget * 10.0 ** (float(r) / 10.0) for r in r_db]
@@ -59,34 +57,36 @@ def test_gain_rejects_positive_rain():
 
 # ---------------------------------------------------------------- rain fading
 
-def test_rain_sigma_zero_limit_is_deterministic():
-    rng = np.random.default_rng(0)
-    samples = sample_rain_db(-2.6, 0.0, rng, size=100)
-    np.testing.assert_allclose(samples, -2.6, rtol=1e-12)
+def test_rain_sigma_zero_limit_is_deterministic(monkeypatch):
+    monkeypatch.setattr(channel, "RAIN_STD_DB", 0.0)
+    samples = sample_rain_db(np.random.default_rng(0), size=100)
+    np.testing.assert_allclose(samples, RAIN_MEAN_DB, rtol=1e-12)
 
 
 def test_rain_moment_match_monte_carlo():
     rng = np.random.default_rng(1)
     n = 1_000_000
-    samples = sample_rain_db(-2.6, 1.63, rng, size=n)
-    assert abs(np.mean(samples) - (-2.6)) < 3 * 1.63 / math.sqrt(n)
-    assert np.std(samples) == pytest.approx(1.63, rel=0.01)
+    samples = sample_rain_db(rng, size=n)
+    assert abs(np.mean(samples) - RAIN_MEAN_DB) < 3 * RAIN_STD_DB / math.sqrt(n)
+    assert np.std(samples) == pytest.approx(RAIN_STD_DB, rel=0.01)
 
 
 def test_rain_samples_nonpositive():
     rng = np.random.default_rng(2)
-    assert np.all(sample_rain_db(-2.6, 1.63, rng, size=10_000) <= 0)
+    assert np.all(sample_rain_db(rng, size=10_000) <= 0)
 
 
-def test_rain_params_reject_nonnegative_mean():
-    with pytest.raises(ValueError):
-        rain_lognormal_params(0.0, 1.0)
+def test_rain_params_reject_nonnegative_mean(monkeypatch):
+    # the rain constants are read when a draw is made
+    monkeypatch.setattr(channel, "RAIN_MEAN_DB", 0.0)
+    with pytest.raises(ValueError, match="RAIN_MEAN_DB must be negative"):
+        sample_rain_db(np.random.default_rng(3), size=4)
 
 
 # ---------------------------------------------------------------- antenna gain
 
 def test_antenna_gain_boresight():
-    assert antenna_gain(0.0, 0.4) == pytest.approx(1.0, abs=1e-9)
+    assert antenna_gain(0.0) == 1.0
 
 
 def test_antenna_gain_half_power_at_3db_angle():
@@ -98,36 +98,63 @@ def test_antenna_gain_half_power_at_3db_angle():
             - 1 / mpmath.sqrt(2), 2.07)
         assert abs(HALF_POWER_PHI - root) <= math.ulp(HALF_POWER_PHI) / 2
     assert abs(HALF_POWER_PHI - 2.07123) < 1e-5
-    w = antenna_gain(math.radians(0.4), 0.4)
+    w = antenna_gain(math.radians(THREE_DB_ANGLE_DEG))
     assert w**2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_gain_kernel_series_oracle():
-    # direct series evaluation of J1(phi)/(2 phi) + 36 J3(phi)/phi^3
-    phi = 5.0
-    expected = (_bessel_series_oracle(1, phi) / (2 * phi)
-                + 36.0 * _bessel_series_oracle(3, phi) / phi**3)
-    assert _gain_kernel(phi) == pytest.approx(expected, rel=1e-12)
+    # direct series evaluation of J1(phi)/(2 phi) + 36 J3(phi)/phi^3 over
+    # the main lobe
+    for phi in np.linspace(0.05, HALF_POWER_PHI, 12):
+        expected = (_bessel_series_oracle(1, phi) / (2 * phi)
+                    + 36.0 * _bessel_series_oracle(3, phi) / phi**3)
+        assert _gain_kernel(phi) == pytest.approx(expected, rel=1e-14)
 
 
 def test_antenna_gain_even_and_peaked_at_zero():
-    thetas = np.linspace(1e-4, math.radians(0.4), 25)
-    plus = np.array([antenna_gain(t, 0.4) for t in thetas])
-    minus = np.array([antenna_gain(-t, 0.4) for t in thetas])
-    np.testing.assert_allclose(plus, minus, rtol=1e-14)
-    assert np.all(plus < antenna_gain(0.0, 0.4))
+    thetas = np.linspace(1e-4, math.radians(THREE_DB_ANGLE_DEG), 25)
+    plus = np.array([antenna_gain(t) for t in thetas])
+    minus = np.array([antenna_gain(-t) for t in thetas])
+    np.testing.assert_array_equal(plus, minus)
+    assert np.all(plus < antenna_gain(0.0))
+    assert np.all(np.diff(plus) < 0)
 
 
-def test_antenna_gain_is_the_paper_form():
-    # phi = phi* sin(theta) / sin(theta_3dB), element by element
+def test_antenna_gain_is_the_paper_form(monkeypatch):
+    # phi = phi* sin(theta) / sin(theta_3dB), element by element, with the
+    # 3 dB angle read when the gain is called
     for three_db_deg in (0.2, 0.4, 1.5):
-        thetas = np.linspace(0.0, math.radians(3 * three_db_deg), 31)
+        monkeypatch.setattr(channel, "THREE_DB_ANGLE_DEG", three_db_deg)
+        thetas = np.linspace(0.0, math.radians(three_db_deg), 31)
         expected = [_gain_kernel(HALF_POWER_PHI * math.sin(t)
                                  / math.sin(math.radians(three_db_deg))) for t in thetas]
-        np.testing.assert_array_equal(antenna_gain(thetas, three_db_deg), expected)
+        np.testing.assert_array_equal(antenna_gain(thetas), expected)
 
 
-# ---------------------------------------------------------------- Bessel J1, J3
+def test_antenna_gain_reads_the_3db_angle_when_called(monkeypatch):
+    theta = math.radians(0.8)
+    monkeypatch.setattr(channel, "THREE_DB_ANGLE_DEG", 0.8)
+    assert antenna_gain(theta) ** 2 == pytest.approx(0.5, rel=1e-12)
+    assert antenna_gain(theta / 2) > antenna_gain(theta)
+
+
+def test_antenna_gain_rejects_phi_above_the_bound(monkeypatch):
+    # the series is evaluated on the main lobe only: an angle beyond the
+    # 3 dB angle, on either side, or a NaN is reported, not clamped
+    edge = math.radians(THREE_DB_ANGLE_DEG)
+    assert antenna_gain(np.array([-edge, 0.0, edge])).shape == (3,)
+    for bad in (np.nextafter(edge, 1.0), -np.nextafter(edge, 1.0), math.radians(1.0),
+                math.nan):
+        with pytest.raises(ValueError, match="beyond the 3 dB angle"):
+            antenna_gain(np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="beyond the 3 dB angle"):
+            antenna_gain(bad)
+    monkeypatch.setattr(channel, "THREE_DB_ANGLE_DEG", 0.2)
+    with pytest.raises(ValueError, match="THREE_DB_ANGLE_DEG = 0.2"):
+        antenna_gain(math.radians(0.3))
+
+
+# ---------------------------------------------------------------- gain kernel
 
 def _bessel_series_oracle(n, x, terms=60):
     total = 0.0
@@ -137,93 +164,46 @@ def _bessel_series_oracle(n, x, terms=60):
     return total
 
 
-def _scalar_miller(n, x):
-    """Miller's downward recurrence for one x, one order at a time: the
-    order-by-order reference for the array recurrence."""
-    m = int(x + 20 + 10.0 * x ** (1.0 / 3.0))
-    if m % 2:
-        m += 1
-    fp, f = 0.0, 1e-30
-    norm = 0.0
-    result = 0.0
-    for k in range(m, 0, -1):
-        fm = (2.0 * k / x) * f - fp
-        fp, f = f, fm
-        if k - 1 == n:
-            result = f
-        if (k - 1) % 2 == 0 and k - 1 >= 2:
-            norm += 2.0 * f
-        if abs(f) > 1e250:
-            fp *= 1e-250
-            f *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    return result / (norm + f)
-
-
-def test_antenna_gain_rejects_phi_above_the_bound(monkeypatch):
-    # a 3 dB angle of 1e-9 degrees at theta = 0.4 degrees gives phi near
-    # 8e8, which the recurrence would take hours over; the bound raises
-    # before it starts (the patched recurrence fails if it is reached)
-    def no_recurrence(x):
-        raise AssertionError("the Bessel recurrence started")
-
-    monkeypatch.setattr(channel, "_bessel_j1_j3", no_recurrence)
-    with pytest.raises(ValueError, match="exceeds MAX_PHI"):
-        antenna_gain(np.array([0.0, math.radians(0.4)]), 1e-9)
-    with pytest.raises(ValueError, match="exceeds MAX_PHI"):
-        _gain_kernel(2.0 * MAX_PHI)
+def test_gain_kernel_against_mpmath():
+    # at most 4 eps from the kernel at 40 digits, over the main lobe
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for phi in np.linspace(0.0, HALF_POWER_PHI, 241)[1:]:
+            x = mpmath.mpf(float(phi))
+            exact = mpmath.besselj(1, x) / (2 * x) + 36 * mpmath.besselj(3, x) / x**3
+            assert abs(_gain_kernel(float(phi)) - exact) <= 4 * eps * abs(exact), phi
 
 
 def test_gain_kernel_is_one_near_zero():
-    # phi <= 1e-8 is the kernel's continuous limit, with no Bessel call
+    # c_0 = 1, and the next term, -5 phi^2 / 64, is below half an ulp of 1
     assert _gain_kernel(0.0) == 1.0
+    assert isinstance(_gain_kernel(0.0), float)
     np.testing.assert_array_equal(_gain_kernel(np.array([0.0, 1e-9, 1e-8])), 1.0)
-    j1, j3 = _bessel_j1_j3(np.array([]))
-    assert j1.shape == j3.shape == (0,)
+    assert _gain_kernel(np.array([])).shape == (0,)
 
 
 def test_bessel_small_x_limits():
+    # J1(x)/(2x) -> 1/4 and 36 J3(x)/x^3 -> 3/4, with the next term of the
+    # sum -5 x^2 / 64
     for x in (1e-4, 1e-6, 1e-8):
-        j1, j3 = _bessel_j1_j3(np.array([x]))
-        assert j1[0] / (2 * x) == pytest.approx(0.25, abs=1e-9)
-        assert 36.0 * j3[0] / x**3 == pytest.approx(0.75, abs=1e-8)
+        assert _gain_kernel(x) == pytest.approx(1.0 - 5.0 * x**2 / 64.0, rel=1e-15)
 
 
 def test_bessel_series_oracle_j1_at_one():
-    j1, _ = _bessel_j1_j3(np.array([1.0]))
-    assert j1[0] == pytest.approx(_bessel_series_oracle(1, 1.0), abs=1e-12)
-
-
-def test_bessel_recurrence_with_independent_series():
-    # J0(x) + J2(x) = (2/x) J1(x), with J0 and J2 from the local series
-    xs = np.array([0.5, 1.7, 4.0, 9.0, 11.5])
-    j1, _ = _bessel_j1_j3(xs)
-    for x, j in zip(xs, j1):
-        lhs = _bessel_series_oracle(0, x) + _bessel_series_oracle(2, x)
-        assert lhs == pytest.approx(2.0 / x * j, rel=1e-10)
+    expected = _bessel_series_oracle(1, 1.0) / 2.0 + 36.0 * _bessel_series_oracle(3, 1.0)
+    assert _gain_kernel(1.0) == pytest.approx(expected, abs=1e-15)
 
 
 def test_bessel_against_scipy():
     sp = pytest.importorskip("scipy.special")
-    xs = np.concatenate([np.geomspace(1e-6, 50.0, 400), [77.7, 150.0, 512.3, 1000.0]])
-    j1, j3 = _bessel_j1_j3(xs)
-    np.testing.assert_allclose(j1, sp.jv(1, xs), rtol=1e-10, atol=2e-15)
-    np.testing.assert_allclose(j3, sp.jv(3, xs), rtol=1e-10, atol=2e-15)
-
-
-def test_bessel_matches_scalar_miller_above_12():
-    # both orders from one pass give each order's own recurrence bit for bit
-    xs = np.concatenate([np.linspace(12.01, 50.0, 60), [123.4, 999.9]])
-    j1, j3 = _bessel_j1_j3(xs)
-    assert [float(v) for v in j1] == [_scalar_miller(1, float(x)) for x in xs]
-    assert [float(v) for v in j3] == [_scalar_miller(3, float(x)) for x in xs]
+    phi = np.geomspace(1e-6, HALF_POWER_PHI, 400)
+    expected = sp.jv(1, phi) / (2 * phi) + 36.0 * sp.jv(3, phi) / phi**3
+    np.testing.assert_allclose(_gain_kernel(phi), expected, rtol=1e-13, atol=0)
 
 
 def test_gain_kernel_batch_independent():
-    # entries with different start indices and rescalings share one pass,
-    # yet each keeps the bits it gets alone
-    phi = np.concatenate([np.geomspace(1e-9, 1e3, 200), [0.0, 2.07, 5e3]])
+    # every entry of a batch keeps the bits it gets alone
+    phi = np.concatenate([np.geomspace(1e-9, HALF_POWER_PHI, 200), [0.0, 2.07, 1.0]])
     batch = _gain_kernel(phi)
     assert [float(v) for v in batch] == [_gain_kernel(float(p)) for p in phi]
     np.testing.assert_array_equal(_gain_kernel(phi[::-1]), batch[::-1])
@@ -236,7 +216,6 @@ def _uniform_geometry(K, M, norm_sq=0.65, v=0.225):
     one draw are i.i.d. replicas."""
     direction = np.exp(1j * np.linspace(0.1, 2.0, M)) / math.sqrt(M)
     return DeviceGeometry(
-        theta_rad=np.zeros(K),
         omega=np.ones(K),
         hlos_norm_sq=np.full(K, norm_sq),
         v_nlos=np.full(K, v),
@@ -296,12 +275,13 @@ def test_draw_channels_rician_moment_oracle(monkeypatch):
 
 
 def test_geometry_sampling_ranges():
-    rng = np.random.default_rng(6)
-    geom = sample_device_geometry(1000, 4, rng)
-    np.testing.assert_array_equal(geom.omega, antenna_gain(geom.theta_rad, THREE_DB_ANGLE_DEG))
+    geom = sample_device_geometry(1000, 4, np.random.default_rng(6))
+    # the off-axis angles are the geometry's first draw
+    theta = np.random.default_rng(6).uniform(0.0, math.radians(THETA_MAX_DEG), size=1000)
+    np.testing.assert_array_equal(geom.omega, antenna_gain(theta))
+    assert np.all((geom.omega >= math.sqrt(0.5)) & (geom.omega <= 1.0))
     assert np.all((geom.hlos_norm_sq >= 0.6) & (geom.hlos_norm_sq <= 0.7))
     assert np.all((geom.v_nlos >= 0.2) & (geom.v_nlos <= 0.25))
-    assert np.all((geom.theta_rad >= 0) & (geom.theta_rad <= math.radians(0.4)))
     np.testing.assert_allclose(np.linalg.norm(geom.hlos_dir, axis=0), 1.0, rtol=1e-12)
 
 

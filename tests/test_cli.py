@@ -50,14 +50,33 @@ def test_validate_prints_config_ok(cfg, capsys):
     (TINY + "p_a = 1.5\n", "snr=10"),          # out of range
     (TINY + "snr_db = nan\n", "snr=10"),       # not a number
     (TINY + "threshold_ratio = 0.3\n", "snr=10"),  # unknown key: the threshold is fixed
+    (b"K = 40\xff\n", "snr=10"),                # not UTF-8
 ])
 def test_configuration_errors_exit_1(tmp_path, capsys, config_text, sweep):
     path = tmp_path / "scenario.cfg"
-    if config_text is not None:
+    if isinstance(config_text, bytes):
+        path.write_bytes(config_text)
+    elif config_text is not None:
         path.write_text(config_text)
     assert run(path, tmp_path / "out", sweep) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code, stream, start", [
+    (["validate", "--config", "examples/paper.cfg"], 0, "stdout", "config OK: "),
+    (["run", "--config", "examples/paper.cfg"], 1, "stderr", "usage: leojadce run "),
+], ids=["validate", "usage-error"])
+def test_python_dash_m_entry_point(argv, code, stream, start):
+    # the checkout entry point, PYTHONPATH=src python -m leojadce, run from
+    # the repository root
+    root = Path(leojadce.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, "-m", "leojadce", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert getattr(proc, stream).startswith(start)
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/out"])

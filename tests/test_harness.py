@@ -196,7 +196,7 @@ def test_summary_csv_recomputed_from_trials_csv(tmp_path, monkeypatch):
 
 
 def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
-    records, traces = run_sweep(TINY, TINY_SWEEP, collect_traces=True)
+    records, traces = run_sweep(TINY, TINY_SWEEP)
     write_outputs(tmp_path / "traced", TINY_SWEEP, records, traces)
     assert (tmp_path / "traced" / "trials.csv").read_bytes() == trials_csv(tmp_path, "plain")
     for value in TINY_SWEEP.values:
@@ -258,8 +258,10 @@ def test_geometry_drawn_once_per_configuration(monkeypatch):
         assert not records[0].failed
     assert sorted(calls) == ["antenna_gain", "sample_device_geometry"]
     geom = harness.scenario_geometry(cfg)
-    np.testing.assert_array_equal(geom.omega,
-                                  channel.antenna_gain(geom.theta_rad, channel.THREE_DB_ANGLE_DEG))
+    # the off-axis angles are the geometry stream's first draw
+    theta = harness.geometry_rng(cfg).uniform(0.0, math.radians(channel.THETA_MAX_DEG),
+                                              size=cfg.K)
+    np.testing.assert_array_equal(geom.omega, channel.antenna_gain(theta))
     for f in dataclasses.fields(geom):
         assert not getattr(geom, f.name).flags.writeable, f.name
 
