@@ -15,7 +15,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, apply_axis, load_config, parse_algos, parse_sweep
+from .config import (SWEEP_AXES, ConfigError, apply_axis, load_config, parse_algos,
+                     parse_sweep)
 from .harness import run_sweep, write_outputs
 
 
@@ -26,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a Monte-Carlo sweep")
     run_p.add_argument("--config", required=True, help="scenario config file")
-    run_p.add_argument("--sweep", required=True, help="axis=v1,v2,... (axes: snr,L,p_a,K,d,M)")
+    run_p.add_argument("--sweep", required=True,
+                       help=f"axis=v1,v2,... (axes: {','.join(SWEEP_AXES)})")
     run_p.add_argument("--out", required=True, help="output directory for CSV files")
     run_p.add_argument("--trials", type=int, help="override config trial count")
     run_p.add_argument("--seed", type=int, help="override config master seed")

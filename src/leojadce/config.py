@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225
-
-SWEEP_AXES = ("snr", "L", "p_a", "K", "d", "M")
 KNOWN_ALGOS = ("vbi", "somp", "amp")
 
 
@@ -48,8 +45,8 @@ class ScenarioConfig:
         # snr_db = inf is the noise-free scene
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ConfigError(f"snr_db must be finite or inf, got {self.snr_db}")
-        if len(self.dims) < 2 or any(l < 2 for l in self.dims):
-            raise ConfigError(f"dims must have d >= 2 entries, all >= 2: {self.dims}")
+        if not self.dims or any(l < 2 for l in self.dims):
+            raise ConfigError(f"dims must have d >= 1 entries, all >= 2: {self.dims}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.K < 1 or self.M < 1:
@@ -82,27 +79,23 @@ def parse_algos(text: str) -> tuple[str, ...]:
     return tuple(a.strip() for a in text.split(",") if a.strip())
 
 
-def _parse_value(name: str, text: str, ftype):
+def _parse(name: str, parse, text: str):
+    """``parse`` of the stripped ``text``; a number that does not parse is a
+    ConfigError that names ``name``."""
     text = text.strip()
-    if ftype is int:
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: expected integer, got {text!r}") from exc
-    if ftype is float:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: expected number, got {text!r}") from exc
-    if name == "dims":
-        return _parse_dims(text)
-    if name == "algos":
-        return parse_algos(text)
-    raise ConfigError(f"unsupported field type for {name}")
+    try:
+        return parse(text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        kind = "number" if parse is float else "integer"
+        raise ConfigError(f"{name}: expected {kind}, got {text!r}") from exc
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
-_TYPE_MAP = {"float": float, "int": int}
+# A config file's keys, which are the ScenarioConfig fields, and the parser of
+# each key's value.
+_KEYS = {"K": int, "M": int, "p_a": float, "snr_db": float, "dims": _parse_dims,
+         "trials": int, "master_seed": int, "algos": parse_algos}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -116,12 +109,11 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        ftype = _TYPE_MAP.get(_FIELD_TYPES[key], _FIELD_TYPES[key])
-        values[key] = _parse_value(key, val, ftype)
+        values[key] = _parse(key, _KEYS[key], val)
     try:
         return ScenarioConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -131,14 +123,68 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse the UTF-8 config file at ``path``; a file that does not decode
-    is a ConfigError."""
+    """Parse the UTF-8 config file at ``path``, after a byte-order mark if it
+    starts with one; a file that does not decode is a ConfigError."""
     try:
+        # not utf-8-sig: it would count a bad byte's offset from after the mark
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_config(text)
+
+
+# Factorizations used by the experiments for common preamble lengths.
+DEFAULT_FACTORIZATIONS: dict[int, tuple[int, ...]] = {
+    400: (20, 20),
+    225: (15, 15),
+    200: (20, 10),
+    100: (10, 10),
+    50: (10, 5),
+}
+
+# Tensor-order study: the same L = 225 as d = 1 (the unstructured preamble),
+# 2, 3 and 4 modes.
+ORDER_FACTORIZATIONS_225: dict[int, tuple[int, ...]] = {
+    1: (225,),
+    2: (15, 15),
+    3: (9, 5, 5),
+    4: (5, 5, 3, 3),
+}
+
+
+def factorization_for_length(token: str) -> tuple[int, ...]:
+    """Resolve an L-axis value: explicit '20x20' or a known total length."""
+    if "x" in token or "*" in token:
+        return _parse_dims(token)
+    L = _parse("L", int, token)
+    if L not in DEFAULT_FACTORIZATIONS:
+        raise ConfigError(
+            f"no default factorization for L={L}; give it explicitly, e.g. '20x{L // 20}'")
+    return DEFAULT_FACTORIZATIONS[L]
+
+
+# Each sweep axis, in the order that error messages list them: the
+# ScenarioConfig field it sets and the parser of its values. A d value is
+# the tensor order of ORDER_FACTORIZATIONS_225, which apply_axis looks up.
+_AXES = {"snr": ("snr_db", float), "L": ("dims", factorization_for_length),
+         "p_a": ("p_a", float), "K": ("K", int), "d": ("dims", int), "M": ("M", int)}
+SWEEP_AXES = tuple(_AXES)
+
+
+def apply_axis(cfg: ScenarioConfig, axis: str, value: str) -> ScenarioConfig:
+    """Specialize the base config for one sweep-axis value."""
+    if axis not in _AXES:
+        raise ConfigError(f"unknown axis {axis!r}")
+    field, parse = _AXES[axis]
+    new = _parse(axis, parse, value)
+    if axis == "d":
+        if cfg.L != 225:
+            raise ConfigError("the tensor-order axis is defined for L = 225 scenarios")
+        if new not in ORDER_FACTORIZATIONS_225:
+            raise ConfigError(f"no L=225 factorization for d={new}")
+        new = ORDER_FACTORIZATIONS_225[new]
+    return dataclasses.replace(cfg, **{field: new})
 
 
 @dataclass(frozen=True)
@@ -185,36 +231,3 @@ def parse_sweep(text: str) -> SweepSpec:
     axis, _, vals = text.partition("=")
     values = [v.strip() for v in vals.split(",") if v.strip()]
     return make_sweep(axis.strip(), values)
-
-
-def factorization_for_length(token: str) -> tuple[int, ...]:
-    """Resolve an L-axis value: explicit '20x20' or a known total length."""
-    if "x" in token or "*" in token:
-        return _parse_dims(token)
-    L = _parse_value("L", token, int)
-    if L not in DEFAULT_FACTORIZATIONS:
-        raise ConfigError(
-            f"no default factorization for L={L}; give it explicitly, e.g. '20x{L // 20}'")
-    return DEFAULT_FACTORIZATIONS[L]
-
-
-def apply_axis(cfg: ScenarioConfig, axis: str, value: str) -> ScenarioConfig:
-    """Specialize the base config for one sweep-axis value."""
-    if axis == "snr":
-        return dataclasses.replace(cfg, snr_db=_parse_value(axis, value, float))
-    if axis == "p_a":
-        return dataclasses.replace(cfg, p_a=_parse_value(axis, value, float))
-    if axis == "K":
-        return dataclasses.replace(cfg, K=_parse_value(axis, value, int))
-    if axis == "M":
-        return dataclasses.replace(cfg, M=_parse_value(axis, value, int))
-    if axis == "L":
-        return dataclasses.replace(cfg, dims=factorization_for_length(value))
-    if axis == "d":
-        d = _parse_value(axis, value, int)
-        if cfg.L != 225:
-            raise ConfigError("the tensor-order axis is defined for L = 225 scenarios")
-        if d not in ORDER_FACTORIZATIONS_225:
-            raise ConfigError(f"no L=225 factorization for d={d}")
-        return dataclasses.replace(cfg, dims=ORDER_FACTORIZATIONS_225[d])
-    raise ConfigError(f"unknown axis {axis!r}")

@@ -23,12 +23,13 @@ def gen_preambles(dims: Sequence[int], K: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """The read-only factor arrays A_1..A_d, one l_i x K array per entry of
     ``dims``: i.i.d. circular complex Gaussian, normalized column-wise.
-    Needs d >= 2 modes, each of length >= 2."""
+    Needs d >= 1 modes, each of length >= 2; d = 1 is the unstructured
+    preamble."""
     if K < 1:
         raise ValueError("K must be >= 1")
     dims = [int(l) for l in dims]
-    if len(dims) < 2 or min(dims) < 2:
-        raise ValueError(f"need d >= 2 modes, each of length >= 2: {dims}")
+    if not dims or min(dims) < 2:
+        raise ValueError(f"need d >= 1 modes, each of length >= 2: {dims}")
     mats = []
     for l in dims:
         a = rng.standard_normal((l, K)) + 1j * rng.standard_normal((l, K))
@@ -66,20 +67,3 @@ def synthesize_received(A: np.ndarray, X: np.ndarray, sigma_n2: float,
 def snr_to_noise_variance(snr_db: float) -> float:
     """SNR is defined as 10 log10(1 / sigma_n^2), at unit transmit power."""
     return 10.0 ** (-snr_db / 10.0)
-
-
-# Factorizations used by the experiments for common preamble lengths.
-DEFAULT_FACTORIZATIONS: dict[int, tuple[int, ...]] = {
-    400: (20, 20),
-    225: (15, 15),
-    200: (20, 10),
-    100: (10, 10),
-    50: (10, 5),
-}
-
-# Tensor-order study: same L = 225 split into d = 2, 3, 4 modes.
-ORDER_FACTORIZATIONS_225: dict[int, tuple[int, ...]] = {
-    2: (15, 15),
-    3: (9, 5, 5),
-    4: (5, 5, 3, 3),
-}

@@ -478,14 +478,16 @@ def test_somp_coefficients_match_triangular_solve(M, monkeypatch):
     (500, (20, 20), 0.0, False),
     (500, (20, 20), 30.0, False),
     (500, (20, 20), 30.0, True),
+    (500, (400,), 30.0, False),
     (500, (10, 10), 10.0, False),
     (500, (9, 5, 5), 20.0, False),
     (500, (5, 5, 3, 3), 20.0, False),
     (2000, (20, 20), 30.0, False),
-], ids=["L400-0dB", "L400-30dB", "L400-30dB-d1", "L100-10dB", "L225-d3", "L225-d4",
-        "K2000-L400-30dB"])
+], ids=["L400-0dB", "L400-30dB", "L400-30dB-d1", "L400-30dB-dims400", "L100-10dB", "L225-d3",
+        "L225-d4", "K2000-L400-30dB"])
 def test_somp_matches_direct_form_bit_for_bit_on_trial_scenes(K, dims, snr_db, as_one_factor):
-    # the Gram column from the factors (or from A itself, at d=1) gives the
+    # the Gram column from the factors (or from A itself, passed as one
+    # factor, and on the single-factor scene of dims (400,)) gives the
     # correlation update of the direct form to roundoff, and the same support
     s = trial_scene(K, dims, snr_db, 0)
     got = assert_somp_matches_direct_form(

@@ -2,6 +2,7 @@
 imports."""
 
 import ast
+import codecs
 import csv
 import os
 import subprocess
@@ -39,6 +40,13 @@ def test_run_writes_trials_and_exits_0(cfg, tmp_path):
 
 def test_validate_prints_config_ok(cfg, capsys):
     assert cli.main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("config OK: K=40 M=4 L=16 dims=(4, 4)")
+
+
+def test_validate_reads_past_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + TINY.encode())
+    assert cli.main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.startswith("config OK: K=40 M=4 L=16 dims=(4, 4)")
 
 

@@ -1,5 +1,6 @@
 """Config-file parsing."""
 
+import codecs
 import dataclasses
 import math
 import re
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from leojadce import baselines, channel, detection, vbi
-from leojadce.config import (ConfigError, ScenarioConfig, apply_axis, load_config,
+from leojadce import baselines, channel, cli, config, detection, vbi
+from leojadce.config import (SWEEP_AXES, ConfigError, ScenarioConfig, apply_axis, load_config,
                              parse_config, parse_sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,10 +66,10 @@ def test_parse_config_rejects_unknown_and_duplicate_keys(text):
 
 
 @pytest.mark.parametrize("text", ["K 40", "K = 3.5", "snr_db = ten", "dims = axb",
-                                  "dims = 20x"])
+                                  "dims = 1x20"])
 def test_parse_config_rejects_malformed_values(text):
     # a line without '=', a non-integer int, a non-numeric float, dims that
-    # do not parse, and dims with a single factor
+    # do not parse, and dims with a factor of length 1
     with pytest.raises(ConfigError):
         parse_config(text)
 
@@ -132,6 +133,17 @@ def test_parse_sweep_rejects_two_spellings_of_one_value():
         parse_sweep("snr=10.0, 1e1 ")
 
 
+def test_load_config_reads_past_a_byte_order_mark(tmp_path):
+    # an editor may start a UTF-8 file with a byte-order mark; it is not part
+    # of the first key, and a bad byte after it is reported at its offset
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + b"K = 40\n")
+    assert load_config(path) == ScenarioConfig(K=40)
+    path.write_bytes(codecs.BOM_UTF8 + b"K = 40\xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text .* at byte 9"):
+        load_config(path)
+
+
 def test_example_paper_config_loads():
     cfg = load_config(ROOT / "examples" / "paper.cfg")
     assert cfg == ScenarioConfig(K=500, M=8, dims=(20, 20), snr_db=30.0,
@@ -139,10 +151,25 @@ def test_example_paper_config_loads():
 
 
 def test_readme_config_table_is_exactly_the_config_keys():
-    # the docs list no key that the parser rejects, and miss none it reads
+    # the docs list no key that the parser rejects, and miss none it reads;
+    # the parser reads every field
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config file", 1)[1].split("\n## ", 1)[0]
     first_cells = [line.split("|")[1] for line in section.splitlines()
                    if line.startswith("| `")]
     keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
     assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert list(config._KEYS) == keys
+
+
+def test_readme_and_cli_name_exactly_the_sweep_axes(capsys):
+    # the README's --sweep list and the CLI's --sweep help name each axis
+    # that SWEEP_AXES holds once, and no other
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("varies one axis of the config:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [axis for line in section.splitlines() if line.startswith("- ")
+              for axis in re.findall(r"`(\w+)`", line.split(":", 1)[0])]
+    assert sorted(listed) == sorted(SWEEP_AXES)
+    assert cli.main(["run", "--help"]) == 0
+    helped = re.search(r"axes: ([\w,]+)\)", capsys.readouterr().out).group(1).split(",")
+    assert sorted(helped) == sorted(SWEEP_AXES)

@@ -219,9 +219,10 @@ def test_traces_hold_one_row_per_iteration_and_leave_trials_csv_alone(tmp_path):
                 assert float(row[5]) == pytest.approx(e_beta, rel=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(4, 4), (8, 8)], ids=["L16", "direct"])
+@pytest.mark.parametrize("dims", [(4, 4), (8, 8), (16,)], ids=["L16", "direct", "L16-d1"])
 def test_trial_forms_the_preamble_matrix_once(monkeypatch, dims):
-    # synthesis, VBI (at L < K and L > K), SOMP and AMP read one A
+    # synthesis, VBI (at L < K and L > K), SOMP and AMP read one A, also
+    # the unstructured preamble of a single factor (d = 1)
     formed = []
 
     def counting(mats):
@@ -234,7 +235,7 @@ def test_trial_forms_the_preamble_matrix_once(monkeypatch, dims):
     records, _ = run_trial(cfg, "snr", "10", 0)
     assert [r.algorithm for r in records] == ["vbi", "somp", "amp"]
     assert not any(r.failed for r in records), [r.error for r in records]
-    assert formed == [2]
+    assert formed == [len(dims)]
 
 
 def test_geometry_drawn_once_per_configuration(monkeypatch):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from leojadce import baselines, vbi
-from leojadce.signals import (DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225,
-                              assemble_preamble_matrix, gen_preambles,
-                              snr_to_noise_variance, synthesize_received)
+from leojadce.config import DEFAULT_FACTORIZATIONS, ORDER_FACTORIZATIONS_225
+from leojadce.signals import (assemble_preamble_matrix, gen_preambles, snr_to_noise_variance,
+                              synthesize_received)
 from leojadce.tensors import khatri_rao
 
 
@@ -38,9 +38,12 @@ def test_preamble_vec_equals_kron_fold():
 
 
 def test_preamble_invalid_dims():
+    # a single factor (d = 1) is the unstructured preamble; no factor, or
+    # one of length 1, is not a preamble
     rng = np.random.default_rng(2)
+    assert [a.shape for a in gen_preambles((4,), 3, rng)] == [(4, 3)]
     with pytest.raises(ValueError):
-        gen_preambles((4,), 3, rng)
+        gen_preambles((), 3, rng)
     with pytest.raises(ValueError):
         gen_preambles((4, 1), 3, rng)
     with pytest.raises(ValueError):

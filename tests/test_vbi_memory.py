@@ -91,7 +91,7 @@ def test_block_run_holds_no_k_by_k_array():
     assert peak < (L * K + 8 * K * vbi.BLOCK_SIZE) * np.dtype(complex).itemsize, peak
 
 
-@pytest.mark.parametrize("dims", [(6, 7), (3, 4, 3), (2, 3, 2, 3)])
+@pytest.mark.parametrize("dims", [(6, 7), (3, 4, 3), (2, 3, 2, 3), (42,)])
 def test_precompute_gram_bit_equal_to_hadamard_of_factor_grams(dims):
     # each block of the stack is the K x K oracle's diagonal block, bit for
     # bit (K=40: two blocks of 20), and on 13 of the devices the stack is
