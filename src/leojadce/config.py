@@ -114,12 +114,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse(key, _KEYS[key], val)
-    try:
-        return ScenarioConfig(**values)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**values)
 
 
 def load_config(path: str) -> ScenarioConfig:

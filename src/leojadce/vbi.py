@@ -40,17 +40,17 @@ R = Y_(d+1) - M_X KR^T is kept and updated block by block, so q(beta) reads
 few stacks of the same shape, n b entries each for the n devices in the
 solve.
 
-Pruning: after an iteration other than the last, a device whose prior
-precision E[v_k] has collapsed (see :func:`prune`) leaves the q(X) solve
-for the rest of the run, as in the fixed-point pruning of sparse Bayesian
-learning (Tipping & Faul 2003; Wipf & Rao 2007). From then on the state
-holds only the devices left: one index compacts its vectors and its M_X,
-and every update runs on those devices, with a copy of KR's columns and
-Gram blocks formed again for them, blocked afresh. :func:`run` maps the
-state back to all K devices once, at return: a pruned device reports an
-all-zero column of M_X, c_diag = 0 and the q(v) rate EPS that a zero
-column with no variance gets. Each pruning step changes the model, so the
-ELBO is non-decreasing only while the active set is fixed.
+Pruning: at the head of each iteration, a device whose prior precision
+E[v_k] has collapsed (see :func:`prune`) leaves the q(X) solve for the rest
+of the run, as in the fixed-point pruning of sparse Bayesian learning
+(Tipping & Faul 2003; Wipf & Rao 2007). From then on the state holds only
+the devices left: one index compacts its vectors and its M_X, and every
+update runs on those devices, with a copy of KR's columns and Gram blocks
+formed again for them, blocked afresh. :func:`run` maps the state back to
+all K devices once, at return: a pruned device reports an all-zero column
+of M_X, c_diag = 0 and the q(v) rate EPS that a zero column with no
+variance gets. Each pruning step changes the model, so the ELBO is
+non-decreasing only while the active set is fixed.
 """
 
 from __future__ import annotations
@@ -61,26 +61,31 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Pruning (see :func:`prune`): from this iteration on, a device whose prior
-# precision E[v_k] exceeds PRUNE_PRECISION_RATIO times the smallest active
-# E[v], and whose M_X column energy is below PRUNE_ENERGY_FRACTION of the
-# largest and did not grow since the previous iteration, leaves the q(X)
-# solve. The fraction sits a factor 30 under the detection threshold
+# Pruning (see :func:`prune`): at the head of each iteration, a device whose
+# prior precision E[v_k] exceeds PRUNE_PRECISION_RATIO times the smallest
+# active E[v], and whose M_X column energy is below PRUNE_ENERGY_FRACTION of
+# the largest and did not grow over the previous iteration, leaves the q(X)
+# solve. The start sets every E[v] to 1, so nothing leaves at iteration 1.
+# The fraction sits a factor 30 under the detection threshold
 # M (r max|M_X|)^2 >= 0.09 x the largest column energy at
-# r = detection.THRESHOLD_RATIO, so a device pruned at that iteration would
-# not be detected there. Both were picked on master seeds 7 and 1234 at
-# K=500: at L=400, 30 dB the run then stops after 15-18 iterations instead
-# of 30-32. At the cap of 50 (master seed 314, 4 trials a scene) no device
-# is pruned at 0 dB, nor at L=100, 10 dB; at 10 dB and L = 196-400 runs end
-# with 374-500 of the 500 devices, and at 20-30 dB with 39-360. A fraction
-# of 1e-2 pruned the same devices; one of 1e-3 pruned them over more
-# iterations, and the run stopped after 16-25. The growth test keeps a true
-# device whose column the iteration has not yet picked up: with X 20 times
-# larger (a transmit power of 400), the unit E[v] start holds such a column
-# near its prior for many iterations. The test costs 0-5 iterations a trial
-# at L=400, 30 dB; without it, such devices were pruned at L=100 with a
-# transmit power of 400, and on a K=40 scene.
-PRUNE_FROM_ITER = 5
+# r = detection.THRESHOLD_RATIO, so a device pruned there would not be
+# detected. Both were picked on master seeds 7 and 1234 at K=500: at L=400,
+# 30 dB the run then stops after 15-18 iterations instead of 30-32. At the
+# cap of 50 (master seed 314, 4 trials a scene) no device is pruned at 0 dB,
+# nor at L=100, 10 dB; at 10 dB and L = 196-400 runs end with 374-500 of the
+# 500 devices, and at 20-30 dB with 39-360. A fraction of 1e-2 pruned the
+# same devices; one of 1e-3 pruned them over more iterations, and the run
+# stopped after 16-25. The growth test keeps a true device whose column the
+# iterations have not yet picked up: with X 20 times larger (a transmit
+# power of 400), the unit E[v] start holds such a column near its prior for
+# many iterations. The test costs 0-5 iterations a trial at L=400, 30 dB;
+# without it, such devices were pruned at L=100 with a transmit power of
+# 400, and on a K=40 scene. These figures were taken while pruning began
+# after iteration 5. Pruning from the head of iteration 2 left M_X bit for
+# bit on 20 runs at p_a = 0.1 (L = 100 and 400 at 10 and 30 dB, and K=2000
+# at L=400, 30 dB; master seed 4242). At p_a = 0.02, L=400, 30 dB it moved
+# 11 of 16 trials, with the same Pe, mean NMSE .00560 -> .00550 and no
+# true device pruned.
 PRUNE_PRECISION_RATIO = 200.0
 PRUNE_ENERGY_FRACTION = 3e-3
 
@@ -366,7 +371,7 @@ def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
     A device goes when its precision has collapsed relative to the active
     set, E[v_k] > PRUNE_PRECISION_RATIO * min E[v], and its column of M_X
     holds less than PRUNE_ENERGY_FRACTION of the largest column energy and
-    did not grow since the previous iteration (``prev_col_energy``). The
+    did not grow over the previous iteration (``prev_col_energy``). The
     device with the smallest E[v] always stays. A column that still grows
     may belong to a true device that the iteration has not yet picked up."""
     return ((e_v > PRUNE_PRECISION_RATIO * np.min(e_v))
@@ -375,55 +380,40 @@ def prune(e_v: np.ndarray, col_energy: np.ndarray, prev_col_energy: np.ndarray
 
 
 def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResult:
-    """Iterate qX -> qv -> qbeta until the relative Frobenius change of M_X
-    drops below REL_TOL or MAX_ITERS is reached.
+    """Iterate until the relative Frobenius change of M_X drops below
+    REL_TOL or MAX_ITERS is reached. Each iteration runs on one set of
+    devices: it drops those that :func:`prune` names, runs qX -> qv ->
+    qbeta, writes its trace row and takes the stop test.
 
     ``kr`` is KR, formed once by the caller and only read here; ``p`` serves
     only :func:`precompute_gram`. ||Y||^2 and the Gram blocks are formed
     once, here; no K x K array is formed.
 
-    From iteration PRUNE_FROM_ITER on, the devices that :func:`prune`
-    names leave the q(X) solve for good: one index compacts the state to
-    the devices left, and their columns of KR, their Gram blocks (blocked
-    afresh) and the residual are formed again. The stop rule measures the
-    change of all K columns of the mean, so the columns that a pruning step
-    drops count as moving to zero in the next iteration's test. At return
+    A pruned device leaves the q(X) solve for good: one index compacts the
+    state to the devices left, and their columns of KR, their Gram blocks
+    (blocked afresh) and the residual are formed again. The stop test
+    compares the mean over the devices in that iteration's solve. At return
     the state is mapped back to all K devices, a pruned one with an
     all-zero column of M_X, c_diag = 0 and the q(v) rate EPS. Pruning
     changes the model, so the ELBO is non-decreasing only between pruning
     steps. A run where no device meets the rule gives the M_X of the
     unpruned iteration bit for bit.
 
-    No pruning step follows the last iteration, so a run with MAX_ITERS = n
-    returns the first n trace rows of any longer run, and as its state the
-    state that run held after iteration n, before it pruned."""
+    Pruning opens an iteration, so a run with MAX_ITERS = n returns the
+    first n trace rows of any longer run, and as its state the state that
+    run held after iteration n."""
     K = kr.shape[1]
     grams = precompute_gram(p)
     y_energy = float(np.vdot(Y, Y).real)
     s = init_posterior(kr, Y, y_energy)
     # s, col_energy, grams and the q(X) copy kr_a hold only the devices in
-    # ``active``; dropped is the norm of the columns that last left them
-    active, kr_a, dropped = np.arange(K), kr, 0.0
-    col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
+    # ``active``
+    active, kr_a = np.arange(K), kr
+    col_energy = prev_col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     trace: list[tuple[int, float, float, int, float]] = []
     converged = False
     for it in range(1, MAX_ITERS + 1):
-        prev, prev_col_energy = s.M_X, col_energy
-        s = update_qX(s, grams, kr_a)
-        col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
-        s = update_qv(s, col_energy)
-        s = update_qbeta(s, y_energy)
-        F = s.a_beta - EPS
-        trace.append((it, F, float(np.max(col_energy)), len(active), s.E_beta))
-        denom = float(np.hypot(np.linalg.norm(prev), dropped))
-        delta = float(np.hypot(np.linalg.norm(s.M_X - prev), dropped))
-        if denom > 0 and delta / denom < REL_TOL:
-            converged = True
-            break
-        if not PRUNE_FROM_ITER <= it < MAX_ITERS:
-            continue
         drop = prune(s.E_v, col_energy, prev_col_energy)
-        dropped = float(np.linalg.norm(s.M_X[:, drop]))
         if drop.any():
             keep = np.flatnonzero(~drop)
             active, col_energy = active[keep], col_energy[keep]
@@ -435,6 +425,17 @@ def run(p: tuple[np.ndarray, ...], kr: np.ndarray, Y: np.ndarray) -> EngineResul
             M_X = s.M_X[:, keep]
             s = dataclasses.replace(s, M_X=M_X, c_diag=s.c_diag[keep], a_v=s.a_v[keep],
                                     resid=Y.T - M_X @ kr_a.T)
+        prev, prev_col_energy = s.M_X, col_energy
+        s = update_qX(s, grams, kr_a)
+        col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
+        s = update_qv(s, col_energy)
+        s = update_qbeta(s, y_energy)
+        F = s.a_beta - EPS
+        trace.append((it, F, float(np.max(col_energy)), len(active), s.E_beta))
+        denom = float(np.linalg.norm(prev))
+        if denom > 0 and float(np.linalg.norm(s.M_X - prev)) / denom < REL_TOL:
+            converged = True
+            break
     M_X = np.zeros((s.M_X.shape[0], K), dtype=s.M_X.dtype)
     c_diag, a_v = np.zeros(K), np.full(K, EPS)
     M_X[:, active], c_diag[active], a_v[active] = s.M_X, s.c_diag, s.a_v

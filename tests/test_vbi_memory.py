@@ -61,13 +61,27 @@ def counting_gram(monkeypatch):
 
 @pytest.mark.parametrize("dims", [SHORT, LONG])
 def test_run_forms_the_gram_once_before_pruning(monkeypatch, dims):
-    # no device is pruned before iteration PRUNE_FROM_ITER
+    # the E[v] = 1 start prunes no device at iteration 1
     calls = counting_gram(monkeypatch)
-    monkeypatch.setattr(vbi, "MAX_ITERS", vbi.PRUNE_FROM_ITER)
+    monkeypatch.setattr(vbi, "MAX_ITERS", 1)
     p, Y, _ = four_device_scene(dims)
     result = vbi.run(p, khatri_rao(p), Y)
-    assert result.n_iters >= 1
+    assert result.n_iters == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dims, sigma_n2", [(LONG, 1e-2), (SHORT, 1e-3)])
+def test_run_forms_the_gram_again_at_each_pruning_step(monkeypatch, dims, sigma_n2):
+    # once for all K devices, and once more for the devices left at the head
+    # of each iteration whose n_active fell
+    calls = counting_gram(monkeypatch)
+    p, Y, _ = four_device_scene(dims, sigma_n2)
+    result = vbi.run(p, khatri_rao(p), Y)
+    n_active = [p[0].shape[1]] + [row[3] for row in result.trace]
+    fell = sum(now < before for before, now in zip(n_active, n_active[1:]))
+    assert fell > 0
+    assert len(calls) == 1 + fell
+    assert [c[0].shape[1] for c in calls] == sorted(set(n_active), reverse=True)
 
 
 def test_block_run_holds_no_k_by_k_array():

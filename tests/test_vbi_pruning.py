@@ -30,10 +30,11 @@ def k500_samples(dims, snr_db):
 
 
 def k_wide_run(p, Y, prunes=True):
-    """The run loop with every vector K wide, the reference of vbi.run: the
-    q(X) update solves for the devices in ``active`` and is scattered back
-    to K, so a pruned device keeps a zero column, c_diag = 0 and the rate
-    EPS, and the stop rule reads the mean of all K columns. With ``prunes``
+    """The run loop with every vector K wide, the reference of vbi.run: each
+    iteration first drops the devices that vbi.prune names, then the q(X)
+    update solves for the devices in ``active`` and is scattered back to K,
+    so a pruned device keeps a zero column, c_diag = 0 and the rate EPS, and
+    the stop rule reads the ``active`` columns of the mean. With ``prunes``
     false every device stays in the solve. It reads the engine's settings
     from :mod:`leojadce.vbi` when called. Returns a vbi.EngineResult."""
     kr = khatri_rao(p)
@@ -42,10 +43,16 @@ def k_wide_run(p, Y, prunes=True):
     y_energy = float(np.vdot(Y, Y).real)
     s = vbi.init_posterior(kr, Y, y_energy)
     active, kr_a = np.arange(n), kr
-    col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
+    col_energy = prev_col_energy = np.sum(np.abs(s.M_X) ** 2, axis=0)
     trace, converged = [], False
     for it in range(1, vbi.MAX_ITERS + 1):
-        prev, prev_col_energy = s.M_X, col_energy
+        drop = prunes & vbi.prune(s.E_v[active], col_energy[active], prev_col_energy[active])
+        if drop.any():
+            active = active[~drop]
+            kr_a = np.take(kr, active, axis=1)
+            grams = vbi.precompute_gram(tuple(a[:, active] for a in p))
+            s = dataclasses.replace(s, resid=Y.T - s.M_X[:, active] @ kr_a.T)
+        prev, prev_col_energy = s.M_X[:, active], col_energy
         out = vbi.update_qX(dataclasses.replace(s, M_X=s.M_X[:, active], a_v=s.a_v[active]),
                             grams, kr_a)
         M_X, c_diag = np.zeros_like(s.M_X), np.zeros(n)
@@ -57,17 +64,9 @@ def k_wide_run(p, Y, prunes=True):
         trace.append((it, s.a_beta - vbi.EPS, float(np.max(col_energy)), len(active),
                       s.E_beta))
         denom = float(np.linalg.norm(prev))
-        if denom > 0 and float(np.linalg.norm(s.M_X - prev)) / denom < vbi.REL_TOL:
+        if denom > 0 and float(np.linalg.norm(s.M_X[:, active] - prev)) / denom < vbi.REL_TOL:
             converged = True
             break
-        if not (prunes and vbi.PRUNE_FROM_ITER <= it < vbi.MAX_ITERS):
-            continue
-        drop = vbi.prune(s.E_v[active], col_energy[active], prev_col_energy[active])
-        if drop.any():
-            active = active[~drop]
-            kr_a = np.take(kr, active, axis=1)
-            grams = vbi.precompute_gram(tuple(a[:, active] for a in p))
-            s = dataclasses.replace(s, resid=Y.T - s.M_X[:, active] @ kr_a.T)
     return vbi.EngineResult(state=s, n_iters=it, converged=converged, trace=trace)
 
 
@@ -91,11 +90,6 @@ STOP_SCENES = {
 @pytest.mark.parametrize("rel_tol", [1e-2, 3e-3, 1e-3])
 @pytest.mark.parametrize("make", STOP_SCENES.values(), ids=STOP_SCENES.keys())
 def test_run_matches_the_k_wide_loop_bit_for_bit(make, rel_tol, monkeypatch):
-    # the stop rule reads the change of the mean of all K columns, in which
-    # a device pruned after the previous iteration moved to zero; a run that
-    # leaves those columns out of the change stops early on 4 of these 21:
-    # at REL_TOL 1e-2 after 7 iterations instead of 8 (L64-0.01-seed0) and
-    # after 17 instead of 21 (K500-L400-20dB)
     monkeypatch.setattr(vbi, "REL_TOL", rel_tol)
     p, Y = make()[:2]
     ref = k_wide_run(p, Y)
@@ -128,9 +122,9 @@ PRUNING = [(LONG, 1e-2), (SHORT, 1e-3)]
 
 def states_of(p, Y):
     """The run on (p, Y), and its start followed by its state after each
-    iteration n, taken from a run with MAX_ITERS = n: no pruning step
-    follows a run's last iteration, so that run ends in the state the full
-    run held after iteration n, before it pruned."""
+    iteration n, taken from a run with MAX_ITERS = n: pruning opens an
+    iteration, so that run ends in the state the full run held after
+    iteration n."""
     kr = khatri_rao(p)
     result = vbi.run(p, kr, Y)
     states = [vbi.init_posterior(kr, Y, float(np.vdot(Y, Y).real))]
@@ -221,7 +215,8 @@ def test_pruning_keeps_the_call_counts(monkeypatch, dims, sigma_n2):
                             lambda mats: formed.append(len(mats)) or khatri_rao(mats))
     result = vbi.run(p, kr, Y)
     assert result.trace[-1][3] < K
-    monkeypatch.setattr(vbi, "MAX_ITERS", 4)
+    # the E[v] = 1 start prunes nothing at iteration 1
+    monkeypatch.setattr(vbi, "MAX_ITERS", 1)
     unpruned = vbi.run(p, kr, Y)
     assert unpruned.trace[-1][3] == K
     assert formed == []
@@ -268,3 +263,19 @@ def test_paper_scale_trial_converges_within_twenty_iterations():
     (record,), _ = harness.run_trial(cfg, "snr", "30", 0)
     assert not record.failed, record.error
     assert record.iters < 20
+
+
+def test_sparse_paper_scene_keeps_every_true_device():
+    # K=500, L=400, 30 dB at p_a = 0.02, about 10 active devices, the
+    # sparsest scene here. Pruning first fires at the head of iteration 6 on
+    # trials 0-2 and of iteration 4 on trial 3
+    first_prunes = []
+    for trial in range(4):
+        s = trial_scene(500, (20, 20), 30.0, 0, trial, p_a=0.02)
+        result = vbi.run(s.p, khatri_rao(s.p), s.Y)
+        assert result.converged and result.n_iters < vbi.MAX_ITERS
+        assert np.all(result.state.c_diag[s.alpha == 1] > 0)
+        n_active = [row[3] for row in result.trace]
+        assert n_active[-1] < 500
+        first_prunes.append(next(it for it, n in enumerate(n_active, start=1) if n < 500))
+    assert min(first_prunes) < 5

@@ -21,10 +21,11 @@ class Scene(NamedTuple):
     alpha: np.ndarray           # true activity
 
 
-def trial_scene(K, dims, snr_db, seed, trial=0):
+def trial_scene(K, dims, snr_db, seed, trial=0, p_a=ScenarioConfig.p_a):
     """Trial ``trial`` of the snr axis at value ``snr_db`` and master seed
-    ``seed``, M=8 and the default p_a, drawn as harness.run_trial draws it."""
-    cfg = ScenarioConfig(K=K, M=8, dims=dims, snr_db=snr_db, master_seed=seed,
+    ``seed``, M=8 and activity probability ``p_a``, drawn as
+    harness.run_trial draws it."""
+    cfg = ScenarioConfig(K=K, M=8, p_a=p_a, dims=dims, snr_db=snr_db, master_seed=seed,
                          algos=("vbi",), trials=1)
     rng = harness.trial_rng(cfg.master_seed, "snr", str(cfg.snr_db), trial)
     p = gen_preambles(cfg.dims, cfg.K, rng)
