@@ -1,8 +1,12 @@
 """Command-line interface.
 
-    leojadce run --config cfg.txt --sweep snr=0,10,20,30 --out results/ \
-        [--trials N] [--seed S] [--algos vbi,somp] [--traces] [--workers W]
+    leojadce run --config cfg.txt --sweep snr=0,10,20,30 --out results/ [--workers W]
     leojadce validate --config cfg.txt
+
+The config file and the sweep define the whole run: its trial count, master
+seed and algorithms are config keys, and no option overrides them. VBI's
+per-iteration trace goes to trace_<axis>_<value>.csv for every swept value
+whose trials ran VBI.
 
 Exit codes: 0 success, 1 usage or configuration error (a --workers below 1
 among them) or an --out that cannot be a directory, 2 a trial failed.
@@ -11,18 +15,27 @@ among them) or an --out that cannot be a directory, 2 a trial failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .config import (SWEEP_AXES, ConfigError, apply_axis, load_config, parse_algos,
-                     parse_sweep)
+from .config import SWEEP_AXES, ConfigError, apply_axis, load_config, parse_sweep
 from .harness import run_sweep, write_outputs
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects an unknown option with the usage of the command it follows,
+    which lists the options that command has."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="leojadce",
-                                     description="Tensor-Bayesian grant-free access experiments")
+    parser = _Parser(prog="leojadce",
+                     description="Tensor-Bayesian grant-free access experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute a Monte-Carlo sweep")
@@ -30,10 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--sweep", required=True,
                        help=f"axis=v1,v2,... (axes: {','.join(SWEEP_AXES)})")
     run_p.add_argument("--out", required=True, help="output directory for CSV files")
-    run_p.add_argument("--trials", type=int, help="override config trial count")
-    run_p.add_argument("--seed", type=int, help="override config master seed")
-    run_p.add_argument("--algos", type=parse_algos, help="override algorithms, e.g. vbi,somp")
-    run_p.add_argument("--traces", action="store_true", help="emit per-iteration residual CSVs")
     run_p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
     val_p = sub.add_parser("validate", help="check a config file and exit")
@@ -59,8 +68,6 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        overrides = {"trials": args.trials, "master_seed": args.seed, "algos": args.algos}
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         sweep = parse_sweep(args.sweep)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -74,7 +81,7 @@ def main(argv=None) -> int:
         return 1
 
     records, traces = run_sweep(cfg, sweep, workers=args.workers)
-    write_outputs(args.out, sweep, records, traces if args.traces else None)
+    write_outputs(args.out, sweep, records, traces)
     n_failed = sum(1 for r in records if r.failed)
     print(f"wrote {len(records)} trial records to {args.out} "
           f"({n_failed} failed)")

@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """The knobs a sweep axis or the command line sets. The rest of the
+    """The knobs a config file sets and a sweep axis varies. The rest of the
     scene is fixed in module constants where it is used: the link budget,
     the device geometry and the Rician factor in :mod:`~leojadce.channel`,
     the engine in :mod:`~leojadce.vbi` (EPS, MAX_ITERS, REL_TOL), AMP in

@@ -120,8 +120,6 @@ def run_trial(cfg: ScenarioConfig, axis: str, value: str, trial: int
                 x_hat = ares.X_hat
                 alpha_hat = detection.detect(x_hat)
                 iters = ares.n_iters
-            else:
-                raise ValueError(f"unknown algorithm {algo!r}")
             wall_ms = (time.perf_counter() - t0) * 1000.0
             pe = detection.error_probability(alpha_hat, alpha)
             nm = detection.nmse(x_hat, X_true) if have_active else math.nan

@@ -5,6 +5,7 @@ import ast
 import codecs
 import csv
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,9 @@ import pytest
 import leojadce
 from leojadce import cli, vbi
 
-TINY = "K = 40\nM = 4\ndims = 4x4\nalgos = vbi, somp, amp\ntrials = 2\n"
+SCENE = "K = 40\nM = 4\ndims = 4x4\n"
+TINY = SCENE + "algos = vbi, somp, amp\ntrials = 2\n"
+ROOT = Path(leojadce.__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -36,6 +39,12 @@ def test_run_writes_trials_and_exits_0(cfg, tmp_path):
     assert sorted((r[2], r[3]) for r in rows[1:]) == sorted(
         (algo, trial) for trial in "01" for algo in ("vbi", "somp", "amp"))
     assert all(r[4] != "nan" for r in rows[1:])
+    # VBI ran, so each sweep value has its trace file, with no option asking
+    assert sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv")) == ["trace_snr_10.csv"]
+    # and a run without VBI writes none
+    cfg.write_text(SCENE + "algos = somp, amp\ntrials = 1\n")
+    assert run(cfg, tmp_path / "baselines") == 0
+    assert not list((tmp_path / "baselines").glob("trace_*.csv"))
 
 
 def test_validate_prints_config_ok(cfg, capsys):
@@ -78,9 +87,8 @@ def test_configuration_errors_exit_1(tmp_path, capsys, config_text, sweep):
 def test_python_dash_m_entry_point(argv, code, stream, start):
     # the checkout entry point, PYTHONPATH=src python -m leojadce, run from
     # the repository root
-    root = Path(leojadce.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": "src"}
-    proc = subprocess.run([sys.executable, "-m", "leojadce", *argv], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-m", "leojadce", *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert getattr(proc, stream).startswith(start)
@@ -107,9 +115,16 @@ def test_out_that_cannot_be_a_directory_exits_1_before_any_trial(cfg, tmp_path, 
     (["--trials", "abc"], True),
     (["--workers", "x"], True),
     ([], False),                    # no --out
-], ids=["trials-abc", "workers-x", "missing-out"])
+    # the config file sets the trial count, the seed and the algorithms,
+    # and VBI's traces are always written: no option does any of these
+    (["--trials", "1"], True),
+    (["--seed", "3"], True),
+    (["--algos", "vbi"], True),
+    (["--traces"], True),
+], ids=["trials-abc", "workers-x", "missing-out", "trials", "seed", "algos", "traces"])
 def test_usage_errors_exit_1_without_making_out(cfg, tmp_path, capsys, extra, out):
-    # argparse alone would exit 2, which the run keeps for a failed trial
+    # argparse alone would exit 2, which the run keeps for a failed trial;
+    # an unknown option is reported with the usage of the command it follows
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10", *extra]
     assert cli.main(argv + (["--out", str(tmp_path / "out")] if out else [])) == 1
     assert capsys.readouterr().err.startswith("usage: leojadce run ")
@@ -119,6 +134,17 @@ def test_usage_errors_exit_1_without_making_out(cfg, tmp_path, capsys, extra, ou
 def test_help_exits_0(capsys):
     assert cli.main(["run", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: leojadce run ")
+
+
+def test_readme_and_help_name_exactly_the_run_options(capsys):
+    # the config file and the sweep define a run; its options say only
+    # where it reads and writes, and how many processes it uses
+    options = ["--config", "--sweep", "--out", "--workers"]
+    assert cli.main(["run", "--help"]) == 0
+    assert re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M) == options
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    usage = re.search(r"^    leojadce run .*(?:\n {8}.*)*", readme, re.M).group(0)
+    assert re.findall(r"--\w+", usage) == options
 
 
 def test_failed_trial_exits_2(cfg, tmp_path, monkeypatch):
@@ -183,9 +209,9 @@ def test_empty_algos_exit_1_on_validate_and_run(tmp_path, capsys):
     path.write_text(TINY.replace("algos = vbi, somp, amp", "algos ="))
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
-    path.write_text(TINY)
+    path.write_text(TINY.replace("algos = vbi, somp, amp", "algos = ,"))
     assert cli.main(["run", "--config", str(path), "--sweep", "snr=10",
-                     "--out", str(tmp_path / "out"), "--algos", ","]) == 1
+                     "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
 
@@ -208,9 +234,9 @@ def test_repeated_algos_exit_1_on_validate_and_run(tmp_path, capsys):
     path.write_text(TINY.replace("algos = vbi, somp, amp", "algos = somp, somp"))
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert "algos repeat" in capsys.readouterr().err
-    path.write_text(TINY)
+    path.write_text(TINY.replace("algos = vbi, somp, amp", "algos = somp,somp"))
     assert cli.main(["run", "--config", str(path), "--sweep", "snr=10",
-                     "--out", str(tmp_path / "out"), "--algos", "somp,somp"]) == 1
+                     "--out", str(tmp_path / "out")]) == 1
     assert "algos repeat" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -240,22 +266,23 @@ def loaded_in_fresh_interpreter(argv: list[str], modules: list[str],
 def test_validate_and_baselines_run_do_not_import_scipy(cfg, tmp_path):
     # SOMP solves its triangular system with numpy
     assert loaded_in_fresh_interpreter(["validate", "--config", str(cfg)], ["scipy"]) == [False]
-    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
-            "--algos", "somp,amp"]
+    cfg.write_text(SCENE + "algos = somp, amp\ntrials = 2\n")
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out")]
     assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
 
 
 def test_vbi_run_does_not_import_scipy(cfg, tmp_path):
     # VBI's q(X) solves with numpy only
-    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out"),
-            "--algos", "vbi", "--trials", "1"]
+    cfg.write_text(SCENE + "algos = vbi\ntrials = 1\n")
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10", "--out", str(tmp_path / "out")]
     assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
 
 
 def test_forked_vbi_sweep_leaves_scipy_unloaded(cfg, tmp_path):
     # the parent runs no trial itself, and loads nothing for its workers
+    cfg.write_text(SCENE + "algos = vbi\ntrials = 1\n")
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "out"),
-            "--algos", "vbi", "--trials", "1", "--workers", "2"]
+            "--workers", "2"]
     assert loaded_in_fresh_interpreter(argv, ["scipy"]) == [False]
 
 
@@ -270,9 +297,9 @@ def test_sweep_runs_where_scipy_cannot_be_imported(cfg, tmp_path):
 
 def test_process_pool_loads_only_for_a_forked_sweep(cfg, tmp_path):
     modules = ["concurrent.futures.process", "multiprocessing"]
-    argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "one"),
-            "--trials", "1"]
+    cfg.write_text(SCENE + "algos = vbi, somp, amp\ntrials = 1\n")
+    argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "one")]
     assert loaded_in_fresh_interpreter(argv, modules) == [False, False]
     argv = ["run", "--config", str(cfg), "--sweep", "snr=10,20", "--out", str(tmp_path / "two"),
-            "--trials", "1", "--workers", "2"]
+            "--workers", "2"]
     assert loaded_in_fresh_interpreter(argv, modules) == [True, True]

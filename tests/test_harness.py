@@ -69,6 +69,20 @@ def test_trials_csv_identical_across_reruns_and_worker_counts(tmp_path):
     serial = trials_csv(tmp_path, "a")
     assert trials_csv(tmp_path, "b") == serial
     assert trials_csv(tmp_path, "c", workers=2) == serial
+    # so is every other file but timings.csv, which holds wall times:
+    # summary.csv, failures.csv and each value's VBI trace, at L < K (a, c)
+    # and at L > K (d, e)
+    block = dataclasses.replace(TINY, dims=(8, 8))
+    trials_csv(tmp_path, "d", cfg=block)
+    trials_csv(tmp_path, "e", cfg=block, workers=2)
+    for one, two in ((tmp_path / "a", tmp_path / "c"), (tmp_path / "d", tmp_path / "e")):
+        names = sorted(p.name for p in one.iterdir())
+        assert names == ["failures.csv", "summary.csv", "timings.csv", "trace_snr_10.csv",
+                         "trace_snr_30.csv", "trials.csv"]
+        assert sorted(p.name for p in two.iterdir()) == names
+        for name in names:
+            if name != "timings.csv":
+                assert (two / name).read_bytes() == (one / name).read_bytes(), (two, name)
 
 
 def test_pool_has_no_more_workers_than_trials(monkeypatch):
